@@ -2,7 +2,7 @@
 morphism arithmetic, trace classes with power operators, and excision
 checks for one-manifold invariants."""
 
-from .digraph import (Digraph, DigraphMor, ClosedCover, Edge, NotACover,
+from .digraph import (ClosedCover, Digraph, Edge, NotACover, QuivercalcError,
                       UnknownEdge, UnknownVertex, classify_digraph,
                       disjoint_union, exit_path, make_closed_cover,
                       standard_digraph, weak_components)
@@ -29,7 +29,7 @@ from .hochschild import (CyclicWord, HHClass, HHTable, class_of_word,
 from .emm import (CircleEndo, CycleToCircle, DirectedCycle, ExcisionSite,
                   ExcisionVerdict, MMor, MObject, QuivPart, VertexToCircle,
                   circle_object, compose_m, cycle_length_bound,
-                  enumerate_directed_cycles, excision_level, fact_homology,
+                  enumerate_directed_cycles, fact_homology,
                   fact_map, hom_m, identity_m, make_excision_site,
                   mobject_of_digraph, quiv_op_mmor, verify_excision)
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a checked verdict fails (sheaf, excise,
-verify), 2 on unreadable or malformed input.
+verify), 2 on bad input of any kind: every QuivercalcError, including a bad
+command line, ends as one line "error: <message>" on stderr.
 """
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import json
 import random
 import sys
 
-from .digraph import Digraph, classify_digraph, make_closed_cover, standard_digraph
+from .digraph import (Digraph, QuivercalcError, classify_digraph,
+                      make_closed_cover, standard_digraph)
 from .quiver import enumerate_paths, hom_is_finite
 from .fincat import (FinCat, check_closed_sheaf, chain_poset_category,
                      cyclic_group_category, enumerate_reps, rep_via_exit_limit,
@@ -26,58 +28,50 @@ from .emm import (MObject, enumerate_directed_cycles, fact_homology, fact_map,
                   circle_object, mobject_of_digraph)
 
 
-class CliError(Exception):
-    pass
-
-
-def _load_json(path: str):
+def _load(path: str, what: str, parse):
+    """Build one input from a JSON file; any failure is a QuivercalcError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"{path} is not valid JSON: {e}")
+        raise QuivercalcError(f"cannot read {path}: {e}")
+    except ValueError as e:
+        raise QuivercalcError(f"{path} is not valid JSON: {e}")
+    try:
+        return parse(data)
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise QuivercalcError(f"bad {what} in {path}: {e}") from e
 
 
 def _load_graph(path: str) -> Digraph:
-    try:
-        return Digraph.from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"bad digraph in {path}: {e}")
+    return _load(path, "digraph", Digraph.from_json)
 
 
 def _load_cat(path: str) -> FinCat:
-    try:
-        cat = FinCat.from_json(_load_json(path))
+    def parse(data) -> FinCat:
+        cat = FinCat.from_json(data)
         validate_fincat(cat)
         return cat
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"bad category in {path}: {e}")
+    return _load(path, "category", parse)
 
 
 def _load_mobject(path: str) -> MObject:
-    try:
-        return MObject.from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError, AssertionError) as e:
-        raise CliError(f"bad object in {path}: {e}")
+    return _load(path, "object", MObject.from_json)
 
 
 def _load_site(path: str):
-    data = _load_json(path)
-    try:
+    def parse(data):
         if data.get("graph") == "circle":
             return make_excision_site("circle")
-        g = Digraph.from_json(data["graph"])
-        return make_excision_site(g, data.get("cut_edges", []))
-    except (ValueError, KeyError, TypeError, AssertionError) as e:
-        raise CliError(f"bad site in {path}: {e}")
+        return make_excision_site(Digraph.from_json(data["graph"]),
+                                  data.get("cut_edges", []))
+    return _load(path, "site", parse)
 
 
 def _parse_cover_piece(text: str, what: str):
     vs, sep, es = text.partition(";")
     if not sep:
-        raise CliError(f"{what} must look like 'v1,v2;e1,e2' (';' required)")
+        raise QuivercalcError(f"{what} must look like 'v1,v2;e1,e2' (';' required)")
     verts = [v for v in vs.split(",") if v]
     edges = [e for e in es.split(",") if e]
     return verts, edges
@@ -101,10 +95,6 @@ def cmd_classify(args) -> int:
 
 def cmd_paths(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        g.vertex_index(args.src), g.vertex_index(args.tgt)
-    except ValueError as e:
-        raise CliError(f"unknown vertex: {e}")
     finite, exact = hom_is_finite(g, args.src, args.tgt)
     ps = enumerate_paths(g, args.src, args.tgt, args.max_len)
     for p in ps:
@@ -134,11 +124,8 @@ def cmd_reps(args) -> int:
 def cmd_sheaf(args) -> int:
     cat = _load_cat(args.cat)
     g = _load_graph(args.graph)
-    try:
-        cover = make_closed_cover(g, _parse_cover_piece(args.left, "--left"),
-                                  _parse_cover_piece(args.right, "--right"))
-    except ValueError as e:
-        raise CliError(str(e))
+    cover = make_closed_cover(g, _parse_cover_piece(args.left, "--left"),
+                              _parse_cover_piece(args.right, "--right"))
     v = check_closed_sheaf(cat, cover)
     print(f"whole: {v.total}  left: {v.left}  right: {v.right}  "
           f"intersection: {v.intersection}  fiber product: {v.fiber_product}")
@@ -160,10 +147,7 @@ def cmd_hh(args) -> int:
 
 def cmd_psi(args) -> int:
     cat = _load_cat(args.cat)
-    try:
-        cls = psi(cat, args.r, args.endo)
-    except (ValueError, KeyError) as e:
-        raise CliError(str(e))
+    cls = psi(cat, args.r, args.endo)
     print(f"psi_{args.r}({args.endo}) = class of "
           f"{power_endo(cat, args.endo, args.r)}: "
           f"{cls.rep}  {{{', '.join(cls.members)}}}")
@@ -172,48 +156,39 @@ def cmd_psi(args) -> int:
 
 def cmd_trace(args) -> int:
     cat = _load_cat(args.cat)
-    try:
-        cls = trace_obj(cat, args.object)
-    except (ValueError, KeyError) as e:
-        raise CliError(str(e))
+    cls = trace_obj(cat, args.object)
     print(f"trace({args.object}) = {cls.rep}  {{{', '.join(cls.members)}}}")
     return 0
 
 
 def cmd_para(args) -> int:
-    try:
-        f = parse_para(args.mor)
-        if args.compose:
-            g = parse_para(args.compose)
-            print(f"composite: {format_para(compose_para(g, f))}")
-            return 0
-        print(f"morphism: {format_para(f)}")
-        print(f"dual: {format_para(dualize_para(f))}")
-        if args.r != 1:
-            print(f"inflation by {args.r}: {format_para(para_phi(args.r, f))}")
-        e = project_para_to_epi(f)
-        print(f"projection: {format_epi(e)}")
-    except (ValueError, AssertionError) as e:
-        raise CliError(str(e))
+    f = parse_para(args.mor)
+    if args.compose:
+        g = parse_para(args.compose)
+        print(f"composite: {format_para(compose_para(g, f))}")
+        return 0
+    print(f"morphism: {format_para(f)}")
+    print(f"dual: {format_para(dualize_para(f))}")
+    if args.r != 1:
+        print(f"inflation by {args.r}: {format_para(para_phi(args.r, f))}")
+    e = project_para_to_epi(f)
+    print(f"projection: {format_epi(e)}")
     return 0
 
 
 def cmd_epi(args) -> int:
-    try:
-        f = parse_epi(args.mor)
-        if args.compose:
-            g = parse_epi(args.compose)
-            h = compose_epi(g, f)
-            print(f"composite: {format_epi(h)}")
-            print(f"degree: {h.degree}")
-            return 0
-        print(f"morphism: {format_epi(f)}")
-        print(f"degree: {f.degree}")
-        cover, cyc = cartesian_factor(f)
-        print(f"cover: {format_epi(cover)}")
-        print(f"winding part: {format_epi(cyc)}")
-    except (ValueError, AssertionError) as e:
-        raise CliError(str(e))
+    f = parse_epi(args.mor)
+    if args.compose:
+        g = parse_epi(args.compose)
+        h = compose_epi(g, f)
+        print(f"composite: {format_epi(h)}")
+        print(f"degree: {h.degree}")
+        return 0
+    print(f"morphism: {format_epi(f)}")
+    print(f"degree: {f.degree}")
+    cover, cyc = cartesian_factor(f)
+    print(f"cover: {format_epi(cover)}")
+    print(f"winding part: {format_epi(cyc)}")
     return 0
 
 
@@ -295,6 +270,12 @@ def cmd_dot(args) -> int:
 # --- the built-in check battery ----------------------------------------------
 
 
+def _expect(cond, msg="") -> None:
+    """The battery's check: unlike assert, it still runs under python -O."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _mat_mul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
@@ -355,7 +336,7 @@ def _battery(seed: int):
                 for v in g.vertices:
                     got = len(enumerate_paths(g, u, v, 5))
                     want = _adjacency_path_count(g, u, v, 5)
-                    assert got == want, f"{u}->{v}: {got} vs {want}"
+                    _expect(got == want, f"{u}->{v}: {got} vs {want}")
 
     @check("representation enumeration matches exit-path limit")
     def _():
@@ -367,7 +348,7 @@ def _battery(seed: int):
             for g in graphs:
                 direct = [r.key() for r in enumerate_reps(c, g)]
                 via = [r.key() for r in rep_via_exit_limit(c, g)]
-                assert direct == via, f"{c!r} on {g!r}"
+                _expect(direct == via, f"{c!r} on {g!r}")
 
     @check("restrictions glue along closed covers")
     def _():
@@ -376,14 +357,14 @@ def _battery(seed: int):
         for c in [walking_arrow_category(), cyclic_group_category(2),
                   symmetric_group_category(3)]:
             v = check_closed_sheaf(c, cover)
-            assert v.ok, v.witness
+            _expect(v.ok, v.witness)
 
     @check("winding degree is multiplicative")
     def _():
         for _i in range(200):
             f = _random_epi(rng, 3, 3)
             g = _random_epi(rng, 3, 3, m=f.n)
-            assert compose_epi(g, f).degree == f.degree * g.degree
+            _expect(compose_epi(g, f).degree == f.degree * g.degree)
 
     @check("projection to winding functors is functorial")
     def _():
@@ -391,14 +372,14 @@ def _battery(seed: int):
             for g in enumerate_para_transversal(2, 3):
                 lhs = project_para_to_epi(compose_para(g, f))
                 rhs = compose_epi(project_para_to_epi(g), project_para_to_epi(f))
-                assert lhs == rhs
+                _expect(lhs == rhs)
 
     @check("degree-one functors all lift through the projection")
     def _():
         for m in (1, 2, 3):
             for n in (1, 2, 3):
                 for e in enumerate_epi_degree1(m, n):
-                    assert project_para_to_epi(lift_epi_degree1(e)) == e
+                    _expect(project_para_to_epi(lift_epi_degree1(e)) == e)
 
     @check("trace class counts for small groups")
     def _():
@@ -406,7 +387,7 @@ def _battery(seed: int):
                           (cyclic_group_category(3), 3),
                           (cyclic_group_category(4), 4),
                           (symmetric_group_category(3), 3)]:
-            assert len(compute_hh(cat)) == want
+            _expect(len(compute_hh(cat)) == want)
 
     @check("power operators compose and fix unit traces")
     def _():
@@ -414,9 +395,9 @@ def _battery(seed: int):
         for e in cat.endomorphisms():
             for r in (1, 2, 3):
                 for s in (1, 2, 3):
-                    assert psi(cat, s, psi(cat, r, e)) == psi(cat, r * s, e)
+                    _expect(psi(cat, s, psi(cat, r, e)) == psi(cat, r * s, e))
         for r in range(1, 7):
-            assert psi(cat, r, trace_obj(cat, "*")) == trace_obj(cat, "*")
+            _expect(psi(cat, r, trace_obj(cat, "*")) == trace_obj(cat, "*"))
 
     @check("circle maps from bouquets count primitive necklaces")
     def _():
@@ -428,7 +409,7 @@ def _battery(seed: int):
                 got = sum(1 for f in mors
                           if f.circle_parts[0].__class__.__name__ == "CycleToCircle"
                           and f.circle_parts[0].cycle.length == n)
-                assert got == _necklaces(k, n), f"k={k} n={n}"
+                _expect(got == _necklaces(k, n), f"k={k} n={n}")
 
     @check("cut-and-glue coequalizer matches the glued invariant")
     def _():
@@ -439,7 +420,7 @@ def _battery(seed: int):
         for c in cats:
             for s in sites:
                 v = verify_excision(c, s)
-                assert v.ok, v.note
+                _expect(v.ok, v.note)
 
     @check("composition of object maps is associative")
     def _():
@@ -459,8 +440,8 @@ def _battery(seed: int):
             f = rng.choice(homs[a, b])
             g = rng.choice(homs[b, c])
             h = rng.choice(homs[c, d])
-            assert compose_m(h, compose_m(g, f)) == \
-                compose_m(compose_m(h, g), f)
+            _expect(compose_m(h, compose_m(g, f)) ==
+                    compose_m(compose_m(h, g), f))
 
     return checks
 
@@ -502,8 +483,25 @@ def cmd_verify(args) -> int:
 # --- wiring -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other bad input."""
+
+    def error(self, message):
+        raise QuivercalcError(message)
+
+
+def _count(least: int):
+    """An argparse type: an integer that is at least `least`."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, not {n}")
+        return n
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quivercalc",
         description="quiver representations, cyclic morphism arithmetic, "
                     "trace classes, and cut-and-glue checks")
@@ -517,13 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("src")
     p.add_argument("tgt")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_count(0), default=6)
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("reps", help="representations of a graph in a category")
     p.add_argument("--cat", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--limit", type=int, default=200)
+    p.add_argument("--limit", type=_count(0), default=200)
     p.set_defaults(func=cmd_reps)
 
     p = sub.add_parser("sheaf", help="check gluing along a closed cover")
@@ -539,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="power operator on a trace class")
     p.add_argument("--cat", required=True)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=_count(1), default=2)
     p.add_argument("endo")
     p.set_defaults(func=cmd_psi)
 
@@ -552,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mor", metavar="'m n : g0 g1 ...'")
     p.add_argument("compose", nargs="?", default=None,
                    metavar="'n p : h0 ...'", help="compose (applied second)")
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=_count(1), default=1)
     p.set_defaults(func=cmd_para)
 
     p = sub.add_parser("epi", help="epicyclic morphism arithmetic")
@@ -562,22 +560,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="directed cycles of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_count(0), default=6)
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("hom-m", help="maps between one-manifold objects")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--max-weight", type=int, default=3)
-    p.add_argument("--path-cap", type=int, default=4)
-    p.add_argument("--limit", type=int, default=200)
+    p.add_argument("--max-len", type=_count(0), default=6)
+    p.add_argument("--max-weight", type=_count(1), default=3)
+    p.add_argument("--path-cap", type=_count(0), default=4)
+    p.add_argument("--limit", type=_count(0), default=200)
     p.set_defaults(func=cmd_hom_m)
 
     p = sub.add_parser("fact", help="invariant of a one-manifold object")
     p.add_argument("--cat", required=True)
     p.add_argument("--m", dest="mobject", required=True)
-    p.add_argument("--limit", type=int, default=200)
+    p.add_argument("--limit", type=_count(0), default=200)
     p.set_defaults(func=cmd_fact)
 
     p = sub.add_parser("excise", help="check cut-and-glue for a site")
@@ -597,10 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as e:
+    except QuivercalcError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

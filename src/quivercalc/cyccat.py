@@ -14,11 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .quiver import DeltaMor, Path, QuiverMor
-from .digraph import standard_digraph
-
-
-class Incomposable(ValueError):
-    pass
+from .digraph import Incomposable, QuivercalcError, standard_digraph
 
 
 class ParaMor:
@@ -26,12 +22,15 @@ class ParaMor:
         self.m = m
         self.n = n
         self.values = tuple(values)
-        assert m >= 1 and n >= 1
-        assert len(self.values) == m, "need exactly m values"
+        if m < 1 or n < 1:
+            raise QuivercalcError(f"(1/{m})Z -> (1/{n})Z needs m, n >= 1")
+        if len(self.values) != m:
+            raise QuivercalcError("need exactly m values")
         for a, b in zip(self.values, self.values[1:]):
-            assert a <= b, "values must be monotone"
-        assert self.values[-1] <= self.values[0] + n, \
-            "values must fit in one period"
+            if a > b:
+                raise QuivercalcError("values must be monotone")
+        if self.values[-1] > self.values[0] + n:
+            raise QuivercalcError("values must fit in one period")
 
     def value(self, i: int) -> int:
         """The equivariant extension g(i + m) = g(i) + n at any integer."""
@@ -97,7 +96,8 @@ def para_phi(r: int, f: ParaMor) -> ParaMor:
     phi_r phi_s = phi_rs, and the image of the canonical rotation of the
     source is an r-th root of the canonical rotation of the image object.
     """
-    assert r >= 1
+    if r < 1:
+        raise QuivercalcError(f"inflation needs r >= 1, not {r}")
     return ParaMor(r * f.m, r * f.n, [f.value(j) for j in range(r * f.m)])
 
 
@@ -133,7 +133,7 @@ def parse_para(text: str) -> ParaMor:
         m, n = (int(x) for x in head.split())
         values = [int(x) for x in tail.split()]
     except ValueError:
-        raise ValueError(f"cannot parse paracyclic morphism from {text!r}")
+        raise QuivercalcError(f"cannot parse paracyclic morphism from {text!r}")
     return ParaMor(m, n, values)
 
 
@@ -153,18 +153,24 @@ class EpiMor:
         self.n = n
         self.vertex_map = tuple(vertex_map)
         self.lengths = tuple(lengths)
-        assert m >= 1 and n >= 1
-        assert len(self.vertex_map) == m and len(self.lengths) == m
+        if m < 1 or n < 1:
+            raise QuivercalcError(f"cycles of sizes {m}, {n} need m, n >= 1")
+        if len(self.vertex_map) != m or len(self.lengths) != m:
+            raise QuivercalcError("need exactly m vertex images and m lengths")
         for v in self.vertex_map:
-            assert 0 <= v < n, f"vertex image {v} outside Z/{n}"
+            if not 0 <= v < n:
+                raise QuivercalcError(f"vertex image {v} outside Z/{n}")
         for l, v in zip(self.lengths, range(m)):
-            assert l >= 0
+            if l < 0:
+                raise QuivercalcError(f"length at {v} is negative")
             want = (self.vertex_map[(v + 1) % m] - self.vertex_map[v]) % n
-            assert l % n == want, \
-                f"length at {v} incompatible with the vertex map"
+            if l % n != want:
+                raise QuivercalcError(
+                    f"length at {v} incompatible with the vertex map")
         total = sum(self.lengths)
-        assert total % n == 0 and total > 0, \
-            "total winding must be a positive multiple of n"
+        if total % n != 0 or total <= 0:
+            raise QuivercalcError(
+                "total winding must be a positive multiple of n")
 
     @property
     def degree(self) -> int:
@@ -226,7 +232,7 @@ def lift_epi_degree1(e: EpiMor) -> ParaMor:
     """The unique transversal preimage of a degree-1 functor under the
     projection: accumulate windings starting at the image of vertex 0."""
     if e.degree != 1:
-        raise ValueError("only degree-1 functors lift to the paracyclic category")
+        raise QuivercalcError("only degree-1 functors lift to the paracyclic category")
     vals = [e.vertex_map[0]]
     for v in range(e.m - 1):
         vals.append(vals[-1] + e.lengths[v])
@@ -291,5 +297,5 @@ def parse_epi(text: str) -> EpiMor:
         vertex_map = [int(x) for x in vs.split()]
         lengths = [int(x) for x in ls.split()]
     except ValueError:
-        raise ValueError(f"cannot parse epicyclic morphism from {text!r}")
+        raise QuivercalcError(f"cannot parse epicyclic morphism from {text!r}")
     return EpiMor(m, n, vertex_map, lengths)

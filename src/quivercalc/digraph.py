@@ -4,22 +4,40 @@ Vertices and edges are opaque strings.  Degenerate loops are never stored:
 every vertex implicitly carries one, and graph morphisms are allowed to
 collapse a real edge onto the degenerate loop at a vertex.  All enumeration
 follows declaration order, so results are reproducible.
+
+Every graph traversal of the package lives here, written with explicit
+stacks, so that no graph size runs into Python's recursion limit.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 
-class UnknownVertex(ValueError):
+class QuivercalcError(ValueError):
+    """Bad input to quivercalc.  Every error the package raises on purpose
+    is one of these; the command line reports it as one line, exit code 2."""
+
+
+class UnknownVertex(QuivercalcError):
     pass
 
 
-class UnknownEdge(ValueError):
+class UnknownEdge(QuivercalcError):
     pass
 
 
-class NotACover(ValueError):
+class NotACover(QuivercalcError):
     """The two pieces of a would-be closed cover do not exhaust the graph."""
+
+
+class Incomposable(QuivercalcError):
+    """Two morphisms whose endpoints do not match were composed."""
+
+
+def check_names(names, what: str) -> None:
+    """Names read from JSON must come as a list of strings."""
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise QuivercalcError(f"{what} names must be a list of strings")
 
 
 class Edge(NamedTuple):
@@ -48,9 +66,9 @@ class Digraph:
         self.edges = tuple(es)
 
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex names")
+            raise QuivercalcError("duplicate vertex names")
         if len(set(e.eid for e in self.edges)) != len(self.edges):
-            raise ValueError("duplicate edge names")
+            raise QuivercalcError("duplicate edge names")
         self._vset = set(self.vertices)
         for e in self.edges:
             if e.src not in self._vset:
@@ -69,7 +87,7 @@ class Digraph:
 
     def edge(self, eid: str) -> Edge:
         if eid not in self._by_id:
-            raise UnknownEdge(eid)
+            raise UnknownEdge(f"unknown edge {eid!r}")
         return self._by_id[eid]
 
     def has_vertex(self, v: str) -> bool:
@@ -80,12 +98,12 @@ class Digraph:
 
     def out_edges(self, v: str) -> list[Edge]:
         if v not in self._vset:
-            raise UnknownVertex(v)
+            raise UnknownVertex(f"unknown vertex {v!r}")
         return list(self._out[v])
 
     def in_edges(self, v: str) -> list[Edge]:
         if v not in self._vset:
-            raise UnknownVertex(v)
+            raise UnknownVertex(f"unknown vertex {v!r}")
         return list(self._in[v])
 
     def valence(self, v: str) -> Valence:
@@ -93,32 +111,33 @@ class Digraph:
 
     def vertex_index(self, v: str) -> int:
         if v not in self._vindex:
-            raise UnknownVertex(v)
+            raise UnknownVertex(f"unknown vertex {v!r}")
         return self._vindex[v]
 
     def edge_index(self, eid: str) -> int:
         if eid not in self._eindex:
-            raise UnknownEdge(eid)
+            raise UnknownEdge(f"unknown edge {eid!r}")
         return self._eindex[eid]
 
     def subgraph(self, vertices: Iterable[str], edge_ids: Iterable[str]) -> "Digraph":
-        vs = [v for v in self.vertices if v in set(vertices)]
-        eids = set(edge_ids)
-        for x in set(vertices):
+        vset = set(vertices)
+        for x in vset:
             if x not in self._vset:
-                raise UnknownVertex(x)
+                raise UnknownVertex(f"unknown vertex {x!r}")
+        vs = [v for v in self.vertices if v in vset]
+        eids = set(edge_ids)
         es = []
         for e in self.edges:
             if e.eid in eids:
-                if e.src not in set(vs) or e.tgt not in set(vs):
-                    raise ValueError(
+                if e.src not in vset or e.tgt not in vset:
+                    raise QuivercalcError(
                         f"edge {e.eid!r} of the subgraph has an endpoint "
                         "outside the chosen vertex set"
                     )
                 es.append(e)
         missing = eids - set(e.eid for e in es)
         if missing:
-            raise UnknownEdge(sorted(missing)[0])
+            raise UnknownEdge(f"unknown edge {sorted(missing)[0]!r}")
         return Digraph(vs, es)
 
     def __eq__(self, other):
@@ -143,8 +162,10 @@ class Digraph:
     @classmethod
     def from_json(cls, data: dict) -> "Digraph":
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
-            raise ValueError("digraph JSON needs 'vertices' and 'edges'")
+            raise QuivercalcError("digraph JSON needs 'vertices' and 'edges'")
         edges = [(e["id"], e["src"], e["tgt"]) for e in data["edges"]]
+        check_names(data["vertices"], "vertex")
+        check_names([eid for eid, _, _ in edges], "edge")
         return cls(data["vertices"], edges)
 
     def to_dot(self, name: str = "G") -> str:
@@ -167,26 +188,26 @@ def standard_digraph(kind: str, size: int | None = None) -> Digraph:
     if kind == "point":
         return Digraph(["0"], [])
     if kind == "interval":
-        return standard_digraph("linear", 1)
+        kind, size = "linear", 1
     if size is None:
-        raise ValueError(f"standard digraph {kind!r} needs a size")
+        raise QuivercalcError(f"standard digraph {kind!r} needs a size")
     if kind == "linear":
         if size < 0:
-            raise ValueError("linear(p) needs p >= 0")
+            raise QuivercalcError("linear(p) needs p >= 0")
         vs = [str(i) for i in range(size + 1)]
         es = [(f"e{i}", str(i), str(i + 1)) for i in range(size)]
         return Digraph(vs, es)
     if kind == "cyclic":
         if size < 1:
-            raise ValueError("cyclic(n) needs n >= 1; there is no empty cycle")
+            raise QuivercalcError("cyclic(n) needs n >= 1; there is no empty cycle")
         vs = [str(i) for i in range(size)]
         es = [(f"e{i}", str(i), str((i + 1) % size)) for i in range(size)]
         return Digraph(vs, es)
     if kind == "bouquet":
         if size < 0:
-            raise ValueError("bouquet(k) needs k >= 0")
+            raise QuivercalcError("bouquet(k) needs k >= 0")
         return Digraph(["0"], [(f"e{i}", "0", "0") for i in range(size)])
-    raise ValueError(f"unknown standard digraph kind {kind!r}")
+    raise QuivercalcError(f"unknown standard digraph kind {kind!r}")
 
 
 def disjoint_union(graphs: list[Digraph], prefixes: list[str] | None = None) -> Digraph:
@@ -198,7 +219,8 @@ def disjoint_union(graphs: list[Digraph], prefixes: list[str] | None = None) -> 
             prefixes = ["" for _ in graphs]
         else:
             prefixes = [f"{i}." for i in range(len(graphs))]
-    assert len(prefixes) == len(graphs)
+    if len(prefixes) != len(graphs):
+        raise QuivercalcError("need one prefix per graph")
     vs, es = [], []
     for g, p in zip(graphs, prefixes):
         vs.extend(p + v for v in g.vertices)
@@ -216,54 +238,110 @@ class DigraphShape(NamedTuple):
     valences: dict
 
 
+def reachable(start: Hashable, step: Callable[[Hashable], Iterable]) -> set:
+    """Everything reachable from start, where step(x) lists the neighbours
+    of x; start itself included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def weak_components(d: Digraph) -> list[list[str]]:
     """Connected components of the underlying undirected graph,
     each listed in vertex declaration order."""
-    adj: dict[str, set[str]] = {v: set() for v in d.vertices}
+    adj: dict[str, list[str]] = {v: [] for v in d.vertices}
     for e in d.edges:
-        adj[e.src].add(e.tgt)
-        adj[e.tgt].add(e.src)
-    seen: set[str] = set()
-    comps = []
+        adj[e.src].append(e.tgt)
+        adj[e.tgt].append(e.src)
+    comp_of: dict[str, int] = {}
+    comps: list[list[str]] = []
     for v in d.vertices:
-        if v in seen:
+        if v not in comp_of:
+            for u in reachable(v, adj.__getitem__):
+                comp_of[u] = len(comps)
+            comps.append([])
+        comps[comp_of[v]].append(v)
+    return comps
+
+
+def strong_components(d: Digraph) -> list[list[str]]:
+    """Strongly connected components in reverse topological order: every
+    edge between two components points into an earlier one.
+
+    Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
+    Comput. 1 (1972), run with an explicit stack of edge iterators.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    open_: list[str] = []          # Tarjan's stack of unfinished vertices
+    on_open: set[str] = set()
+    comps: list[list[str]] = []
+    for root in d.vertices:
+        if root in index:
             continue
-        stack, comp = [v], set()
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        comps.append([u for u in d.vertices if u in comp])
+        index[root] = low[root] = len(index)
+        open_.append(root)
+        on_open.add(root)
+        work = [(root, iter(d._out[root]))]
+        while work:
+            v, it = work[-1]
+            for e in it:
+                w = e.tgt
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    open_.append(w)
+                    on_open.add(w)
+                    work.append((w, iter(d._out[w])))
+                    break
+                if w in on_open:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(open_.pop())
+                        on_open.discard(comp[-1])
+                    comps.append(comp)
     return comps
 
 
 def has_directed_cycle(d: Digraph) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in d.vertices}
-    for root in d.vertices:
-        if color[root] != WHITE:
+    return (any(e.src == e.tgt for e in d.edges)
+            or any(len(c) > 1 for c in strong_components(d)))
+
+
+def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
+    """Every walk start -> end with at most max_len edges, as a tuple of edge
+    ids, depth first with edges in declaration order."""
+    if max_len < 0:
+        raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
+    if start == end:
+        yield ()
+    walk: list[str] = []
+    stack = [iter(d._out[start])] if max_len else []
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if walk:
+                walk.pop()
             continue
-        stack = [(root, iter(d.out_edges(root)))]
-        color[root] = GRAY
-        while stack:
-            v, it = stack[-1]
-            adv = False
-            for e in it:
-                w = e.tgt
-                if color[w] == GRAY:
-                    return True
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, iter(d.out_edges(w))))
-                    adv = True
-                    break
-            if not adv:
-                color[v] = BLACK
-                stack.pop()
-    return False
+        walk.append(e.eid)
+        if e.tgt == end:
+            yield tuple(walk)
+        if len(walk) < max_len:
+            stack.append(iter(d._out[e.tgt]))
+        else:
+            walk.pop()
 
 
 def classify_digraph(d: Digraph) -> DigraphShape:
@@ -283,80 +361,6 @@ def classify_digraph(d: Digraph) -> DigraphShape:
         and not has_directed_cycle(d)
     )
     return DigraphShape(connected, cyclic, linear, valences)
-
-
-# --- strict graph morphisms ----------------------------------------------
-
-
-class DigraphMor:
-    """A map of digraphs: vertices to vertices, each edge to an edge or to
-    the (implicit) degenerate loop at a vertex.
-
-    ``edge_map[e] = eid`` sends e to a real edge; ``edge_map[e] = None``
-    collapses e onto the degenerate loop at the image of its source.
-    """
-
-    def __init__(self, source: Digraph, target: Digraph,
-                 vertex_map: dict, edge_map: dict):
-        self.source = source
-        self.target = target
-        self.vertex_map = dict(vertex_map)
-        self.edge_map = dict(edge_map)
-
-        for v in source.vertices:
-            if v not in self.vertex_map:
-                raise UnknownVertex(f"vertex {v!r} has no image")
-            if not target.has_vertex(self.vertex_map[v]):
-                raise UnknownVertex(self.vertex_map[v])
-        for e in source.edges:
-            if e.eid not in self.edge_map:
-                raise UnknownEdge(f"edge {e.eid!r} has no image")
-            im = self.edge_map[e.eid]
-            a, b = self.vertex_map[e.src], self.vertex_map[e.tgt]
-            if im is None:
-                if a != b:
-                    raise ValueError(
-                        f"edge {e.eid!r} cannot collapse: its endpoints map "
-                        f"to distinct vertices {a!r}, {b!r}"
-                    )
-            else:
-                f = target.edge(im)
-                if (f.src, f.tgt) != (a, b):
-                    raise ValueError(
-                        f"edge {e.eid!r} maps to {im!r} but endpoints disagree"
-                    )
-
-    @classmethod
-    def identity(cls, d: Digraph) -> "DigraphMor":
-        return cls(d, d, {v: v for v in d.vertices},
-                   {e.eid: e.eid for e in d.edges})
-
-    def __eq__(self, other):
-        if not isinstance(other, DigraphMor):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.vertex_map == other.vertex_map
-                and self.edge_map == other.edge_map)
-
-    def __hash__(self):
-        return hash((self.source, self.target,
-                     tuple(sorted(self.vertex_map.items())),
-                     tuple(sorted((k, v if v is not None else "")
-                                  for k, v in self.edge_map.items()))))
-
-    def __repr__(self):
-        return f"DigraphMor({self.vertex_map}, {self.edge_map})"
-
-
-def compose_digraph_mor(g: DigraphMor, f: DigraphMor) -> DigraphMor:
-    if f.target != g.source:
-        raise ValueError("digraph morphisms not composable")
-    vmap = {v: g.vertex_map[f.vertex_map[v]] for v in f.source.vertices}
-    emap = {}
-    for e in f.source.edges:
-        mid = f.edge_map[e.eid]
-        emap[e.eid] = None if mid is None else g.edge_map[mid]
-    return DigraphMor(f.source, g.target, vmap, emap)
 
 
 # --- closed covers --------------------------------------------------------

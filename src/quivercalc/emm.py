@@ -20,7 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .digraph import Digraph, classify_digraph, standard_digraph, UnknownEdge
+from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
+                      classify_digraph, standard_digraph, strong_components,
+                      walks)
 from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
                      enumerate_quiver_mors)
 from .fincat import FinCat, Representation, enumerate_reps, pullback_rep
@@ -38,15 +40,18 @@ class DirectedCycle:
         self.graph = graph
         self.edges = tuple(edges)
         if self.edges:
-            assert vertex is None, "a walk determines its own basepoint"
+            if vertex is not None:
+                raise QuivercalcError("a walk determines its own basepoint")
             p = Path(graph, graph.edge(self.edges[0]).src, self.edges)
-            assert p.end == p.start, "cycle walks must close up"
-            assert primitive_period(self.edges) == len(self.edges), \
-                "cycle walks must be primitive"
+            if p.end != p.start:
+                raise QuivercalcError("cycle walks must close up")
+            if primitive_period(self.edges) != len(self.edges):
+                raise QuivercalcError("cycle walks must be primitive")
             self.edges = _least_edge_rotation(graph, self.edges)
             self.vertex = graph.edge(self.edges[0]).src
         else:
-            assert vertex is not None
+            if vertex is None:
+                raise QuivercalcError("a constant cycle needs a vertex")
             graph.vertex_index(vertex)
             self.vertex = vertex
 
@@ -84,10 +89,10 @@ class DirectedCycle:
 def primitive_period(edges) -> int:
     """The smallest d dividing len(edges) with the sequence d-periodic."""
     n = len(edges)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and edges[d:] + edges[:d] == tuple(edges):
             return d
-    raise AssertionError("unreachable")
+    return n
 
 
 def _least_edge_rotation(graph: Digraph, edges) -> tuple:
@@ -101,28 +106,20 @@ def enumerate_directed_cycles(graph: Digraph, max_len: int) -> list[DirectedCycl
     rotation of length <= max_len, ordered by (length, edge indices)."""
     out = [DirectedCycle.constant(graph, v) for v in graph.vertices]
     seen: set[tuple] = set()
-    walks: list[DirectedCycle] = []
-    walk: list[str] = []
-
-    def dfs(start: str, at: str):
-        if walk and at == start:
-            z = DirectedCycle.walk(graph, tuple(walk)) \
-                if primitive_period(tuple(walk)) == len(walk) else None
-            if z is not None and z.edges not in seen:
-                seen.add(z.edges)
-                walks.append(z)
-        if len(walk) == max_len:
-            return
-        for e in graph.out_edges(at):
-            walk.append(e.eid)
-            dfs(start, e.tgt)
-            walk.pop()
-
+    cycles: list[DirectedCycle] = []
     for v in graph.vertices:
-        dfs(v, v)
-    walks.sort(key=lambda z: (z.length,
-                              tuple(graph.edge_index(e) for e in z.edges)))
-    return out + walks
+        for walk in walks(graph, v, v, max_len):
+            # the least rotation starts with the least edge, so only the
+            # walks that do are candidates
+            if (walk and min(walk, key=graph.edge_index) == walk[0]
+                    and primitive_period(walk) == len(walk)):
+                z = DirectedCycle.walk(graph, walk)
+                if z.edges not in seen:
+                    seen.add(z.edges)
+                    cycles.append(z)
+    cycles.sort(key=lambda z: (z.length,
+                               tuple(graph.edge_index(e) for e in z.edges)))
+    return out + cycles
 
 
 def cycle_length_bound(graph: Digraph) -> int | None:
@@ -132,9 +129,8 @@ def cycle_length_bound(graph: Digraph) -> int | None:
     piece is a bare simple cycle; two distinct loops through a common vertex
     already generate primitive walks of unbounded length.
     """
-    sccs = _strong_components(graph)
     bound = 0
-    for comp in sccs:
+    for comp in strong_components(graph):
         cset = set(comp)
         internal = [e for e in graph.edges if e.src in cset and e.tgt in cset]
         if not internal:
@@ -148,49 +144,6 @@ def cycle_length_bound(graph: Digraph) -> int | None:
     return bound
 
 
-def _strong_components(graph: Digraph) -> list[list[str]]:
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def dfs1(v: str):
-        stack = [(v, iter(graph.out_edges(v)))]
-        seen.add(v)
-        while stack:
-            x, it = stack[-1]
-            adv = False
-            for e in it:
-                if e.tgt not in seen:
-                    seen.add(e.tgt)
-                    stack.append((e.tgt, iter(graph.out_edges(e.tgt))))
-                    adv = True
-                    break
-            if not adv:
-                order.append(x)
-                stack.pop()
-
-    for v in graph.vertices:
-        if v not in seen:
-            dfs1(v)
-
-    comp: dict[str, int] = {}
-    comps: list[list[str]] = []
-    for v in reversed(order):
-        if v in comp:
-            continue
-        this = len(comps)
-        comps.append([])
-        stack = [v]
-        comp[v] = this
-        while stack:
-            x = stack.pop()
-            comps[this].append(x)
-            for e in graph.in_edges(x):
-                if e.src not in comp:
-                    comp[e.src] = this
-                    stack.append(e.src)
-    return comps
-
-
 # --- objects ----------------------------------------------------------------
 
 
@@ -200,10 +153,13 @@ class MObject:
     def __init__(self, circles: int, quivers):
         self.circles = circles
         self.quivers = tuple(quivers)
-        assert circles >= 0
+        if not isinstance(circles, int) or circles < 0:
+            raise QuivercalcError(
+                f"the circle count must be an integer >= 0, not {circles!r}")
         for q in self.quivers:
-            assert classify_digraph(q).connected, \
-                "component quivers must be connected; split the graph first"
+            if not classify_digraph(q).connected:
+                raise QuivercalcError("component quivers must be connected; "
+                                      "split the graph first")
 
     def __eq__(self, other):
         if not isinstance(other, MObject):
@@ -223,15 +179,15 @@ class MObject:
     @classmethod
     def from_json(cls, data: dict) -> "MObject":
         if not isinstance(data, dict) or "circles" not in data or "quivers" not in data:
-            raise ValueError("object JSON needs 'circles' and 'quivers'")
+            raise QuivercalcError("object JSON needs 'circles' and 'quivers'")
         quivers = []
         for qj in data["quivers"]:
-            quivers.extend(c for c, _ in components(Digraph.from_json(qj)))
+            quivers.extend(components(Digraph.from_json(qj)))
         return cls(data["circles"], quivers)
 
 
 def mobject_of_digraph(d: Digraph) -> MObject:
-    return MObject(0, [c for c, _ in components(d)])
+    return MObject(0, components(d))
 
 
 def circle_object(k: int = 1) -> MObject:
@@ -275,26 +231,37 @@ class MMor:
         self.target = target
         self.circle_parts = tuple(circle_parts)
         self.quiver_parts = tuple(quiver_parts)
-        assert len(self.circle_parts) == target.circles
-        assert len(self.quiver_parts) == len(target.quivers)
+        if len(self.circle_parts) != target.circles:
+            raise QuivercalcError("need one component per target circle")
+        if len(self.quiver_parts) != len(target.quivers):
+            raise QuivercalcError("need one component per target quiver")
 
         for part in self.circle_parts:
             if isinstance(part, CircleEndo):
-                assert 0 <= part.circle < source.circles
-                assert part.weight >= 1
+                if not 0 <= part.circle < source.circles:
+                    raise QuivercalcError(f"no source circle {part.circle}")
+                if part.weight < 1:
+                    raise QuivercalcError("circle weights are >= 1")
             elif isinstance(part, VertexToCircle):
                 source.quivers[part.quiver].vertex_index(part.vertex)
             elif isinstance(part, CycleToCircle):
-                assert part.cycle.graph == source.quivers[part.quiver]
-                assert not part.cycle.is_constant, \
-                    "constant cycles are vertex components"
-                assert part.weight >= 1
+                if part.cycle.graph != source.quivers[part.quiver]:
+                    raise QuivercalcError("the cycle lies in another quiver")
+                if part.cycle.is_constant:
+                    raise QuivercalcError("constant cycles are vertex components")
+                if part.weight < 1:
+                    raise QuivercalcError("circle weights are >= 1")
             else:
-                raise TypeError(f"not a circle component: {part!r}")
+                raise QuivercalcError(f"not a circle component: {part!r}")
         for beta, part in enumerate(self.quiver_parts):
-            assert isinstance(part, QuivPart), f"not a quiver component: {part!r}"
-            assert part.mor.source == target.quivers[beta]
-            assert part.mor.target == source.quivers[part.quiver]
+            if not isinstance(part, QuivPart):
+                raise QuivercalcError(f"not a quiver component: {part!r}")
+            if part.mor.source != target.quivers[beta]:
+                raise QuivercalcError(f"quiver component {beta} starts "
+                                      "at the wrong quiver")
+            if part.mor.target != source.quivers[part.quiver]:
+                raise QuivercalcError(f"quiver component {beta} ends "
+                                      "at the wrong quiver")
 
     def __eq__(self, other):
         if not isinstance(other, MMor):
@@ -378,7 +345,7 @@ def _push_cycle(q: QuiverMor, z: DirectedCycle):
 def compose_m(g: MMor, f: MMor) -> MMor:
     """g∘f; rewrite each of g's component descriptions through f."""
     if f.target != g.source:
-        raise ValueError("maps of one-manifold objects not composable")
+        raise Incomposable("maps of one-manifold objects not composable")
 
     cparts = []
     for part in g.circle_parts:
@@ -428,7 +395,8 @@ def quiv_op_mmor(q: QuiverMor) -> MMor:
     parts = []
     for comp in src_comps:
         imgs = {where[q.vertex_map[v]] for v in comp.vertices}
-        assert len(imgs) == 1, "a connected piece maps into one component"
+        if len(imgs) != 1:
+            raise QuivercalcError("a connected piece maps into one component")
         a = imgs.pop()
         tq = tgt_comps[a]
         vmap = {v: q.vertex_map[v] for v in comp.vertices}
@@ -460,8 +428,9 @@ def fact_map(category: FinCat, f: MMor):
 
     def apply(elem: tuple) -> tuple:
         classes, reps = elem
-        assert len(classes) == f.source.circles
-        assert len(reps) == len(f.source.quivers)
+        if len(classes) != f.source.circles or len(reps) != len(f.source.quivers):
+            raise QuivercalcError("the element does not belong to the "
+                                  "source's invariant")
         new_classes = []
         for part in f.circle_parts:
             if isinstance(part, CircleEndo):
@@ -494,18 +463,21 @@ class ExcisionSite:
     """
 
     def __init__(self, kind: str, graph: Digraph | None, cut_edges):
-        assert kind in ("graph", "circle")
         self.kind = kind
         self.graph = graph
         self.cut_edges = tuple(cut_edges)
+        self._cut = set(self.cut_edges)
         if kind == "graph":
-            assert graph is not None
+            if not isinstance(graph, Digraph):
+                raise QuivercalcError("a graph site needs a digraph")
             for s in self.cut_edges:
                 if not graph.has_edge(s):
-                    raise UnknownEdge(s)
-            assert len(set(self.cut_edges)) == len(self.cut_edges)
-        else:
-            assert graph is None and not self.cut_edges
+                    raise UnknownEdge(f"unknown cut edge {s!r}")
+            if len(self._cut) != len(self.cut_edges):
+                raise QuivercalcError("cut edges are listed twice")
+        elif kind != "circle" or graph is not None or self.cut_edges:
+            raise QuivercalcError("a site is a graph with cut edges, "
+                                  "or a bare circle")
 
     def __repr__(self):
         if self.kind == "circle":
@@ -515,17 +487,18 @@ class ExcisionSite:
     # stage graphs ------------------------------------------------------
 
     def level_graph(self, p: int) -> Digraph:
-        assert p >= 0
+        if p < 0:
+            raise QuivercalcError(f"stages are numbered from 0, not {p}")
         if self.kind == "circle":
             return standard_digraph("cyclic", p + 1)
         g = self.graph
-        cuts = [e for e in g.edges if e.eid in set(self.cut_edges)]
+        cuts = [e for e in g.edges if e.eid in self._cut]
         vs = list(g.vertices)
         for e in cuts:
             vs.extend(f"{e.eid}:w{i}" for i in range(p + 1))
         es = []
         for e in g.edges:
-            if e.eid not in set(self.cut_edges):
+            if e.eid not in self._cut:
                 es.append((e.eid, e.src, e.tgt))
                 continue
             chain = [e.src] + [f"{e.eid}:w{i}" for i in range(p + 1)] + [e.tgt]
@@ -553,7 +526,7 @@ class ExcisionSite:
         pa, pb = {}, {}
         for e in self.graph.edges:
             s = e.eid
-            if s not in set(self.cut_edges):
+            if s not in self._cut:
                 pa[s] = Path.of_edge(g1, s)
                 pb[s] = Path.of_edge(g1, s)
                 continue
@@ -568,12 +541,13 @@ class ExcisionSite:
     def refinement(self, p: int) -> QuiverMor:
         """The original graph refined into stage p: each cut edge becomes
         its chain.  Only for graph sites."""
-        assert self.kind == "graph"
+        if self.kind != "graph":
+            raise QuivercalcError("only graph sites have a refinement map")
         gp = self.level_graph(p)
         vmap = {v: v for v in self.graph.vertices}
         paths = {}
         for e in self.graph.edges:
-            if e.eid in set(self.cut_edges):
+            if e.eid in self._cut:
                 paths[e.eid] = Path(gp, e.src,
                                     tuple(f"{e.eid}:c{i}" for i in range(p + 2)))
             else:
@@ -598,10 +572,6 @@ def make_excision_site(graph, cut_edges=()) -> ExcisionSite:
     if graph == "circle":
         return ExcisionSite("circle", None, ())
     return ExcisionSite("graph", graph, cut_edges)
-
-
-def excision_level(site: ExcisionSite, p: int) -> MObject:
-    return site.level(p)
 
 
 @dataclass

@@ -13,22 +13,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .digraph import Digraph, ClosedCover, exit_path
+from .digraph import (ClosedCover, Digraph, Incomposable, QuivercalcError,
+                      check_names, exit_path)
 
 
-class MissingIdentity(ValueError):
+class MissingIdentity(QuivercalcError):
     pass
 
 
-class NotAssociative(ValueError):
+class NotAssociative(QuivercalcError):
     pass
 
 
-class BadComposite(ValueError):
-    pass
-
-
-class Incomposable(ValueError):
+class BadComposite(QuivercalcError):
     pass
 
 
@@ -61,33 +58,35 @@ class FinCat:
         self.table = dict(compose)
 
         if len(set(self.objects)) != len(self.objects):
-            raise ValueError("duplicate object names")
+            raise QuivercalcError("duplicate object names")
         if len(set(m.mid for m in self.morphisms)) != len(self.morphisms):
-            raise ValueError("duplicate morphism names")
+            raise QuivercalcError("duplicate morphism names")
         self._by_id = {m.mid: m for m in self.morphisms}
         oset = set(self.objects)
         for m in self.morphisms:
             if m.src not in oset or m.tgt not in oset:
-                raise ValueError(f"morphism {m.mid!r} has undeclared endpoints")
+                raise QuivercalcError(f"morphism {m.mid!r} has undeclared endpoints")
         for x, i in self.identities.items():
             if x not in oset:
-                raise ValueError(f"identity for undeclared object {x!r}")
+                raise QuivercalcError(f"identity for undeclared object {x!r}")
             if i not in self._by_id:
-                raise ValueError(f"identity {i!r} is not a declared morphism")
+                raise QuivercalcError(f"identity {i!r} is not a declared morphism")
         for (g, f), h in self.table.items():
             for mid in (g, f, h):
                 if mid not in self._by_id:
-                    raise ValueError(f"composition table mentions unknown {mid!r}")
+                    raise QuivercalcError(f"composition table mentions unknown {mid!r}")
 
         self._oindex = {x: i for i, x in enumerate(self.objects)}
         self._mindex = {m.mid: i for i, m in enumerate(self.morphisms)}
         self._hom: dict[tuple, list] = {}
         for m in self.morphisms:
             self._hom.setdefault((m.src, m.tgt), []).append(m.mid)
+        self._identity_set = set(self.identities.values())
+        self.hh_table = None      # trace classes, filled by compute_hh
 
     def mor(self, mid: str) -> Mor:
         if mid not in self._by_id:
-            raise ValueError(f"unknown morphism {mid!r}")
+            raise QuivercalcError(f"unknown morphism {mid!r}")
         return self._by_id[mid]
 
     def src(self, mid: str) -> str:
@@ -98,11 +97,11 @@ class FinCat:
 
     def identity(self, x: str) -> str:
         if x not in self.identities:
-            raise MissingIdentity(x)
+            raise MissingIdentity(f"object {x!r} has no identity")
         return self.identities[x]
 
     def is_identity(self, mid: str) -> bool:
-        return mid in set(self.identities.values())
+        return mid in self._identity_set
 
     def hom(self, x: str, y: str) -> list[str]:
         return list(self._hom.get((x, y), []))
@@ -144,8 +143,10 @@ class FinCat:
     def from_json(cls, data: dict) -> "FinCat":
         for key in ("objects", "morphisms", "ids", "compose"):
             if not isinstance(data, dict) or key not in data:
-                raise ValueError(f"category JSON needs {key!r}")
+                raise QuivercalcError(f"category JSON needs {key!r}")
         morphisms = [(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]]
+        check_names(data["objects"], "object")
+        check_names([mid for mid, _, _ in morphisms], "morphism")
         compose = {(g, f): h for g, f, h in data["compose"]}
         return cls(data["objects"], morphisms, data["ids"], compose)
 
@@ -160,7 +161,7 @@ def validate_fincat(c: FinCat) -> None:
     """
     for x in c.objects:
         if x not in c.identities:
-            raise MissingIdentity(x)
+            raise MissingIdentity(f"object {x!r} has no identity")
         i = c.mor(c.identity(x))
         if (i.src, i.tgt) != (x, x):
             raise MissingIdentity(f"identity of {x!r} is not an endomorphism of it")
@@ -208,7 +209,8 @@ def monoid_category(elements: list[str], table: dict, unit: str,
 
 
 def cyclic_group_category(n: int) -> FinCat:
-    assert n >= 1
+    if n < 1:
+        raise QuivercalcError(f"the cyclic group C_n needs n >= 1, not {n}")
     elements = [f"g{i}" for i in range(n)]
     table = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}"
              for i in range(n) for j in range(n)}
@@ -221,7 +223,8 @@ def _perm_name(p: tuple) -> str:
 
 def symmetric_group_category(n: int) -> FinCat:
     """B(S_n); permutations in itertools order, (σ∘τ)(i) = σ(τ(i))."""
-    assert 1 <= n <= 6
+    if not 1 <= n <= 6:
+        raise QuivercalcError(f"symmetric groups are built for 1 <= n <= 6, not {n}")
     perms = list(itertools.permutations(range(n)))
     table = {}
     for s in perms:
@@ -246,7 +249,7 @@ def poset_category(elements: list[str], leq: Iterable[tuple]) -> FinCat:
         for (y2, z) in rel:
             if y == y2:
                 if (x, z) not in rel:
-                    raise ValueError(f"relation not transitive at {(x, y, z)}")
+                    raise QuivercalcError(f"relation not transitive at {(x, y, z)}")
                 table[(f"le:{y}:{z}", f"le:{x}:{y}")] = f"le:{x}:{z}"
     ids = {x: f"le:{x}:{x}" for x in elements}
     return FinCat(elements, morphisms, ids, table)
@@ -277,23 +280,23 @@ class Functor:
 
         for x in source.objects:
             if x not in self.object_map:
-                raise ValueError(f"object {x!r} has no image")
+                raise QuivercalcError(f"object {x!r} has no image")
             target.object_index(self.object_map[x])
         for m in source.morphisms:
             if m.mid not in self.morphism_map:
-                raise ValueError(f"morphism {m.mid!r} has no image")
+                raise QuivercalcError(f"morphism {m.mid!r} has no image")
             im = target.mor(self.morphism_map[m.mid])
             if (im.src, im.tgt) != (self.object_map[m.src], self.object_map[m.tgt]):
-                raise ValueError(f"image of {m.mid!r} has the wrong endpoints")
+                raise QuivercalcError(f"image of {m.mid!r} has the wrong endpoints")
         for x in source.objects:
             if self.morphism_map[source.identity(x)] != target.identity(self.object_map[x]):
-                raise ValueError(f"identity of {x!r} not preserved")
+                raise QuivercalcError(f"identity of {x!r} not preserved")
         for (g, f), h in source.table.items():
             if source.tgt(f) != source.src(g):
                 continue
             got = target.comp(self.morphism_map[g], self.morphism_map[f])
             if got != self.morphism_map[h]:
-                raise ValueError(f"composition not preserved at ({g!r}, {f!r})")
+                raise QuivercalcError(f"composition not preserved at ({g!r}, {f!r})")
 
     def __call__(self, mid: str) -> str:
         return self.morphism_map[mid]
@@ -318,8 +321,8 @@ class Representation:
             m = category.mor(self.edge_labels[e.eid])
             want = (self.vertex_labels[e.src], self.vertex_labels[e.tgt])
             if (m.src, m.tgt) != want:
-                raise ValueError(f"label of edge {e.eid!r} has endpoints "
-                                 f"{(m.src, m.tgt)}, expected {want}")
+                raise QuivercalcError(f"label of edge {e.eid!r} has endpoints "
+                                      f"{(m.src, m.tgt)}, expected {want}")
 
     def key(self) -> tuple:
         return (tuple(self.vertex_labels[v] for v in self.graph.vertices),
@@ -442,7 +445,7 @@ def pullback_rep(qmor, rep: Representation) -> Representation:
     of its image path (collapsed edges get identities).
     """
     if rep.graph != qmor.target:
-        raise ValueError("representation lives on a different graph")
+        raise QuivercalcError("representation lives on a different graph")
     vlab = {v: rep.vertex_labels[qmor.vertex_map[v]]
             for v in qmor.source.vertices}
     elab = {e.eid: compose_along_path(rep, qmor.edge_paths[e.eid])

@@ -13,8 +13,7 @@ member; equivalently it repeats a cyclic word r times.
 """
 from __future__ import annotations
 
-import weakref
-
+from .digraph import QuivercalcError
 from .fincat import FinCat, Functor
 
 
@@ -22,7 +21,8 @@ def least_rotation_index(seq) -> int:
     """Booth's algorithm: index of the lexicographically least rotation."""
     s = list(seq) + list(seq)
     n = len(seq)
-    assert n >= 1
+    if n < 1:
+        raise QuivercalcError("an empty sequence has no least rotation")
     f = [-1] * len(s)
     k = 0
     for j in range(1, len(s)):
@@ -113,7 +113,7 @@ class HHTable:
 
     def class_of(self, endo: str) -> HHClass:
         if endo not in self._class_of:
-            raise ValueError(f"{endo!r} is not an endomorphism of this category")
+            raise QuivercalcError(f"{endo!r} is not an endomorphism of this category")
         return self._class_of[endo]
 
     def __len__(self):
@@ -123,15 +123,12 @@ class HHTable:
         return f"HHTable({len(self.classes)} classes of {self.category!r})"
 
 
-_tables: "weakref.WeakKeyDictionary[FinCat, HHTable]" = weakref.WeakKeyDictionary()
-
-
 def compute_hh(category: FinCat) -> HHTable:
-    """The table of trace classes; cached per category instance so classes
-    from repeated calls compare equal."""
-    if category not in _tables:
-        _tables[category] = HHTable(category)
-    return _tables[category]
+    """The table of trace classes; cached on the category instance so classes
+    from repeated calls compare equal, and dropped along with it."""
+    if category.hh_table is None:
+        category.hh_table = HHTable(category)
+    return category.hh_table
 
 
 class CyclicWord:
@@ -141,10 +138,11 @@ class CyclicWord:
     def __init__(self, category: FinCat, word):
         self.category = category
         self.word = tuple(word)
-        assert len(self.word) >= 1, "cyclic words are nonempty"
+        if not self.word:
+            raise QuivercalcError("cyclic words are nonempty")
         for a, b in zip(self.word, self.word[1:] + self.word[:1]):
             if category.tgt(a) != category.src(b):
-                raise ValueError(f"{a!r} then {b!r} does not chain cyclically")
+                raise QuivercalcError(f"{a!r} then {b!r} does not chain cyclically")
 
     def rotate(self, j: int) -> "CyclicWord":
         j %= len(self.word)
@@ -156,7 +154,8 @@ class CyclicWord:
         return self.rotate(idx)
 
     def repeat(self, r: int) -> "CyclicWord":
-        assert r >= 1
+        if r < 1:
+            raise QuivercalcError(f"a word repeats r >= 1 times, not {r}")
         return CyclicWord(self.category, self.word * r)
 
     def composite(self) -> str:
@@ -186,7 +185,8 @@ def class_of_word(w: CyclicWord) -> HHClass:
 
 
 def power_endo(category: FinCat, endo: str, r: int) -> str:
-    assert r >= 1
+    if r < 1:
+        raise QuivercalcError(f"powers are taken for r >= 1, not {r}")
     out = endo
     for _ in range(r - 1):
         out = category.comp(endo, out)
@@ -220,5 +220,7 @@ def trace_obj(category: FinCat, x: str) -> HHClass:
 
 def hh_map(functor: Functor, cls: HHClass) -> HHClass:
     """Push a class forward along a functor (well-defined on classes)."""
-    assert cls.table.category is functor.source
+    if cls.table.category is not functor.source:
+        raise QuivercalcError("the class belongs to another category "
+                              "than the functor's source")
     return compute_hh(functor.target).class_of(functor(cls.rep))

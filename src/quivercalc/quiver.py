@@ -12,8 +12,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import (Digraph, DigraphMor, UnknownVertex, has_directed_cycle,
-                      standard_digraph, weak_components)
+from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownVertex,
+                      reachable, standard_digraph, strong_components, walks,
+                      weak_components)
 
 
 class Path:
@@ -28,12 +29,12 @@ class Path:
         self.start = start
         self.edges = tuple(edges)
         if not graph.has_vertex(start):
-            raise UnknownVertex(start)
+            raise UnknownVertex(f"unknown vertex {start!r}")
         at = start
         for eid in self.edges:
             e = graph.edge(eid)
             if e.src != at:
-                raise ValueError(f"edge {eid!r} starts at {e.src!r}, not {at!r}")
+                raise QuivercalcError(f"edge {eid!r} starts at {e.src!r}, not {at!r}")
             at = e.tgt
         self.end = at
 
@@ -51,7 +52,7 @@ class Path:
 
     def then(self, other: "Path") -> "Path":
         if self.graph != other.graph or self.end != other.start:
-            raise ValueError("paths do not chain")
+            raise Incomposable("paths do not chain")
         return Path(self.graph, self.start, self.edges + other.edges)
 
     def vertices(self) -> list[str]:
@@ -83,20 +84,7 @@ def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Pa
     """All paths src -> tgt of length <= max_len, sorted by length then by
     edge indices lexicographically."""
     graph.vertex_index(src), graph.vertex_index(tgt)
-    found: list[Path] = []
-    walk: list[str] = []
-
-    def dfs(at: str):
-        if at == tgt:
-            found.append(Path(graph, src, tuple(walk)))
-        if len(walk) == max_len:
-            return
-        for e in graph.out_edges(at):
-            walk.append(e.eid)
-            dfs(e.tgt)
-            walk.pop()
-
-    dfs(src)
+    found = [Path(graph, src, w) for w in walks(graph, src, tgt, max_len)]
     found.sort(key=Path.key)
     return found
 
@@ -106,46 +94,24 @@ def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]
     and the exact count when it does.
 
     The hom-set is infinite exactly when some directed cycle lies on a route
-    from src to tgt.  Otherwise the relevant subgraph is acyclic and the
-    paths are counted by a descending recursion.
+    from src to tgt.  Otherwise the relevant subgraph is acyclic, and the
+    paths are counted over its vertices in reverse topological order.
     """
     graph.vertex_index(src), graph.vertex_index(tgt)
-    reach_fwd = _reachable(graph, src, forward=True)
-    reach_bwd = _reachable(graph, tgt, forward=False)
+    reach_fwd = reachable(src, lambda x: (e.tgt for e in graph.out_edges(x)))
+    reach_bwd = reachable(tgt, lambda x: (e.src for e in graph.in_edges(x)))
     mid = reach_fwd & reach_bwd
     if not mid:
         return (True, 0)
     mid_edges = [e.eid for e in graph.edges if e.src in mid and e.tgt in mid]
-    sub = graph.subgraph([v for v in graph.vertices if v in mid], mid_edges)
-    if has_directed_cycle(sub):
-        return (False, None)
-
+    sub = graph.subgraph(mid, mid_edges)
     counts: dict[str, int] = {}
-
-    def count_from(v: str) -> int:
-        if v in counts:
-            return counts[v]
-        total = 1 if v == tgt else 0
-        for e in sub.out_edges(v):
-            total += count_from(e.tgt)
-        counts[v] = total
-        return total
-
-    return (True, count_from(src))
-
-
-def _reachable(graph: Digraph, v: str, forward: bool) -> set[str]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        step = graph.out_edges(x) if forward else graph.in_edges(x)
-        for e in step:
-            w = e.tgt if forward else e.src
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    for comp in strong_components(sub):
+        v = comp[0]
+        if len(comp) > 1 or any(e.tgt == v for e in sub.out_edges(v)):
+            return (False, None)
+        counts[v] = (v == tgt) + sum(counts[e.tgt] for e in sub.out_edges(v))
+    return (True, counts[src])
 
 
 # --- monotone maps of finite ordinals --------------------------------------
@@ -159,12 +125,16 @@ class DeltaMor:
         self.p = p
         self.q = q
         self.values = tuple(values)
-        assert p >= 0 and q >= 0
-        assert len(self.values) == p + 1, "need one value per point of [p]"
+        if p < 0 or q < 0:
+            raise QuivercalcError("ordinals [p], [q] need p, q >= 0")
+        if len(self.values) != p + 1:
+            raise QuivercalcError("need one value per point of [p]")
         for v in self.values:
-            assert 0 <= v <= q, f"value {v} outside [0..{q}]"
+            if not 0 <= v <= q:
+                raise QuivercalcError(f"value {v} outside [0..{q}]")
         for a, b in zip(self.values, self.values[1:]):
-            assert a <= b, "values must be monotone"
+            if a > b:
+                raise QuivercalcError("values must be monotone")
 
     @classmethod
     def identity(cls, p: int) -> "DeltaMor":
@@ -187,7 +157,7 @@ class DeltaMor:
 
 def compose_delta(g: DeltaMor, f: DeltaMor) -> DeltaMor:
     if f.q != g.p:
-        raise ValueError("ordinal maps not composable")
+        raise Incomposable("ordinal maps not composable")
     return DeltaMor(f.p, g.q, [g(v) for v in f.values])
 
 
@@ -229,31 +199,22 @@ class QuiverMor:
         for e in source.edges:
             p = self.edge_paths.get(e.eid)
             if p is None:
-                raise ValueError(f"edge {e.eid!r} has no image path")
+                raise QuivercalcError(f"edge {e.eid!r} has no image path")
             if p.graph != target:
-                raise ValueError(f"image path of {e.eid!r} lives in the wrong graph")
+                raise QuivercalcError(
+                    f"image path of {e.eid!r} lives in the wrong graph")
             if p.start != self.vertex_map[e.src] or p.end != self.vertex_map[e.tgt]:
-                raise ValueError(f"image path of {e.eid!r} has the wrong endpoints")
+                raise QuivercalcError(
+                    f"image path of {e.eid!r} has the wrong endpoints")
 
     @classmethod
     def identity(cls, d: Digraph) -> "QuiverMor":
         return cls(d, d, {v: v for v in d.vertices},
                    {e.eid: Path.of_edge(d, e.eid) for e in d.edges})
 
-    @classmethod
-    def from_digraph_mor(cls, f: DigraphMor) -> "QuiverMor":
-        paths = {}
-        for e in f.source.edges:
-            im = f.edge_map[e.eid]
-            if im is None:
-                paths[e.eid] = Path.empty(f.target, f.vertex_map[e.src])
-            else:
-                paths[e.eid] = Path.of_edge(f.target, im)
-        return cls(f.source, f.target, f.vertex_map, paths)
-
     def map_path(self, p: Path) -> Path:
         if p.graph != self.source:
-            raise ValueError("path lives in the wrong graph")
+            raise QuivercalcError("path lives in the wrong graph")
         out = Path.empty(self.target, self.vertex_map[p.start])
         for eid in p.edges:
             out = out.then(self.edge_paths[eid])
@@ -279,7 +240,7 @@ class QuiverMor:
 def compose_quiver_mor(g: QuiverMor, f: QuiverMor) -> QuiverMor:
     """g∘f by path substitution."""
     if f.target != g.source:
-        raise ValueError("quiver morphisms not composable")
+        raise Incomposable("quiver morphisms not composable")
     vmap = {v: g.vertex_map[f.vertex_map[v]] for v in f.source.vertices}
     paths = {e.eid: g.map_path(f.edge_paths[e.eid]) for e in f.source.edges}
     return QuiverMor(f.source, g.target, vmap, paths)
@@ -376,16 +337,13 @@ def delta_mor_to_quiver(f: DeltaMor) -> QuiverMor:
 # --- components and hom counting --------------------------------------------
 
 
-def components(d: Digraph) -> list[tuple[Digraph, DigraphMor]]:
-    """Weakly connected components with their inclusions."""
+def components(d: Digraph) -> list[Digraph]:
+    """The weakly connected components, as subgraphs."""
     out = []
     for verts in weak_components(d):
         vset = set(verts)
         eids = [e.eid for e in d.edges if e.src in vset]
-        sub = d.subgraph(verts, eids)
-        incl = DigraphMor(sub, d, {v: v for v in verts},
-                          {e: e for e in eids})
-        out.append((sub, incl))
+        out.append(d.subgraph(verts, eids))
     return out
 
 
@@ -405,8 +363,8 @@ def _path_options(tgt: Digraph, a: str, b: str, path_cap: int | None,
             res = (full, True)
     else:
         if path_cap is None:
-            raise ValueError(f"infinitely many paths {a!r} -> {b!r}; "
-                             "a path cap is required")
+            raise QuivercalcError(f"infinitely many paths {a!r} -> {b!r}; "
+                                  "a path cap is required")
         res = (enumerate_paths(tgt, a, b, path_cap), False)
     cache[key] = res
     return res
@@ -445,8 +403,8 @@ def hom_quiver_count(src: Digraph, tgt: Digraph,
     of a sum over target components."""
     total = 1
     truncated = False
-    tgt_comps = [c for c, _ in components(tgt)]
-    for cs, _ in components(src):
+    tgt_comps = components(tgt)
+    for cs in components(src):
         ways = 0
         for ct in tgt_comps:
             mors, trunc = enumerate_quiver_mors(cs, ct, path_cap)

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quivercalc.cli import main
 from tests.conftest import FIXTURES
@@ -199,3 +202,181 @@ def test_console_script_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "classes: 2" in out.stdout
+
+
+# --- the error contract: bad input is exit 2 with one line on stderr ---------
+
+
+@pytest.fixture(scope="module")
+def bad_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bad")
+    (tmp / "site.json").write_text("[1, 2]")
+    (tmp / "obj.json").write_text('{"circles": -2, "quivers": []}')
+    return tmp
+
+
+ARROW = str(FIXTURES / "arrow.json")
+BAD_INPUTS = {
+    "para-not-monotone": ["para", "2 3 : 5 0"],
+    "psi-r-0": ["psi", "--cat", str(FIXTURES / "cyclic3.json"), "--r", "0", "g1"],
+    "para-r-0": ["para", "2 3 : 0 2", "--r", "0"],
+    "reps-limit-negative": ["reps", "--cat", ARROW, "--graph",
+                            str(FIXTURES / "interval.json"), "--limit", "-1"],
+    "cycles-max-len-negative": ["cycles", "--graph", str(FIXTURES / "bouquet2.json"),
+                                "--max-len", "-1"],
+    "paths-max-len-negative": ["paths", "--graph", str(FIXTURES / "bouquet2.json"),
+                               "0", "0", "--max-len", "-1"],
+    "hom-m-max-weight-0": ["hom-m", str(FIXTURES / "circle_obj.json"),
+                           str(FIXTURES / "circle_obj.json"), "--max-weight", "0"],
+    "hom-m-path-cap-negative": ["hom-m", str(FIXTURES / "interval_obj.json"),
+                                str(FIXTURES / "interval_obj.json"), "--path-cap", "-1"],
+    "excise-site-not-an-object": ["excise", "--cat", ARROW, "--site", "{bad}/site.json"],
+    "fact-negative-circles": ["fact", "--cat", ARROW, "--m", "{bad}/obj.json"],
+}
+
+
+def _bad_argv(name, bad_files):
+    return [a.replace("{bad}", str(bad_files)) for a in BAD_INPUTS[name]]
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_is_one_line_exit_2(name, bad_files, capsys):
+    code, out, err = run(*_bad_argv(name, bad_files), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not err.rstrip().endswith(":")       # the message says what is wrong
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_is_one_line_exit_2_under_O(name, bad_files):
+    out = subprocess.run([sys.executable, "-O", "-m", "quivercalc",
+                          *_bad_argv(name, bad_files)],
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+def test_verify_battery_still_checks_under_O():
+    script = ("import sys, quivercalc.cli as cli\n"
+              "cli._necklaces = lambda k, n: -1\n"
+              "sys.exit(cli.main(['verify']))\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert "[FAIL] circle maps from bouquets count primitive necklaces" in out.stdout
+
+
+# --- fuzzing main: any argv and any JSON end in exit 0, 1 or 2 ---------------
+
+FUZZ_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+           | st.sampled_from(["", "0", "e0", "g1", "circle", "le:0:1"]))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(
+                       ["vertices", "edges", "id", "src", "tgt", "objects",
+                        "morphisms", "ids", "compose", "circles", "quivers",
+                        "graph", "cut_edges"]), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def mutated(draw, data):
+    """data with one node replaced by a random value, or one key dropped."""
+    if isinstance(data, dict) and data and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(data)))
+        if draw(st.booleans()):
+            return {k: v for k, v in data.items() if k != key}
+        return {**data, key: draw(mutated(data[key]))}
+    if isinstance(data, list) and data and draw(st.booleans()):
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + [draw(mutated(data[i]))] + data[i + 1:]
+    return draw(JSON_VALUES)
+
+
+@st.composite
+def json_docs(draw):
+    data = json.loads((FIXTURES / draw(st.sampled_from(FUZZ_FIXTURES))).read_text())
+    for _ in range(draw(st.integers(0, 2))):
+        data = draw(mutated(data))
+    return data
+
+
+FILE = st.sampled_from(["{0}", "{1}", "{missing}"])
+NAME = st.sampled_from(["0", "1", "2", "e0", "g1", "p012", "*", "le:0:1", "zz"])
+NUM = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "x"])
+COVER = st.sampled_from(["0,1;e0", "1,2;e1", "1;", "0,1", ";", "zz;e9"])
+PARA = st.sampled_from(["2 3 : 0 2", "3 1 : 0 0 1", "1 1 : 1", "2 3 : 5 0",
+                        "0 1 : ", "2 3", "x"])
+EPI = st.sampled_from(["1 1 : 0 | 6", "2 2 : 0 1 | 1 1", "2 3 : 0 2 | 9 9",
+                       "1 1 : 0 | 0", "2 2 : 0 1", "x"])
+SLOTS = {
+    "classify": [("--graph", FILE)],
+    "paths": [("--graph", FILE), NAME, NAME, ("--max-len", NUM)],
+    "reps": [("--cat", FILE), ("--graph", FILE), ("--limit", NUM)],
+    "sheaf": [("--cat", FILE), ("--graph", FILE), ("--left", COVER),
+              ("--right", COVER)],
+    "hh": [("--cat", FILE)],
+    "psi": [("--cat", FILE), ("--r", NUM), NAME],
+    "trace": [("--cat", FILE), NAME],
+    "para": [PARA, PARA, ("--r", NUM)],
+    "epi": [EPI, EPI],
+    "cycles": [("--graph", FILE), ("--max-len", NUM)],
+    "hom-m": [FILE, FILE, ("--max-len", NUM), ("--max-weight", NUM),
+              ("--path-cap", NUM), ("--limit", NUM)],
+    "fact": [("--cat", FILE), ("--m", FILE), ("--limit", NUM)],
+    "excise": [("--cat", FILE), ("--site", FILE)],
+    "dot": [("--graph", FILE)],
+    "verify": [("--seed", NUM)],
+    "nonsense": [],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A verb and a random subset of its arguments, in order."""
+    verb = draw(st.sampled_from(sorted(SLOTS)))
+    argv = [verb]
+    for slot in SLOTS[verb]:
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        if isinstance(slot, tuple):
+            argv += [slot[0], draw(slot[1])]
+        else:
+            argv.append(draw(slot))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=argvs(), docs=st.lists(json_docs(), min_size=2, max_size=2))
+@example(argv=["excise", "--cat", "{0}", "--site", "{1}"],
+         docs=[_fixture("arrow.json"), [1, 2]])
+@example(argv=["fact", "--cat", "{0}", "--m", "{1}"],
+         docs=[_fixture("arrow.json"), {"circles": -2, "quivers": []}])
+def test_main_never_raises(fuzz_dir, argv, docs):
+    paths = {"{missing}": str(fuzz_dir / "missing.json")}
+    for i, doc in enumerate(docs):
+        paths[f"{{{i}}}"] = str(fuzz_dir / f"{i}.json")
+        (fuzz_dir / f"{i}.json").write_text(json.dumps(doc))
+    argv = [paths.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

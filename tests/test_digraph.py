@@ -3,12 +3,15 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercalc.digraph import (ClosedCover, Digraph, DigraphMor, NotACover,
-                                UnknownEdge, UnknownVertex, classify_digraph,
-                                compose_digraph_mor, disjoint_union, exit_path,
+from quivercalc.digraph import (ClosedCover, Digraph, Incomposable, NotACover,
+                                QuivercalcError, UnknownEdge, UnknownVertex,
+                                classify_digraph, disjoint_union, exit_path,
                                 has_directed_cycle, make_closed_cover,
-                                standard_digraph, weak_components)
+                                reachable, standard_digraph, strong_components,
+                                weak_components)
 from quivercalc.fincat import validate_fincat
+from quivercalc.quiver import (Path, QuiverMor, classify_quiver_mor,
+                               compose_quiver_mor)
 
 
 def test_basic_accessors():
@@ -23,11 +26,11 @@ def test_basic_accessors():
 
 
 def test_bad_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         Digraph(["a", "a"], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         Digraph(["a"], [("e", "a", "b")])
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         Digraph(["a"], [("e", "a", "a"), ("e", "a", "a")])
 
 
@@ -48,9 +51,9 @@ def test_standard_shapes():
     assert len(cyc.vertices) == 4 and len(cyc.edges) == 4
     bq = standard_digraph("bouquet", 3)
     assert len(bq.vertices) == 1 and len(bq.edges) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         standard_digraph("cyclic", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         standard_digraph("nonsense")
 
 
@@ -93,7 +96,7 @@ def test_subgraph_checks_endpoints():
     g = standard_digraph("linear", 2)
     sub = g.subgraph(["0", "1"], ["e0"])
     assert [e.eid for e in sub.edges] == ["e0"]
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         g.subgraph(["0"], ["e0"])  # e0 ends outside
 
 
@@ -130,36 +133,64 @@ def test_components_partition_vertices(g):
     assert sorted(seen) == sorted(g.vertices)
 
 
+@given(digraphs())
+def test_strong_components_against_mutual_reachability(g):
+    def reach(v):
+        return reachable(v, lambda x: [e.tgt for e in g.out_edges(x)])
+
+    comps = strong_components(g)
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    assert sorted(where) == sorted(g.vertices)
+    for u in g.vertices:
+        for v in g.vertices:
+            same = v in reach(u) and u in reach(v)
+            assert same == (where[u] == where[v])
+    # reverse topological order: edges never point to a later component
+    assert all(where[e.tgt] <= where[e.src] for e in g.edges)
+
+
+def test_strong_components_of_a_deep_cycle():
+    assert len(strong_components(standard_digraph("cyclic", 3000))) == 1
+    assert len(strong_components(standard_digraph("linear", 3000))) == 3001
+
+
+# A strict map of digraphs is a quiver morphism whose image paths have
+# length <= 1: an edge goes to one edge, or collapses to the empty path.
+
+
 def test_digraph_mor_validation():
     g = standard_digraph("interval")
     h = standard_digraph("cyclic", 1)
-    f = DigraphMor(g, h, {"0": "0", "1": "0"}, {"e0": "e0"})
+    f = QuiverMor(g, h, {"0": "0", "1": "0"}, {"e0": Path.of_edge(h, "e0")})
     assert f.vertex_map["1"] == "0"
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         # collapsing an edge whose endpoints stay distinct is illegal
-        DigraphMor(g, g, {"0": "0", "1": "1"}, {"e0": None})
-    with pytest.raises(ValueError):
+        QuiverMor(g, g, {"0": "0", "1": "1"}, {"e0": Path.empty(g, "0")})
+    lin = standard_digraph("linear", 2)
+    with pytest.raises(QuivercalcError):
         # image edge endpoints must match the vertex map
-        DigraphMor(g, standard_digraph("linear", 2),
-                   {"0": "0", "1": "2"}, {"e0": "e0"})
-    coll = DigraphMor(g, standard_digraph("point"), {"0": "0", "1": "0"},
-                      {"e0": None})
-    assert coll.edge_map["e0"] is None
+        QuiverMor(g, lin, {"0": "0", "1": "2"}, {"e0": Path.of_edge(lin, "e0")})
+    p = standard_digraph("point")
+    coll = QuiverMor(g, p, {"0": "0", "1": "0"}, {"e0": Path.empty(p, "0")})
+    assert coll.edge_paths["e0"].length == 0
+    assert classify_quiver_mor(coll).idle
 
 
 def test_digraph_mor_compose():
     g = standard_digraph("linear", 2)
     h = standard_digraph("interval")
     p = standard_digraph("point")
-    f = DigraphMor(g, h, {"0": "0", "1": "0", "2": "1"},
-                   {"e0": None, "e1": "e0"})
-    q = DigraphMor(h, p, {"0": "0", "1": "0"}, {"e0": None})
-    qf = compose_digraph_mor(q, f)
+    f = QuiverMor(g, h, {"0": "0", "1": "0", "2": "1"},
+                  {"e0": Path.empty(h, "0"), "e1": Path.of_edge(h, "e0")})
+    q = QuiverMor(h, p, {"0": "0", "1": "0"}, {"e0": Path.empty(p, "0")})
+    qf = compose_quiver_mor(q, f)
     assert qf.vertex_map == {"0": "0", "1": "0", "2": "0"}
-    assert qf.edge_map == {"e0": None, "e1": None}
-    i = DigraphMor.identity(g)
-    assert compose_digraph_mor(f, i) == f
-    assert compose_digraph_mor(DigraphMor.identity(h), f) == f
+    assert qf.edge_paths == {"e0": Path.empty(p, "0"), "e1": Path.empty(p, "0")}
+    i = QuiverMor.identity(g)
+    assert compose_quiver_mor(f, i) == f
+    assert compose_quiver_mor(QuiverMor.identity(h), f) == f
+    with pytest.raises(Incomposable):
+        compose_quiver_mor(f, q)
 
 
 def test_closed_cover():

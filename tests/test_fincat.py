@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from quivercalc.digraph import (Digraph, disjoint_union, exit_path,
-                                make_closed_cover, standard_digraph)
+from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
+                                exit_path, make_closed_cover,
+                                standard_digraph)
 from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
                                MissingIdentity, NotAssociative, Representation,
                                chain_poset_category, check_closed_sheaf,
@@ -101,7 +102,7 @@ def test_poset_category():
                        [("a", "b"), ("b", "c"), ("a", "c")])
     validate_fincat(c)
     assert len(c.morphisms) == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         poset_category(["a", "b", "c"], [("a", "b"), ("b", "c")])  # not closed
 
 
@@ -128,7 +129,7 @@ def test_functor_validation():
     z4 = cyclic_group_category(4)
     f = Functor(z2, z4, {"*": "*"}, {"g0": "g0", "g1": "g2"})
     assert f("g1") == "g2"
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         Functor(z2, z4, {"*": "*"}, {"g0": "g0", "g1": "g1"})  # not a hom
 
 
@@ -224,7 +225,7 @@ def test_pullback_rep_checks_graph():
     g = standard_digraph("interval")
     rep = enumerate_reps(z2, standard_digraph("point"))[0]
     f = QuiverMor.identity(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         pullback_rep(f, rep)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercalc.digraph import Digraph, DigraphMor, disjoint_union, standard_digraph
+from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
+                                standard_digraph)
 from quivercalc.cyccat import compose_para, delta_to_para
 from quivercalc.quiver import (DeltaMor, Path, QuiverMor, classify_quiver_mor,
                                compose_delta, compose_quiver_mor, components,
@@ -72,9 +73,9 @@ def test_path_construction():
     p = Path(g, "0", ("e0", "e1"))
     assert p.end == "2"
     assert p.vertices() == ["0", "1", "2"]
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         Path(g, "0", ("e1",))  # does not start at 0
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         Path(g, "0", ("e0", "e0"))  # not head-to-tail
     e = Path.empty(g, "1")
     assert e.length == 0 and e.end == "1"
@@ -95,6 +96,19 @@ def test_hom_finiteness():
     # ... but a cycle unreachable from the route does not
     h = Digraph(["a", "b", "c"], [("e", "a", "b"), ("l", "c", "c")])
     assert hom_is_finite(h, "a", "b") == (True, 1)
+
+
+def test_deep_graphs_do_not_recurse():
+    n = 3000
+    g = standard_digraph("linear", n)
+    assert hom_is_finite(g, "0", str(n)) == (True, 1)
+    assert [p.length for p in enumerate_paths(g, "0", str(n), n)] == [n]
+
+
+def test_negative_length_cap_is_rejected():
+    g = standard_digraph("linear", 2)
+    with pytest.raises(QuivercalcError):
+        enumerate_paths(g, "0", "2", -1)
 
 
 def test_hom_finite_count_agrees_with_enumeration():
@@ -189,10 +203,10 @@ def test_quiver_mor_validation():
     f = QuiverMor(src, tgt, {"0": "0", "1": "2"},
                   {"e0": Path(tgt, "0", ("e0", "e1"))})
     assert f.map_path(Path.of_edge(src, "e0")).end == "2"
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         QuiverMor(src, tgt, {"0": "0", "1": "1"},
                   {"e0": Path(tgt, "0", ("e0", "e1"))})  # wrong endpoint
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         QuiverMor(src, tgt, {"0": "0", "1": "2"},
                   {"e0": Path(src, "0", ("e0",))})  # path in wrong graph
 
@@ -210,14 +224,6 @@ def test_quiver_mor_composition_by_substitution():
     i = QuiverMor.identity(a)
     assert compose_quiver_mor(f, i) == f
     assert compose_quiver_mor(QuiverMor.identity(b), f) == f
-
-
-def test_from_digraph_mor_collapse():
-    g = standard_digraph("interval")
-    p = standard_digraph("point")
-    coll = QuiverMor.from_digraph_mor(
-        DigraphMor(g, p, {"0": "0", "1": "0"}, {"e0": None}))
-    assert coll.edge_paths["e0"].length == 0
 
 
 def test_classification_identity_is_closed():
@@ -293,9 +299,11 @@ def test_components_order_and_inclusions():
     g = disjoint_union([standard_digraph("interval"),
                         standard_digraph("cyclic", 1)], prefixes=["i.", "c."])
     comps = components(g)
-    assert [c.vertices for c, _ in comps] == [("i.0", "i.1"), ("c.0",)]
-    for sub, inc in comps:
-        assert inc.source == sub and inc.target == g
+    assert [c.vertices for c in comps] == [("i.0", "i.1"), ("c.0",)]
+    for sub in comps:
+        inc = QuiverMor(sub, g, {v: v for v in sub.vertices},
+                        {e.eid: Path.of_edge(g, e.eid) for e in sub.edges})
+        assert classify_quiver_mor(inc).closed
 
 
 # --- enumeration of quiver morphisms --------------------------------------
@@ -330,7 +338,7 @@ def test_enumeration_matches_brute_force_acyclic():
 def test_enumeration_truncates_on_cycles():
     src = standard_digraph("interval")
     tgt = standard_digraph("cyclic", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(QuivercalcError):
         enumerate_quiver_mors(src, tgt)  # needs a cap
     mors, truncated = enumerate_quiver_mors(src, tgt, path_cap=3)
     assert truncated
