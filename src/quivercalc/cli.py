@@ -18,12 +18,14 @@ from .fincat import (FinCat, check_closed_sheaf, chain_poset_category,
                      cyclic_group_category, enumerate_reps, rep_via_exit_limit,
                      symmetric_group_category, validate_fincat,
                      walking_arrow_category)
-from .cyccat import (cartesian_factor, compose_epi, compose_para, dualize_para,
-                     enumerate_epi_degree1, enumerate_para_transversal,
-                     format_epi, format_para, lift_epi_degree1, para_phi,
-                     parse_epi, parse_para, project_para_to_epi)
+from .cyccat import (EpiMor, cartesian_factor, compose_epi, compose_para,
+                     dualize_para, enumerate_epi_degree1,
+                     enumerate_para_transversal, format_epi, format_para,
+                     lift_epi_degree1, para_phi, parse_epi, parse_para,
+                     project_para_to_epi)
 from .hochschild import compute_hh, psi, trace_obj, power_endo
-from .emm import (MObject, enumerate_directed_cycles, fact_homology, fact_map,
+from .emm import (CircleEndo, MObject, VertexToCircle,
+                  enumerate_directed_cycles, fact_homology, fact_map,
                   compose_m, hom_m, make_excision_site, verify_excision,
                   circle_object, mobject_of_digraph)
 
@@ -147,9 +149,9 @@ def cmd_hh(args) -> int:
 
 def cmd_psi(args) -> int:
     cat = _load_cat(args.cat)
-    cls = psi(cat, args.r, args.endo)
-    print(f"psi_{args.r}({args.endo}) = class of "
-          f"{power_endo(cat, args.endo, args.r)}: "
+    power = power_endo(cat, args.endo, args.r)
+    cls = compute_hh(cat).class_of(power)
+    print(f"psi_{args.r}({args.endo}) = class of {power}: "
           f"{cls.rep}  {{{', '.join(cls.members)}}}")
     return 0
 
@@ -216,7 +218,6 @@ def cmd_hom_m(args) -> int:
 
 
 def _describe_mmor(f) -> str:
-    from .emm import CircleEndo, VertexToCircle, CycleToCircle
     bits = []
     for j, part in enumerate(f.circle_parts):
         if isinstance(part, CircleEndo):
@@ -447,7 +448,6 @@ def _battery(seed: int):
 
 
 def _random_epi(rng: random.Random, max_m: int, max_n: int, m: int | None = None):
-    from .cyccat import EpiMor
     m = m if m is not None else rng.randint(1, max_m)
     n = rng.randint(1, max_n)
     degree = rng.randint(1, 3)

@@ -8,10 +8,16 @@ translates g + n of a map all different from g.
 An epicyclic morphism is a functor between free categories on directed
 cycles: a vertex map Z/m -> Z/n plus a winding length per edge.  Projecting
 a paracyclic morphism to its epicyclic shadow forgets the translate.
+
+Both kinds lift to monotone maps g: Z -> Z with g(i+m) = g(i) + d*n, d the
+degree (1 for paracyclic morphisms; Dwyer, Hopkins & Kan 1985).  Everything
+below is arithmetic on those values, so its cost grows with m, n and the
+output, never with the size of the values.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 from .quiver import DeltaMor, Path, QuiverMor
 from .digraph import Incomposable, QuivercalcError, standard_digraph
@@ -80,12 +86,9 @@ def dualize_para(f: ParaMor) -> ParaMor:
     """
     vals = []
     for j in range(f.n):
-        i = 0
-        while f.value(i) <= j:
-            i += 1
-        while f.value(i) > j:
-            i -= 1
-        vals.append(i)
+        # i = q*m + r with f(q*m) <= j < f((q+1)*m); then count the r
+        q = (j - f.values[0]) // f.n
+        vals.append(q * f.m + bisect_right(f.values, j - q * f.n) - 1)
     return ParaMor(f.n, f.m, vals)
 
 
@@ -111,16 +114,9 @@ def enumerate_para_transversal(m: int, n: int) -> list[ParaMor]:
     """One representative per translate orbit: all value lists with
     0 <= g(0) < n.  Every paracyclic morphism is a unique integer translate
     g + k*n of exactly one of these."""
-    def extend(prefix: list[int]):
-        if len(prefix) == m:
-            yield ParaMor(m, n, prefix)
-            return
-        lo = prefix[-1]
-        hi = prefix[0] + n
-        for v in range(lo, hi + 1):
-            yield from extend(prefix + [v])
-
-    return [f for g0 in range(n) for f in extend([g0])]
+    return [ParaMor(m, n, (g0,) + rest) for g0 in range(n)
+            for rest in itertools.combinations_with_replacement(
+                range(g0, g0 + n + 1), m - 1)]
 
 
 def format_para(f: ParaMor) -> str:
@@ -146,6 +142,8 @@ class EpiMor:
     vertex_map[v] is the image vertex in Z/n; lengths[v] is how far the edge
     out of v winds forward.  The total winding must be a positive multiple
     of n (constant functors are excluded), and that multiple is the degree.
+    values is the lift g(0..m-1): g(0) = vertex_map[0], then one length a
+    step, so g(v + 1) - g(v) = lengths[v].
     """
 
     def __init__(self, m: int, n: int, vertex_map, lengths):
@@ -171,10 +169,13 @@ class EpiMor:
         if total % n != 0 or total <= 0:
             raise QuivercalcError(
                 "total winding must be a positive multiple of n")
+        self.degree = total // n
+        self.values = tuple(itertools.accumulate(self.lengths[:-1],
+                                                 initial=self.vertex_map[0]))
 
-    @property
-    def degree(self) -> int:
-        return sum(self.lengths) // self.n
+    def value(self, i: int) -> int:
+        """The lift at any integer: g(i + m) = g(i) + degree * n."""
+        return self.values[i % self.m] + (i // self.m) * self.degree * self.n
 
     def to_quiver_mor(self) -> QuiverMor:
         """The same functor as a quiver morphism of directed cycles."""
@@ -205,81 +206,51 @@ def identity_epi(n: int) -> EpiMor:
     return EpiMor(n, n, range(n), [1] * n)
 
 
+def _epi_from_lift(m: int, n: int, lift) -> EpiMor:
+    """The functor whose lift takes the values lift[0..m] at 0..m."""
+    return EpiMor(m, n, [v % n for v in lift[:m]],
+                  [b - a for a, b in zip(lift, lift[1:])])
+
+
 def compose_epi(g: EpiMor, f: EpiMor) -> EpiMor:
-    """Substitute paths: the edge out of v crosses lengths_f[v] edges of the
-    middle cycle, each contributing its own g-winding."""
+    """Compose the lifts: the edge out of v winds as far as g carries the
+    span f(v)..f(v+1) of the middle cycle."""
     if f.n != g.m:
         raise Incomposable(f"cycles of size {f.n} vs {g.m}")
-    vmap = [g.vertex_map[v] for v in f.vertex_map]
-    lengths = []
-    for v in range(f.m):
-        total = 0
-        for j in range(f.lengths[v]):
-            total += g.lengths[(f.vertex_map[v] + j) % f.n]
-        lengths.append(total)
-    return EpiMor(f.m, g.n, vmap, lengths)
+    return _epi_from_lift(f.m, g.n,
+                          [g.value(x) for x in (*f.values, f.value(f.m))])
 
 
 def project_para_to_epi(f: ParaMor) -> EpiMor:
     """Reduce the vertex values mod n and record each step as a winding
     length.  Always degree 1; translates of f project to the same functor."""
-    vmap = [v % f.n for v in f.values]
-    lengths = [f.value(i + 1) - f.value(i) for i in range(f.m)]
-    return EpiMor(f.m, f.n, vmap, lengths)
+    return _epi_from_lift(f.m, f.n, [*f.values, f.value(f.m)])
 
 
 def lift_epi_degree1(e: EpiMor) -> ParaMor:
     """The unique transversal preimage of a degree-1 functor under the
-    projection: accumulate windings starting at the image of vertex 0."""
+    projection: its lift, which starts at the image of vertex 0."""
     if e.degree != 1:
         raise QuivercalcError("only degree-1 functors lift to the paracyclic category")
-    vals = [e.vertex_map[0]]
-    for v in range(e.m - 1):
-        vals.append(vals[-1] + e.lengths[v])
-    return ParaMor(e.m, e.n, vals)
+    return ParaMor(e.m, e.n, e.values)
 
 
 def cartesian_factor(f: EpiMor) -> tuple[EpiMor, EpiMor]:
     """Factor f as (standard degree-r cover) ∘ (degree-1 part).
 
-    The cover rolls a directed rn-cycle r times around the n-cycle,
-    vertex j over j mod n; the degree-1 part carries all of f's winding
-    data, based so that vertex 0 lands over f's image of vertex 0.  A
-    degree-1 input factors as (identity cover) ∘ f itself.
+    The cover rolls a directed rn-cycle r times around the n-cycle: its
+    lift is 0..rn.  The degree-1 part has f's lift, read mod rn, so a
+    degree-1 f factors as (identity cover) ∘ f.
     """
-    r, n = f.degree, f.n
-    cover = EpiMor(r * n, n,
-                   [j % n for j in range(r * n)],
-                   [1] * (r * n))
-    partial = 0
-    vmap, lengths = [], []
-    for v in range(f.m):
-        vmap.append((f.vertex_map[0] + partial) % (r * n))
-        lengths.append(f.lengths[v])
-        partial += f.lengths[v]
-    cyc = EpiMor(f.m, r * n, vmap, lengths)
-    return cover, cyc
+    rn = f.degree * f.n
+    return (_epi_from_lift(rn, f.n, range(rn + 1)),
+            _epi_from_lift(f.m, rn, [*f.values, f.value(f.m)]))
 
 
 def enumerate_epi_degree1(m: int, n: int) -> list[EpiMor]:
-    """All degree-1 functors: a starting vertex and a composition of n into
-    m non-negative winding lengths."""
-    out = []
-    for v0 in range(n):
-        for bars in itertools.combinations(range(n + m - 1), m - 1):
-            lengths = []
-            prev = -1
-            for b in bars:
-                lengths.append(b - prev - 1)
-                prev = b
-            lengths.append(n + m - 1 - prev - 1)
-            partial = 0
-            vmap = []
-            for v in range(m):
-                vmap.append((v0 + partial) % n)
-                partial += lengths[v]
-            out.append(EpiMor(m, n, vmap, lengths))
-    return out
+    """All degree-1 functors: the projections of the paracyclic
+    transversal, one per translate orbit."""
+    return [project_para_to_epi(f) for f in enumerate_para_transversal(m, n)]
 
 
 def format_epi(f: EpiMor) -> str:

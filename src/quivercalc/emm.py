@@ -26,7 +26,8 @@ from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
 from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
                      enumerate_quiver_mors)
 from .fincat import FinCat, Representation, enumerate_reps, pullback_rep
-from .hochschild import CyclicWord, UnionFind, compute_hh, psi
+from .hochschild import (CyclicWord, UnionFind, compute_hh,
+                         least_rotation_index, psi)
 
 
 # --- directed cycles --------------------------------------------------------
@@ -96,7 +97,6 @@ def primitive_period(edges) -> int:
 
 
 def _least_edge_rotation(graph: Digraph, edges) -> tuple:
-    from .hochschild import least_rotation_index
     idx = least_rotation_index([graph.edge_index(e) for e in edges])
     return tuple(edges[idx:] + edges[:idx])
 

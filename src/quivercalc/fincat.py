@@ -118,10 +118,16 @@ class FinCat:
         return self.table[(g, f)]
 
     def object_index(self, x: str) -> int:
-        return self._oindex[x]
+        try:
+            return self._oindex[x]
+        except KeyError:
+            raise QuivercalcError(f"unknown object {x!r}") from None
 
     def morphism_index(self, mid: str) -> int:
-        return self._mindex[mid]
+        try:
+            return self._mindex[mid]
+        except KeyError:
+            raise QuivercalcError(f"unknown morphism {mid!r}") from None
 
     def __repr__(self):
         return f"FinCat({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -315,14 +321,19 @@ class Representation:
         self.vertex_labels = dict(vertex_labels)
         self.edge_labels = dict(edge_labels)
 
-        for v in graph.vertices:
-            category.object_index(self.vertex_labels[v])
-        for e in graph.edges:
-            m = category.mor(self.edge_labels[e.eid])
-            want = (self.vertex_labels[e.src], self.vertex_labels[e.tgt])
-            if (m.src, m.tgt) != want:
-                raise QuivercalcError(f"label of edge {e.eid!r} has endpoints "
-                                      f"{(m.src, m.tgt)}, expected {want}")
+        try:
+            for v in graph.vertices:
+                category.object_index(self.vertex_labels[v])
+            for e in graph.edges:
+                m = category.mor(self.edge_labels[e.eid])
+                want = (self.vertex_labels[e.src], self.vertex_labels[e.tgt])
+                if (m.src, m.tgt) != want:
+                    raise QuivercalcError(
+                        f"label of edge {e.eid!r} has endpoints "
+                        f"{(m.src, m.tgt)}, expected {want}")
+        except KeyError as missing:     # the only lookups here are labels
+            raise QuivercalcError(
+                f"no label for vertex or edge {missing.args[0]!r}") from None
 
     def key(self) -> tuple:
         return (tuple(self.vertex_labels[v] for v in self.graph.vertices),
@@ -384,21 +395,26 @@ def limit_sections(shape: FinCat, carriers: dict, actions: dict) -> list[dict]:
         constraints[later].append(
             lambda s, m=m, act=act: act(s[m.tgt]) == s[m.src])
 
+    if not order:
+        return [{}]
     sections: list[dict] = []
     section: dict = {}
-
-    def extend(i: int):
-        if i == len(order):
-            sections.append(dict(section))
-            return
-        x = order[i]
-        for val in carriers[x]:
+    # a depth-first search with one carrier iterator per assigned object
+    pending = [iter(carriers[order[0]])]
+    while pending:
+        x = order[len(pending) - 1]
+        for val in pending[-1]:
             section[x] = val
             if all(chk(section) for chk in constraints[x]):
-                extend(i + 1)
-        del section[x]
-
-    extend(0)
+                break
+        else:
+            pending.pop()
+            section.pop(x, None)
+            continue
+        if len(pending) == len(order):
+            sections.append(dict(section))
+        else:
+            pending.append(iter(carriers[order[len(pending)]]))
     return sections
 
 

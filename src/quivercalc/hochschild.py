@@ -185,12 +185,19 @@ def class_of_word(w: CyclicWord) -> HHClass:
 
 
 def power_endo(category: FinCat, endo: str, r: int) -> str:
+    """endo composed with itself r times, by repeated squaring: O(log r)
+    compositions.  Regrouping the factors is sound because composition is
+    associative, which validate_fincat establishes for a loaded category."""
     if r < 1:
         raise QuivercalcError(f"powers are taken for r >= 1, not {r}")
-    out = endo
-    for _ in range(r - 1):
-        out = category.comp(endo, out)
-    return out
+    out, square = None, endo
+    while True:
+        if r & 1:
+            out = square if out is None else category.comp(square, out)
+        r >>= 1
+        if not r:
+            return out
+        square = category.comp(square, square)
 
 
 def psi(category: FinCat, r: int, x) -> HHClass:

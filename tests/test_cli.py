@@ -76,6 +76,11 @@ def test_hh_and_psi_and_trace(capsys):
                        "--r", "2", "g1", capsys=capsys)
     assert code == 0
     assert "g2" in out
+    # 10^12 = 1 mod 3, so g1 to that power is g1 again
+    code, out, _ = run("psi", "--cat", str(FIXTURES / "cyclic3.json"),
+                       "--r", "1000000000000", "g1", capsys=capsys)
+    assert code == 0
+    assert out == "psi_1000000000000(g1) = class of g1: g1  {g1}\n"
     code, out, _ = run("trace", "--cat", str(FIXTURES / "arrow.json"), "0",
                        capsys=capsys)
     assert code == 0
@@ -96,6 +101,19 @@ def test_para_and_epi(capsys):
     assert "degree: 6" in out
     code, _, err = run("epi", "2 3 : 0 2 | 9 9", capsys=capsys)
     assert code == 2
+
+
+def test_para_and_epi_with_huge_values(capsys):
+    code, out, _ = run("para", "1 1 : -1000000000000", capsys=capsys)
+    assert code == 0
+    assert out.splitlines() == ["morphism: 1 1 : -1000000000000",
+                                "dual: 1 1 : 1000000000000",
+                                "projection: 1 1 : 0 | 1"]
+    code, out, _ = run("epi", "1 1 : 0 | 1000000000000", "1 1 : 0 | 1",
+                       capsys=capsys)
+    assert code == 0
+    assert out.splitlines() == ["composite: 1 1 : 0 | 1000000000000",
+                                "degree: 1000000000000"]
 
 
 def test_cycles(capsys):

@@ -62,10 +62,10 @@ def test_composition_units_and_errors():
 
 
 @st.composite
-def paramors(draw, max_m=4, max_n=4):
+def paramors(draw, max_m=4, max_n=4, spread=2):
     m = draw(st.integers(1, max_m))
     n = draw(st.integers(1, max_n))
-    g0 = draw(st.integers(-2 * n, 2 * n))
+    g0 = draw(st.integers(-spread * n, spread * n))
     vals = [g0]
     for _ in range(m - 1):
         room = g0 + n - vals[-1]
@@ -88,12 +88,28 @@ def test_para_associativity(f, data):
         compose_para(compose_para(h, g), f)
 
 
+def brute_transversal(m, n):
+    """Every nondecreasing value list with g(0) in [0, n) that fits in one
+    period, in lexicographic order."""
+    return [ParaMor(m, n, (g0,) + rest) for g0 in range(n)
+            for rest in itertools.product(range(g0, g0 + n + 1), repeat=m - 1)
+            if list(rest) == sorted(rest)]
+
+
+def test_transversal_enumeration_of_a_long_source():
+    # 1500 values is past the recursion limit: no call may nest per value
+    got = enumerate_para_transversal(1500, 1)
+    assert len(got) == 1500
+    assert got[0].values == (0,) * 1500 and got[-1].values == (0,) + (1,) * 1499
+
+
 def test_transversal_enumeration_counts():
     # g(0) in [0, n) and m-1 nondecreasing steps within one period:
     # n * C(n + m - 1, m - 1) morphisms
     for m in range(1, 5):
         for n in range(1, 5):
             got = enumerate_para_transversal(m, n)
+            assert got == brute_transversal(m, n)
             want = n * math.comb(n + m - 1, m - 1)
             assert len(got) == want
             assert len(set(got)) == want
@@ -168,6 +184,29 @@ def test_dual_of_rotation_is_inverse():
         d = dualize_para(para_alpha(m))
         assert d == ParaMor(m, m, tuple(range(-m, 0)))
         assert compose_para(d, para_alpha(m)) == identity_para(m)
+
+
+def literal_dual(f):
+    """j -> max{ i : f(i) <= j }, searched over a window that holds it."""
+    reach = f.m * (abs(f.values[0]) // f.n + 3)
+    return ParaMor(f.n, f.m, [max(i for i in range(-reach, reach)
+                                  if f.value(i) <= j)
+                              for j in range(f.n)])
+
+
+@given(paramors(spread=30))
+def test_dual_matches_the_literal_definition(f):
+    assert dualize_para(f) == literal_dual(f)
+
+
+def test_dual_of_huge_values():
+    # f(2q) = -10^12 + 3q and f(2q+1) = f(2q) + 2, so with 3k = 10^12 - 1
+    # f(2k), f(2k+1), f(2k+2), f(2k+3) = -1, 1, 2, 4
+    f = ParaMor(2, 3, (-10 ** 12, -10 ** 12 + 2))
+    k = 10 ** 12 // 3
+    assert dualize_para(f) == ParaMor(3, 2, (2 * k, 2 * k + 1, 2 * k + 2))
+    assert dualize_para(ParaMor(1, 1, (10 ** 12,))) == \
+        ParaMor(1, 1, (-10 ** 12,))
 
 
 @given(paramors())
@@ -252,6 +291,59 @@ def random_epi(rng, max_m=6, max_n=6, max_len=8, m=None):
     return EpiMor(m, n, vmap, lengths)
 
 
+@st.composite
+def epimors(draw, max_m=5, max_n=5, max_degree=3, m=None):
+    m = m if m is not None else draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    total = n * draw(st.integers(1, max_degree))
+    cuts = sorted(draw(st.lists(st.integers(0, total),
+                                min_size=m - 1, max_size=m - 1)))
+    lengths = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    v0 = draw(st.integers(0, n - 1))
+    vmap = [(v0 + sum(lengths[:v])) % n for v in range(m)]
+    return EpiMor(m, n, vmap, lengths)
+
+
+def stepping_compose_epi(g, f):
+    """The composite by path substitution: the edge out of v crosses
+    lengths_f[v] edges of the middle cycle, each adding its g-winding."""
+    vmap = [g.vertex_map[v] for v in f.vertex_map]
+    lengths = [sum(g.lengths[(f.vertex_map[v] + j) % f.n]
+                   for j in range(f.lengths[v]))
+               for v in range(f.m)]
+    return EpiMor(f.m, g.n, vmap, lengths)
+
+
+@given(epimors(), st.data())
+def test_compose_epi_matches_the_stepping_sum(f, data):
+    g = data.draw(epimors(m=f.n))
+    assert compose_epi(g, f) == stepping_compose_epi(g, f)
+
+
+@given(epimors())
+def test_epi_lift_is_equivariant(f):
+    assert f.values[0] == f.vertex_map[0]
+    assert [v % f.n for v in f.values] == list(f.vertex_map)
+    for i in range(-2 * f.m, 2 * f.m):
+        assert f.value(i + 1) - f.value(i) == f.lengths[i % f.m]
+        assert f.value(i + f.m) == f.value(i) + f.degree * f.n
+
+
+@given(epimors())
+def test_cartesian_factor_recomposes(f):
+    cover, cyc = cartesian_factor(f)
+    assert cyc.degree == 1
+    assert compose_epi(cover, cyc) == f
+
+
+def test_compose_epi_with_huge_winding():
+    f = EpiMor(2, 1, (0, 0), (10 ** 12, 5))
+    g = EpiMor(1, 3, (1,), (6,))
+    h = compose_epi(g, f)
+    assert h == EpiMor(2, 3, (1, 1), (6 * 10 ** 12, 30))
+    assert h.degree == 2 * (10 ** 12 + 5)
+
+
 def test_degree_multiplicative_seeded():
     rng = random.Random(20260816)
     for _ in range(1000):
@@ -288,10 +380,24 @@ def test_to_quiver_mor_shape():
     assert qm.edge_paths["e1"].edges == ("e2",)
 
 
+def bars_epi_degree1(m, n):
+    """Degree-1 functors from a start vertex and the bars of a composition
+    of n into m non-negative lengths."""
+    out = []
+    for v0 in range(n):
+        for bars in itertools.combinations(range(n + m - 1), m - 1):
+            ends = [-1, *bars, n + m - 1]
+            lengths = [b - a - 1 for a, b in zip(ends, ends[1:])]
+            vmap = [(v0 + sum(lengths[:v])) % n for v in range(m)]
+            out.append(EpiMor(m, n, vmap, lengths))
+    return out
+
+
 def test_enumerate_epi_degree1_counts():
-    for m in range(1, 5):
-        for n in range(1, 5):
+    for m in range(1, 7):
+        for n in range(1, 7):
             got = enumerate_epi_degree1(m, n)
+            assert got == bars_epi_degree1(m, n)
             want = n * math.comb(n + m - 1, m - 1)
             assert len(got) == want
             assert len(set(got)) == len(got)

@@ -133,6 +133,21 @@ def test_functor_validation():
         Functor(z2, z4, {"*": "*"}, {"g0": "g0", "g1": "g1"})  # not a hom
 
 
+def test_functor_unknown_target_object():
+    z2 = cyclic_group_category(2)
+    with pytest.raises(QuivercalcError, match="unknown object"):
+        Functor(z2, z2, {"*": "nowhere"}, {"g0": "g0", "g1": "g1"})
+
+
+def test_index_of_unknown_name():
+    z2 = cyclic_group_category(2)
+    assert z2.object_index("*") == 0 and z2.morphism_index("g1") == 1
+    with pytest.raises(QuivercalcError, match="unknown object"):
+        z2.object_index("nowhere")
+    with pytest.raises(QuivercalcError, match="unknown morphism"):
+        z2.morphism_index("g9")
+
+
 # --- representations -------------------------------------------------------
 
 
@@ -181,6 +196,18 @@ def test_rep_counts_on_groups():
     z3 = cyclic_group_category(3)
     for g in SMALL_GRAPHS:
         assert len(enumerate_reps(z3, g)) == 3 ** len(g.edges)
+
+
+def test_representation_rejects_bad_labels():
+    c = walking_arrow_category()
+    g = standard_digraph("interval")
+    Representation(c, g, {"0": "0", "1": "1"}, {"e0": "le:0:1"})
+    with pytest.raises(QuivercalcError, match="unknown object"):
+        Representation(c, g, {"0": "0", "1": "2"}, {"e0": "le:0:1"})
+    with pytest.raises(QuivercalcError, match="no label for .* '1'"):
+        Representation(c, g, {"0": "0"}, {"e0": "le:0:1"})
+    with pytest.raises(QuivercalcError, match="no label for .* 'e0'"):
+        Representation(c, g, {"0": "0", "1": "1"}, {})
 
 
 def test_rep_restrict():
@@ -247,6 +274,22 @@ def test_limit_sections_on_a_fork():
     assert len(secs) == 2
     for s in secs:
         assert s["s"] == s["a"] and s["s"] == 1 - s["b"]
+
+
+def test_limit_sections_past_the_recursion_limit():
+    # exit_path(linear(1200)) has 2401 objects: the search is that deep
+    point = monoid_category(["e"], {("e", "e"): "e"}, "e")
+    g = standard_digraph("linear", 1200)
+    reps = rep_via_exit_limit(point, g)
+    assert len(reps) == 1
+    assert reps == enumerate_reps(point, g)
+
+
+def test_limit_sections_with_empty_carriers_or_shape():
+    empty = FinCat([], [], {}, {})
+    assert limit_sections(empty, {}, {}) == [{}]
+    g = standard_digraph("interval")
+    assert rep_via_exit_limit(empty, g) == enumerate_reps(empty, g) == []
 
 
 # --- the gluing law ---------------------------------------------------------

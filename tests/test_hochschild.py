@@ -195,6 +195,29 @@ def test_power_endo():
     assert power_endo(z4, "g3", 4) == "g0"
 
 
+def looped_power(cat, endo, r):
+    """r - 1 compositions, one factor at a time."""
+    out = endo
+    for _ in range(r - 1):
+        out = cat.comp(endo, out)
+    return out
+
+
+@pytest.mark.parametrize("cat", [symmetric_group_category(3),
+                                 cyclic_group_category(5)], ids=["s3", "c5"])
+def test_power_endo_by_squaring_matches_the_loop(cat):
+    for e in cat.endomorphisms():
+        for r in range(1, 41):
+            assert power_endo(cat, e, r) == looped_power(cat, e, r)
+
+
+def test_power_endo_huge_exponent():
+    c5 = cyclic_group_category(5)
+    r = 10 ** 12 + 3        # = 3 mod 5
+    assert power_endo(c5, "g1", r) == "g3"
+    assert power_endo(c5, "g2", r) == "g1"
+
+
 @pytest.mark.parametrize("cat", [c for c, _ in GROUPS] + NON_GROUPS)
 def test_psi_composition_law(cat):
     for r in (1, 2, 3, 4):
