@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
 from .digraph import (ClosedCover, Digraph, Incomposable, QuivercalcError,
@@ -54,8 +56,9 @@ class FinCat:
                 mid, src, tgt = m
                 ms.append(Mor(mid, src, tgt))
         self.morphisms = tuple(ms)
-        self.identities = dict(identities)
-        self.table = dict(compose)
+        # read-only, because int_table and hh_table are compiled from them once
+        self.identities = MappingProxyType(dict(identities))
+        self.table = MappingProxyType(dict(compose))
 
         if len(set(self.objects)) != len(self.objects):
             raise QuivercalcError("duplicate object names")
@@ -82,6 +85,7 @@ class FinCat:
         for m in self.morphisms:
             self._hom.setdefault((m.src, m.tgt), []).append(m.mid)
         self._identity_set = set(self.identities.values())
+        self._int_table = None    # compiled by int_table on first use
         self.hh_table = None      # trace classes, filled by compute_hh
 
     def mor(self, mid: str) -> Mor:
@@ -129,6 +133,12 @@ class FinCat:
         except KeyError:
             raise QuivercalcError(f"unknown morphism {mid!r}") from None
 
+    def int_table(self) -> "IntTable":
+        """The category on indices, compiled on first use and kept."""
+        if self._int_table is None:
+            self._int_table = IntTable(self)
+        return self._int_table
+
     def __repr__(self):
         return f"FinCat({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
@@ -157,48 +167,123 @@ class FinCat:
         return cls(data["objects"], morphisms, data["ids"], compose)
 
 
+class IntTable:
+    """A FinCat on indices into its objects and morphisms.
+
+    src[m], tgt[m]: object indices.  identity[x]: a morphism index, or -1
+    for an object without one.  comp[g][f]: the index of g∘f, or -1 where
+    the table has no entry; every table entry is kept, composable or not,
+    so validate_fincat can check the table itself.  into[x], out[x]: the
+    morphisms with target, resp. source, x, in declaration order.
+    """
+
+    def __init__(self, c: FinCat):
+        oindex, mindex = c._oindex, c._mindex
+        self.src = [oindex[m.src] for m in c.morphisms]
+        self.tgt = [oindex[m.tgt] for m in c.morphisms]
+        self.identity = [mindex[c.identities[x]] if x in c.identities else -1
+                         for x in c.objects]
+        n = len(c.morphisms)
+        self.comp = [[-1] * n for _ in range(n)]
+        for (g, f), h in c.table.items():
+            self.comp[mindex[g]][mindex[f]] = mindex[h]
+        self.into: list[list[int]] = [[] for _ in c.objects]
+        self.out: list[list[int]] = [[] for _ in c.objects]
+        for m in range(n):
+            self.into[self.tgt[m]].append(m)
+            self.out[self.src[m]].append(m)
+
+
 def validate_fincat(c: FinCat) -> None:
     """Check the category laws; raises on the first failure.
 
     MissingIdentity: an object without an identity, or an identity that is
-    not neutral.  BadComposite: a composable pair missing from the table, a
-    table entry for a non-composable pair, or a composite with the wrong
-    endpoints.  NotAssociative: a failing triple.
+    not neutral.  BadComposite: a table entry for a non-composable pair, a
+    composite with the wrong endpoints, or a composable pair missing from
+    the table.  NotAssociative: a failing triple (f, g, h), i.e.
+    (f∘g)∘h != f∘(g∘h).
+
+    Associativity is checked by Light's test: the morphisms g with
+    (f∘g)∘h = f∘(g∘h) for all composable f, h are closed under composition
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, §1.2),
+    and identities are among them once they are neutral.  So it suffices
+    to test the middle position on a generating set.
     """
-    for x in c.objects:
-        if x not in c.identities:
-            raise MissingIdentity(f"object {x!r} has no identity")
-        i = c.mor(c.identity(x))
-        if (i.src, i.tgt) != (x, x):
-            raise MissingIdentity(f"identity of {x!r} is not an endomorphism of it")
+    t = c.int_table()
+    src, tgt, comp, ident = t.src, t.tgt, t.comp, t.identity
+    names = [m.mid for m in c.morphisms]
 
-    for (g, f), h in c.table.items():
-        if c.tgt(f) != c.src(g):
-            raise BadComposite(f"table entry for non-composable pair ({g!r}, {f!r})")
-        hm = c.mor(h)
-        if (hm.src, hm.tgt) != (c.src(f), c.tgt(g)):
-            raise BadComposite(f"{g!r}∘{f!r} = {h!r} has the wrong endpoints")
-    for g in c.morphisms:
-        for f in c.morphisms:
-            if f.tgt == g.src and (g.mid, f.mid) not in c.table:
-                raise BadComposite(f"missing composite {g.mid!r}∘{f.mid!r}")
+    for x, (name, i) in enumerate(zip(c.objects, ident)):
+        if i < 0:
+            raise MissingIdentity(f"object {name!r} has no identity")
+        if src[i] != x or tgt[i] != x:
+            raise MissingIdentity(f"identity of {name!r} is not an endomorphism of it")
 
-    for f in c.morphisms:
-        if c.comp(c.identity(f.tgt), f.mid) != f.mid:
-            raise MissingIdentity(f"id∘{f.mid!r} differs from {f.mid!r}")
-        if c.comp(f.mid, c.identity(f.src)) != f.mid:
-            raise MissingIdentity(f"{f.mid!r}∘id differs from {f.mid!r}")
-
-    for h in c.morphisms:
-        for g in c.morphisms:
-            if h.tgt != g.src:
+    for g, row in enumerate(comp):
+        for f, h in enumerate(row):
+            if h < 0:
                 continue
-            gh = c.comp(g.mid, h.mid)
-            for f in c.morphisms:
-                if g.tgt != f.src:
-                    continue
-                if c.comp(c.comp(f.mid, g.mid), h.mid) != c.comp(f.mid, gh):
-                    raise NotAssociative(f"({f.mid!r}, {g.mid!r}, {h.mid!r})")
+            if tgt[f] != src[g]:
+                raise BadComposite(f"table entry for non-composable pair "
+                                   f"({names[g]!r}, {names[f]!r})")
+            if src[h] != src[f] or tgt[h] != tgt[g]:
+                raise BadComposite(f"{names[g]!r}∘{names[f]!r} = {names[h]!r} "
+                                   "has the wrong endpoints")
+    for g, row in enumerate(comp):
+        for f in t.into[src[g]]:
+            if row[f] < 0:
+                raise BadComposite(f"missing composite {names[g]!r}∘{names[f]!r}")
+
+    for f, name in enumerate(names):
+        if comp[ident[tgt[f]]][f] != f:
+            raise MissingIdentity(f"id∘{name!r} differs from {name!r}")
+        if comp[f][ident[src[f]]] != f:
+            raise MissingIdentity(f"{name!r}∘id differs from {name!r}")
+
+    for g in _generators(t):
+        hs = t.into[src[g]]
+        gh = [comp[g][h] for h in hs]
+        pick_h, pick_gh = itemgetter(*hs), itemgetter(*gh)
+        for f in t.out[tgt[g]]:
+            row_f = comp[f]
+            row_fg = comp[row_f[g]]
+            if pick_h(row_fg) != pick_gh(row_f):
+                h = next(h for h, k in zip(hs, gh) if row_fg[h] != row_f[k])
+                raise NotAssociative(f"({names[f]!r}, {names[g]!r}, {names[h]!r})")
+
+
+def _generators(t: IntTable) -> list[int]:
+    """Morphism indices that generate every non-identity under composition.
+
+    Greedy in declaration order: a morphism not yet reached becomes a
+    generator, and the reached set is closed again by composing each new
+    member with every member on both sides.  Only table lookups are used,
+    so no associativity is assumed; the table must be complete and its
+    identities neutral.
+    """
+    comp, src, tgt = t.comp, t.src, t.tgt
+    reached = [False] * len(comp)
+    for i in t.identity:
+        reached[i] = True
+    into: list[list[int]] = [[] for _ in t.into]   # reached, by target
+    out: list[list[int]] = [[] for _ in t.out]     # reached, by source
+    gens = []
+    for m in range(len(comp)):
+        if reached[m]:
+            continue
+        gens.append(m)
+        reached[m] = True
+        work = [m]
+        while work:
+            a = work.pop()
+            into[tgt[a]].append(a)
+            out[src[a]].append(a)
+            row = comp[a]
+            for h in [row[b] for b in into[src[a]]] + [comp[b][a] for b in out[tgt[a]]]:
+                if not reached[h]:
+                    reached[h] = True
+                    work.append(h)
+    return gens
 
 
 # --- constructors ---------------------------------------------------------
@@ -232,13 +317,10 @@ def symmetric_group_category(n: int) -> FinCat:
     if not 1 <= n <= 6:
         raise QuivercalcError(f"symmetric groups are built for 1 <= n <= 6, not {n}")
     perms = list(itertools.permutations(range(n)))
-    table = {}
-    for s in perms:
-        for t in perms:
-            st = tuple(s[t[i]] for i in range(n))
-            table[(_perm_name(s), _perm_name(t))] = _perm_name(st)
-    return monoid_category([_perm_name(p) for p in perms], table,
-                           _perm_name(tuple(range(n))))
+    name = {p: _perm_name(p) for p in perms}
+    table = {(name[s], name[t]): name[tuple(map(s.__getitem__, t))]
+             for s in perms for t in perms}
+    return monoid_category(list(name.values()), table, name[tuple(range(n))])
 
 
 def poset_category(elements: list[str], leq: Iterable[tuple]) -> FinCat:

@@ -14,7 +14,7 @@ member; equivalently it repeats a cyclic word r times.
 from __future__ import annotations
 
 from .digraph import QuivercalcError
-from .fincat import FinCat, Functor
+from .fincat import BadComposite, FinCat, Functor
 
 
 def least_rotation_index(seq) -> int:
@@ -94,18 +94,22 @@ class HHClass:
 class HHTable:
     def __init__(self, category: FinCat):
         self.category = category
-        endos = category.endomorphisms()
-        uf = UnionFind(endos)
-        for f in category.morphisms:
-            for g in category.hom(f.tgt, f.src):
-                uf.union(category.comp(g, f.mid), category.comp(f.mid, g))
+        t = category.int_table()
+        src, tgt, comp = t.src, t.tgt, t.comp
+        uf = UnionFind([m for m in range(len(comp)) if src[m] == tgt[m]])
+        try:
+            for f, row_f in enumerate(comp):
+                for g in t.out[tgt[f]]:
+                    if tgt[g] == src[f]:
+                        uf.union(comp[g][f], row_f[g])
+        except KeyError:        # a missing or non-endomorphic round trip
+            raise BadComposite("trace classes need a category that passes "
+                               "validate_fincat") from None
+        names = [m.mid for m in category.morphisms]
         self._class_of: dict[str, HHClass] = {}
-        groups = sorted(
-            uf.classes().values(),
-            key=lambda ms: min(category.morphism_index(m) for m in ms))
         self.classes: list[HHClass] = []
-        for members in groups:
-            members = tuple(sorted(members, key=category.morphism_index))
+        for members in sorted(uf.classes().values(), key=min):
+            members = tuple(names[m] for m in sorted(members))
             cls = HHClass(self, members[0], members)
             self.classes.append(cls)
             for m in members:
@@ -203,13 +207,14 @@ def power_endo(category: FinCat, endo: str, r: int) -> str:
 def psi(category: FinCat, r: int, x) -> HHClass:
     """The r-th power operator on trace classes.
 
-    Accepts an endomorphism id, a cyclic word, or a class; for words it
-    repeats the word, for endomorphisms it powers them -- the two agree on
-    classes, and psi_r psi_s = psi_rs.
+    Accepts an endomorphism id, a cyclic word, or a class.  It powers the
+    endomorphism, the word's composite or the class representative: by the
+    trace relation the r-fold repeat of a word has the class of its
+    composite's r-th power, and psi_r psi_s = psi_rs.
     """
     if isinstance(x, CyclicWord):
-        return class_of_word(x.repeat(r))
-    if isinstance(x, HHClass):
+        endo = x.composite()
+    elif isinstance(x, HHClass):
         endo = x.rep
     else:
         endo = x

@@ -1,6 +1,13 @@
+import os
 import pathlib
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI tests that start
+# `python -m quivercalc` need it on the child's path too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
 
 ACCEPTANCE_PREFIX = "tests/test_acceptance.py::"
 

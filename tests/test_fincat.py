@@ -1,7 +1,9 @@
+import ast
 import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
                                 exit_path, make_closed_cover,
@@ -13,7 +15,8 @@ from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
                                enumerate_reps, limit_sections,
                                monoid_category, poset_category, pullback_rep,
                                rep_via_exit_limit, symmetric_group_category,
-                               validate_fincat, walking_arrow_category)
+                               validate_fincat, walking_arrow_category,
+                               _generators)
 from quivercalc.quiver import Path, QuiverMor
 
 FIXTURE_CATS = [
@@ -64,7 +67,7 @@ def test_bad_composite_detected():
     tbl = {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f"}
     c = FinCat(["x", "y"], [("e", "x", "x"), ("f", "x", "y")],
                {"x": "e", "y": "f"}, tbl)
-    with pytest.raises((BadComposite, MissingIdentity)):
+    with pytest.raises(MissingIdentity):
         validate_fincat(c)  # f cannot be the identity of y
 
 
@@ -89,6 +92,183 @@ def test_totality_enforced():
                {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g"})
     with pytest.raises(BadComposite):
         validate_fincat(c)  # g∘g missing
+
+
+def test_object_without_identity():
+    c = FinCat(["x", "y"], [("e", "x", "x"), ("u", "y", "y")], {"x": "e"},
+               {("e", "e"): "e", ("u", "u"): "u"})
+    with pytest.raises(MissingIdentity, match="'y' has no identity"):
+        validate_fincat(c)
+
+
+def test_identity_not_an_endomorphism():
+    c = FinCat(["x", "y"], [("e", "x", "x"), ("u", "y", "y"), ("f", "x", "y")],
+               {"x": "f", "y": "u"}, {})
+    with pytest.raises(MissingIdentity,
+                       match="identity of 'x' is not an endomorphism"):
+        validate_fincat(c)
+
+
+def test_table_entry_for_non_composable_pair():
+    arrow = walking_arrow_category()
+    c = FinCat(arrow.objects, arrow.morphisms, arrow.identities,
+               {**arrow.table, ("le:0:1", "le:0:1"): "le:0:1"})
+    with pytest.raises(BadComposite,
+                       match=r"non-composable pair \('le:0:1', 'le:0:1'\)"):
+        validate_fincat(c)
+
+
+def test_composite_with_wrong_endpoints():
+    arrow = walking_arrow_category()
+    c = FinCat(arrow.objects, arrow.morphisms, arrow.identities,
+               {**arrow.table, ("le:1:1", "le:0:1"): "le:1:1"})
+    with pytest.raises(BadComposite,
+                       match="'le:1:1'∘'le:0:1' = 'le:1:1' has the wrong endpoints"):
+        validate_fincat(c)
+
+
+# --- validation against the exhaustive oracle ----------------------------------
+
+
+def exhaustive_validate(c: FinCat) -> None:
+    """The laws checked over every triple of morphism names, as
+    validate_fincat did before it used Light's test: O(M³) lookups."""
+    for x in c.objects:
+        if x not in c.identities:
+            raise MissingIdentity(f"object {x!r} has no identity")
+        i = c.mor(c.identity(x))
+        if (i.src, i.tgt) != (x, x):
+            raise MissingIdentity(f"identity of {x!r} is not an endomorphism of it")
+
+    for (g, f), h in c.table.items():
+        if c.tgt(f) != c.src(g):
+            raise BadComposite(f"table entry for non-composable pair ({g!r}, {f!r})")
+        hm = c.mor(h)
+        if (hm.src, hm.tgt) != (c.src(f), c.tgt(g)):
+            raise BadComposite(f"{g!r}∘{f!r} = {h!r} has the wrong endpoints")
+    for g in c.morphisms:
+        for f in c.morphisms:
+            if f.tgt == g.src and (g.mid, f.mid) not in c.table:
+                raise BadComposite(f"missing composite {g.mid!r}∘{f.mid!r}")
+
+    for f in c.morphisms:
+        if c.comp(c.identity(f.tgt), f.mid) != f.mid:
+            raise MissingIdentity(f"id∘{f.mid!r} differs from {f.mid!r}")
+        if c.comp(f.mid, c.identity(f.src)) != f.mid:
+            raise MissingIdentity(f"{f.mid!r}∘id differs from {f.mid!r}")
+
+    for h in c.morphisms:
+        for g in c.morphisms:
+            if h.tgt != g.src:
+                continue
+            gh = c.comp(g.mid, h.mid)
+            for f in c.morphisms:
+                if g.tgt != f.src:
+                    continue
+                if c.comp(c.comp(f.mid, g.mid), h.mid) != c.comp(f.mid, gh):
+                    raise NotAssociative(f"({f.mid!r}, {g.mid!r}, {h.mid!r})")
+
+
+def zero_product_monoid(k: int) -> FinCat:
+    """1, z and a1..ak with every product of non-units equal to z: every
+    non-unit is a generator, the worst case of Light's test."""
+    els = ["1", "z"] + [f"a{i}" for i in range(1, k + 1)]
+    table = {(a, b): b if a == "1" else a if b == "1" else "z"
+             for a in els for b in els}
+    return monoid_category(els, table, "1")
+
+
+CORRUPTIBLE = [symmetric_group_category(3), symmetric_group_category(4),
+               walking_arrow_category(), zero_product_monoid(4)] + \
+    [cyclic_group_category(n) for n in (1, 2, 5, 6)] + \
+    [chain_poset_category(n) for n in (2, 3, 4)]
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A valid table with a few entries or identities changed, dropped or
+    added.  Most changes keep a composite in its hom-set, so the table
+    stays well-typed and the later checks get reached."""
+    base = draw(st.sampled_from(CORRUPTIBLE))
+    mids = [m.mid for m in base.morphisms]
+    ids, table = dict(base.identities), dict(base.table)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["hom"] * 6 + ["any", "drop", "add",
+                                                    "identity", "unset"]))
+        g, f = draw(st.sampled_from(sorted(table))) if table else (mids[0],) * 2
+        if kind == "hom":
+            # an added entry may be non-composable, with an empty hom-set
+            table[(g, f)] = draw(st.sampled_from(
+                base.hom(base.src(f), base.tgt(g)) or mids))
+        elif kind == "any":
+            table[(g, f)] = draw(st.sampled_from(mids))
+        elif kind == "drop":
+            table.pop((g, f), None)
+        elif kind == "add":
+            pair = (draw(st.sampled_from(mids)), draw(st.sampled_from(mids)))
+            table[pair] = draw(st.sampled_from(mids))
+        elif kind == "identity":
+            ids[draw(st.sampled_from(base.objects))] = draw(st.sampled_from(mids))
+        else:
+            ids.pop(draw(st.sampled_from(base.objects)), None)
+    return FinCat(base.objects, base.morphisms, ids, table)
+
+
+def raised(check, c):
+    try:
+        check(c)
+    except QuivercalcError as e:
+        return e
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tables())
+@example(FinCat(["*"], [("e", "*", "*"), ("a", "*", "*"), ("b", "*", "*")],
+                {"*": "e"},
+                {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
+                 ("a", "e"): "a", ("b", "e"): "b", ("a", "a"): "b",
+                 ("a", "b"): "e", ("b", "a"): "a", ("b", "b"): "a"}))
+def test_validation_agrees_with_the_exhaustive_oracle(c):
+    # validate_fincat scans table entries in declaration order, (g, f) by
+    # index; the oracle scans the table dict, so it gets the entries sorted
+    got = raised(validate_fincat, c)
+    want = raised(exhaustive_validate, FinCat(
+        c.objects, c.morphisms, c.identities,
+        dict(sorted(c.table.items(), key=lambda kv: (
+            c.morphism_index(kv[0][0]), c.morphism_index(kv[0][1]))))))
+    assert type(got) is type(want)
+    if isinstance(got, NotAssociative):
+        f, g, h = ast.literal_eval(str(got))
+        assert c.tgt(h) == c.src(g) and c.tgt(g) == c.src(f)
+        assert c.comp(c.comp(f, g), h) != c.comp(f, c.comp(g, h))
+    elif got is not None:
+        assert str(got) == str(want)
+
+
+def test_generating_sets():
+    s3 = symmetric_group_category(3)
+    assert [s3.morphisms[g].mid for g in _generators(s3.int_table())] == \
+        ["p021", "p102"]
+    # every non-unit of a zero-product monoid is a generator
+    c = zero_product_monoid(12)
+    assert len(_generators(c.int_table())) == 13
+    validate_fincat(c)
+    broken = FinCat(c.objects, c.morphisms, c.identities,
+                    {**c.table, ("z", "a3"): "a3"})   # (a1a1)a3 != a1(a1a3)
+    assert type(raised(validate_fincat, broken)) is NotAssociative
+    assert type(raised(exhaustive_validate, broken)) is NotAssociative
+
+
+def test_tables_are_read_only():
+    # the compiled table must not go stale behind validate_fincat's back
+    c = cyclic_group_category(3)
+    validate_fincat(c)
+    with pytest.raises(TypeError):
+        c.table[("g1", "g1")] = "g1"
+    with pytest.raises(TypeError):
+        c.identities["*"] = "g1"
+    assert c.comp("g1", "g1") == "g2"
 
 
 def test_comp_raises_on_mismatched_endpoints():

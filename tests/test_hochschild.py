@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quivercalc.digraph import QuivercalcError, exit_path, standard_digraph
-from quivercalc.fincat import (FinCat, Functor, chain_poset_category,
-                               cyclic_group_category, symmetric_group_category,
+from quivercalc.fincat import (BadComposite, FinCat, Functor,
+                               chain_poset_category, cyclic_group_category,
+                               symmetric_group_category, validate_fincat,
                                walking_arrow_category)
-from quivercalc.hochschild import (CyclicWord, HHTable, class_of_word,
-                                   compute_hh, hh_map, least_rotation_index,
-                                   power_endo, psi, trace_end, trace_obj)
+from quivercalc.hochschild import (CyclicWord, HHTable, UnionFind,
+                                   class_of_word, compute_hh, hh_map,
+                                   least_rotation_index, power_endo, psi,
+                                   trace_end, trace_obj)
 
 GROUPS = [
     (cyclic_group_category(2), 2),
@@ -103,6 +105,73 @@ def test_gaunt_categories_have_one_class_per_object():
     # poset and exit-path categories have only identity endomorphisms
     for cat in NON_GROUPS:
         assert len(compute_hh(cat)) == len(cat.objects)
+
+
+def string_sweep(category):
+    """The union-find sweep over morphism names, as HHTable ran it before
+    the category was compiled to indices: (representative, members) per
+    class, in class order."""
+    endos = category.endomorphisms()
+    uf = UnionFind(endos)
+    for f in category.morphisms:
+        for g in category.hom(f.tgt, f.src):
+            uf.union(category.comp(g, f.mid), category.comp(f.mid, g))
+    groups = sorted(
+        uf.classes().values(),
+        key=lambda ms: min(category.morphism_index(m) for m in ms))
+    out = []
+    for members in groups:
+        members = tuple(sorted(members, key=category.morphism_index))
+        out.append((members[0], members))
+    return out
+
+
+def shuffled(cat, seed):
+    """The same category with fresh names and shuffled declaration orders
+    of objects, morphisms and table entries."""
+    rng = random.Random(seed)
+    objects, morphisms = list(cat.objects), list(cat.morphisms)
+    entries = list(cat.table.items())
+    for seq in (objects, morphisms, entries):
+        rng.shuffle(seq)
+    oname = {x: f"x{k}" for x, k in
+             zip(objects, rng.sample(range(10 * len(objects)), len(objects)))}
+    mname = {m.mid: f"m{k}" for m, k in
+             zip(morphisms, rng.sample(range(10 * len(morphisms)), len(morphisms)))}
+    return FinCat([oname[x] for x in objects],
+                  [(mname[m.mid], oname[m.src], oname[m.tgt]) for m in morphisms],
+                  {oname[x]: mname[i] for x, i in cat.identities.items()},
+                  {(mname[g], mname[f]): mname[h] for (g, f), h in entries})
+
+
+SWEPT = [symmetric_group_category(n) for n in (3, 4, 5)] + \
+    [cyclic_group_category(n) for n in range(1, 13)] + \
+    [chain_poset_category(n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("cat", SWEPT, ids=[f"s{n}" for n in (3, 4, 5)] +
+                         [f"c{n}" for n in range(1, 13)] +
+                         [f"chain{n}" for n in range(1, 7)])
+def test_classes_match_the_string_sweep(cat):
+    for seed in range(3):
+        c = shuffled(cat, seed) if seed else cat
+        validate_fincat(c)
+        assert [(cls.rep, cls.members) for cls in compute_hh(c).classes] == \
+            string_sweep(c)
+
+
+def test_s6_validates_and_has_eleven_classes():
+    # 720 morphisms: the exhaustive check would take 720³ ≈ 3.7·10⁸ lookups
+    s6 = symmetric_group_category(6)
+    validate_fincat(s6)
+    assert len(compute_hh(s6)) == 11    # p(6)
+
+
+def test_unvalidated_table_is_rejected():
+    c = FinCat(["x"], [("e", "x", "x"), ("g", "x", "x")], {"x": "e"},
+               {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g"})
+    with pytest.raises(BadComposite):
+        compute_hh(c)       # g∘g is missing
 
 
 # --- table mechanics ---------------------------------------------------------
@@ -241,6 +310,22 @@ def test_psi_accepts_words():
     z3 = cyclic_group_category(3)
     w = CyclicWord(z3, ["g1", "g1"])
     assert psi(z3, 2, w) == psi(z3, 2, "g2")
+
+
+@pytest.mark.parametrize("cat,exponent", [(symmetric_group_category(3), 6),
+                                          (cyclic_group_category(5), 5)],
+                         ids=["s3", "c5"])
+def test_psi_on_words_matches_the_repeat(cat, exponent):
+    mids = [m.mid for m in cat.morphisms]
+    big = 10 ** 12
+    for word in itertools.chain(itertools.product(mids, repeat=1),
+                                itertools.product(mids, repeat=2)):
+        w = CyclicWord(cat, word)
+        for r in range(1, 13):
+            assert psi(cat, r, w) == class_of_word(w.repeat(r))
+        # the exponent of the group divides big - small
+        small = (big - 1) % exponent + 1
+        assert psi(cat, big, w) == class_of_word(w.repeat(small))
 
 
 def test_trace_fixed_by_psi():
