@@ -14,8 +14,9 @@ import sys
 from .digraph import (Digraph, QuivercalcError, classify_digraph,
                       make_closed_cover, standard_digraph)
 from .quiver import enumerate_paths, hom_is_finite
-from .fincat import (FinCat, check_closed_sheaf, chain_poset_category,
-                     cyclic_group_category, enumerate_reps, rep_via_exit_limit,
+from .fincat import (FinCat, Representation, check_closed_sheaf,
+                     chain_poset_category, cyclic_group_category,
+                     enumerate_reps, rep_tuples, rep_via_exit_limit,
                      symmetric_group_category, validate_fincat,
                      walking_arrow_category)
 from .cyccat import (EpiMor, cartesian_factor, compose_epi, compose_para,
@@ -24,10 +25,12 @@ from .cyccat import (EpiMor, cartesian_factor, compose_epi, compose_para,
                      lift_epi_degree1, para_phi, parse_epi, parse_para,
                      project_para_to_epi)
 from .hochschild import compute_hh, psi, trace_obj, power_endo
+# fact_homology is no longer called here; perfbench's traced run still
+# wraps it under this name
 from .emm import (CircleEndo, MObject, VertexToCircle,
-                  enumerate_directed_cycles, fact_homology, fact_map,
-                  compose_m, hom_m, make_excision_site, verify_excision,
-                  circle_object, mobject_of_digraph)
+                  enumerate_directed_cycles, fact_homology, fact_namer,
+                  fact_tuples, compose_m, hom_m, make_excision_site,
+                  verify_excision, circle_object, mobject_of_digraph)
 
 
 def _load(path: str, what: str, parse):
@@ -112,8 +115,9 @@ def cmd_paths(args) -> int:
 def cmd_reps(args) -> int:
     cat = _load_cat(args.cat)
     g = _load_graph(args.graph)
-    reps = enumerate_reps(cat, g)
-    for r in reps[:args.limit]:
+    reps = rep_tuples(cat, g)
+    for x in reps[:args.limit]:
+        r = Representation.from_indices(cat, g, x)
         vs = " ".join(f"{v}:{r.vertex_labels[v]}" for v in g.vertices)
         es = " ".join(f"{e.eid}:{r.edge_labels[e.eid]}" for e in g.edges)
         print(f"{vs} | {es}".strip(" |"))
@@ -236,8 +240,9 @@ def _describe_mmor(f) -> str:
 def cmd_fact(args) -> int:
     cat = _load_cat(args.cat)
     m = _load_mobject(args.mobject)
-    elems = fact_homology(cat, m)
-    for classes, reps in elems[:args.limit]:
+    elems = fact_tuples(cat, m)
+    name = fact_namer(cat, m)
+    for classes, reps in map(name, elems[:args.limit]):
         cbit = " ".join(c.rep for c in classes)
         rbit = " ".join("(" + " ".join(f"{e.eid}:{r.edge_labels[e.eid]}"
                                        for e in r.graph.edges) + ")"

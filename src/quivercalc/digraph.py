@@ -367,12 +367,22 @@ def classify_digraph(d: Digraph) -> DigraphShape:
 
 
 class ClosedCover:
-    """Two subgraphs covering the whole graph, with their intersection."""
+    """Two subgraphs covering the whole graph, with their intersection.
+
+    Only that the pieces are subgraphs is checked here; make_closed_cover
+    also checks that they cover.
+    """
 
     def __init__(self, ambient: Digraph, left: Digraph, right: Digraph):
         self.ambient = ambient
         self.left = left
         self.right = right
+        for piece in (left, right):
+            if not (all(ambient.has_vertex(v) for v in piece.vertices)
+                    and all(ambient.has_edge(e.eid) and ambient.edge(e.eid) == e
+                            for e in piece.edges)):
+                raise QuivercalcError("a piece of the cover is not a subgraph "
+                                      "of the graph")
         vs = [v for v in ambient.vertices
               if left.has_vertex(v) and right.has_vertex(v)]
         es = [e.eid for e in ambient.edges

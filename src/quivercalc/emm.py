@@ -25,9 +25,11 @@ from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
                       walks)
 from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
                      enumerate_quiver_mors)
-from .fincat import FinCat, Representation, enumerate_reps, pullback_rep
-from .hochschild import (CyclicWord, UnionFind, compute_hh,
-                         least_rotation_index, psi)
+# enumerate_reps and pullback_rep are no longer called here; perfbench's
+# traced run still wraps them under these names
+from .fincat import (FinCat, Representation, compile_pullback, enumerate_reps,
+                     index_program, path_steps, pullback_rep, rep_tuples)
+from .hochschild import UnionFind, compute_hh, least_rotation_index, psi
 
 
 # --- directed cycles --------------------------------------------------------
@@ -408,45 +410,114 @@ def quiv_op_mmor(q: QuiverMor) -> MMor:
 
 
 # --- factorization homology --------------------------------------------------
+#
+# Inside the library an element of an invariant is one flat tuple of
+# indices: a class index (into compute_hh(category).classes) per circle,
+# then each quiver's representation tuple (see fincat.rep_tuples).  Trace
+# classes and Representations are built only by fact_namer, for
+# fact_homology, fact_map and the command line.
+
+
+def _blocks(m: MObject) -> list[tuple[int, int]]:
+    """(start, end) of each quiver's representation tuple in an element."""
+    out, at = [], m.circles
+    for q in m.quivers:
+        out.append((at, at + len(q.vertices) + len(q.edges)))
+        at = out[-1][1]
+    return out
+
+
+def fact_tuples(category: FinCat, m: MObject) -> list[tuple]:
+    """The elements of the invariant as index tuples, in canonical order:
+    the full product of the trace classes per circle and the
+    representations per quiver."""
+    classes = compute_hh(category).classes
+    slots = [[(i,) for i in range(len(classes))]] * m.circles + \
+            [rep_tuples(category, q) for q in m.quivers]
+    if len(slots) == 1:
+        return slots[0]
+    return [tuple(itertools.chain.from_iterable(combo))
+            for combo in itertools.product(*slots)]
+
+
+def fact_namer(category: FinCat, m: MObject):
+    """Index tuple -> (trace classes, representations)."""
+    classes = compute_hh(category).classes
+    blocks = list(zip(m.quivers, _blocks(m)))
+
+    def name(x: tuple) -> tuple:
+        return (tuple(classes[i] for i in x[:m.circles]),
+                tuple(Representation.from_indices(category, q, x[a:b])
+                      for q, (a, b) in blocks))
+
+    return name
 
 
 def fact_homology(category: FinCat, m: MObject) -> list[tuple]:
     """One trace class per circle and one representation per quiver; the
     full product, enumerated in canonical order."""
-    classes = compute_hh(category).classes
-    slots = [classes] * m.circles + \
-            [enumerate_reps(category, q) for q in m.quivers]
-    out = []
-    for combo in itertools.product(*slots):
-        out.append((tuple(combo[:m.circles]), tuple(combo[m.circles:])))
-    return out
+    return list(map(fact_namer(category, m), fact_tuples(category, m)))
+
+
+def _circle_map(category: FinCat, source: MObject, part):
+    """One target circle's class index, as a function of a source element."""
+    hh = compute_hh(category)
+    index = {cls.rep: i for i, cls in enumerate(hh.classes)}
+    if isinstance(part, CircleEndo):
+        def power(x):
+            return index[psi(category, part.weight, hh.classes[x[part.circle]]).rep]
+        return power
+    start = _blocks(source)[part.quiver][0]
+    q = source.quivers[part.quiver]
+    if isinstance(part, VertexToCircle):
+        at = start + q.vertex_index(part.vertex)
+
+        def trace(x):
+            return index[hh.class_of(category.identity(category.objects[x[at]])).rep]
+        return trace
+    word = index_program(category, (), [path_steps(
+        q, Path(q, part.cycle.vertex, part.cycle.edges), start)])
+
+    def holonomy(x):
+        endo = category.morphisms[word(x)[0]].mid
+        return index[psi(category, part.weight, endo).rep]
+    return holonomy
+
+
+def _compile_mmor(category: FinCat, f: MMor):
+    """The induced map on index tuples, compiled once for category."""
+    circles = [_circle_map(category, f.source, part) for part in f.circle_parts]
+    blocks = _blocks(f.source)
+    pulls = [compile_pullback(category, part.mor, blocks[part.quiver][0])
+             for part in f.quiver_parts]
+    if not circles and len(pulls) == 1:
+        return pulls[0]
+
+    def apply(x: tuple) -> tuple:
+        out = tuple([c(x) for c in circles])
+        for pull in pulls:
+            out += pull(x)
+        return out
+
+    return apply
 
 
 def fact_map(category: FinCat, f: MMor):
     """The induced map on invariants, covariant in the object map."""
-    table = compute_hh(category)
+    run = _compile_mmor(category, f)
+    name = fact_namer(category, f.target)
+    classes = compute_hh(category).classes
 
     def apply(elem: tuple) -> tuple:
-        classes, reps = elem
-        if len(classes) != f.source.circles or len(reps) != len(f.source.quivers):
+        cls, reps = elem
+        if (len(cls) != f.source.circles or len(reps) != len(f.source.quivers)
+                or any(c not in classes for c in cls)
+                or any(r.graph != q for r, q in zip(reps, f.source.quivers))):
             raise QuivercalcError("the element does not belong to the "
                                   "source's invariant")
-        new_classes = []
-        for part in f.circle_parts:
-            if isinstance(part, CircleEndo):
-                new_classes.append(psi(category, part.weight,
-                                       classes[part.circle]))
-            elif isinstance(part, VertexToCircle):
-                label = reps[part.quiver].vertex_labels[part.vertex]
-                new_classes.append(table.class_of(category.identity(label)))
-            else:
-                rep = reps[part.quiver]
-                word = CyclicWord(category,
-                                  [rep.edge_labels[e] for e in part.cycle.edges])
-                new_classes.append(psi(category, part.weight, word))
-        new_reps = [pullback_rep(part.mor, reps[part.quiver])
-                    for part in f.quiver_parts]
-        return (tuple(new_classes), tuple(new_reps))
+        x = tuple(classes.index(c) for c in cls) + \
+            tuple(itertools.chain.from_iterable(r.indices() for r in reps))
+        return name(run(x))
 
     return apply
 
@@ -591,13 +662,14 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     The two face maps run stage 0 -> stage 1 on graphs, hence stage 1 ->
     stage 0 on invariants; gluing induces stage 0 -> glued.  The verdict is
     ok when gluing coequalizes the pair and the induced map from the
-    coequalizer is a bijection.
+    coequalizer is a bijection.  It runs on index tuples (see fact_tuples),
+    in fact_homology's order.
     """
     fa, fb = site.face_maps()
-    x0 = fact_homology(category, site.level(0))
-    x1 = fact_homology(category, site.level(1))
-    map_a = fact_map(category, quiv_op_mmor(fa))
-    map_b = fact_map(category, quiv_op_mmor(fb))
+    x0 = fact_tuples(category, site.level(0))
+    x1 = fact_tuples(category, site.level(1))
+    map_a = _compile_mmor(category, quiv_op_mmor(fa))
+    map_b = _compile_mmor(category, quiv_op_mmor(fb))
 
     index = {elem: i for i, elem in enumerate(x0)}
     uf = UnionFind(range(len(x0)))
@@ -605,8 +677,8 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
         uf.union(index[map_a(y)], index[map_b(y)])
     coeq = uf.classes()
 
-    glue = fact_map(category, site.glue_mmor())
-    direct = fact_homology(category, site.total())
+    glue = _compile_mmor(category, site.glue_mmor())
+    direct = fact_tuples(category, site.total())
     direct_index = {elem: i for i, elem in enumerate(direct)}
 
     note = ""

@@ -174,7 +174,8 @@ class IntTable:
     for an object without one.  comp[g][f]: the index of g∘f, or -1 where
     the table has no entry; every table entry is kept, composable or not,
     so validate_fincat can check the table itself.  into[x], out[x]: the
-    morphisms with target, resp. source, x, in declaration order.
+    morphisms with target, resp. source, x, in declaration order; hom[x][y]
+    those from x to y.
     """
 
     def __init__(self, c: FinCat):
@@ -189,9 +190,12 @@ class IntTable:
             self.comp[mindex[g]][mindex[f]] = mindex[h]
         self.into: list[list[int]] = [[] for _ in c.objects]
         self.out: list[list[int]] = [[] for _ in c.objects]
+        self.hom: list[list[list[int]]] = [[[] for _ in c.objects]
+                                           for _ in c.objects]
         for m in range(n):
             self.into[self.tgt[m]].append(m)
             self.out[self.src[m]].append(m)
+            self.hom[self.src[m]][self.tgt[m]].append(m)
 
 
 def validate_fincat(c: FinCat) -> None:
@@ -417,6 +421,22 @@ class Representation:
             raise QuivercalcError(
                 f"no label for vertex or edge {missing.args[0]!r}") from None
 
+    @classmethod
+    def from_indices(cls, category: FinCat, graph: Digraph,
+                     x: tuple) -> "Representation":
+        """The representation an index tuple stands for (see rep_tuples)."""
+        nv = len(graph.vertices)
+        return cls(category, graph,
+                   {v: category.objects[i] for v, i in zip(graph.vertices, x)},
+                   {e.eid: category.morphisms[m].mid
+                    for e, m in zip(graph.edges, x[nv:])})
+
+    def indices(self) -> tuple:
+        """The index tuple of this representation (see rep_tuples)."""
+        c = self.category
+        return (tuple(c._oindex[self.vertex_labels[v]] for v in self.graph.vertices)
+                + tuple(c._mindex[self.edge_labels[e.eid]] for e in self.graph.edges))
+
     def key(self) -> tuple:
         return (tuple(self.vertex_labels[v] for v in self.graph.vertices),
                 tuple(self.edge_labels[e.eid] for e in self.graph.edges))
@@ -443,18 +463,27 @@ class Representation:
         return f"Rep({vs} | {es})"
 
 
+def rep_tuples(category: FinCat, graph: Digraph) -> list[tuple]:
+    """All representations as index tuples: an object index per vertex,
+    then a morphism index per edge, in declaration order.  The list is
+    sorted, which is enumerate_reps' order, since indices follow the
+    declaration order of objects and morphisms."""
+    hom = category.int_table().hom
+    ends = [(graph.vertex_index(e.src), graph.vertex_index(e.tgt))
+            for e in graph.edges]
+    out: list[tuple] = []
+    for objs in itertools.product(range(len(category.objects)),
+                                  repeat=len(graph.vertices)):
+        options = [hom[objs[s]][objs[t]] for s, t in ends]
+        out.extend(objs + choice for choice in itertools.product(*options))
+    return out
+
+
 def enumerate_reps(category: FinCat, graph: Digraph) -> list[Representation]:
     """All representations, lexicographic in (vertex labels, edge labels)
     with objects and morphisms taken in declaration order."""
-    reps = []
-    vs = graph.vertices
-    for assignment in itertools.product(category.objects, repeat=len(vs)):
-        vlab = dict(zip(vs, assignment))
-        options = [category.hom(vlab[e.src], vlab[e.tgt]) for e in graph.edges]
-        for choice in itertools.product(*options):
-            elab = {e.eid: mid for e, mid in zip(graph.edges, choice)}
-            reps.append(Representation(category, graph, vlab, elab))
-    return reps
+    return [Representation.from_indices(category, graph, x)
+            for x in rep_tuples(category, graph)]
 
 
 def limit_sections(shape: FinCat, carriers: dict, actions: dict) -> list[dict]:
@@ -526,14 +555,67 @@ def rep_via_exit_limit(category: FinCat, graph: Digraph) -> list[Representation]
     return out
 
 
+def path_steps(graph: Digraph, path, offset: int) -> tuple:
+    """A path of graph as an index_program step: the position of its start
+    vertex and of each of its edges in graph's index tuple, which starts at
+    `offset` of the program's argument."""
+    nv = len(graph.vertices)
+    return (offset + graph.vertex_index(path.start),
+            [offset + nv + graph.edge_index(eid) for eid in path.edges])
+
+
+def index_program(category: FinCat, vertex_pos, edge_steps) -> Callable:
+    """A map of index tuples, compiled once: x goes to the tuple of x[p] for
+    p in vertex_pos, followed, for each step (start, positions) in
+    edge_steps, by the composite of the morphisms x[p] for p in positions,
+    starting from the identity at the object x[start].
+
+    The category must pass validate_fincat.  A missing identity or
+    composite raises MissingIdentity or BadComposite, as FinCat.identity
+    and FinCat.comp do, so a -1 of the compiled table is never used as an
+    index.
+    """
+    t = category.int_table()
+    comp, ident = t.comp, t.identity
+
+    def run(x: tuple) -> tuple:
+        out = [x[p] for p in vertex_pos]
+        for start, positions in edge_steps:
+            m = ident[x[start]]
+            if m < 0:
+                raise MissingIdentity(
+                    f"object {category.objects[x[start]]!r} has no identity")
+            for p in positions:
+                g = x[p]
+                h = comp[g][m]
+                if h < 0:
+                    raise BadComposite(
+                        f"composite of {category.morphisms[g].mid!r} after "
+                        f"{category.morphisms[m].mid!r} missing from table")
+                m = h
+            out.append(m)
+        return tuple(out)
+
+    return run
+
+
+def compile_pullback(category: FinCat, qmor, offset: int) -> Callable:
+    """pullback_rep along qmor on index tuples: it reads the target graph's
+    tuple from position `offset` of its argument and returns the source
+    graph's tuple."""
+    tgt = qmor.target
+    return index_program(
+        category,
+        [offset + tgt.vertex_index(qmor.vertex_map[v]) for v in qmor.source.vertices],
+        [path_steps(tgt, qmor.edge_paths[e.eid], offset) for e in qmor.source.edges])
+
+
 def compose_along_path(rep: Representation, path) -> str:
     """The composite morphism a representation assigns to an edge path
     (identity at the starting vertex's label for the empty path)."""
     c = rep.category
-    out = c.identity(rep.vertex_labels[path.start])
-    for eid in path.edges:
-        out = c.comp(rep.edge_labels[eid], out)
-    return out
+    run = index_program(c, (), [path_steps(rep.graph, path, 0)])
+    return c.morphisms[run(rep.indices())[0]].mid
 
 
 def pullback_rep(qmor, rep: Representation) -> Representation:
@@ -544,11 +626,9 @@ def pullback_rep(qmor, rep: Representation) -> Representation:
     """
     if rep.graph != qmor.target:
         raise QuivercalcError("representation lives on a different graph")
-    vlab = {v: rep.vertex_labels[qmor.vertex_map[v]]
-            for v in qmor.source.vertices}
-    elab = {e.eid: compose_along_path(rep, qmor.edge_paths[e.eid])
-            for e in qmor.source.edges}
-    return Representation(rep.category, qmor.source, vlab, elab)
+    pull = compile_pullback(rep.category, qmor, 0)
+    return Representation.from_indices(rep.category, qmor.source,
+                                       pull(rep.indices()))
 
 
 # --- the closed-sheaf condition -------------------------------------------
@@ -565,35 +645,55 @@ class SheafVerdict:
     witness: str | None = None
 
 
+def _restriction(graph: Digraph, sub: Digraph) -> Callable:
+    """Restriction of index tuples from a graph to a subgraph."""
+    nv = len(graph.vertices)
+    positions = ([graph.vertex_index(v) for v in sub.vertices]
+                 + [nv + graph.edge_index(e.eid) for e in sub.edges])
+    return lambda x: tuple([x[p] for p in positions])
+
+
 def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:
     """Check that restriction identifies Rep(whole) with the fiber product
-    of Rep(left) and Rep(right) over Rep(intersection)."""
-    whole = enumerate_reps(category, cover.ambient)
-    left = enumerate_reps(category, cover.left)
-    right = enumerate_reps(category, cover.right)
-    inter = enumerate_reps(category, cover.intersection)
+    of Rep(left) and Rep(right) over Rep(intersection).
 
-    fiber = set()
-    for a in left:
-        for b in right:
-            if a.restrict(cover.intersection) == b.restrict(cover.intersection):
-                fiber.add((a.key(), b.key()))
+    The fiber product is a hash join of Rep(left) with Rep(right) on the
+    restriction to the intersection.  Restrictions of one representation
+    always agree there, so the image lies in the fiber product, and the two
+    are equal exactly when they have the same size.
+    """
+    whole = rep_tuples(category, cover.ambient)
+    left = rep_tuples(category, cover.left)
+    right = rep_tuples(category, cover.right)
+    inter = rep_tuples(category, cover.intersection)
 
-    image = set()
-    witness = None
-    for r in whole:
-        pair = (r.restrict(cover.left).key(), r.restrict(cover.right).key())
+    left_key = _restriction(cover.left, cover.intersection)
+    right_key = _restriction(cover.right, cover.intersection)
+    by_key: dict[tuple, list[tuple]] = {}
+    for b in right:
+        by_key.setdefault(right_key(b), []).append(b)
+    fiber = sum(len(by_key.get(left_key(a), ())) for a in left)
+
+    to_left = _restriction(cover.ambient, cover.left)
+    to_right = _restriction(cover.ambient, cover.right)
+    image: set[tuple] = set()
+    repeated = None
+    for x in whole:
+        pair = (to_left(x), to_right(x))
         if pair in image:
-            witness = f"restriction not injective at {r!r}"
+            repeated = x
         image.add(pair)
 
-    ok = witness is None and image == fiber
-    if not ok and witness is None:
-        extra = fiber - image
-        missing = image - fiber
-        if extra:
-            witness = f"unglued compatible pair: {sorted(extra)[0]}"
-        else:
-            witness = f"image escapes the fiber product: {sorted(missing)[0]}"
-    return SheafVerdict(ok, len(whole), len(left), len(right), len(inter),
-                        len(fiber), witness)
+    witness = None
+    if repeated is not None:
+        r = Representation.from_indices(category, cover.ambient, repeated)
+        witness = f"restriction not injective at {r!r}"
+    elif len(image) != fiber:
+        def key(graph, x):
+            return Representation.from_indices(category, graph, x).key()
+        unglued = min((key(cover.left, a), key(cover.right, b))
+                      for a in left for b in by_key.get(left_key(a), ())
+                      if (a, b) not in image)
+        witness = f"unglued compatible pair: {unglued}"
+    return SheafVerdict(witness is None, len(whole), len(left), len(right),
+                        len(inter), fiber, witness)

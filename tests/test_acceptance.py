@@ -2,7 +2,8 @@
 
 Every check pits the implementation against an independently computed
 quantity: adjacency-matrix power sums, a pruned-limit enumeration, brute
-conjugacy orbits, the Mobius necklace formula, or a from-scratch coequalizer.
+conjugacy orbits, the Mobius necklace formula, or the cut-and-glue stage
+sizes counted as H-colourings with numpy.
 """
 import itertools
 import math
@@ -277,6 +278,32 @@ def test_circle_hom_counts_match_primitive_necklaces():
 # 9 ---------------------------------------------------------------------------
 
 
+def hom_size_matrix(cat):
+    """H[x, y] = |hom(x, y)|."""
+    idx = {x: i for i, x in enumerate(cat.objects)}
+    h = np.zeros((len(idx), len(idx)), dtype=object)
+    for m in cat.morphisms:
+        h[idx[m.src], idx[m.tgt]] += 1
+    return h
+
+
+def h_colourings(g, n, weight):
+    """Sum over the maps c: vertices -> range(n) of the product over edges
+    e of weight(e)[c(src e), c(tgt e)]."""
+    vi = {v: i for i, v in enumerate(g.vertices)}
+    total = 0
+    for c in itertools.product(range(n), repeat=len(g.vertices)):
+        term = 1
+        for e in g.edges:
+            term *= weight(e.eid)[c[vi[e.src]], c[vi[e.tgt]]]
+        total += term
+    return total
+
+
+# trace classes: one per conjugacy class of a group, one per object of a poset
+CLASS_COUNTS = {"arrow": 2, "z2": 2, "z3": 3, "z4": 4, "chain3": 3, "s3": 3}
+
+
 def test_cut_and_glue_coequalizer_matches_direct_invariant():
     cats = {
         "arrow": walking_arrow_category(),
@@ -301,12 +328,24 @@ def test_cut_and_glue_coequalizer_matches_direct_invariant():
         (branched, ["e"]),
         (branched, ["e", "f"]),
     ]
-    for cat in cats.values():
+    for name, cat in cats.items():
+        h = hom_size_matrix(cat)
+        n = len(cat.objects)
+        # stage p subdivides each cut edge into a chain of p + 2 edges
+        h2, h3 = h @ h, h @ h @ h
         for g, cuts in graph_sites:
             v = verify_excision(cat, make_excision_site(g, cuts))
-            assert v.ok, (cat.objects, g.vertices, cuts, v.note)
+            assert v.ok, (name, g.vertices, cuts, v.note)
+            glued = h_colourings(g, n, lambda e: h)
+            assert (v.stage0, v.stage1, v.coequalizer, v.direct) == (
+                h_colourings(g, n, lambda e: h2 if e in cuts else h),
+                h_colourings(g, n, lambda e: h3 if e in cuts else h),
+                glued, glued), (name, g.vertices, cuts)
         v = verify_excision(cat, make_excision_site("circle"))
-        assert v.ok, (cat.objects, "circle", v.note)
+        assert v.ok, (name, "circle", v.note)
+        # stage p is the directed (p + 1)-cycle
+        assert (v.stage0, v.stage1, v.coequalizer, v.direct) == (
+            np.trace(h), np.trace(h2), CLASS_COUNTS[name], CLASS_COUNTS[name])
 
     # the three worked fixtures with their exact stage sizes
     v = verify_excision(cats["arrow"],

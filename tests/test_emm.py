@@ -8,18 +8,23 @@ import sympy
 
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
                                 standard_digraph)
-from quivercalc.fincat import (chain_poset_category, cyclic_group_category,
-                               enumerate_reps, symmetric_group_category,
+from quivercalc.fincat import (BadComposite, chain_poset_category,
+                               cyclic_group_category, enumerate_reps,
+                               symmetric_group_category,
                                walking_arrow_category)
 from quivercalc.hochschild import compute_hh, psi, trace_obj
 from quivercalc.quiver import Path, QuiverMor, compose_quiver_mor, components
-from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle, MMor,
-                            MObject, QuivPart, VertexToCircle, circle_object,
+from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
+                            ExcisionSite, MMor, MObject, QuivPart,
+                            VertexToCircle, circle_object,
                             compose_m, cycle_length_bound,
                             enumerate_directed_cycles,
                             fact_homology, fact_map, hom_m, identity_m,
                             make_excision_site, mobject_of_digraph,
                             primitive_period, quiv_op_mmor, verify_excision)
+
+import string_oracle as oracle
+from test_fincat import without_composite
 
 
 def necklace_count(k, n):
@@ -420,6 +425,42 @@ def test_fact_map_functorial_seeded():
         done += 1
 
 
+def test_fact_map_matches_the_string_oracle():
+    rng = random.Random(3)
+    objs = [mobject_of_digraph(standard_digraph("point")),
+            mobject_of_digraph(standard_digraph("interval")),
+            mobject_of_digraph(standard_digraph("cyclic", 2)),
+            circle_object(),
+            MObject(1, (standard_digraph("interval"),)),
+            MObject(1, (standard_digraph("cyclic", 2),
+                        standard_digraph("bouquet", 1)))]
+    homs = random_mmor_pool(rng, objs, dict(max_len=2, max_weight=2,
+                                            path_cap=2))
+    for cat in (symmetric_group_category(3), chain_poset_category(3)):
+        facts = {i: fact_homology(cat, m) for i, m in enumerate(objs)}
+        for i, m in enumerate(objs):
+            assert facts[i] == oracle.fact_homology(cat, m)
+        done = 0
+        while done < 300:
+            a, b = rng.randrange(len(objs)), rng.randrange(len(objs))
+            if not homs[a, b] or not facts[a]:
+                continue
+            f = rng.choice(homs[a, b])
+            x = rng.choice(facts[a])
+            assert fact_map(cat, f)(x) == oracle.fact_map(cat, f)(x)
+            done += 1
+
+
+def test_fact_map_rejects_foreign_elements():
+    z2 = cyclic_group_category(2)
+    m = mobject_of_digraph(standard_digraph("interval"))
+    push = fact_map(z2, identity_m(m))
+    (elem,) = fact_homology(z2, mobject_of_digraph(standard_digraph("point")))[:1]
+    for bad in [((), ()), elem, (fact_homology(z2, circle_object())[0][0], ())]:
+        with pytest.raises(QuivercalcError, match="does not belong"):
+            push(bad)
+
+
 # --- excision -------------------------------------------------------------------
 
 
@@ -481,3 +522,85 @@ def test_excision_on_assorted_sites():
 def test_make_excision_site_validates():
     with pytest.raises(QuivercalcError):
         make_excision_site(standard_digraph("interval"), ["nope"])
+
+
+# Sites with one piece replaced, one per note of a failed verdict.
+
+
+class SameFaces(ExcisionSite):
+    """Both faces are the first: the coequalizer identifies nothing."""
+
+    def face_maps(self):
+        a, _ = super().face_maps()
+        return a, a
+
+
+class SquaringFace(ExcisionSite):
+    """The second face runs twice around the two-joint circle."""
+
+    def face_maps(self):
+        a, _ = super().face_maps()
+        g0, g1 = self.level_graph(0), self.level_graph(1)
+        twice = Path(g1, "0", ("e0", "e1", "e0", "e1"))
+        return a, QuiverMor(g0, g1, {"0": "0"}, {"e0": twice})
+
+
+class TwoCircles(ExcisionSite):
+    """The glued object is two circles; gluing still lands in one."""
+
+    def total(self):
+        return circle_object(2)
+
+
+class DiagonalGlue(TwoCircles):
+    """Gluing onto the diagonal of two circles."""
+
+    def glue_mmor(self):
+        g = super().glue_mmor()
+        part = g.circle_parts[0]
+        return MMor(g.source, circle_object(2), (part, part), ())
+
+
+@pytest.mark.parametrize("site_cls, cat, sizes, note", [
+    (TwoCircles, cyclic_group_category(3), (3, 9, 3, 9),
+     "gluing left the invariant of the glued object"),
+    (SquaringFace, cyclic_group_category(3), (3, 9, 2, 3),
+     "gluing does not coequalize the two stage maps"),
+    (SameFaces, symmetric_group_category(3), (6, 36, 6, 3),
+     "induced map from the coequalizer is not injective"),
+    (DiagonalGlue, symmetric_group_category(3), (6, 36, 3, 9),
+     "induced map from the coequalizer is not surjective"),
+], ids=["left", "coequalize", "injective", "surjective"])
+def test_excision_failure_notes(site_cls, cat, sizes, note):
+    site = site_cls("circle", None, ())
+    v = verify_excision(cat, site)
+    assert not v.ok and v.note == note
+    assert (v.stage0, v.stage1, v.coequalizer, v.direct) == sizes
+    assert v == oracle.verify_excision(cat, site)
+
+
+def test_excision_verdicts_match_the_string_oracle():
+    sites = [make_excision_site(standard_digraph("linear", 2), ["e0"]),
+             make_excision_site(standard_digraph("cyclic", 2), ["e0", "e1"]),
+             make_excision_site(disjoint_union([standard_digraph("interval"),
+                                                standard_digraph("cyclic", 1)]),
+                                ["0.e0", "1.e0"]),
+             make_excision_site("circle")]
+    for cat in (walking_arrow_category(), cyclic_group_category(3),
+                chain_poset_category(3)):
+        for site in sites:
+            assert verify_excision(cat, site) == oracle.verify_excision(cat, site)
+
+
+def test_missing_composite_raises_in_excision_and_fact_map():
+    broken = without_composite(walking_arrow_category(), "le:1:1", "le:0:1")
+    site = make_excision_site(standard_digraph("interval"), ["e0"])
+    face = quiv_op_mmor(site.face_maps()[0])
+    stage1 = fact_homology(broken, site.level(1))
+    for impl in (verify_excision, oracle.verify_excision):
+        with pytest.raises(BadComposite):
+            impl(broken, site)
+    for push in (fact_map, oracle.fact_map):
+        with pytest.raises(BadComposite):
+            for x in stage1:
+                push(broken, face)(x)

@@ -1,23 +1,28 @@
 import ast
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
-                                exit_path, make_closed_cover,
+from quivercalc.digraph import (ClosedCover, Digraph, QuivercalcError,
+                                disjoint_union, exit_path, make_closed_cover,
                                 standard_digraph)
+from quivercalc.emm import make_excision_site
 from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
                                MissingIdentity, NotAssociative, Representation,
                                chain_poset_category, check_closed_sheaf,
-                               compose_along_path, cyclic_group_category,
-                               enumerate_reps, limit_sections,
-                               monoid_category, poset_category, pullback_rep,
-                               rep_via_exit_limit, symmetric_group_category,
-                               validate_fincat, walking_arrow_category,
-                               _generators)
-from quivercalc.quiver import Path, QuiverMor
+                               compile_pullback, compose_along_path,
+                               cyclic_group_category, enumerate_reps,
+                               limit_sections, monoid_category, poset_category,
+                               pullback_rep, rep_tuples, rep_via_exit_limit,
+                               symmetric_group_category, validate_fincat,
+                               walking_arrow_category, _generators)
+from quivercalc.quiver import Path, QuiverMor, enumerate_quiver_mors
+
+import string_oracle as oracle
+from test_hochschild import shuffled
 
 FIXTURE_CATS = [
     walking_arrow_category(),
@@ -531,3 +536,159 @@ def test_exit_path_limit_matches_on_exotic_graph():
     for cat in FIXTURE_CATS:
         assert [r.key() for r in enumerate_reps(cat, g)] == \
             [r.key() for r in rep_via_exit_limit(cat, g)]
+
+
+def test_cover_pieces_must_be_subgraphs():
+    g = standard_digraph("interval")
+    flipped = Digraph(["0", "1"], [("e0", "1", "0")])
+    for left, right in [(flipped, g), (g, standard_digraph("linear", 2))]:
+        with pytest.raises(QuivercalcError, match="not a subgraph"):
+            ClosedCover(g, left, right)
+
+
+# The witnesses of a failed gluing, on covers whose pieces do not cover.  A
+# third witness of the string code, "image escapes the fiber product", needs
+# a restriction pair that disagrees on the intersection, which restrictions
+# of one representation to two subgraphs never do.
+
+
+def test_sheaf_witness_restriction_not_injective():
+    g = standard_digraph("interval")
+    cover = ClosedCover(g, g.subgraph(["0", "1"], []), g.subgraph(["0"], []))
+    c2 = cyclic_group_category(2)
+    v = check_closed_sheaf(c2, cover)
+    assert not v.ok
+    assert v.witness == "restriction not injective at Rep(0=*, 1=* | e0=g1)"
+    assert v == oracle.check_closed_sheaf(c2, cover)
+
+
+def test_sheaf_witness_unglued_compatible_pair():
+    g = standard_digraph("interval")
+    cover = ClosedCover(g, g.subgraph(["0"], []), g.subgraph(["1"], []))
+    arrow = walking_arrow_category()
+    v = check_closed_sheaf(arrow, cover)
+    assert (v.ok, v.total, v.left, v.right, v.fiber_product) == (False, 3, 2, 2, 4)
+    assert v.witness == "unglued compatible pair: ((('1',), ()), (('0',), ()))"
+    assert v == oracle.check_closed_sheaf(arrow, cover)
+
+
+def test_sheaf_verdicts_match_the_string_oracle_on_partial_covers():
+    rng = random.Random(5)
+    cats = FIXTURE_CATS[:3] + [chain_poset_category(3), shuffled(FIXTURE_CATS[0], 1)]
+
+    def piece(g):
+        es = [e for e in g.edges if rng.random() < 0.5]
+        vs = {v for e in es for v in (e.src, e.tgt)} | \
+            {v for v in g.vertices if rng.random() < 0.5}
+        return g.subgraph(sorted(vs), [e.eid for e in es])
+
+    witnesses = set()
+    for _ in range(300):
+        g = rng.choice(COVER_GRAPHS[:6])
+        cat = rng.choice(cats)
+        cover = ClosedCover(g, piece(g), piece(g))
+        v = check_closed_sheaf(cat, cover)
+        assert v == oracle.check_closed_sheaf(cat, cover)
+        if not v.ok:
+            witnesses.add(v.witness.split(" at ")[0].split(":")[0])
+    assert witnesses == {"restriction not injective", "unglued compatible pair"}
+
+
+# --- representations as index tuples ----------------------------------------
+
+TUPLE_GRAPHS = [
+    standard_digraph("point"),
+    standard_digraph("linear", 2),
+    standard_digraph("cyclic", 2),
+    standard_digraph("bouquet", 2),
+    Digraph(["a", "b"], [("e", "a", "b"), ("f", "b", "a"), ("l", "a", "a")]),
+    Digraph([], []),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rep_tuples_are_sorted_in_enumerate_reps_order(seed):
+    for base in FIXTURE_CATS:
+        cat = shuffled(base, seed) if seed else base
+        for g in TUPLE_GRAPHS:
+            xs = rep_tuples(cat, g)
+            assert xs == sorted(xs)
+            assert [Representation.from_indices(cat, g, x).key() for x in xs] == \
+                [r.key() for r in rep_via_exit_limit(cat, g)]
+            assert [r.indices() for r in enumerate_reps(cat, g)] == xs
+
+
+def _pullback_pool():
+    graphs = [standard_digraph("point"), standard_digraph("interval"),
+              standard_digraph("linear", 2), standard_digraph("cyclic", 2),
+              standard_digraph("bouquet", 1), standard_digraph("bouquet", 2)]
+    pool = []
+    for a in graphs:
+        for b in graphs:
+            pool.extend(enumerate_quiver_mors(a, b, 2)[0])
+    branched = Digraph(["a", "b", "c"], [("e", "a", "b"), ("f", "a", "c")])
+    for g, cuts in [(standard_digraph("cyclic", 2), ["e0"]),
+                    (standard_digraph("bouquet", 2), ["e0", "e1"]),
+                    (branched, ["e"])]:
+        site = make_excision_site(g, cuts)
+        pool.extend(site.face_maps())
+        pool.extend([site.refinement(0), site.refinement(1)])
+    pool.extend(make_excision_site("circle").face_maps())
+    return pool
+
+
+PULLBACK_POOL = _pullback_pool()
+PULLBACK_CATS = [shuffled(c, seed) if seed else c
+                 for c in (walking_arrow_category(), cyclic_group_category(3),
+                           symmetric_group_category(3), chain_poset_category(3))
+                 for seed in range(3)]
+_TARGET_REPS: dict = {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cat=st.sampled_from(PULLBACK_CATS), mor=st.sampled_from(PULLBACK_POOL),
+       pick=st.integers(0, 10**9), offset=st.integers(0, 3))
+def test_compiled_pullback_matches_the_string_oracle(cat, mor, pick, offset):
+    key = (id(cat), mor.target)
+    if key not in _TARGET_REPS:
+        _TARGET_REPS[key] = rep_tuples(cat, mor.target)
+    xs = _TARGET_REPS[key]
+    if not xs:
+        return
+    rep = Representation.from_indices(cat, mor.target, xs[pick % len(xs)])
+    want = oracle.pullback_rep(mor, rep)
+    assert pullback_rep(mor, rep) == want
+    padded = (len(cat.objects),) * offset + rep.indices()
+    assert compile_pullback(cat, mor, offset)(padded) == want.indices()
+    for e in mor.source.edges:
+        path = mor.edge_paths[e.eid]
+        assert compose_along_path(rep, path) == oracle.compose_along_path(rep, path)
+
+
+def without_composite(cat, g, f):
+    """cat with the table entry for g∘f deleted (so it fails validation)."""
+    table = dict(cat.table)
+    del table[(g, f)]
+    return FinCat(cat.objects, cat.morphisms, cat.identities, table)
+
+
+def test_missing_composite_raises_and_is_never_indexed():
+    broken = without_composite(walking_arrow_category(), "le:1:1", "le:0:1")
+    b, g = standard_digraph("linear", 2), standard_digraph("interval")
+    f = QuiverMor(g, b, {"0": "0", "1": "2"}, {"e0": Path(b, "0", ("e0", "e1"))})
+    rep = Representation(broken, b, {"0": "0", "1": "1", "2": "1"},
+                         {"e0": "le:0:1", "e1": "le:1:1"})
+    for pull in (pullback_rep, oracle.pullback_rep):
+        with pytest.raises(BadComposite, match="'le:1:1' after 'le:0:1'"):
+            pull(f, rep)
+    with pytest.raises(BadComposite):
+        compose_along_path(rep, Path(b, "0", ("e0", "e1")))
+    # an identity missing from the table: collapsing an edge needs it
+    no_id = FinCat(["0", "1"], [("i0", "0", "0"), ("a", "0", "1")],
+                   {"0": "i0"}, {("i0", "i0"): "i0", ("a", "i0"): "a"})
+    pt = standard_digraph("point")
+    collapse = QuiverMor(g, pt, {"0": "0", "1": "0"}, {"e0": Path.empty(pt, "0")})
+    rep = Representation(no_id, pt, {"0": "1"}, {})
+    for pull in (pullback_rep, oracle.pullback_rep):
+        with pytest.raises(MissingIdentity, match="object '1' has no identity"):
+            pull(collapse, rep)
