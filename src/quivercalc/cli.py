@@ -7,6 +7,7 @@ command line, ends as one line "error: <message>" on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -505,7 +506,10 @@ def _count(least: int):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parse_args leaves it unchanged, so main reuses it."""
     ap = _Parser(
         prog="quivercalc",
         description="quiver representations, cyclic morphism arithmetic, "

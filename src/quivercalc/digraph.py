@@ -120,10 +120,11 @@ class Digraph:
         return self._eindex[eid]
 
     def subgraph(self, vertices: Iterable[str], edge_ids: Iterable[str]) -> "Digraph":
-        vset = set(vertices)
-        for x in vset:
+        vertices, edge_ids = list(vertices), list(edge_ids)
+        for x in vertices:
             if x not in self._vset:
                 raise UnknownVertex(f"unknown vertex {x!r}")
+        vset = set(vertices)
         vs = [v for v in self.vertices if v in vset]
         eids = set(edge_ids)
         es = []
@@ -135,9 +136,9 @@ class Digraph:
                         "outside the chosen vertex set"
                     )
                 es.append(e)
-        missing = eids - set(e.eid for e in es)
-        if missing:
-            raise UnknownEdge(f"unknown edge {sorted(missing)[0]!r}")
+        for x in edge_ids:
+            if x not in self._by_id:
+                raise UnknownEdge(f"unknown edge {x!r}")
         return Digraph(vs, es)
 
     def __eq__(self, other):
@@ -319,15 +320,18 @@ def has_directed_cycle(d: Digraph) -> bool:
             or any(len(c) > 1 for c in strong_components(d)))
 
 
-def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
+def walks(d: Digraph, start: str, end: str, max_len: int,
+          out: Callable[[str], Iterable[Edge]] | None = None) -> Iterator[tuple]:
     """Every walk start -> end with at most max_len edges, as a tuple of edge
-    ids, depth first with edges in declaration order."""
+    ids, depth first with edges in declaration order.  out(v) lists the
+    edges a walk may take out of v; by default all of them."""
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
+    out = out or d._out.__getitem__
     if start == end:
         yield ()
     walk: list[str] = []
-    stack = [iter(d._out[start])] if max_len else []
+    stack = [iter(out(start))] if max_len else []
     while stack:
         e = next(stack[-1], None)
         if e is None:
@@ -339,9 +343,35 @@ def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
         if e.tgt == end:
             yield tuple(walk)
         if len(walk) < max_len:
-            stack.append(iter(d._out[e.tgt]))
+            stack.append(iter(out(e.tgt)))
         else:
             walk.pop()
+
+
+def least_edge_walks(d: Digraph, max_len: int) -> Iterator[tuple]:
+    """Every closed walk with 1..max_len edges whose first edge has the least
+    index among its edges, grouped by first edge in declaration order.
+
+    After a first edge e the search takes only edges of index >= index(e),
+    and only into vertices that can still reach e's source over such edges,
+    so it never extends a walk that cannot close up (the pruning of Johnson,
+    "Finding all the elementary circuits of a directed graph", SIAM J.
+    Comput. 4 (1975), applied to closed walks).
+    """
+    if max_len < 0:
+        raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
+    if not max_len:
+        return
+    index = d._eindex
+    for i, first in enumerate(d.edges):
+        back = reachable(first.src, lambda v: [e.src for e in d._in[v]
+                                               if index[e.eid] >= i])
+        if first.tgt not in back:
+            continue
+        out = {v: [e for e in d._out[v] if index[e.eid] >= i and e.tgt in back]
+               for v in back}
+        for walk in walks(d, first.tgt, first.src, max_len - 1, out.__getitem__):
+            yield (first.eid,) + walk
 
 
 def classify_digraph(d: Digraph) -> DigraphShape:

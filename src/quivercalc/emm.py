@@ -21,8 +21,8 @@ import itertools
 from dataclasses import dataclass
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
-                      classify_digraph, standard_digraph, strong_components,
-                      walks)
+                      classify_digraph, least_edge_walks, standard_digraph,
+                      strong_components)
 from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
                      enumerate_quiver_mors)
 # enumerate_reps and pullback_rep are no longer called here; perfbench's
@@ -107,18 +107,13 @@ def enumerate_directed_cycles(graph: Digraph, max_len: int) -> list[DirectedCycl
     """Constant cycles at every vertex, then primitive closed walks up to
     rotation of length <= max_len, ordered by (length, edge indices)."""
     out = [DirectedCycle.constant(graph, v) for v in graph.vertices]
-    seen: set[tuple] = set()
     cycles: list[DirectedCycle] = []
-    for v in graph.vertices:
-        for walk in walks(graph, v, v, max_len):
-            # the least rotation starts with the least edge, so only the
-            # walks that do are candidates
-            if (walk and min(walk, key=graph.edge_index) == walk[0]
-                    and primitive_period(walk) == len(walk)):
-                z = DirectedCycle.walk(graph, walk)
-                if z.edges not in seen:
-                    seen.add(z.edges)
-                    cycles.append(z)
+    # the least rotation of a primitive walk is unique and starts with its
+    # least edge, so each cycle is kept once, from its least rotation
+    for walk in least_edge_walks(graph, max_len):
+        if (primitive_period(walk) == len(walk)
+                and least_rotation_index([graph.edge_index(e) for e in walk]) == 0):
+            cycles.append(DirectedCycle.walk(graph, walk))
     cycles.sort(key=lambda z: (z.length,
                                tuple(graph.edge_index(e) for e in z.edges)))
     return out + cycles

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -220,6 +221,74 @@ def test_console_script_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "classes: 2" in out.stdout
+
+
+def test_subgraph_error_does_not_depend_on_string_hashing():
+    # 'a' and 'b' are both unknown: the first one given is the one named
+    argv = ["sheaf", "--cat", str(FIXTURES / "arrow.json"),
+            "--graph", str(FIXTURES / "triangle.json"),
+            "--left", "a,b;e", "--right", "b;"]
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-m", "quivercalc", *argv],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+        assert (out.returncode, out.stderr) == (2, "error: unknown vertex 'a'\n")
+
+
+# --- one parser for every call of main in a process --------------------------
+
+BOUQUET2 = str(FIXTURES / "bouquet2.json")
+REUSE_SEQUENCE = [
+    ["para", "2 3 : 0 2", "--r", "3"],
+    ["para", "2 3 : 0 2"],                       # without --r: no inflation line
+    ["epi", "2 2 : 0 1 | 1 1", "2 2 : 0 1 | 1 1"],
+    ["epi", "2 2 : 0 1 | 1 1"],                  # one morphism: no composite
+    ["cycles", "--graph", BOUQUET2, "--max-len", "-1"],
+    ["nonsense"],
+    ["hh", "--cat", str(FIXTURES / "missing.json")],
+    ["cycles", "--graph", BOUQUET2, "--max-len", "2"],
+]
+RUN_SEQUENCE = """\
+import contextlib, io, json, sys
+from quivercalc.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_process_results():
+    """Each argv of REUSE_SEQUENCE run in its own python -m quivercalc."""
+    results = []
+    for argv in REUSE_SEQUENCE:
+        out = subprocess.run([sys.executable, "-m", "quivercalc", *argv],
+                             capture_output=True, text=True)
+        results.append([out.returncode, out.stdout, out.stderr])
+    return results
+
+
+def test_reused_parser_leaks_nothing_between_calls(fresh_process_results):
+    assert "inflation by 3" in fresh_process_results[0][1]
+    assert "inflation" not in fresh_process_results[1][1]
+    assert [r[0] for r in fresh_process_results] == [0, 0, 0, 0, 2, 2, 2, 0]
+    for argv, want in zip(REUSE_SEQUENCE, fresh_process_results):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert [code, out.getvalue(), err.getvalue()] == want, argv
+
+
+def test_reused_parser_leaks_nothing_between_calls_under_O(fresh_process_results):
+    out = subprocess.run([sys.executable, "-O", "-c", RUN_SEQUENCE,
+                          json.dumps(REUSE_SEQUENCE)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == fresh_process_results
 
 
 # --- the error contract: bad input is exit 2 with one line on stderr ---------

@@ -100,6 +100,14 @@ def test_subgraph_checks_endpoints():
         g.subgraph(["0"], ["e0"])  # e0 ends outside
 
 
+def test_subgraph_names_the_first_unknown_name_given():
+    g = standard_digraph("linear", 2)
+    with pytest.raises(QuivercalcError, match="unknown vertex 'b'"):
+        g.subgraph(["0", "b", "a"], [])
+    with pytest.raises(QuivercalcError, match="unknown edge 'zz'"):
+        g.subgraph(["0", "1"], ["e0", "zz", "aa"])
+
+
 def test_json_round_trip_fixture_bytes():
     import tests.conftest as c
     raw = (c.FIXTURES / "triangle.json").read_text()

@@ -23,7 +23,9 @@ from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
                             make_excision_site, mobject_of_digraph,
                             primitive_period, quiv_op_mmor, verify_excision)
 
+import cycle_oracle
 import string_oracle as oracle
+from tests.conftest import FIXTURES
 from test_fincat import without_composite
 
 
@@ -85,8 +87,40 @@ def test_enumerate_cycles_counts_necklaces(k):
             assert by_len.get(n, 0) == necklace_count(k, n), (k, n)
 
 
+def random_digraph(rng, n_vertices, n_edges):
+    vs = [f"v{i}" for i in range(n_vertices)]
+    return Digraph(vs, [(f"e{i}", rng.choice(vs), rng.choice(vs))
+                        for i in range(n_edges)])
+
+
+def oracle_graphs():
+    """(graph, max_len) cases for the cycle oracle, with their names."""
+    cases = [(f"bouquet({k})", standard_digraph("bouquet", k), 7) for k in (1, 2, 3)]
+    cases += [(f"cyclic({n})", standard_digraph("cyclic", n), 9) for n in (1, 2, 3, 5)]
+    cases.append(("linear(4)", standard_digraph("linear", 4), 6))
+    for name in ("bouquet2", "interval", "linear2", "triangle"):
+        g = Digraph.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+        cases.append((name, g, 6))
+    cases.append(("two cycles with loops",
+                  Digraph(["a", "b", "c"], [("l", "a", "a"), ("x", "a", "b"),
+                                            ("y", "b", "a"), ("z", "b", "c"),
+                                            ("w", "c", "b"), ("m", "c", "c")]), 6))
+    rng = random.Random(7)
+    for i in range(12):
+        n = rng.randint(1, 5)
+        cases.append((f"random{i}", random_digraph(rng, n, rng.randint(n, 2 * n + 1)), 6))
+    return [pytest.param(g, max_len, id=name) for name, g, max_len in cases]
+
+
+@pytest.mark.parametrize("g,max_len", oracle_graphs())
+def test_cycles_match_the_exhaustive_oracle(g, max_len):
+    for n in range(max_len + 1):
+        assert (enumerate_directed_cycles(g, n)
+                == cycle_oracle.enumerate_directed_cycles(g, n)), n
+
+
 def test_cycles_longer_than_the_recursion_limit():
-    n = sys.getrecursionlimit() + 100
+    n = max(3000, sys.getrecursionlimit() + 100)
     zs = enumerate_directed_cycles(standard_digraph("cyclic", n), n)
     assert [z.length for z in zs if not z.is_constant] == [n]
     with pytest.raises(QuivercalcError):
