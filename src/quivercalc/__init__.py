@@ -4,7 +4,7 @@ checks for one-manifold invariants."""
 
 from .digraph import (ClosedCover, Digraph, Edge, NotACover, QuivercalcError,
                       UnknownEdge, UnknownVertex, classify_digraph,
-                      disjoint_union, exit_path, make_closed_cover,
+                      disjoint_union, make_closed_cover,
                       standard_digraph, weak_components)
 from .quiver import (DeltaMor, Path, QuiverMor, QuiverMorClass,
                      classify_quiver_mor, components, compose_delta,
@@ -13,10 +13,10 @@ from .quiver import (DeltaMor, Path, QuiverMor, QuiverMorClass,
                      hom_is_finite, hom_quiver_count)
 from .fincat import (FinCat, Functor, Representation, SheafVerdict,
                      check_closed_sheaf, chain_poset_category,
-                     cyclic_group_category, enumerate_reps, monoid_category,
-                     poset_category, pullback_rep, rep_via_exit_limit,
-                     symmetric_group_category, validate_fincat,
-                     walking_arrow_category)
+                     cyclic_group_category, enumerate_reps, exit_path,
+                     monoid_category, poset_category, pullback_rep,
+                     rep_via_exit_limit, symmetric_group_category,
+                     validate_fincat, walking_arrow_category)
 from .cyccat import (EpiMor, ParaMor, cartesian_factor, compose_epi,
                      compose_para, delta_to_para, dualize_para,
                      enumerate_epi_degree1, enumerate_para_transversal,

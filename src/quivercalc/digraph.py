@@ -437,30 +437,3 @@ def make_closed_cover(d: Digraph, left, right) -> ClosedCover:
     if missing_v or missing_e:
         raise NotACover(f"uncovered vertices {missing_v}, edges {missing_e}")
     return ClosedCover(d, lg, rg)
-
-
-# --- the exit-path category ----------------------------------------------
-
-
-def exit_path(d: Digraph):
-    """The exit-path category of a digraph.
-
-    Objects: one per vertex ("v:x") and one per edge ("e:f").  Besides
-    identities there is one morphism v:x -> e:f for every way x occurs as an
-    endpoint of f (a self-loop contributes two).  No two non-identity
-    morphisms are composable, so the composition table holds only identity
-    laws.  The category is a poset exactly when the graph has no self-loops.
-    """
-    from .fincat import FinCat
-
-    objects = [f"v:{v}" for v in d.vertices] + [f"e:{e.eid}" for e in d.edges]
-    ids = {ob: f"id:{ob}" for ob in objects}
-    morphisms = [(ids[ob], ob, ob) for ob in objects]
-    for e in d.edges:
-        morphisms.append((f"src:{e.eid}", f"v:{e.src}", f"e:{e.eid}"))
-        morphisms.append((f"tgt:{e.eid}", f"v:{e.tgt}", f"e:{e.eid}"))
-    compose = {}
-    for mid, src, tgt in morphisms:
-        compose[(ids[tgt], mid)] = mid
-        compose[(mid, ids[src])] = mid
-    return FinCat(objects, morphisms, ids, compose)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
 from .digraph import (ClosedCover, Digraph, Incomposable, QuivercalcError,
-                      check_names, exit_path)
+                      check_names)
 
 
 class MissingIdentity(QuivercalcError):
@@ -37,61 +36,109 @@ class Mor(NamedTuple):
     tgt: str
 
 
+class IntTable(NamedTuple):
+    """A FinCat on indices into its objects and morphisms.
+
+    src[m], tgt[m]: object indices.  identity[x]: a morphism index, or -1
+    for an object without one.  into[x], out[x]: the morphisms with target,
+    resp. source, x, in declaration order; at[f] is f's position in
+    into[tgt[f]], and hom[x] maps y to the morphisms from x to y.
+    comp[g][at[f]]: the index of g∘f for each f composable with g, or -1
+    where the table has no entry.  Table entries for non-composable pairs
+    are kept apart in stray, so validate_fincat can report them.
+    """
+    src: list[int]
+    tgt: list[int]
+    identity: list[int]
+    into: list[list[int]]
+    out: list[list[int]]
+    at: list[int]
+    hom: list[dict[int, list[int]]]
+    comp: list[list[int]]
+    stray: dict[tuple[int, int], int]
+
+
 class FinCat:
     """A finite category: objects, morphisms, identities, composition table.
 
     The table maps (g, f) with src(g) = tgt(f) to g∘f ("f then g").
-    Construction checks only that names resolve; the categorical laws are
-    checked by validate_fincat.
+    Construction resolves every name to its index once, into int_table,
+    the only stored form of the category; it checks only that the names
+    resolve, and validate_fincat checks the categorical laws.
     """
 
     def __init__(self, objects: Iterable[str], morphisms: Iterable,
                  identities: dict, compose: dict):
         self.objects = tuple(objects)
-        ms = []
-        for m in morphisms:
-            if isinstance(m, Mor):
-                ms.append(m)
-            else:
-                mid, src, tgt = m
-                ms.append(Mor(mid, src, tgt))
-        self.morphisms = tuple(ms)
-        # read-only, because int_table and hh_table are compiled from them once
-        self.identities = MappingProxyType(dict(identities))
-        self.table = MappingProxyType(dict(compose))
+        self.morphisms = tuple(Mor(*m) for m in morphisms)
+        identities = dict(identities)
 
-        if len(set(self.objects)) != len(self.objects):
+        self._oindex = oindex = {x: i for i, x in enumerate(self.objects)}
+        if len(oindex) != len(self.objects):
             raise QuivercalcError("duplicate object names")
-        if len(set(m.mid for m in self.morphisms)) != len(self.morphisms):
+        self._mindex = mindex = {m.mid: i for i, m in enumerate(self.morphisms)}
+        if len(mindex) != len(self.morphisms):
             raise QuivercalcError("duplicate morphism names")
-        self._by_id = {m.mid: m for m in self.morphisms}
-        oset = set(self.objects)
-        for m in self.morphisms:
-            if m.src not in oset or m.tgt not in oset:
+        src, tgt, at = [], [], []
+        into: list[list[int]] = [[] for _ in oindex]
+        out: list[list[int]] = [[] for _ in oindex]
+        hom: list[dict[int, list[int]]] = [{} for _ in oindex]
+        for i, m in enumerate(self.morphisms):
+            if m.src not in oindex or m.tgt not in oindex:
                 raise QuivercalcError(f"morphism {m.mid!r} has undeclared endpoints")
-        for x, i in self.identities.items():
-            if x not in oset:
+            x, y = oindex[m.src], oindex[m.tgt]
+            src.append(x)
+            tgt.append(y)
+            at.append(len(into[y]))
+            into[y].append(i)
+            out[x].append(i)
+            hom[x].setdefault(y, []).append(i)
+        identity = [-1] * len(self.objects)
+        for x, i in identities.items():
+            if x not in oindex:
                 raise QuivercalcError(f"identity for undeclared object {x!r}")
-            if i not in self._by_id:
+            if i not in mindex:
                 raise QuivercalcError(f"identity {i!r} is not a declared morphism")
-        for (g, f), h in self.table.items():
-            for mid in (g, f, h):
-                if mid not in self._by_id:
-                    raise QuivercalcError(f"composition table mentions unknown {mid!r}")
-
-        self._oindex = {x: i for i, x in enumerate(self.objects)}
-        self._mindex = {m.mid: i for i, m in enumerate(self.morphisms)}
-        self._hom: dict[tuple, list] = {}
-        for m in self.morphisms:
-            self._hom.setdefault((m.src, m.tgt), []).append(m.mid)
-        self._identity_set = set(self.identities.values())
-        self._int_table = None    # compiled by int_table on first use
+            identity[oindex[x]] = mindex[i]
+        comp = [[-1] * len(into[x]) for x in src]
+        stray: dict[tuple[int, int], int] = {}
+        for (g, f), h in compose.items():
+            try:
+                gi, fi = mindex[g], mindex[f]
+                hi = mindex[h]
+            except KeyError:
+                unknown = next(mid for mid in (g, f, h) if mid not in mindex)
+                raise QuivercalcError(
+                    f"composition table mentions unknown {unknown!r}") from None
+            if tgt[fi] == src[gi]:
+                comp[gi][at[fi]] = hi
+            else:
+                stray[gi, fi] = hi
+        self.int_table = IntTable(src, tgt, identity, into, out, at, hom,
+                                  comp, stray)
         self.hh_table = None      # trace classes, filled by compute_hh
 
+    @property
+    def identities(self) -> MappingProxyType:
+        """object -> its identity, by name, in object order; read-only."""
+        return MappingProxyType({
+            x: self.morphisms[i].mid
+            for x, i in zip(self.objects, self.int_table.identity) if i >= 0})
+
+    @property
+    def table(self) -> MappingProxyType:
+        """(g, f) -> g∘f, by name, in index order of (g, f): a read-only dict
+        built from int_table on each access; comp looks up one composite."""
+        t, names = self.int_table, [m.mid for m in self.morphisms]
+        entries = [(g, f, h) for g, row in enumerate(t.comp)
+                   for f, h in zip(t.into[t.src[g]], row) if h >= 0]
+        if t.stray:
+            entries = sorted(entries + [(g, f, h) for (g, f), h in t.stray.items()])
+        return MappingProxyType({(names[g], names[f]): names[h]
+                                 for g, f, h in entries})
+
     def mor(self, mid: str) -> Mor:
-        if mid not in self._by_id:
-            raise QuivercalcError(f"unknown morphism {mid!r}")
-        return self._by_id[mid]
+        return self.morphisms[self.morphism_index(mid)]
 
     def src(self, mid: str) -> str:
         return self.mor(mid).src
@@ -100,26 +147,35 @@ class FinCat:
         return self.mor(mid).tgt
 
     def identity(self, x: str) -> str:
-        if x not in self.identities:
+        i = self.int_table.identity[self.object_index(x)]
+        if i < 0:
             raise MissingIdentity(f"object {x!r} has no identity")
-        return self.identities[x]
+        return self.morphisms[i].mid
 
     def is_identity(self, mid: str) -> bool:
-        return mid in self._identity_set
+        """Whether mid is the identity of its source."""
+        m = self._mindex.get(mid)
+        return m is not None and self.int_table.identity[self.int_table.src[m]] == m
 
     def hom(self, x: str, y: str) -> list[str]:
-        return list(self._hom.get((x, y), []))
+        if x not in self._oindex or y not in self._oindex:
+            return []
+        ms = self.int_table.hom[self._oindex[x]].get(self._oindex[y], [])
+        return [self.morphisms[m].mid for m in ms]
 
     def endomorphisms(self) -> list[str]:
         return [m.mid for m in self.morphisms if m.src == m.tgt]
 
     def comp(self, g: str, f: str) -> str:
         """g∘f, i.e. f followed by g."""
-        if self.tgt(f) != self.src(g):
+        fi, gi = self.morphism_index(f), self.morphism_index(g)
+        t = self.int_table
+        if t.tgt[fi] != t.src[gi]:
             raise Incomposable(f"{g!r} after {f!r}")
-        if (g, f) not in self.table:
+        h = t.comp[gi][t.at[fi]]
+        if h < 0:
             raise BadComposite(f"composite of {g!r} after {f!r} missing from table")
-        return self.table[(g, f)]
+        return self.morphisms[h].mid
 
     def object_index(self, x: str) -> int:
         try:
@@ -133,26 +189,18 @@ class FinCat:
         except KeyError:
             raise QuivercalcError(f"unknown morphism {mid!r}") from None
 
-    def int_table(self) -> "IntTable":
-        """The category on indices, compiled on first use and kept."""
-        if self._int_table is None:
-            self._int_table = IntTable(self)
-        return self._int_table
-
     def __repr__(self):
         return f"FinCat({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
     # serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        pairs = sorted(self.table.items(),
-                       key=lambda kv: (self._mindex[kv[0][0]], self._mindex[kv[0][1]]))
         return {
             "objects": list(self.objects),
             "morphisms": [{"id": m.mid, "src": m.src, "tgt": m.tgt}
                           for m in self.morphisms],
-            "ids": {x: self.identities[x] for x in self.objects},
-            "compose": [[g, f, h] for (g, f), h in pairs],
+            "ids": dict(self.identities),
+            "compose": [[g, f, h] for (g, f), h in self.table.items()],
         }
 
     @classmethod
@@ -165,37 +213,6 @@ class FinCat:
         check_names([mid for mid, _, _ in morphisms], "morphism")
         compose = {(g, f): h for g, f, h in data["compose"]}
         return cls(data["objects"], morphisms, data["ids"], compose)
-
-
-class IntTable:
-    """A FinCat on indices into its objects and morphisms.
-
-    src[m], tgt[m]: object indices.  identity[x]: a morphism index, or -1
-    for an object without one.  comp[g][f]: the index of g∘f, or -1 where
-    the table has no entry; every table entry is kept, composable or not,
-    so validate_fincat can check the table itself.  into[x], out[x]: the
-    morphisms with target, resp. source, x, in declaration order; hom[x][y]
-    those from x to y.
-    """
-
-    def __init__(self, c: FinCat):
-        oindex, mindex = c._oindex, c._mindex
-        self.src = [oindex[m.src] for m in c.morphisms]
-        self.tgt = [oindex[m.tgt] for m in c.morphisms]
-        self.identity = [mindex[c.identities[x]] if x in c.identities else -1
-                         for x in c.objects]
-        n = len(c.morphisms)
-        self.comp = [[-1] * n for _ in range(n)]
-        for (g, f), h in c.table.items():
-            self.comp[mindex[g]][mindex[f]] = mindex[h]
-        self.into: list[list[int]] = [[] for _ in c.objects]
-        self.out: list[list[int]] = [[] for _ in c.objects]
-        self.hom: list[list[list[int]]] = [[[] for _ in c.objects]
-                                           for _ in c.objects]
-        for m in range(n):
-            self.into[self.tgt[m]].append(m)
-            self.out[self.src[m]].append(m)
-            self.hom[self.src[m]][self.tgt[m]].append(m)
 
 
 def validate_fincat(c: FinCat) -> None:
@@ -213,8 +230,8 @@ def validate_fincat(c: FinCat) -> None:
     and identities are among them once they are neutral.  So it suffices
     to test the middle position on a generating set.
     """
-    t = c.int_table()
-    src, tgt, comp, ident = t.src, t.tgt, t.comp, t.identity
+    t = c.int_table
+    src, tgt, comp, ident, at = t.src, t.tgt, t.comp, t.identity, t.at
     names = [m.mid for m in c.morphisms]
 
     for x, (name, i) in enumerate(zip(c.objects, ident)):
@@ -223,36 +240,40 @@ def validate_fincat(c: FinCat) -> None:
         if src[i] != x or tgt[i] != x:
             raise MissingIdentity(f"identity of {name!r} is not an endomorphism of it")
 
+    # the first bad entry in index order: a stray one, or the first composite
+    # with the wrong endpoints
+    wrong = ((g, f) for g, row in enumerate(comp)
+             for f, h in zip(t.into[src[g]], row)
+             if h >= 0 and (src[h] != src[f] or tgt[h] != tgt[g]))
+    first = min(itertools.chain(t.stray, itertools.islice(wrong, 1)), default=None)
+    if first is not None:
+        g, f = first
+        if first in t.stray:
+            raise BadComposite(f"table entry for non-composable pair "
+                               f"({names[g]!r}, {names[f]!r})")
+        raise BadComposite(f"{names[g]!r}∘{names[f]!r} = "
+                           f"{names[comp[g][at[f]]]!r} has the wrong endpoints")
     for g, row in enumerate(comp):
-        for f, h in enumerate(row):
+        for f, h in zip(t.into[src[g]], row):
             if h < 0:
-                continue
-            if tgt[f] != src[g]:
-                raise BadComposite(f"table entry for non-composable pair "
-                                   f"({names[g]!r}, {names[f]!r})")
-            if src[h] != src[f] or tgt[h] != tgt[g]:
-                raise BadComposite(f"{names[g]!r}∘{names[f]!r} = {names[h]!r} "
-                                   "has the wrong endpoints")
-    for g, row in enumerate(comp):
-        for f in t.into[src[g]]:
-            if row[f] < 0:
                 raise BadComposite(f"missing composite {names[g]!r}∘{names[f]!r}")
 
     for f, name in enumerate(names):
-        if comp[ident[tgt[f]]][f] != f:
+        if comp[ident[tgt[f]]][at[f]] != f:
             raise MissingIdentity(f"id∘{name!r} differs from {name!r}")
-        if comp[f][ident[src[f]]] != f:
+        if comp[f][at[ident[src[f]]]] != f:
             raise MissingIdentity(f"{name!r}∘id differs from {name!r}")
 
+    # comp[g] lists g∘h for h in into[src[g]]; so does comp[f∘g], which has
+    # the same source, for (f∘g)∘h
     for g in _generators(t):
-        hs = t.into[src[g]]
-        gh = [comp[g][h] for h in hs]
-        pick_h, pick_gh = itemgetter(*hs), itemgetter(*gh)
+        gh_at = [at[k] for k in comp[g]]
         for f in t.out[tgt[g]]:
             row_f = comp[f]
-            row_fg = comp[row_f[g]]
-            if pick_h(row_fg) != pick_gh(row_f):
-                h = next(h for h, k in zip(hs, gh) if row_fg[h] != row_f[k])
+            row_fg = comp[row_f[at[g]]]
+            f_gh = list(map(row_f.__getitem__, gh_at))
+            if row_fg != f_gh:
+                h = next(h for h, a, b in zip(t.into[src[g]], row_fg, f_gh) if a != b)
                 raise NotAssociative(f"({names[f]!r}, {names[g]!r}, {names[h]!r})")
 
 
@@ -265,7 +286,7 @@ def _generators(t: IntTable) -> list[int]:
     so no associativity is assumed; the table must be complete and its
     identities neutral.
     """
-    comp, src, tgt = t.comp, t.src, t.tgt
+    comp, src, tgt, at = t.comp, t.src, t.tgt, t.at
     reached = [False] * len(comp)
     for i in t.identity:
         reached[i] = True
@@ -283,7 +304,8 @@ def _generators(t: IntTable) -> list[int]:
             into[tgt[a]].append(a)
             out[src[a]].append(a)
             row = comp[a]
-            for h in [row[b] for b in into[src[a]]] + [comp[b][a] for b in out[tgt[a]]]:
+            for h in ([row[at[b]] for b in into[src[a]]]
+                      + [comp[b][at[a]] for b in out[tgt[a]]]):
                 if not reached[h]:
                     reached[h] = True
                     work.append(h)
@@ -357,6 +379,28 @@ def chain_poset_category(n: int) -> FinCat:
 def walking_arrow_category() -> FinCat:
     """Two objects and a single non-identity morphism between them."""
     return poset_category(["0", "1"], [("0", "1")])
+
+
+def exit_path(d: Digraph) -> FinCat:
+    """The exit-path category of a digraph.
+
+    Objects: one per vertex ("v:x") and one per edge ("e:f").  Besides
+    identities there is one morphism v:x -> e:f for every way x occurs as an
+    endpoint of f (a self-loop contributes two).  No two non-identity
+    morphisms are composable, so the composition table holds only identity
+    laws.  The category is a poset exactly when the graph has no self-loops.
+    """
+    objects = [f"v:{v}" for v in d.vertices] + [f"e:{e.eid}" for e in d.edges]
+    ids = {ob: f"id:{ob}" for ob in objects}
+    morphisms = [(ids[ob], ob, ob) for ob in objects]
+    for e in d.edges:
+        morphisms.append((f"src:{e.eid}", f"v:{e.src}", f"e:{e.eid}"))
+        morphisms.append((f"tgt:{e.eid}", f"v:{e.tgt}", f"e:{e.eid}"))
+    compose = {}
+    for mid, src, tgt in morphisms:
+        compose[(ids[tgt], mid)] = mid
+        compose[(mid, ids[src])] = mid
+    return FinCat(objects, morphisms, ids, compose)
 
 
 # --- functors -------------------------------------------------------------
@@ -468,13 +512,13 @@ def rep_tuples(category: FinCat, graph: Digraph) -> list[tuple]:
     then a morphism index per edge, in declaration order.  The list is
     sorted, which is enumerate_reps' order, since indices follow the
     declaration order of objects and morphisms."""
-    hom = category.int_table().hom
+    hom = category.int_table.hom
     ends = [(graph.vertex_index(e.src), graph.vertex_index(e.tgt))
             for e in graph.edges]
     out: list[tuple] = []
     for objs in itertools.product(range(len(category.objects)),
                                   repeat=len(graph.vertices)):
-        options = [hom[objs[s]][objs[t]] for s, t in ends]
+        options = [hom[objs[s]].get(objs[t], ()) for s, t in ends]
         out.extend(objs + choice for choice in itertools.product(*options))
     return out
 
@@ -570,13 +614,14 @@ def index_program(category: FinCat, vertex_pos, edge_steps) -> Callable:
     edge_steps, by the composite of the morphisms x[p] for p in positions,
     starting from the identity at the object x[start].
 
-    The category must pass validate_fincat.  A missing identity or
-    composite raises MissingIdentity or BadComposite, as FinCat.identity
-    and FinCat.comp do, so a -1 of the compiled table is never used as an
-    index.
+    The category must pass validate_fincat, and the morphisms of each step
+    must chain, as the edges of a path do in a representation.  A missing
+    identity or composite raises MissingIdentity or BadComposite, as
+    FinCat.identity and FinCat.comp do, so a -1 of the table is never used
+    as an index.
     """
-    t = category.int_table()
-    comp, ident = t.comp, t.identity
+    t = category.int_table
+    comp, ident, at = t.comp, t.identity, t.at
 
     def run(x: tuple) -> tuple:
         out = [x[p] for p in vertex_pos]
@@ -587,7 +632,7 @@ def index_program(category: FinCat, vertex_pos, edge_steps) -> Callable:
                     f"object {category.objects[x[start]]!r} has no identity")
             for p in positions:
                 g = x[p]
-                h = comp[g][m]
+                h = comp[g][at[m]]
                 if h < 0:
                     raise BadComposite(
                         f"composite of {category.morphisms[g].mid!r} after "

@@ -94,31 +94,36 @@ class HHClass:
 class HHTable:
     def __init__(self, category: FinCat):
         self.category = category
-        t = category.int_table()
-        src, tgt, comp = t.src, t.tgt, t.comp
+        t = category.int_table
+        src, tgt, comp, at = t.src, t.tgt, t.comp, t.at
         uf = UnionFind([m for m in range(len(comp)) if src[m] == tgt[m]])
         try:
             for f, row_f in enumerate(comp):
+                at_f = at[f]
                 for g in t.out[tgt[f]]:
                     if tgt[g] == src[f]:
-                        uf.union(comp[g][f], row_f[g])
+                        uf.union(comp[g][at_f], row_f[at[g]])
         except KeyError:        # a missing or non-endomorphic round trip
             raise BadComposite("trace classes need a category that passes "
                                "validate_fincat") from None
         names = [m.mid for m in category.morphisms]
-        self._class_of: dict[str, HHClass] = {}
+        self._class_index = [-1] * len(comp)    # per morphism, -1 if no endo
         self.classes: list[HHClass] = []
         for members in sorted(uf.classes().values(), key=min):
-            members = tuple(names[m] for m in sorted(members))
-            cls = HHClass(self, members[0], members)
-            self.classes.append(cls)
+            members = sorted(members)
             for m in members:
-                self._class_of[m] = cls
+                self._class_index[m] = len(self.classes)
+            self.classes.append(HHClass(self, names[members[0]],
+                                        tuple(names[m] for m in members)))
 
     def class_of(self, endo: str) -> HHClass:
-        if endo not in self._class_of:
+        try:
+            k = self._class_index[self.category.morphism_index(endo)]
+        except QuivercalcError:     # an unknown name
+            k = -1
+        if k < 0:
             raise QuivercalcError(f"{endo!r} is not an endomorphism of this category")
-        return self._class_of[endo]
+        return self.classes[k]
 
     def __len__(self):
         return len(self.classes)

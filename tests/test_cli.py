@@ -191,6 +191,23 @@ def test_invalid_category_is_usage_error(tmp_path, capsys):
     assert "bad category" in err
 
 
+def test_unknown_morphism_in_table_is_usage_error(tmp_path, capsys):
+    broken = tmp_path / "cat.json"
+    data = json.loads((FIXTURES / "cyclic3.json").read_text())
+    data["compose"][0][2] = "zz"
+    broken.write_text(json.dumps(data))
+    code, out, err = run("hh", "--cat", str(broken), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad category in {broken}: "
+                   "composition table mentions unknown 'zz'\n")
+
+
+def test_trace_of_an_unknown_object_names_it(capsys):
+    code, out, err = run("trace", "--cat", str(FIXTURES / "arrow.json"),
+                         "nope", capsys=capsys)
+    assert (code, out, err) == (2, "", "error: unknown object 'nope'\n")
+
+
 def test_fixture_round_trips_are_byte_identical(tmp_path):
     # parsing a fixture and re-serializing it canonically reproduces the file
     from quivercalc.digraph import Digraph

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from quivercalc.digraph import (ClosedCover, Digraph, Incomposable, NotACover,
                                 QuivercalcError, UnknownEdge, UnknownVertex,
-                                classify_digraph, disjoint_union, exit_path,
+                                classify_digraph, disjoint_union,
                                 has_directed_cycle, make_closed_cover,
                                 reachable, standard_digraph, strong_components,
                                 weak_components)
-from quivercalc.fincat import validate_fincat
+from quivercalc.fincat import exit_path, validate_fincat
 from quivercalc.quiver import (Path, QuiverMor, classify_quiver_mor,
                                compose_quiver_mor)
 
@@ -212,8 +212,10 @@ def test_closed_cover():
 
 
 def test_exit_path_is_a_valid_category():
+    # linear(1200): 2401 objects and 4801 morphisms, but only 7201 table
+    # entries, which is all the integer table stores
     for g in [standard_digraph("interval"), standard_digraph("bouquet", 2),
-              standard_digraph("cyclic", 3)]:
+              standard_digraph("cyclic", 3), standard_digraph("linear", 1200)]:
         cat = exit_path(g)
         validate_fincat(cat)
         # one object per vertex and per edge

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quivercalc.digraph import (ClosedCover, Digraph, QuivercalcError,
-                                disjoint_union, exit_path, make_closed_cover,
+                                disjoint_union, make_closed_cover,
                                 standard_digraph)
 from quivercalc.emm import make_excision_site
 from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
@@ -15,10 +15,11 @@ from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
                                chain_poset_category, check_closed_sheaf,
                                compile_pullback, compose_along_path,
                                cyclic_group_category, enumerate_reps,
-                               limit_sections, monoid_category, poset_category,
-                               pullback_rep, rep_tuples, rep_via_exit_limit,
-                               symmetric_group_category, validate_fincat,
-                               walking_arrow_category, _generators)
+                               exit_path, limit_sections, monoid_category,
+                               poset_category, pullback_rep, rep_tuples,
+                               rep_via_exit_limit, symmetric_group_category,
+                               validate_fincat, walking_arrow_category,
+                               _generators)
 from quivercalc.quiver import Path, QuiverMor, enumerate_quiver_mors
 
 import string_oracle as oracle
@@ -99,6 +100,33 @@ def test_totality_enforced():
         validate_fincat(c)  # g∘g missing
 
 
+REJECTED = [
+    (["x", "x"], [], {}, {}, "duplicate object names"),
+    (["x"], [("e", "x", "x"), ("e", "x", "x")], {}, {},
+     "duplicate morphism names"),
+    (["x"], [("e", "x", "x"), ("f", "x", "y")], {}, {},
+     "morphism 'f' has undeclared endpoints"),
+    (["x"], [("e", "x", "x")], {"y": "e"}, {},
+     "identity for undeclared object 'y'"),
+    (["x"], [("e", "x", "x")], {"x": "i"}, {},
+     "identity 'i' is not a declared morphism"),
+    (["x"], [("e", "x", "x")], {"x": "e"}, {("e", "e"): "k"},
+     "composition table mentions unknown 'k'"),
+    (["x"], [("e", "x", "x")], {"x": "e"}, {("e", "e"): "e", ("e", "k"): "j"},
+     "composition table mentions unknown 'k'"),
+    (["x"], [("e", "x", "x")], {"x": "e"}, {("j", "k"): "e"},
+     "composition table mentions unknown 'j'"),
+]
+
+
+@pytest.mark.parametrize("objects,morphisms,ids,table,message", REJECTED)
+def test_constructor_rejects_unresolved_names(objects, morphisms, ids, table,
+                                              message):
+    with pytest.raises(QuivercalcError) as e:
+        FinCat(objects, morphisms, ids, table)
+    assert str(e.value) == message
+
+
 def test_object_without_identity():
     c = FinCat(["x", "y"], [("e", "x", "x"), ("u", "y", "y")], {"x": "e"},
                {("e", "e"): "e", ("u", "u"): "u"})
@@ -145,7 +173,8 @@ def exhaustive_validate(c: FinCat) -> None:
         if (i.src, i.tgt) != (x, x):
             raise MissingIdentity(f"identity of {x!r} is not an endomorphism of it")
 
-    for (g, f), h in c.table.items():
+    table = c.table
+    for (g, f), h in table.items():
         if c.tgt(f) != c.src(g):
             raise BadComposite(f"table entry for non-composable pair ({g!r}, {f!r})")
         hm = c.mor(h)
@@ -153,7 +182,7 @@ def exhaustive_validate(c: FinCat) -> None:
             raise BadComposite(f"{g!r}∘{f!r} = {h!r} has the wrong endpoints")
     for g in c.morphisms:
         for f in c.morphisms:
-            if f.tgt == g.src and (g.mid, f.mid) not in c.table:
+            if f.tgt == g.src and (g.mid, f.mid) not in table:
                 raise BadComposite(f"missing composite {g.mid!r}∘{f.mid!r}")
 
     for f in c.morphisms:
@@ -253,11 +282,11 @@ def test_validation_agrees_with_the_exhaustive_oracle(c):
 
 def test_generating_sets():
     s3 = symmetric_group_category(3)
-    assert [s3.morphisms[g].mid for g in _generators(s3.int_table())] == \
+    assert [s3.morphisms[g].mid for g in _generators(s3.int_table)] == \
         ["p021", "p102"]
     # every non-unit of a zero-product monoid is a generator
     c = zero_product_monoid(12)
-    assert len(_generators(c.int_table())) == 13
+    assert len(_generators(c.int_table)) == 13
     validate_fincat(c)
     broken = FinCat(c.objects, c.morphisms, c.identities,
                     {**c.table, ("z", "a3"): "a3"})   # (a1a1)a3 != a1(a1a3)

@@ -6,11 +6,11 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercalc.digraph import QuivercalcError, exit_path, standard_digraph
+from quivercalc.digraph import QuivercalcError, standard_digraph
 from quivercalc.fincat import (BadComposite, FinCat, Functor,
                                chain_poset_category, cyclic_group_category,
-                               symmetric_group_category, validate_fincat,
-                               walking_arrow_category)
+                               exit_path, symmetric_group_category,
+                               validate_fincat, walking_arrow_category)
 from quivercalc.hochschild import (CyclicWord, HHTable, UnionFind,
                                    class_of_word, compute_hh, hh_map,
                                    least_rotation_index, power_endo, psi,
@@ -149,9 +149,23 @@ SWEPT = [symmetric_group_category(n) for n in (3, 4, 5)] + \
     [chain_poset_category(n) for n in range(1, 7)]
 
 
-@pytest.mark.parametrize("cat", SWEPT, ids=[f"s{n}" for n in (3, 4, 5)] +
-                         [f"c{n}" for n in range(1, 13)] +
-                         [f"chain{n}" for n in range(1, 7)])
+SWEPT_IDS = [f"s{n}" for n in (3, 4, 5)] + \
+    [f"c{n}" for n in range(1, 13)] + [f"chain{n}" for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("cat", SWEPT, ids=SWEPT_IDS)
+def test_table_and_identities_read_back(cat):
+    for seed in range(3):
+        c = shuffled(cat, seed) if seed else cat
+        entries = list(c.table.items())
+        random.Random(seed).shuffle(entries)
+        ids, table = dict(c.identities), dict(entries)
+        again = FinCat(c.objects, c.morphisms, ids, table)
+        assert again.table == table
+        assert again.identities == ids
+
+
+@pytest.mark.parametrize("cat", SWEPT, ids=SWEPT_IDS)
 def test_classes_match_the_string_sweep(cat):
     for seed in range(3):
         c = shuffled(cat, seed) if seed else cat
