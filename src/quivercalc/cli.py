@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from .digraph import (Digraph, QuivercalcError, classify_digraph,
+from .digraph import (Digraph, QuivercalcError, check_names, classify_digraph,
                       make_closed_cover, standard_digraph)
 from .quiver import enumerate_paths, hom_is_finite
 from .fincat import (FinCat, Representation, check_closed_sheaf,
@@ -69,8 +69,9 @@ def _load_site(path: str):
     def parse(data):
         if data.get("graph") == "circle":
             return make_excision_site("circle")
-        return make_excision_site(Digraph.from_json(data["graph"]),
-                                  data.get("cut_edges", []))
+        graph, cuts = Digraph.from_json(data["graph"]), data.get("cut_edges", [])
+        check_names(cuts, "cut edge")
+        return make_excision_site(graph, cuts)
     return _load(path, "site", parse)
 
 

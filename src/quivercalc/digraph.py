@@ -56,29 +56,20 @@ class Digraph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable):
         self.vertices = tuple(vertices)
-        es = []
-        for e in edges:
-            if isinstance(e, Edge):
-                es.append(e)
-            else:
-                eid, src, tgt = e
-                es.append(Edge(eid, src, tgt))
-        self.edges = tuple(es)
+        self.edges = tuple(Edge(*e) for e in edges)
 
-        if len(set(self.vertices)) != len(self.vertices):
+        self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._vindex) != len(self.vertices):
             raise QuivercalcError("duplicate vertex names")
-        if len(set(e.eid for e in self.edges)) != len(self.edges):
+        self._eindex = {e.eid: i for i, e in enumerate(self.edges)}
+        if len(self._eindex) != len(self.edges):
             raise QuivercalcError("duplicate edge names")
-        self._vset = set(self.vertices)
         for e in self.edges:
-            if e.src not in self._vset:
+            if e.src not in self._vindex:
                 raise UnknownVertex(f"edge {e.eid!r} has undeclared source {e.src!r}")
-            if e.tgt not in self._vset:
+            if e.tgt not in self._vindex:
                 raise UnknownVertex(f"edge {e.eid!r} has undeclared target {e.tgt!r}")
 
-        self._by_id = {e.eid: e for e in self.edges}
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        self._eindex = {e.eid: i for i, e in enumerate(self.edges)}
         self._out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         self._in: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -86,23 +77,24 @@ class Digraph:
             self._in[e.tgt].append(e)
 
     def edge(self, eid: str) -> Edge:
-        if eid not in self._by_id:
-            raise UnknownEdge(f"unknown edge {eid!r}")
-        return self._by_id[eid]
+        try:
+            return self.edges[self._eindex[eid]]
+        except KeyError:
+            raise UnknownEdge(f"unknown edge {eid!r}") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._vset
+        return v in self._vindex
 
     def has_edge(self, eid: str) -> bool:
-        return eid in self._by_id
+        return eid in self._eindex
 
     def out_edges(self, v: str) -> list[Edge]:
-        if v not in self._vset:
+        if v not in self._vindex:
             raise UnknownVertex(f"unknown vertex {v!r}")
         return list(self._out[v])
 
     def in_edges(self, v: str) -> list[Edge]:
-        if v not in self._vset:
+        if v not in self._vindex:
             raise UnknownVertex(f"unknown vertex {v!r}")
         return list(self._in[v])
 
@@ -122,8 +114,7 @@ class Digraph:
     def subgraph(self, vertices: Iterable[str], edge_ids: Iterable[str]) -> "Digraph":
         vertices, edge_ids = list(vertices), list(edge_ids)
         for x in vertices:
-            if x not in self._vset:
-                raise UnknownVertex(f"unknown vertex {x!r}")
+            self.vertex_index(x)
         vset = set(vertices)
         vs = [v for v in self.vertices if v in vset]
         eids = set(edge_ids)
@@ -137,8 +128,7 @@ class Digraph:
                     )
                 es.append(e)
         for x in edge_ids:
-            if x not in self._by_id:
-                raise UnknownEdge(f"unknown edge {x!r}")
+            self.edge_index(x)
         return Digraph(vs, es)
 
     def __eq__(self, other):

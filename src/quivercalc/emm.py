@@ -150,7 +150,7 @@ class MObject:
     def __init__(self, circles: int, quivers):
         self.circles = circles
         self.quivers = tuple(quivers)
-        if not isinstance(circles, int) or circles < 0:
+        if type(circles) is not int or circles < 0:     # bool is no count
             raise QuivercalcError(
                 f"the circle count must be an integer >= 0, not {circles!r}")
         for q in self.quivers:
@@ -391,10 +391,8 @@ def quiv_op_mmor(q: QuiverMor) -> MMor:
 
     parts = []
     for comp in src_comps:
-        imgs = {where[q.vertex_map[v]] for v in comp.vertices}
-        if len(imgs) != 1:
-            raise QuivercalcError("a connected piece maps into one component")
-        a = imgs.pop()
+        # q sends edges to paths, so a connected piece lands in one component
+        a = where[q.vertex_map[comp.vertices[0]]]
         tq = tgt_comps[a]
         vmap = {v: q.vertex_map[v] for v in comp.vertices}
         paths = {e.eid: Path(tq, q.edge_paths[e.eid].start,

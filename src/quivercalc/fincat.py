@@ -61,14 +61,15 @@ class IntTable(NamedTuple):
 class FinCat:
     """A finite category: objects, morphisms, identities, composition table.
 
-    The table maps (g, f) with src(g) = tgt(f) to g∘f ("f then g").
-    Construction resolves every name to its index once, into int_table,
-    the only stored form of the category; it checks only that the names
-    resolve, and validate_fincat checks the categorical laws.
+    compose lists triples (g, f, h), each saying g∘f = h ("f then g"), as
+    the JSON format does; they are read in order, and a repeated (g, f)
+    keeps its last h.  Construction resolves every name to its index once,
+    into int_table, the only stored form of the category; it checks only
+    that the names resolve, and validate_fincat checks the categorical laws.
     """
 
     def __init__(self, objects: Iterable[str], morphisms: Iterable,
-                 identities: dict, compose: dict):
+                 identities: dict, compose: Iterable):
         self.objects = tuple(objects)
         self.morphisms = tuple(Mor(*m) for m in morphisms)
         identities = dict(identities)
@@ -102,11 +103,14 @@ class FinCat:
             identity[oindex[x]] = mindex[i]
         comp = [[-1] * len(into[x]) for x in src]
         stray: dict[tuple[int, int], int] = {}
-        for (g, f), h in compose.items():
+        for g, f, h in compose:
             try:
-                gi, fi = mindex[g], mindex[f]
-                hi = mindex[h]
-            except KeyError:
+                gi, fi, hi = mindex[g], mindex[f], mindex[h]
+            except (KeyError, TypeError):
+                # an entry that is no triple, or whose (g, f) is unhashable,
+                # is reported first, wherever it stands in the table
+                for g2, f2, _ in compose:
+                    hash((g2, f2))
                 unknown = next(mid for mid in (g, f, h) if mid not in mindex)
                 raise QuivercalcError(
                     f"composition table mentions unknown {unknown!r}") from None
@@ -211,8 +215,7 @@ class FinCat:
         morphisms = [(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]]
         check_names(data["objects"], "object")
         check_names([mid for mid, _, _ in morphisms], "morphism")
-        compose = {(g, f): h for g, f, h in data["compose"]}
-        return cls(data["objects"], morphisms, data["ids"], compose)
+        return cls(data["objects"], morphisms, data["ids"], data["compose"])
 
 
 def validate_fincat(c: FinCat) -> None:
@@ -321,17 +324,22 @@ def monoid_category(elements: list[str], table: dict, unit: str,
 
     table[(a, b)] is the product "b then a", matching composition order.
     """
-    morphisms = [(e, object_name, object_name) for e in elements]
-    return FinCat([object_name], morphisms, {object_name: unit}, dict(table))
+    return _one_object(elements, [(a, b, c) for (a, b), c in table.items()],
+                       unit, object_name)
+
+
+def _one_object(elements: list[str], compose: list, unit: str,
+                x: str = "*") -> FinCat:
+    """The one object x, with the elements as its morphisms."""
+    return FinCat([x], [(e, x, x) for e in elements], {x: unit}, compose)
 
 
 def cyclic_group_category(n: int) -> FinCat:
     if n < 1:
         raise QuivercalcError(f"the cyclic group C_n needs n >= 1, not {n}")
-    elements = [f"g{i}" for i in range(n)]
-    table = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}"
-             for i in range(n) for j in range(n)}
-    return monoid_category(elements, table, "g0")
+    return _one_object([f"g{i}" for i in range(n)],
+                       [(f"g{i}", f"g{j}", f"g{(i + j) % n}")
+                        for i in range(n) for j in range(n)], "g0")
 
 
 def _perm_name(p: tuple) -> str:
@@ -344,9 +352,9 @@ def symmetric_group_category(n: int) -> FinCat:
         raise QuivercalcError(f"symmetric groups are built for 1 <= n <= 6, not {n}")
     perms = list(itertools.permutations(range(n)))
     name = {p: _perm_name(p) for p in perms}
-    table = {(name[s], name[t]): name[tuple(map(s.__getitem__, t))]
-             for s in perms for t in perms}
-    return monoid_category(list(name.values()), table, name[tuple(range(n))])
+    compose = [(name[s], name[t], name[tuple(map(s.__getitem__, t))])
+               for s in perms for t in perms]
+    return _one_object(list(name.values()), compose, name[tuple(range(n))])
 
 
 def poset_category(elements: list[str], leq: Iterable[tuple]) -> FinCat:
@@ -358,15 +366,15 @@ def poset_category(elements: list[str], leq: Iterable[tuple]) -> FinCat:
     rel = set(leq) | {(x, x) for x in elements}
     morphisms = [(f"le:{x}:{y}", x, y) for x in elements for y in elements
                  if (x, y) in rel]
-    table = {}
+    compose = []
     for (x, y) in rel:
         for (y2, z) in rel:
             if y == y2:
                 if (x, z) not in rel:
                     raise QuivercalcError(f"relation not transitive at {(x, y, z)}")
-                table[(f"le:{y}:{z}", f"le:{x}:{y}")] = f"le:{x}:{z}"
+                compose.append((f"le:{y}:{z}", f"le:{x}:{y}", f"le:{x}:{z}"))
     ids = {x: f"le:{x}:{x}" for x in elements}
-    return FinCat(elements, morphisms, ids, table)
+    return FinCat(elements, morphisms, ids, compose)
 
 
 def chain_poset_category(n: int) -> FinCat:
@@ -396,10 +404,8 @@ def exit_path(d: Digraph) -> FinCat:
     for e in d.edges:
         morphisms.append((f"src:{e.eid}", f"v:{e.src}", f"e:{e.eid}"))
         morphisms.append((f"tgt:{e.eid}", f"v:{e.tgt}", f"e:{e.eid}"))
-    compose = {}
-    for mid, src, tgt in morphisms:
-        compose[(ids[tgt], mid)] = mid
-        compose[(mid, ids[src])] = mid
+    compose = [t for mid, src, tgt in morphisms
+               for t in ((ids[tgt], mid, mid), (mid, ids[src], mid))]
     return FinCat(objects, morphisms, ids, compose)
 
 

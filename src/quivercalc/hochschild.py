@@ -117,19 +117,21 @@ class HHTable:
                                         tuple(names[m] for m in members)))
 
     def class_of(self, endo: str) -> HHClass:
-        try:
-            k = self._class_index[self.category.morphism_index(endo)]
-        except QuivercalcError:     # an unknown name
-            k = -1
-        if k < 0:
-            raise QuivercalcError(f"{endo!r} is not an endomorphism of this category")
-        return self.classes[k]
+        return self.classes[self._class_index[_endo_index(self.category, endo)]]
 
     def __len__(self):
         return len(self.classes)
 
     def __repr__(self):
         return f"HHTable({len(self.classes)} classes of {self.category!r})"
+
+
+def _endo_index(category: FinCat, endo: str) -> int:
+    """The index of endo; an unknown name or a non-endomorphism raises."""
+    m = category._mindex.get(endo)
+    if m is None or category.int_table.src[m] != category.int_table.tgt[m]:
+        raise QuivercalcError(f"{endo!r} is not an endomorphism of this category")
+    return m
 
 
 def compute_hh(category: FinCat) -> HHTable:
@@ -199,6 +201,7 @@ def power_endo(category: FinCat, endo: str, r: int) -> str:
     associative, which validate_fincat establishes for a loaded category."""
     if r < 1:
         raise QuivercalcError(f"powers are taken for r >= 1, not {r}")
+    _endo_index(category, endo)
     out, square = None, endo
     while True:
         if r & 1:

@@ -9,6 +9,13 @@ FIXTURES = ROOT / "fixtures"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
 
+
+
+def triples(table: dict) -> list[tuple]:
+    """A {(g, f): h} table as the (g, f, h) triples FinCat reads."""
+    return [(g, f, h) for (g, f), h in table.items()]
+
+
 ACCEPTANCE_PREFIX = "tests/test_acceptance.py::"
 
 

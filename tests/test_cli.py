@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quivercalc.cli import main
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, ROOT
 
 
 def run(*argv, capsys=None):
@@ -136,6 +138,46 @@ def test_hom_m_and_fact(capsys):
     assert "size: 3" in out
 
 
+def test_hom_m_lines_for_every_kind_of_component(tmp_path, capsys):
+    circle = str(FIXTURES / "circle_obj.json")
+    interval = str(FIXTURES / "interval_obj.json")
+    code, out, _ = run("hom-m", circle, circle, "--max-weight", "2",
+                       capsys=capsys)
+    assert (code, out) == (0, "circle0 ← circle0 ^1\n"
+                              "circle0 ← circle0 ^2\n"
+                              "count: 2 (truncated)\n")
+    bouquet = tmp_path / "bouquet_obj.json"
+    bouquet.write_text(json.dumps(
+        {"circles": 0, "quivers": [json.loads((FIXTURES / "bouquet2.json").read_text())]}))
+    code, out, _ = run("hom-m", str(bouquet), circle, "--max-len", "2",
+                       "--max-weight", "1", capsys=capsys)
+    assert (code, out) == (0, "circle0 ← quiver0@0\n"
+                              "circle0 ← quiver0[e0]^1\n"
+                              "circle0 ← quiver0[e1]^1\n"
+                              "circle0 ← quiver0[e0·e1]^1\n"
+                              "count: 4 (truncated)\n")
+    code, out, _ = run("hom-m", interval, interval, "--limit", "2",
+                       capsys=capsys)
+    assert (code, out) == (0, "quiver0 ↪ quiver0(0→0,1→0)\n"
+                              "quiver0 ↪ quiver0(0→0,1→1)\n"
+                              "... and 1 more\n"
+                              "count: 3 (complete)\n")
+
+
+def test_reps_and_fact_say_how_many_rows_they_left_out(capsys):
+    code, out, _ = run("reps", "--cat", str(FIXTURES / "s3.json"),
+                       "--graph", str(FIXTURES / "interval.json"),
+                       "--limit", "2", capsys=capsys)
+    assert (code, out) == (0, "0:* 1:* | e0:p012\n"
+                              "0:* 1:* | e0:p021\n"
+                              "... and 4 more\n"
+                              "count: 6\n")
+    code, out, _ = run("fact", "--cat", str(FIXTURES / "s3.json"),
+                       "--m", str(FIXTURES / "circle_obj.json"),
+                       "--limit", "1", capsys=capsys)
+    assert (code, out) == (0, "p012\n... and 2 more\nsize: 3\n")
+
+
 def test_excise(capsys):
     code, out, _ = run("excise", "--cat", str(FIXTURES / "arrow.json"),
                        "--site", str(FIXTURES / "site_interval_e0.json"),
@@ -202,6 +244,22 @@ def test_unknown_morphism_in_table_is_usage_error(tmp_path, capsys):
                    "composition table mentions unknown 'zz'\n")
 
 
+@pytest.mark.parametrize("r", ["1", "2", "3"])
+@pytest.mark.parametrize("name", ["le:0:1", "nope"])
+def test_psi_rejects_a_non_endomorphism_the_same_way_for_every_r(name, r, capsys):
+    code, out, err = run("psi", "--cat", ARROW, "--r", r, name, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name!r} is not an endomorphism of this category\n"
+
+
+def test_cover_piece_needs_a_semicolon(capsys):
+    code, out, err = run("sheaf", "--cat", ARROW, "--graph",
+                         str(FIXTURES / "linear2.json"), "--left", "0,1",
+                         "--right", "1,2;e1", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --left must look like 'v1,v2;e1,e2' (';' required)\n"
+
+
 def test_trace_of_an_unknown_object_names_it(capsys):
     code, out, err = run("trace", "--cat", str(FIXTURES / "arrow.json"),
                          "nope", capsys=capsys)
@@ -230,6 +288,30 @@ def test_fixture_round_trips_are_byte_identical(tmp_path):
         again = json.dumps(loader(json.loads(raw)), indent=2,
                            sort_keys=True) + "\n"
         assert again == raw, name
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `quivercalc ...` line in README's sh blocks."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(),
+                            re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["quivercalc"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_every_readme_command_exits_0(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    commands = readme_commands()
+    assert len(commands) >= 16
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (0, ""), argv
+        assert out.getvalue(), argv
 
 
 def test_console_script_entry_point():
@@ -316,6 +398,10 @@ def bad_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bad")
     (tmp / "site.json").write_text("[1, 2]")
     (tmp / "obj.json").write_text('{"circles": -2, "quivers": []}')
+    (tmp / "bool_obj.json").write_text('{"circles": true, "quivers": []}')
+    interval = json.loads((FIXTURES / "interval.json").read_text())
+    (tmp / "string_cuts.json").write_text(
+        json.dumps({"graph": interval, "cut_edges": "e0"}))
     return tmp
 
 
@@ -336,6 +422,16 @@ BAD_INPUTS = {
                                 str(FIXTURES / "interval_obj.json"), "--path-cap", "-1"],
     "excise-site-not-an-object": ["excise", "--cat", ARROW, "--site", "{bad}/site.json"],
     "fact-negative-circles": ["fact", "--cat", ARROW, "--m", "{bad}/obj.json"],
+    "fact-bool-circles": ["fact", "--cat", str(FIXTURES / "cyclic3.json"),
+                          "--m", "{bad}/bool_obj.json"],
+    "excise-cut-edges-string": ["excise", "--cat", ARROW,
+                                "--site", "{bad}/string_cuts.json"],
+}
+BAD_MESSAGES = {
+    "fact-bool-circles": "error: bad object in {bad}/bool_obj.json: "
+                         "the circle count must be an integer >= 0, not True\n",
+    "excise-cut-edges-string": "error: bad site in {bad}/string_cuts.json: "
+                               "cut edge names must be a list of strings\n",
 }
 
 
@@ -350,6 +446,13 @@ def test_bad_input_is_one_line_exit_2(name, bad_files, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not err.rstrip().endswith(":")       # the message says what is wrong
+
+
+@pytest.mark.parametrize("name", BAD_MESSAGES)
+def test_bad_input_message(name, bad_files, capsys):
+    code, out, err = run(*_bad_argv(name, bad_files), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == BAD_MESSAGES[name].replace("{bad}", str(bad_files))
 
 
 @pytest.mark.parametrize("name", BAD_INPUTS)

@@ -511,3 +511,42 @@ def test_delta_to_para_examples():
     assert delta_to_para(DeltaMor.identity(1)) == identity_para(2)
     assert delta_to_para(DeltaMor(0, 1, (0,))) == ParaMor(1, 2, (0,))
     assert delta_to_para(DeltaMor(1, 0, (0, 0))) == ParaMor(2, 1, (0, 0))
+
+
+# --- every rejection names what is wrong -------------------------------------
+
+CYCCAT_REJECTIONS = {
+    "para-sizes": (lambda: ParaMor(0, 3, ()), "(1/0)Z -> (1/3)Z needs m, n >= 1"),
+    "para-values": (lambda: ParaMor(2, 3, (0,)), "need exactly m values"),
+    "para-monotone": (lambda: ParaMor(2, 3, (2, 0)), "values must be monotone"),
+    "para-period": (lambda: ParaMor(2, 3, (0, 4)), "values must fit in one period"),
+    "para-compose": (lambda: compose_para(identity_para(2), identity_para(3)),
+                     "(1/3)Z -> (1/3)Z then (1/2)Z -> (1/2)Z"),
+    "para-phi": (lambda: para_phi(0, identity_para(1)),
+                 "inflation needs r >= 1, not 0"),
+    "para-parse": (lambda: parse_para("2 x : 0 1"),
+                   "cannot parse paracyclic morphism from '2 x : 0 1'"),
+    "epi-sizes": (lambda: EpiMor(0, 1, (), ()), "cycles of sizes 0, 1 need m, n >= 1"),
+    "epi-lengths": (lambda: EpiMor(2, 2, (0, 1), (1,)),
+                    "need exactly m vertex images and m lengths"),
+    "epi-vertex": (lambda: EpiMor(1, 2, (2,), (2,)), "vertex image 2 outside Z/2"),
+    "epi-negative": (lambda: EpiMor(2, 1, (0, 0), (-1, 2)), "length at 0 is negative"),
+    "epi-incompatible": (lambda: EpiMor(2, 2, (0, 1), (2, 1)),
+                         "length at 0 incompatible with the vertex map"),
+    "epi-winding": (lambda: EpiMor(1, 1, (0,), (0,)),
+                    "total winding must be a positive multiple of n"),
+    "epi-compose": (lambda: compose_epi(identity_epi(2), identity_epi(1)),
+                    "cycles of size 1 vs 2"),
+    "epi-lift": (lambda: lift_epi_degree1(parse_epi("1 1 : 0 | 2")),
+                 "only degree-1 functors lift to the paracyclic category"),
+    "epi-parse": (lambda: parse_epi("1 1 : 0 | x"),
+                  "cannot parse epicyclic morphism from '1 1 : 0 | x'"),
+}
+
+
+@pytest.mark.parametrize("name", CYCCAT_REJECTIONS)
+def test_cyccat_rejections_name_the_fault(name):
+    build, message = CYCCAT_REJECTIONS[name]
+    with pytest.raises(QuivercalcError) as e:
+        build()
+    assert str(e.value) == message

@@ -233,3 +233,55 @@ def test_exit_path_loop_endpoints():
     assert len(srcs) == 1 and len(tgts) == 1
     assert srcs[0].src == "v:0" and srcs[0].tgt == "e:e0"
     assert tgts[0].src == "v:0" and tgts[0].tgt == "e:e0"
+
+
+# --- every rejection names what is wrong -------------------------------------
+
+G2 = standard_digraph("linear", 2)
+DIGRAPH_REJECTIONS = {
+    "vertex-names-not-a-list": (
+        lambda: Digraph.from_json({"vertices": "ab", "edges": []}),
+        QuivercalcError, "vertex names must be a list of strings"),
+    "edge-names-not-strings": (
+        lambda: Digraph.from_json({"vertices": ["a"],
+                                   "edges": [{"id": 1, "src": "a", "tgt": "a"}]}),
+        QuivercalcError, "edge names must be a list of strings"),
+    "duplicate-vertex": (lambda: Digraph(["a", "a"], []),
+                         QuivercalcError, "duplicate vertex names"),
+    "duplicate-edge": (lambda: Digraph(["a"], [("e", "a", "a"), ("e", "a", "a")]),
+                       QuivercalcError, "duplicate edge names"),
+    "undeclared-source": (lambda: Digraph(["a"], [("e", "x", "a")]),
+                          UnknownVertex, "edge 'e' has undeclared source 'x'"),
+    "undeclared-target": (lambda: Digraph(["a"], [("e", "a", "y")]),
+                          UnknownVertex, "edge 'e' has undeclared target 'y'"),
+    "edge": (lambda: G2.edge("zz"), UnknownEdge, "unknown edge 'zz'"),
+    "edge-index": (lambda: G2.edge_index("zz"), UnknownEdge, "unknown edge 'zz'"),
+    "vertex-index": (lambda: G2.vertex_index("zz"), UnknownVertex,
+                     "unknown vertex 'zz'"),
+    "out-edges": (lambda: G2.out_edges("zz"), UnknownVertex, "unknown vertex 'zz'"),
+    "in-edges": (lambda: G2.in_edges("zz"), UnknownVertex, "unknown vertex 'zz'"),
+    "valence": (lambda: G2.valence("zz"), UnknownVertex, "unknown vertex 'zz'"),
+    "subgraph-vertex": (lambda: G2.subgraph(["0", "zz"], []), UnknownVertex,
+                        "unknown vertex 'zz'"),
+    "subgraph-edge": (lambda: G2.subgraph(["0", "1"], ["e0", "zz"]), UnknownEdge,
+                      "unknown edge 'zz'"),
+    "subgraph-endpoint": (
+        lambda: G2.subgraph(["0"], ["e0"]), QuivercalcError,
+        "edge 'e0' of the subgraph has an endpoint outside the chosen vertex set"),
+    "linear-negative": (lambda: standard_digraph("linear", -1), QuivercalcError,
+                        "linear(p) needs p >= 0"),
+    "bouquet-negative": (lambda: standard_digraph("bouquet", -1), QuivercalcError,
+                         "bouquet(k) needs k >= 0"),
+    "unknown-kind": (lambda: standard_digraph("star", 3), QuivercalcError,
+                     "unknown standard digraph kind 'star'"),
+    "prefixes": (lambda: disjoint_union([G2, G2], ["a."]), QuivercalcError,
+                 "need one prefix per graph"),
+}
+
+
+@pytest.mark.parametrize("name", DIGRAPH_REJECTIONS)
+def test_digraph_rejections_name_the_fault(name):
+    build, error, message = DIGRAPH_REJECTIONS[name]
+    with pytest.raises(error) as e:
+        build()
+    assert str(e.value) == message

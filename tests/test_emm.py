@@ -638,3 +638,82 @@ def test_missing_composite_raises_in_excision_and_fact_map():
         with pytest.raises(BadComposite):
             for x in stage1:
                 push(broken, face)(x)
+
+
+# --- every rejection names what is wrong -------------------------------------
+
+Q2, L1, L2 = (standard_digraph("cyclic", 2), standard_digraph("interval"),
+              standard_digraph("linear", 2))
+SRC = MObject(1, [Q2])                   # one circle, one 2-cycle
+TO_CIRCLE, TO_INTERVAL = MObject(1, []), MObject(0, [L1])
+INTO_L2 = QuiverMor(L1, L2, {"0": "0", "1": "1"}, {"e0": Path.of_edge(L2, "e0")})
+EMM_REJECTIONS = {
+    "walk-and-vertex": (lambda: DirectedCycle(Q2, "0", ("e0", "e1")),
+                        "a walk determines its own basepoint"),
+    "walk-open": (lambda: DirectedCycle.walk(L2, ("e0", "e1")),
+                  "cycle walks must close up"),
+    "walk-power": (lambda: DirectedCycle.walk(Q2, ("e0", "e1", "e0", "e1")),
+                   "cycle walks must be primitive"),
+    "constant-vertex": (lambda: DirectedCycle(Q2, None), "a constant cycle needs a vertex"),
+    "circle-count": (lambda: MObject(-1, []),
+                     "the circle count must be an integer >= 0, not -1"),
+    "circle-count-bool": (lambda: MObject(True, []),
+                          "the circle count must be an integer >= 0, not True"),
+    "disconnected": (lambda: MObject(0, [disjoint_union([L1, L1])]),
+                     "component quivers must be connected; split the graph first"),
+    "object-json": (lambda: MObject.from_json({"circles": 1}),
+                    "object JSON needs 'circles' and 'quivers'"),
+    "mmor-circles": (lambda: MMor(SRC, TO_CIRCLE, [], []),
+                     "need one component per target circle"),
+    "mmor-quivers": (lambda: MMor(SRC, TO_INTERVAL, [], []),
+                     "need one component per target quiver"),
+    "mmor-source-circle": (lambda: MMor(SRC, TO_CIRCLE, [CircleEndo(1, 1)], []),
+                           "no source circle 1"),
+    "mmor-circle-weight": (lambda: MMor(SRC, TO_CIRCLE, [CircleEndo(0, 0)], []),
+                           "circle weights are >= 1"),
+    "mmor-vertex": (lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(0, "zz")], []),
+                    "unknown vertex 'zz'"),
+    "mmor-cycle-quiver": (
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
+            0, DirectedCycle.walk(standard_digraph("cyclic", 1), ("e0",)), 1)], []),
+        "the cycle lies in another quiver"),
+    "mmor-cycle-constant": (
+        lambda: MMor(SRC, TO_CIRCLE,
+                     [CycleToCircle(0, DirectedCycle.constant(Q2, "0"), 1)], []),
+        "constant cycles are vertex components"),
+    "mmor-cycle-weight": (
+        lambda: MMor(SRC, TO_CIRCLE,
+                     [CycleToCircle(0, DirectedCycle.walk(Q2, ("e0", "e1")), 0)], []),
+        "circle weights are >= 1"),
+    "mmor-circle-part": (lambda: MMor(SRC, TO_CIRCLE, ["x"], []),
+                         "not a circle component: 'x'"),
+    "mmor-quiver-part": (lambda: MMor(SRC, TO_INTERVAL, [], ["x"]),
+                         "not a quiver component: 'x'"),
+    "mmor-quiver-start": (
+        lambda: MMor(SRC, TO_INTERVAL, [], [QuivPart(0, QuiverMor.identity(Q2))]),
+        "quiver component 0 starts at the wrong quiver"),
+    "mmor-quiver-end": (lambda: MMor(SRC, TO_INTERVAL, [], [QuivPart(0, INTO_L2)]),
+                        "quiver component 0 ends at the wrong quiver"),
+    "compose": (lambda: compose_m(identity_m(SRC), identity_m(TO_CIRCLE)),
+                "maps of one-manifold objects not composable"),
+    "site-graph": (lambda: ExcisionSite("graph", None, ()),
+                   "a graph site needs a digraph"),
+    "site-cut-unknown": (lambda: make_excision_site(L1, ["zz"]),
+                         "unknown cut edge 'zz'"),
+    "site-cut-twice": (lambda: make_excision_site(L1, ["e0", "e0"]),
+                       "cut edges are listed twice"),
+    "site-kind": (lambda: ExcisionSite("circle", L1, ()),
+                  "a site is a graph with cut edges, or a bare circle"),
+    "site-stage": (lambda: make_excision_site("circle").level_graph(-1),
+                   "stages are numbered from 0, not -1"),
+    "site-refinement": (lambda: make_excision_site("circle").refinement(0),
+                        "only graph sites have a refinement map"),
+}
+
+
+@pytest.mark.parametrize("name", EMM_REJECTIONS)
+def test_emm_rejections_name_the_fault(name):
+    build, message = EMM_REJECTIONS[name]
+    with pytest.raises(QuivercalcError) as e:
+        build()
+    assert str(e.value) == message

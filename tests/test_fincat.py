@@ -24,6 +24,7 @@ from quivercalc.quiver import Path, QuiverMor, enumerate_quiver_mors
 
 import string_oracle as oracle
 from test_hochschild import shuffled
+from tests.conftest import triples
 
 FIXTURE_CATS = [
     walking_arrow_category(),
@@ -60,17 +61,17 @@ def test_symmetric_group_composition_convention():
 
 
 def test_missing_identity_detected():
-    c = FinCat(["x"], [("f", "x", "x")], {"x": "f"}, {("f", "f"): "f"})
+    c = FinCat(["x"], [("f", "x", "x")], {"x": "f"}, [("f", "f", "f")])
     validate_fincat(c)  # f is a perfectly fine identity
     bad = FinCat(["x"], [("f", "x", "x"), ("g", "x", "x")], {"x": "f"},
-                 {("f", "f"): "f", ("f", "g"): "g", ("g", "f"): "f",
-                  ("g", "g"): "g"})
+                 [("f", "f", "f"), ("f", "g", "g"), ("g", "f", "f"),
+                  ("g", "g", "g")])
     with pytest.raises(MissingIdentity):
         validate_fincat(bad)  # f absorbs g on one side
 
 
 def test_bad_composite_detected():
-    tbl = {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f"}
+    tbl = [("e", "e", "e"), ("e", "f", "f"), ("f", "e", "f")]
     c = FinCat(["x", "y"], [("e", "x", "x"), ("f", "x", "y")],
                {"x": "e", "y": "f"}, tbl)
     with pytest.raises(MissingIdentity):
@@ -95,26 +96,26 @@ def test_not_associative_detected():
 
 def test_totality_enforced():
     c = FinCat(["x"], [("e", "x", "x"), ("g", "x", "x")], {"x": "e"},
-               {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g"})
+               [("e", "e", "e"), ("e", "g", "g"), ("g", "e", "g")])
     with pytest.raises(BadComposite):
         validate_fincat(c)  # g∘g missing
 
 
 REJECTED = [
-    (["x", "x"], [], {}, {}, "duplicate object names"),
-    (["x"], [("e", "x", "x"), ("e", "x", "x")], {}, {},
+    (["x", "x"], [], {}, [], "duplicate object names"),
+    (["x"], [("e", "x", "x"), ("e", "x", "x")], {}, [],
      "duplicate morphism names"),
-    (["x"], [("e", "x", "x"), ("f", "x", "y")], {}, {},
+    (["x"], [("e", "x", "x"), ("f", "x", "y")], {}, [],
      "morphism 'f' has undeclared endpoints"),
-    (["x"], [("e", "x", "x")], {"y": "e"}, {},
+    (["x"], [("e", "x", "x")], {"y": "e"}, [],
      "identity for undeclared object 'y'"),
-    (["x"], [("e", "x", "x")], {"x": "i"}, {},
+    (["x"], [("e", "x", "x")], {"x": "i"}, [],
      "identity 'i' is not a declared morphism"),
-    (["x"], [("e", "x", "x")], {"x": "e"}, {("e", "e"): "k"},
+    (["x"], [("e", "x", "x")], {"x": "e"}, [("e", "e", "k")],
      "composition table mentions unknown 'k'"),
-    (["x"], [("e", "x", "x")], {"x": "e"}, {("e", "e"): "e", ("e", "k"): "j"},
+    (["x"], [("e", "x", "x")], {"x": "e"}, [("e", "e", "e"), ("e", "k", "j")],
      "composition table mentions unknown 'k'"),
-    (["x"], [("e", "x", "x")], {"x": "e"}, {("j", "k"): "e"},
+    (["x"], [("e", "x", "x")], {"x": "e"}, [("j", "k", "e")],
      "composition table mentions unknown 'j'"),
 ]
 
@@ -129,14 +130,14 @@ def test_constructor_rejects_unresolved_names(objects, morphisms, ids, table,
 
 def test_object_without_identity():
     c = FinCat(["x", "y"], [("e", "x", "x"), ("u", "y", "y")], {"x": "e"},
-               {("e", "e"): "e", ("u", "u"): "u"})
+               [("e", "e", "e"), ("u", "u", "u")])
     with pytest.raises(MissingIdentity, match="'y' has no identity"):
         validate_fincat(c)
 
 
 def test_identity_not_an_endomorphism():
     c = FinCat(["x", "y"], [("e", "x", "x"), ("u", "y", "y"), ("f", "x", "y")],
-               {"x": "f", "y": "u"}, {})
+               {"x": "f", "y": "u"}, [])
     with pytest.raises(MissingIdentity,
                        match="identity of 'x' is not an endomorphism"):
         validate_fincat(c)
@@ -145,7 +146,7 @@ def test_identity_not_an_endomorphism():
 def test_table_entry_for_non_composable_pair():
     arrow = walking_arrow_category()
     c = FinCat(arrow.objects, arrow.morphisms, arrow.identities,
-               {**arrow.table, ("le:0:1", "le:0:1"): "le:0:1"})
+               triples({**arrow.table, ("le:0:1", "le:0:1"): "le:0:1"}))
     with pytest.raises(BadComposite,
                        match=r"non-composable pair \('le:0:1', 'le:0:1'\)"):
         validate_fincat(c)
@@ -154,7 +155,7 @@ def test_table_entry_for_non_composable_pair():
 def test_composite_with_wrong_endpoints():
     arrow = walking_arrow_category()
     c = FinCat(arrow.objects, arrow.morphisms, arrow.identities,
-               {**arrow.table, ("le:1:1", "le:0:1"): "le:1:1"})
+               triples({**arrow.table, ("le:1:1", "le:0:1"): "le:1:1"}))
     with pytest.raises(BadComposite,
                        match="'le:1:1'∘'le:0:1' = 'le:1:1' has the wrong endpoints"):
         validate_fincat(c)
@@ -245,7 +246,7 @@ def corrupted_tables(draw):
             ids[draw(st.sampled_from(base.objects))] = draw(st.sampled_from(mids))
         else:
             ids.pop(draw(st.sampled_from(base.objects)), None)
-    return FinCat(base.objects, base.morphisms, ids, table)
+    return FinCat(base.objects, base.morphisms, ids, triples(table))
 
 
 def raised(check, c):
@@ -260,17 +261,17 @@ def raised(check, c):
 @given(corrupted_tables())
 @example(FinCat(["*"], [("e", "*", "*"), ("a", "*", "*"), ("b", "*", "*")],
                 {"*": "e"},
-                {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
-                 ("a", "e"): "a", ("b", "e"): "b", ("a", "a"): "b",
-                 ("a", "b"): "e", ("b", "a"): "a", ("b", "b"): "a"}))
+                [("e", "e", "e"), ("e", "a", "a"), ("e", "b", "b"),
+                 ("a", "e", "a"), ("b", "e", "b"), ("a", "a", "b"),
+                 ("a", "b", "e"), ("b", "a", "a"), ("b", "b", "a")]))
 def test_validation_agrees_with_the_exhaustive_oracle(c):
     # validate_fincat scans table entries in declaration order, (g, f) by
     # index; the oracle scans the table dict, so it gets the entries sorted
     got = raised(validate_fincat, c)
     want = raised(exhaustive_validate, FinCat(
         c.objects, c.morphisms, c.identities,
-        dict(sorted(c.table.items(), key=lambda kv: (
-            c.morphism_index(kv[0][0]), c.morphism_index(kv[0][1]))))))
+        triples(dict(sorted(c.table.items(), key=lambda kv: (
+            c.morphism_index(kv[0][0]), c.morphism_index(kv[0][1])))))))
     assert type(got) is type(want)
     if isinstance(got, NotAssociative):
         f, g, h = ast.literal_eval(str(got))
@@ -289,7 +290,7 @@ def test_generating_sets():
     assert len(_generators(c.int_table)) == 13
     validate_fincat(c)
     broken = FinCat(c.objects, c.morphisms, c.identities,
-                    {**c.table, ("z", "a3"): "a3"})   # (a1a1)a3 != a1(a1a3)
+                    triples({**c.table, ("z", "a3"): "a3"}))   # (a1a1)a3 != a1(a1a3)
     assert type(raised(validate_fincat, broken)) is NotAssociative
     assert type(raised(exhaustive_validate, broken)) is NotAssociative
 
@@ -476,9 +477,9 @@ def test_limit_sections_on_a_fork():
                    [("is", "s", "s"), ("ia", "a", "a"), ("ib", "b", "b"),
                     ("f", "s", "a"), ("g", "s", "b")],
                    {"s": "is", "a": "ia", "b": "ib"},
-                   {("is", "is"): "is", ("ia", "ia"): "ia", ("ib", "ib"): "ib",
-                    ("f", "is"): "f", ("ia", "f"): "f",
-                    ("g", "is"): "g", ("ib", "g"): "g"})
+                   [("is", "is", "is"), ("ia", "ia", "ia"), ("ib", "ib", "ib"),
+                    ("f", "is", "f"), ("ia", "f", "f"),
+                    ("g", "is", "g"), ("ib", "g", "g")])
     validate_fincat(shape)
     carriers = {"s": [0, 1], "a": [0, 1], "b": [0, 1]}
     actions = {"f": lambda x: x, "g": lambda x: 1 - x,
@@ -500,7 +501,7 @@ def test_limit_sections_past_the_recursion_limit():
 
 
 def test_limit_sections_with_empty_carriers_or_shape():
-    empty = FinCat([], [], {}, {})
+    empty = FinCat([], [], {}, [])
     assert limit_sections(empty, {}, {}) == [{}]
     g = standard_digraph("interval")
     assert rep_via_exit_limit(empty, g) == enumerate_reps(empty, g) == []
@@ -698,7 +699,7 @@ def without_composite(cat, g, f):
     """cat with the table entry for g∘f deleted (so it fails validation)."""
     table = dict(cat.table)
     del table[(g, f)]
-    return FinCat(cat.objects, cat.morphisms, cat.identities, table)
+    return FinCat(cat.objects, cat.morphisms, cat.identities, triples(table))
 
 
 def test_missing_composite_raises_and_is_never_indexed():
@@ -714,10 +715,112 @@ def test_missing_composite_raises_and_is_never_indexed():
         compose_along_path(rep, Path(b, "0", ("e0", "e1")))
     # an identity missing from the table: collapsing an edge needs it
     no_id = FinCat(["0", "1"], [("i0", "0", "0"), ("a", "0", "1")],
-                   {"0": "i0"}, {("i0", "i0"): "i0", ("a", "i0"): "a"})
+                   {"0": "i0"}, [("i0", "i0", "i0"), ("a", "i0", "a")])
     pt = standard_digraph("point")
     collapse = QuiverMor(g, pt, {"0": "0", "1": "0"}, {"e0": Path.empty(pt, "0")})
     rep = Representation(no_id, pt, {"0": "1"}, {})
     for pull in (pullback_rep, oracle.pullback_rep):
         with pytest.raises(MissingIdentity, match="object '1' has no identity"):
             pull(collapse, rep)
+
+
+# --- the composition table is read as triples, in order ---------------------
+
+
+def test_a_repeated_pair_keeps_its_last_entry():
+    c = FinCat(["x"], [("e", "x", "x"), ("g", "x", "x")], {"x": "e"},
+               [("e", "e", "e"), ("e", "g", "g"), ("g", "e", "g"),
+                ("g", "g", "g"), ("g", "g", "e")])
+    assert c.comp("g", "g") == "e"
+    assert c.table == {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g",
+                       ("g", "g"): "e"}
+    validate_fincat(c)      # C2: the entry g∘g = g was overwritten
+    data = c.to_json()
+    data["compose"] = [["g", "g", "g"]] + data["compose"]
+    assert FinCat.from_json(data).table == c.table
+
+
+def test_an_overwritten_entry_must_still_resolve():
+    data = cyclic_group_category(3).to_json()
+    data["compose"] = [["g1", "g1", "zz"]] + data["compose"]
+    with pytest.raises(QuivercalcError,
+                       match="^composition table mentions unknown 'zz'$"):
+        FinCat.from_json(data)
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    (["g1", "g1"], ValueError, "not enough values to unpack (expected 3, got 2)"),
+    ([["g1"], "g1", "g1"], TypeError, "unhashable type: 'list'"),
+    (5, TypeError, "cannot unpack non-iterable int object"),
+])
+def test_a_malformed_entry_is_reported_before_an_unknown_name(bad, error,
+                                                              message):
+    # the unknown name comes first in the file, the malformed entry last
+    data = cyclic_group_category(3).to_json()
+    data["compose"] = [["zz", "g1", "g1"]] + data["compose"] + [bad]
+    with pytest.raises(error) as e:
+        FinCat.from_json(data)
+    assert str(e.value) == message
+
+
+# --- every rejection names what is wrong -------------------------------------
+
+ARROW, C3, I1 = (walking_arrow_category(), cyclic_group_category(3),
+                 standard_digraph("interval"))
+ARROW_IDS = {"le:0:0": "le:0:0", "le:1:1": "le:1:1"}
+FINCAT_REJECTIONS = {
+    "json-key": (lambda: FinCat.from_json({"objects": []}),
+                 QuivercalcError, "category JSON needs 'morphisms'"),
+    "object-names": (
+        lambda: FinCat.from_json({"objects": "x", "morphisms": [], "ids": {},
+                                  "compose": []}),
+        QuivercalcError, "object names must be a list of strings"),
+    "unknown-object": (lambda: ARROW.object_index("zz"), QuivercalcError,
+                       "unknown object 'zz'"),
+    "unknown-morphism": (lambda: ARROW.mor("zz"), QuivercalcError,
+                         "unknown morphism 'zz'"),
+    "incomposable": (lambda: ARROW.comp("le:0:1", "le:0:1"), Incomposable,
+                     "'le:0:1' after 'le:0:1'"),
+    "cyclic-group": (lambda: cyclic_group_category(0), QuivercalcError,
+                     "the cyclic group C_n needs n >= 1, not 0"),
+    "symmetric-group": (lambda: symmetric_group_category(7), QuivercalcError,
+                        "symmetric groups are built for 1 <= n <= 6, not 7"),
+    "poset": (lambda: poset_category(["a", "b", "c"], [("a", "b"), ("b", "c")]),
+              QuivercalcError, "relation not transitive at ('a', 'b', 'c')"),
+    "functor-object": (lambda: Functor(ARROW, ARROW, {"0": "0"}, {}),
+                       QuivercalcError, "object '1' has no image"),
+    "functor-unknown-object": (
+        lambda: Functor(ARROW, ARROW, {"0": "zz", "1": "1"}, {}),
+        QuivercalcError, "unknown object 'zz'"),
+    "functor-morphism": (lambda: Functor(ARROW, ARROW, {"0": "0", "1": "1"}, {}),
+                         QuivercalcError, "morphism 'le:0:0' has no image"),
+    "functor-endpoints": (
+        lambda: Functor(ARROW, ARROW, {"0": "0", "1": "1"},
+                        {**ARROW_IDS, "le:0:1": "le:0:0"}),
+        QuivercalcError, "image of 'le:0:1' has the wrong endpoints"),
+    "functor-identity": (
+        lambda: Functor(C3, C3, {"*": "*"}, {"g0": "g1", "g1": "g1", "g2": "g2"}),
+        QuivercalcError, "identity of '*' not preserved"),
+    "functor-composition": (
+        lambda: Functor(C3, C3, {"*": "*"}, {"g0": "g0", "g1": "g1", "g2": "g1"}),
+        QuivercalcError, "composition not preserved at ('g1', 'g1')"),
+    "representation-endpoints": (
+        lambda: Representation(ARROW, I1, {"0": "1", "1": "0"}, {"e0": "le:0:1"}),
+        QuivercalcError,
+        "label of edge 'e0' has endpoints ('0', '1'), expected ('1', '0')"),
+    "representation-label": (
+        lambda: Representation(ARROW, I1, {"0": "0"}, {}),
+        QuivercalcError, "no label for vertex or edge '1'"),
+    "pullback-graph": (
+        lambda: pullback_rep(QuiverMor.identity(I1), enumerate_reps(
+            ARROW, standard_digraph("point"))[0]),
+        QuivercalcError, "representation lives on a different graph"),
+}
+
+
+@pytest.mark.parametrize("name", FINCAT_REJECTIONS)
+def test_fincat_rejections_name_the_fault(name):
+    build, error, message = FINCAT_REJECTIONS[name]
+    with pytest.raises(error) as e:
+        build()
+    assert str(e.value) == message

@@ -15,6 +15,7 @@ from quivercalc.hochschild import (CyclicWord, HHTable, UnionFind,
                                    class_of_word, compute_hh, hh_map,
                                    least_rotation_index, power_endo, psi,
                                    trace_end, trace_obj)
+from tests.conftest import triples
 
 GROUPS = [
     (cyclic_group_category(2), 2),
@@ -141,7 +142,7 @@ def shuffled(cat, seed):
     return FinCat([oname[x] for x in objects],
                   [(mname[m.mid], oname[m.src], oname[m.tgt]) for m in morphisms],
                   {oname[x]: mname[i] for x, i in cat.identities.items()},
-                  {(mname[g], mname[f]): mname[h] for (g, f), h in entries})
+                  [(mname[g], mname[f], mname[h]) for (g, f), h in entries])
 
 
 SWEPT = [symmetric_group_category(n) for n in (3, 4, 5)] + \
@@ -160,7 +161,7 @@ def test_table_and_identities_read_back(cat):
         entries = list(c.table.items())
         random.Random(seed).shuffle(entries)
         ids, table = dict(c.identities), dict(entries)
-        again = FinCat(c.objects, c.morphisms, ids, table)
+        again = FinCat(c.objects, c.morphisms, ids, triples(table))
         assert again.table == table
         assert again.identities == ids
 
@@ -183,7 +184,7 @@ def test_s6_validates_and_has_eleven_classes():
 
 def test_unvalidated_table_is_rejected():
     c = FinCat(["x"], [("e", "x", "x"), ("g", "x", "x")], {"x": "e"},
-               {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g"})
+               [("e", "e", "e"), ("e", "g", "g"), ("g", "e", "g")])
     with pytest.raises(BadComposite):
         compute_hh(c)       # g∘g is missing
 
@@ -418,3 +419,37 @@ def test_least_rotation_hand_cases():
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
 def test_least_rotation_matches_naive(seq):
     assert least_rotation_index(seq) == naive_least_rotation(seq)
+
+
+# --- every rejection names what is wrong -------------------------------------
+
+HH_ARROW = walking_arrow_category()
+HH_REJECTIONS = {
+    "rotation": (lambda: least_rotation_index([]),
+                 "an empty sequence has no least rotation"),
+    "word-empty": (lambda: CyclicWord(HH_ARROW, ()), "cyclic words are nonempty"),
+    "word-chain": (lambda: CyclicWord(HH_ARROW, ("le:0:1",)),
+                   "'le:0:1' then 'le:0:1' does not chain cyclically"),
+    "word-repeat": (lambda: CyclicWord(HH_ARROW, ("le:0:0",)).repeat(0),
+                    "a word repeats r >= 1 times, not 0"),
+    "power-r": (lambda: power_endo(HH_ARROW, "le:0:0", 0),
+                "powers are taken for r >= 1, not 0"),
+    "power-unknown": (lambda: power_endo(HH_ARROW, "nope", 2),
+                      "'nope' is not an endomorphism of this category"),
+    "power-not-endo": (lambda: power_endo(HH_ARROW, "le:0:1", 3),
+                       "'le:0:1' is not an endomorphism of this category"),
+    "class-unknown": (lambda: compute_hh(HH_ARROW).class_of("nope"),
+                      "'nope' is not an endomorphism of this category"),
+    "hh-map": (lambda: hh_map(Functor(HH_ARROW, HH_ARROW, {"0": "0", "1": "1"},
+                                      {m.mid: m.mid for m in HH_ARROW.morphisms}),
+                              trace_obj(cyclic_group_category(2), "*")),
+               "the class belongs to another category than the functor's source"),
+}
+
+
+@pytest.mark.parametrize("name", HH_REJECTIONS)
+def test_hochschild_rejections_name_the_fault(name):
+    build, message = HH_REJECTIONS[name]
+    with pytest.raises(QuivercalcError) as e:
+        build()
+    assert str(e.value) == message

@@ -383,3 +383,42 @@ def test_delta_factor_sizes(p, q):
         # the intermediate object is the image span of f
         assert act.q == f.values[-1] - f.values[0]
         assert clo.p == act.q
+
+
+# --- every rejection names what is wrong -------------------------------------
+
+I1, L2 = standard_digraph("interval"), standard_digraph("linear", 2)
+QUIVER_REJECTIONS = {
+    "path-start": (lambda: Path(L2, "zz", ()), "unknown vertex 'zz'"),
+    "path-chain": (lambda: Path(L2, "0", ("e1",)), "edge 'e1' starts at '1', not '0'"),
+    "path-then": (lambda: Path.of_edge(L2, "e0").then(Path.of_edge(L2, "e0")),
+                  "paths do not chain"),
+    "vertex-image": (lambda: QuiverMor(I1, L2, {"0": "0"}, {}),
+                     "vertex '1' has no image"),
+    "unknown-vertex-image": (lambda: QuiverMor(I1, L2, {"0": "0", "1": "zz"}, {}),
+                             "unknown vertex 'zz'"),
+    "edge-image": (lambda: QuiverMor(I1, L2, {"0": "0", "1": "1"}, {}),
+                   "edge 'e0' has no image path"),
+    "edge-image-graph": (
+        lambda: QuiverMor(I1, L2, {"0": "0", "1": "1"}, {"e0": Path.of_edge(I1, "e0")}),
+        "image path of 'e0' lives in the wrong graph"),
+    "edge-image-endpoints": (
+        lambda: QuiverMor(I1, L2, {"0": "0", "1": "2"}, {"e0": Path.of_edge(L2, "e0")}),
+        "image path of 'e0' has the wrong endpoints"),
+    "map-path": (lambda: QuiverMor.identity(I1).map_path(Path.of_edge(L2, "e0")),
+                 "path lives in the wrong graph"),
+    "delta-ordinals": (lambda: DeltaMor(-1, 0, ()), "ordinals [p], [q] need p, q >= 0"),
+    "delta-values": (lambda: DeltaMor(1, 1, (0,)), "need one value per point of [p]"),
+    "delta-range": (lambda: DeltaMor(0, 1, (2,)), "value 2 outside [0..1]"),
+    "delta-monotone": (lambda: DeltaMor(1, 1, (1, 0)), "values must be monotone"),
+    "delta-compose": (lambda: compose_delta(DeltaMor.identity(1), DeltaMor.identity(0)),
+                      "ordinal maps not composable"),
+}
+
+
+@pytest.mark.parametrize("name", QUIVER_REJECTIONS)
+def test_quiver_rejections_name_the_fault(name):
+    build, message = QUIVER_REJECTIONS[name]
+    with pytest.raises(QuivercalcError) as e:
+        build()
+    assert str(e.value) == message
