@@ -67,7 +67,9 @@ def _load_mobject(path: str) -> MObject:
 
 def _load_site(path: str):
     def parse(data):
-        if data.get("graph") == "circle":
+        if not isinstance(data, dict) or "graph" not in data:
+            raise QuivercalcError("site JSON needs 'graph'")
+        if data["graph"] == "circle":
             return make_excision_site("circle")
         graph, cuts = Digraph.from_json(data["graph"]), data.get("cut_edges", [])
         check_names(cuts, "cut edge")

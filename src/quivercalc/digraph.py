@@ -40,6 +40,32 @@ def check_names(names, what: str) -> None:
         raise QuivercalcError(f"{what} names must be a list of strings")
 
 
+def json_arrows(entries, what: str) -> list[tuple]:
+    """(id, src, tgt) of each entry of a JSON list of {"id", "src", "tgt"}
+    objects, the edges of a digraph or the morphisms of a category, with
+    src and tgt strings; an error names the first entry, counted from 0,
+    that is not such an object."""
+    if not isinstance(entries, list):
+        raise QuivercalcError(f"{what}s must be a list of objects with "
+                              "'id', 'src' and 'tgt'")
+    try:
+        arrows = [(e["id"], e["src"], e["tgt"]) for e in entries]
+        if all(isinstance(s, str) and isinstance(t, str) for _, s, t in arrows):
+            return arrows
+    except (KeyError, TypeError):
+        pass
+    for n, entry in enumerate(entries):     # one of them raises
+        if not isinstance(entry, dict):
+            raise QuivercalcError(f"{what} entry {n} is not an object with "
+                                  "'id', 'src' and 'tgt'")
+        for key in ("id", "src", "tgt"):
+            if key not in entry:
+                raise QuivercalcError(f"{what} entry {n} has no {key!r}")
+        for key in ("src", "tgt"):
+            if not isinstance(entry[key], str):
+                raise QuivercalcError(f"{what} entry {n} has a non-string {key!r}")
+
+
 class Edge(NamedTuple):
     eid: str
     src: str
@@ -154,7 +180,7 @@ class Digraph:
     def from_json(cls, data: dict) -> "Digraph":
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise QuivercalcError("digraph JSON needs 'vertices' and 'edges'")
-        edges = [(e["id"], e["src"], e["tgt"]) for e in data["edges"]]
+        edges = json_arrows(data["edges"], "edge")
         check_names(data["vertices"], "vertex")
         check_names([eid for eid, _, _ in edges], "edge")
         return cls(data["vertices"], edges)
@@ -338,15 +364,24 @@ def walks(d: Digraph, start: str, end: str, max_len: int,
             walk.pop()
 
 
-def least_edge_walks(d: Digraph, max_len: int) -> Iterator[tuple]:
-    """Every closed walk with 1..max_len edges whose first edge has the least
-    index among its edges, grouped by first edge in declaration order.
+def lyndon_walks(d: Digraph, max_len: int) -> Iterator[tuple]:
+    """Every closed walk with 1..max_len edges whose sequence of edge
+    indices is a Lyndon word, i.e. strictly less than each of its proper
+    rotations; in lexicographic order of edge indices, a walk before its
+    extensions.  These are the primitive closed walks up to rotation, each
+    once, in its least rotation.
 
-    After a first edge e the search takes only edges of index >= index(e),
-    and only into vertices that can still reach e's source over such edges,
-    so it never extends a walk that cannot close up (the pruning of Johnson,
-    "Finding all the elementary circuits of a directed graph", SIAM J.
-    Comput. 4 (1975), applied to closed walks).
+    A Lyndon word starts with its least letter, so after a first edge e the
+    search takes only edges of index >= index(e), and only into vertices
+    that can still reach e's source over such edges: it never extends a walk
+    that cannot close up (the pruning of Johnson, "Finding all the
+    elementary circuits of a directed graph", SIAM J. Comput. 4 (1975),
+    applied to closed walks).  It also extends only prenecklaces, prefixes
+    of some necklace: a prenecklace a_1..a_n whose longest Lyndon prefix
+    has length p extends by b exactly when b >= a_(n+1-p), keeping p when
+    b equals it and making n+1 the new p otherwise; it is a Lyndon word
+    when p = n (Ruskey, Savage & Wang, "Generating necklaces",
+    J. Algorithms 13 (1992)).
     """
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
@@ -354,14 +389,39 @@ def least_edge_walks(d: Digraph, max_len: int) -> Iterator[tuple]:
         return
     index = d._eindex
     for i, first in enumerate(d.edges):
-        back = reachable(first.src, lambda v: [e.src for e in d._in[v]
-                                               if index[e.eid] >= i])
+        end = first.src
+        back = reachable(end, lambda v: [e.src for e in d._in[v]
+                                         if index[e.eid] >= i])
         if first.tgt not in back:
             continue
-        out = {v: [e for e in d._out[v] if index[e.eid] >= i and e.tgt in back]
-               for v in back}
-        for walk in walks(d, first.tgt, first.src, max_len - 1, out.__getitem__):
-            yield (first.eid,) + walk
+        # out[v]: the usable edges out of v as (index, edge), in index order
+        out = {v: [(index[e.eid], e) for e in d._out[v]
+                   if index[e.eid] >= i and e.tgt in back] for v in back}
+        if first.tgt == end:
+            yield (first.eid,)
+        word, walk = [i], [first.eid]
+        # a frame extends the word of length n, whose Lyndon prefix has
+        # length p, from the end of the walk, by letters >= word[n - p]
+        stack = [(iter(out[first.tgt]), 1, 1)] if max_len > 1 else []
+        while stack:
+            it, n, p = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                stack.pop()
+                continue
+            j, e = nxt
+            least = word[n - p]
+            if j < least:
+                continue
+            del word[n:], walk[n:]
+            word.append(j)
+            walk.append(e.eid)
+            if j > least:
+                p = n + 1
+                if e.tgt == end:
+                    yield tuple(walk)
+            if n + 1 < max_len:
+                stack.append((iter(out[e.tgt]), n + 1, p))
 
 
 def classify_digraph(d: Digraph) -> DigraphShape:

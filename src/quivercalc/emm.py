@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
-                      classify_digraph, least_edge_walks, standard_digraph,
+                      classify_digraph, lyndon_walks, standard_digraph,
                       strong_components)
 from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
                      enumerate_quiver_mors)
@@ -107,16 +107,11 @@ def enumerate_directed_cycles(graph: Digraph, max_len: int) -> list[DirectedCycl
     """Constant cycles at every vertex, then primitive closed walks up to
     rotation of length <= max_len, ordered by (length, edge indices)."""
     out = [DirectedCycle.constant(graph, v) for v in graph.vertices]
-    cycles: list[DirectedCycle] = []
-    # the least rotation of a primitive walk is unique and starts with its
-    # least edge, so each cycle is kept once, from its least rotation
-    for walk in least_edge_walks(graph, max_len):
-        if (primitive_period(walk) == len(walk)
-                and least_rotation_index([graph.edge_index(e) for e in walk]) == 0):
-            cycles.append(DirectedCycle.walk(graph, walk))
-    cycles.sort(key=lambda z: (z.length,
-                               tuple(graph.edge_index(e) for e in z.edges)))
-    return out + cycles
+    # a primitive closed walk is kept once, from its least rotation: the
+    # walks whose edge indices form a Lyndon word, which come in
+    # lexicographic order, so a stable sort by length finishes the order
+    found = sorted(lyndon_walks(graph, max_len), key=len)
+    return out + [DirectedCycle.walk(graph, w) for w in found]
 
 
 def cycle_length_bound(graph: Digraph) -> int | None:
@@ -177,6 +172,8 @@ class MObject:
     def from_json(cls, data: dict) -> "MObject":
         if not isinstance(data, dict) or "circles" not in data or "quivers" not in data:
             raise QuivercalcError("object JSON needs 'circles' and 'quivers'")
+        if not isinstance(data["quivers"], list):
+            raise QuivercalcError("'quivers' must be a list of digraphs")
         quivers = []
         for qj in data["quivers"]:
             quivers.extend(components(Digraph.from_json(qj)))

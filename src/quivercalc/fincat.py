@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
 from .digraph import (ClosedCover, Digraph, Incomposable, QuivercalcError,
-                      check_names)
+                      check_names, json_arrows)
 
 
 class MissingIdentity(QuivercalcError):
@@ -69,7 +69,7 @@ class FinCat:
     """
 
     def __init__(self, objects: Iterable[str], morphisms: Iterable,
-                 identities: dict, compose: Iterable):
+                 identities: dict, compose: list):
         self.objects = tuple(objects)
         self.morphisms = tuple(Mor(*m) for m in morphisms)
         identities = dict(identities)
@@ -103,21 +103,15 @@ class FinCat:
             identity[oindex[x]] = mindex[i]
         comp = [[-1] * len(into[x]) for x in src]
         stray: dict[tuple[int, int], int] = {}
-        for g, f, h in compose:
-            try:
+        try:
+            for g, f, h in compose:
                 gi, fi, hi = mindex[g], mindex[f], mindex[h]
-            except (KeyError, TypeError):
-                # an entry that is no triple, or whose (g, f) is unhashable,
-                # is reported first, wherever it stands in the table
-                for g2, f2, _ in compose:
-                    hash((g2, f2))
-                unknown = next(mid for mid in (g, f, h) if mid not in mindex)
-                raise QuivercalcError(
-                    f"composition table mentions unknown {unknown!r}") from None
-            if tgt[fi] == src[gi]:
-                comp[gi][at[fi]] = hi
-            else:
-                stray[gi, fi] = hi
+                if tgt[fi] == src[gi]:
+                    comp[gi][at[fi]] = hi
+                else:
+                    stray[gi, fi] = hi
+        except (KeyError, TypeError, ValueError):
+            raise QuivercalcError(_compose_fault(compose, mindex)) from None
         self.int_table = IntTable(src, tgt, identity, into, out, at, hom,
                                   comp, stray)
         self.hh_table = None      # trace classes, filled by compute_hh
@@ -212,10 +206,28 @@ class FinCat:
         for key in ("objects", "morphisms", "ids", "compose"):
             if not isinstance(data, dict) or key not in data:
                 raise QuivercalcError(f"category JSON needs {key!r}")
-        morphisms = [(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]]
+        morphisms = json_arrows(data["morphisms"], "morphism")
         check_names(data["objects"], "object")
         check_names([mid for mid, _, _ in morphisms], "morphism")
-        return cls(data["objects"], morphisms, data["ids"], data["compose"])
+        ids, compose = data["ids"], data["compose"]
+        if not (isinstance(ids, dict)
+                and all(isinstance(i, str) for i in ids.values())):
+            raise QuivercalcError("'ids' must map objects to morphism names")
+        if not isinstance(compose, list):
+            raise QuivercalcError("'compose' must be a list of [g, f, h] triples")
+        return cls(data["objects"], morphisms, ids, compose)
+
+
+def _compose_fault(compose, mindex: dict) -> str:
+    """What is wrong with a composition table that does not resolve: its
+    first entry, counted from 0, that is no triple of names, wherever it
+    stands, else its first unknown name."""
+    for n, entry in enumerate(compose):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                and all(isinstance(mid, str) for mid in entry)):
+            return f"compose entry {n} is not a [g, f, h] triple"
+    unknown = next(mid for entry in compose for mid in entry if mid not in mindex)
+    return f"composition table mentions unknown {unknown!r}"
 
 
 def validate_fincat(c: FinCat) -> None:
@@ -363,13 +375,20 @@ def poset_category(elements: list[str], leq: Iterable[tuple]) -> FinCat:
     leq must contain all related pairs (reflexivity is added, transitivity
     is required and checked by closing the table).
     """
+    leq = list(leq)
     rel = set(leq) | {(x, x) for x in elements}
-    morphisms = [(f"le:{x}:{y}", x, y) for x in elements for y in elements
-                 if (x, y) in rel]
+    declared = set(elements)
+    for pair in leq:
+        if not declared.issuperset(pair):
+            raise QuivercalcError(
+                f"related pair {pair} has an undeclared element")
+    # the pairs in declaration order, indexed by their smaller element
+    above = {x: [y for y in elements if (x, y) in rel] for x in elements}
+    morphisms = [(f"le:{x}:{y}", x, y) for x in elements for y in above[x]]
     compose = []
-    for (x, y) in rel:
-        for (y2, z) in rel:
-            if y == y2:
+    for x in elements:
+        for y in above[x]:
+            for z in above[y]:
                 if (x, z) not in rel:
                     raise QuivercalcError(f"relation not transitive at {(x, y, z)}")
                 compose.append((f"le:{y}:{z}", f"le:{x}:{y}", f"le:{x}:{z}"))

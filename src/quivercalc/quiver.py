@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownVertex,
-                      reachable, standard_digraph, strong_components, walks,
-                      weak_components)
+                      reachable, standard_digraph, walks, weak_components)
 
 
 class Path:
@@ -84,9 +83,9 @@ def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Pa
     """All paths src -> tgt of length <= max_len, sorted by length then by
     edge indices lexicographically."""
     graph.vertex_index(src), graph.vertex_index(tgt)
-    found = [Path(graph, src, w) for w in walks(graph, src, tgt, max_len)]
-    found.sort(key=Path.key)
-    return found
+    # walks come in lexicographic order, so a stable sort by length suffices
+    found = sorted(walks(graph, src, tgt, max_len), key=len)
+    return [Path(graph, src, w) for w in found]
 
 
 def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]:
@@ -94,24 +93,37 @@ def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]
     and the exact count when it does.
 
     The hom-set is infinite exactly when some directed cycle lies on a route
-    from src to tgt.  Otherwise the relevant subgraph is acyclic, and the
-    paths are counted over its vertices in reverse topological order.
+    from src to tgt.  Kahn's algorithm on the vertices of those routes
+    ("Topological sorting of large networks", CACM 5 (1962)) either orders
+    them all, counting the paths from src to each vertex as it goes, or
+    stalls on a cycle.
     """
     graph.vertex_index(src), graph.vertex_index(tgt)
-    reach_fwd = reachable(src, lambda x: (e.tgt for e in graph.out_edges(x)))
-    reach_bwd = reachable(tgt, lambda x: (e.src for e in graph.in_edges(x)))
-    mid = reach_fwd & reach_bwd
+    out, in_ = graph._out, graph._in
+    mid = (reachable(src, lambda x: [e.tgt for e in out[x]])
+           & reachable(tgt, lambda x: [e.src for e in in_[x]]))
     if not mid:
         return (True, 0)
-    mid_edges = [e.eid for e in graph.edges if e.src in mid and e.tgt in mid]
-    sub = graph.subgraph(mid, mid_edges)
-    counts: dict[str, int] = {}
-    for comp in strong_components(sub):
-        v = comp[0]
-        if len(comp) > 1 or any(e.tgt == v for e in sub.out_edges(v)):
-            return (False, None)
-        counts[v] = (v == tgt) + sum(counts[e.tgt] for e in sub.out_edges(v))
-    return (True, counts[src])
+    waiting = {v: sum(e.src in mid for e in in_[v]) for v in mid}
+    # every vertex of mid is reachable from src, so when mid is acyclic src
+    # is the only one ready at the start
+    ready = [v for v, k in waiting.items() if not k]
+    count = dict.fromkeys(mid, 0)
+    count[src] = 1
+    done = 0
+    while ready:
+        v = ready.pop()
+        done += 1
+        for e in out[v]:
+            w = e.tgt
+            if w in mid:
+                count[w] += count[v]
+                waiting[w] -= 1
+                if not waiting[w]:
+                    ready.append(w)
+    if done < len(mid):
+        return (False, None)
+    return (True, count[tgt])
 
 
 # --- monotone maps of finite ordinals --------------------------------------

@@ -402,6 +402,14 @@ def bad_files(tmp_path_factory):
     interval = json.loads((FIXTURES / "interval.json").read_text())
     (tmp / "string_cuts.json").write_text(
         json.dumps({"graph": interval, "cut_edges": "e0"}))
+    arrow = json.loads((FIXTURES / "arrow.json").read_text())
+    arrow["compose"].append(["le:0:0", "le:0:0"])
+    (tmp / "pair_compose.json").write_text(json.dumps(arrow))
+    (tmp / "no_tgt.json").write_text(json.dumps(
+        {"vertices": ["0", "1"], "edges": [{"id": "e0", "src": "0", "tgt": "1"},
+                                           {"id": "e1", "src": "1"}]}))
+    (tmp / "string_edge.json").write_text(
+        json.dumps({"vertices": ["0"], "edges": ["e0"]}))
     return tmp
 
 
@@ -426,8 +434,19 @@ BAD_INPUTS = {
                           "--m", "{bad}/bool_obj.json"],
     "excise-cut-edges-string": ["excise", "--cat", ARROW,
                                 "--site", "{bad}/string_cuts.json"],
+    "hh-compose-pair": ["hh", "--cat", "{bad}/pair_compose.json"],
+    "classify-edge-without-tgt": ["classify", "--graph", "{bad}/no_tgt.json"],
+    "classify-edge-string": ["classify", "--graph", "{bad}/string_edge.json"],
 }
 BAD_MESSAGES = {
+    "excise-site-not-an-object": "error: bad site in {bad}/site.json: "
+                                 "site JSON needs 'graph'\n",
+    "hh-compose-pair": "error: bad category in {bad}/pair_compose.json: "
+                       "compose entry 4 is not a [g, f, h] triple\n",
+    "classify-edge-without-tgt": "error: bad digraph in {bad}/no_tgt.json: "
+                                 "edge entry 1 has no 'tgt'\n",
+    "classify-edge-string": "error: bad digraph in {bad}/string_edge.json: edge "
+                            "entry 0 is not an object with 'id', 'src' and 'tgt'\n",
     "fact-bool-circles": "error: bad object in {bad}/bool_obj.json: "
                          "the circle count must be an integer >= 0, not True\n",
     "excise-cut-edges-string": "error: bad site in {bad}/string_cuts.json: "

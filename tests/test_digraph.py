@@ -246,6 +246,14 @@ DIGRAPH_REJECTIONS = {
         lambda: Digraph.from_json({"vertices": ["a"],
                                    "edges": [{"id": 1, "src": "a", "tgt": "a"}]}),
         QuivercalcError, "edge names must be a list of strings"),
+    "edges-not-a-list": (
+        lambda: Digraph.from_json({"vertices": ["a"], "edges": "e0"}),
+        QuivercalcError,
+        "edges must be a list of objects with 'id', 'src' and 'tgt'"),
+    "edge-source-not-a-string": (
+        lambda: Digraph.from_json({"vertices": ["a"],
+                                   "edges": [{"id": "e", "src": ["a"], "tgt": "a"}]}),
+        QuivercalcError, "edge entry 0 has a non-string 'src'"),
     "duplicate-vertex": (lambda: Digraph(["a", "a"], []),
                          QuivercalcError, "duplicate vertex names"),
     "duplicate-edge": (lambda: Digraph(["a"], [("e", "a", "a"), ("e", "a", "a")]),

@@ -109,6 +109,18 @@ def oracle_graphs():
     for i in range(12):
         n = rng.randint(1, 5)
         cases.append((f"random{i}", random_digraph(rng, n, rng.randint(n, 2 * n + 1)), 6))
+    # parallel edges and loops, with edge names against declaration order,
+    # so that a walk's Lyndon order is not the order of its edge names
+    cases.append(("parallel edges",
+                  Digraph(["a", "b"], [("z", "a", "b"), ("y", "b", "a"),
+                                       ("x", "a", "b"), ("w", "a", "a"),
+                                       ("v", "b", "a"), ("u", "b", "b")]), 6))
+    cases.append(("bouquet(3) to length 8", standard_digraph("bouquet", 3), 8))
+    rng = random.Random(9)
+    for i in range(8):
+        n = rng.randint(6, 7)
+        cases.append((f"random{n}v{i}",
+                      random_digraph(rng, n, rng.randint(n, 3 * n)), 7))
     return [pytest.param(g, max_len, id=name) for name, g, max_len in cases]
 
 

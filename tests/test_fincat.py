@@ -1,7 +1,10 @@
 import ast
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -748,19 +751,49 @@ def test_an_overwritten_entry_must_still_resolve():
         FinCat.from_json(data)
 
 
-@pytest.mark.parametrize("bad,error,message", [
-    (["g1", "g1"], ValueError, "not enough values to unpack (expected 3, got 2)"),
-    ([["g1"], "g1", "g1"], TypeError, "unhashable type: 'list'"),
-    (5, TypeError, "cannot unpack non-iterable int object"),
-])
-def test_a_malformed_entry_is_reported_before_an_unknown_name(bad, error,
-                                                              message):
+@pytest.mark.parametrize("bad", [["g1", "g1"], [["g1"], "g1", "g1"], 5,
+                                 ["g1", "g1", 0]],
+                         ids=["pair", "list-name", "number", "number-name"])
+def test_a_malformed_entry_is_reported_before_an_unknown_name(bad):
     # the unknown name comes first in the file, the malformed entry last
     data = cyclic_group_category(3).to_json()
     data["compose"] = [["zz", "g1", "g1"]] + data["compose"] + [bad]
-    with pytest.raises(error) as e:
+    n = len(data["compose"]) - 1
+    with pytest.raises(QuivercalcError) as e:
+        FinCat.from_json(data)
+    assert str(e.value) == f"compose entry {n} is not a [g, f, h] triple"
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"morphisms": "g1"},
+     "morphisms must be a list of objects with 'id', 'src' and 'tgt'"),
+    ({"morphisms": [{"id": "g0", "src": "*", "tgt": "*"}, "g1"]},
+     "morphism entry 1 is not an object with 'id', 'src' and 'tgt'"),
+    ({"morphisms": [{"id": "g0", "tgt": "*"}]}, "morphism entry 0 has no 'src'"),
+    ({"ids": ["g0"]}, "'ids' must map objects to morphism names"),
+    ({"ids": {"*": ["g0"]}}, "'ids' must map objects to morphism names"),
+    ({"compose": {"g0": "g0"}}, "'compose' must be a list of [g, f, h] triples"),
+], ids=["morphisms", "morphism-entry", "morphism-src", "ids-list", "ids-value",
+        "compose"])
+def test_category_json_errors_name_the_entry(change, message):
+    data = {**cyclic_group_category(3).to_json(), **change}
+    with pytest.raises(QuivercalcError) as e:
         FinCat.from_json(data)
     assert str(e.value) == message
+
+
+def test_poset_error_does_not_depend_on_string_hashing():
+    # relation fails transitivity at (a, b, c) and at (b, c, d); the first
+    # in declaration order is named whatever the hash seed
+    script = ("from quivercalc.fincat import poset_category\n"
+              "poset_category(['a', 'b', 'c', 'd'],"
+              " [('a', 'b'), ('b', 'c'), ('c', 'd')])\n")
+    for seed in ("1", "4"):
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+        assert out.stderr.strip().endswith(
+            "QuivercalcError: relation not transitive at ('a', 'b', 'c')")
 
 
 # --- every rejection names what is wrong -------------------------------------
@@ -787,6 +820,9 @@ FINCAT_REJECTIONS = {
                         "symmetric groups are built for 1 <= n <= 6, not 7"),
     "poset": (lambda: poset_category(["a", "b", "c"], [("a", "b"), ("b", "c")]),
               QuivercalcError, "relation not transitive at ('a', 'b', 'c')"),
+    "poset-undeclared": (
+        lambda: poset_category(["a", "b"], [("a", "b"), ("b", "z"), ("y", "a")]),
+        QuivercalcError, "related pair ('b', 'z') has an undeclared element"),
     "functor-object": (lambda: Functor(ARROW, ARROW, {"0": "0"}, {}),
                        QuivercalcError, "object '1' has no image"),
     "functor-unknown-object": (

@@ -68,6 +68,42 @@ def test_paths_are_ordered_and_distinct():
     assert len(set(keys)) == len(keys)
 
 
+def random_digraph(rng, n_vertices, n_edges):
+    vs = [f"v{i}" for i in range(n_vertices)]
+    # edge names run against declaration order, so that name order and
+    # index order differ
+    return Digraph(vs, [(f"e{n_edges - i:02}", rng.choice(vs), rng.choice(vs))
+                        for i in range(n_edges)])
+
+
+def test_paths_come_sorted_by_length_then_edge_indices():
+    rng = random.Random(5)
+    graphs = [standard_digraph("bouquet", 3),
+              Digraph(["0"], [("z", "0", "0"), ("a", "0", "0"), ("m", "0", "0")])]
+    graphs += [random_digraph(rng, rng.randint(1, 4), rng.randint(1, 7))
+               for _ in range(30)]
+    for g in graphs:
+        for u, v in itertools.product(g.vertices, repeat=2):
+            ps = enumerate_paths(g, u, v, 5)
+            assert ps == sorted(ps, key=Path.key), (g.edges, u, v)
+
+
+def test_hom_finiteness_against_bounded_enumeration():
+    # a path with |V| or more edges repeats a vertex, so it runs through a
+    # cycle on a route; conversely, a cycle on a route can be pumped into
+    # a path whose length lies in [|V|, 2|V| - 1]
+    rng = random.Random(8)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        g = random_digraph(rng, n, rng.randint(0, 2 * n))
+        for u, v in itertools.product(g.vertices, repeat=2):
+            ps = enumerate_paths(g, u, v, 2 * n - 1)
+            if any(p.length >= n for p in ps):
+                assert hom_is_finite(g, u, v) == (False, None), (g.edges, u, v)
+            else:
+                assert hom_is_finite(g, u, v) == (True, len(ps)), (g.edges, u, v)
+
+
 def test_path_construction():
     g = standard_digraph("linear", 2)
     p = Path(g, "0", ("e0", "e1"))
@@ -96,6 +132,10 @@ def test_hom_finiteness():
     # ... but a cycle unreachable from the route does not
     h = Digraph(["a", "b", "c"], [("e", "a", "b"), ("l", "c", "c")])
     assert hom_is_finite(h, "a", "b") == (True, 1)
+    # a cycle through src, of even length only, beside an idle vertex
+    k = Digraph(["a", "b", "c"], [("e", "a", "b"), ("f", "b", "a")])
+    assert hom_is_finite(k, "a", "a") == (False, None)
+    assert hom_is_finite(k, "c", "c") == (True, 1)
 
 
 def test_deep_graphs_do_not_recurse():
