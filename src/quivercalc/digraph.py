@@ -336,18 +336,16 @@ def has_directed_cycle(d: Digraph) -> bool:
             or any(len(c) > 1 for c in strong_components(d)))
 
 
-def walks(d: Digraph, start: str, end: str, max_len: int,
-          out: Callable[[str], Iterable[Edge]] | None = None) -> Iterator[tuple]:
+def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
     """Every walk start -> end with at most max_len edges, as a tuple of edge
-    ids, depth first with edges in declaration order.  out(v) lists the
-    edges a walk may take out of v; by default all of them."""
+    ids, depth first with edges in declaration order."""
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
-    out = out or d._out.__getitem__
+    out = d._out
     if start == end:
         yield ()
     walk: list[str] = []
-    stack = [iter(out(start))] if max_len else []
+    stack = [iter(out[start])] if max_len else []
     while stack:
         e = next(stack[-1], None)
         if e is None:
@@ -359,9 +357,38 @@ def walks(d: Digraph, start: str, end: str, max_len: int,
         if e.tgt == end:
             yield tuple(walk)
         if len(walk) < max_len:
-            stack.append(iter(out(e.tgt)))
+            stack.append(iter(out[e.tgt]))
         else:
             walk.pop()
+
+
+def lyndon_rotation(seq) -> tuple[int, int]:
+    """(start, period) of a nonempty sequence read cyclically: its least
+    rotation is seq[start:] + seq[:start], and period is the length of its
+    primitive root, so the sequence is primitive exactly when period ==
+    len(seq).  This is the one place the package decides either.
+
+    Duval's factorization of seq + seq into Lyndon words (Duval,
+    "Factorizing words over an ordered alphabet", J. Algorithms 4 (1983)):
+    the last run of equal Lyndon factors that starts before len(seq) starts
+    at the least rotation, and its factor is the primitive root.
+    """
+    n = len(seq)
+    if not n:
+        raise QuivercalcError("an empty sequence has no least rotation")
+    s = tuple(seq) * 2
+    i = 0
+    while i < n:
+        # s[i:j] is a power of the Lyndon word s[i:i + j - k], then a
+        # proper prefix of it
+        start, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        period = j - k
+        while i <= k:
+            i += period
+    return start, period
 
 
 def lyndon_walks(d: Digraph, max_len: int) -> Iterator[tuple]:

@@ -21,15 +21,15 @@ import itertools
 from dataclasses import dataclass
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
-                      classify_digraph, lyndon_walks, standard_digraph,
-                      strong_components)
+                      classify_digraph, lyndon_rotation, lyndon_walks,
+                      standard_digraph, strong_components)
 from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
                      enumerate_quiver_mors)
 # enumerate_reps and pullback_rep are no longer called here; perfbench's
 # traced run still wraps them under these names
 from .fincat import (FinCat, Representation, compile_pullback, enumerate_reps,
                      index_program, path_steps, pullback_rep, rep_tuples)
-from .hochschild import UnionFind, compute_hh, least_rotation_index, psi
+from .hochschild import UnionFind, compute_hh, psi
 
 
 # --- directed cycles --------------------------------------------------------
@@ -37,7 +37,12 @@ from .hochschild import UnionFind, compute_hh, least_rotation_index, psi
 
 class DirectedCycle:
     """A constant cycle at a vertex, or a primitive closed walk up to
-    rotation (stored in its least rotation)."""
+    rotation, stored in the rotation whose edge indices are least.
+
+    A walk is checked to be a closed path of the graph, then read once by
+    lyndon_rotation, which both rejects a proper power and finds the
+    rotation to store; vertex is the basepoint of that rotation.
+    """
 
     def __init__(self, graph: Digraph, vertex: str | None, edges=()):
         self.graph = graph
@@ -48,9 +53,11 @@ class DirectedCycle:
             p = Path(graph, graph.edge(self.edges[0]).src, self.edges)
             if p.end != p.start:
                 raise QuivercalcError("cycle walks must close up")
-            if primitive_period(self.edges) != len(self.edges):
+            start, period = lyndon_rotation(
+                [graph.edge_index(e) for e in self.edges])
+            if period != len(self.edges):
                 raise QuivercalcError("cycle walks must be primitive")
-            self.edges = _least_edge_rotation(graph, self.edges)
+            self.edges = self.edges[start:] + self.edges[:start]
             self.vertex = graph.edge(self.edges[0]).src
         else:
             if vertex is None:
@@ -87,20 +94,6 @@ class DirectedCycle:
         if self.is_constant:
             return f"DirectedCycle(at {self.vertex})"
         return f"DirectedCycle({'·'.join(self.edges)})"
-
-
-def primitive_period(edges) -> int:
-    """The smallest d dividing len(edges) with the sequence d-periodic."""
-    n = len(edges)
-    for d in range(1, n):
-        if n % d == 0 and edges[d:] + edges[:d] == tuple(edges):
-            return d
-    return n
-
-
-def _least_edge_rotation(graph: Digraph, edges) -> tuple:
-    idx = least_rotation_index([graph.edge_index(e) for e in edges])
-    return tuple(edges[idx:] + edges[:idx])
 
 
 def enumerate_directed_cycles(graph: Digraph, max_len: int) -> list[DirectedCycle]:
@@ -230,6 +223,11 @@ class MMor:
         if len(self.quiver_parts) != len(target.quivers):
             raise QuivercalcError("need one component per target quiver")
 
+        def source_quiver(i: int) -> Digraph:
+            if not 0 <= i < len(source.quivers):
+                raise QuivercalcError(f"no source quiver {i}")
+            return source.quivers[i]
+
         for part in self.circle_parts:
             if isinstance(part, CircleEndo):
                 if not 0 <= part.circle < source.circles:
@@ -237,9 +235,9 @@ class MMor:
                 if part.weight < 1:
                     raise QuivercalcError("circle weights are >= 1")
             elif isinstance(part, VertexToCircle):
-                source.quivers[part.quiver].vertex_index(part.vertex)
+                source_quiver(part.quiver).vertex_index(part.vertex)
             elif isinstance(part, CycleToCircle):
-                if part.cycle.graph != source.quivers[part.quiver]:
+                if part.cycle.graph != source_quiver(part.quiver):
                     raise QuivercalcError("the cycle lies in another quiver")
                 if part.cycle.is_constant:
                     raise QuivercalcError("constant cycles are vertex components")
@@ -253,7 +251,7 @@ class MMor:
             if part.mor.source != target.quivers[beta]:
                 raise QuivercalcError(f"quiver component {beta} starts "
                                       "at the wrong quiver")
-            if part.mor.target != source.quivers[part.quiver]:
+            if part.mor.target != source_quiver(part.quiver):
                 raise QuivercalcError(f"quiver component {beta} ends "
                                       "at the wrong quiver")
 
@@ -323,19 +321,6 @@ def hom_m(source: MObject, target: MObject, max_len: int = 6,
     return out, truncated
 
 
-def _push_cycle(q: QuiverMor, z: DirectedCycle):
-    """Map a cycle through a quiver morphism; returns either
-    ('vertex', v) when everything collapses or ('walk', primitive, k)."""
-    edges: list[str] = []
-    for eid in z.edges:
-        edges.extend(q.edge_paths[eid].edges)
-    if not edges:
-        base = z.vertex
-        return ("vertex", q.vertex_map[base])
-    p = primitive_period(tuple(edges))
-    return ("walk", tuple(edges[:p]), len(edges) // p)
-
-
 def compose_m(g: MMor, f: MMor) -> MMor:
     """g∘f; rewrite each of g's component descriptions through f."""
     if f.target != g.source:
@@ -358,13 +343,16 @@ def compose_m(g: MMor, f: MMor) -> MMor:
                                          qp.mor.vertex_map[part.vertex]))
         else:
             qp = f.quiver_parts[part.quiver]
-            pushed = _push_cycle(qp.mor, part.cycle)
-            if pushed[0] == "vertex":
-                cparts.append(VertexToCircle(qp.quiver, pushed[1]))
-            else:
-                _, edges, k = pushed
-                zz = DirectedCycle.walk(qp.mor.target, edges)
-                cparts.append(CycleToCircle(qp.quiver, zz, part.weight * k))
+            z, q = part.cycle, qp.mor.target
+            edges = qp.mor.map_path(Path(z.graph, z.vertex, z.edges)).edges
+            if not edges:       # the whole cycle collapses to a vertex
+                cparts.append(VertexToCircle(qp.quiver,
+                                             qp.mor.vertex_map[z.vertex]))
+            else:               # it winds len/p times around a p-cycle
+                _, p = lyndon_rotation([q.edge_index(e) for e in edges])
+                cparts.append(CycleToCircle(qp.quiver,
+                                            DirectedCycle.walk(q, edges[:p]),
+                                            part.weight * len(edges) // p))
 
     qparts = []
     for part in g.quiver_parts:

@@ -13,32 +13,8 @@ member; equivalently it repeats a cyclic word r times.
 """
 from __future__ import annotations
 
-from .digraph import QuivercalcError
+from .digraph import QuivercalcError, lyndon_rotation
 from .fincat import BadComposite, FinCat, Functor
-
-
-def least_rotation_index(seq) -> int:
-    """Booth's algorithm: index of the lexicographically least rotation."""
-    s = list(seq) + list(seq)
-    n = len(seq)
-    if n < 1:
-        raise QuivercalcError("an empty sequence has no least rotation")
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
 
 
 class UnionFind:
@@ -160,9 +136,9 @@ class CyclicWord:
         return CyclicWord(self.category, self.word[j:] + self.word[:j])
 
     def canonical(self) -> "CyclicWord":
-        idx = least_rotation_index(
+        start, _ = lyndon_rotation(
             [self.category.morphism_index(m) for m in self.word])
-        return self.rotate(idx)
+        return self.rotate(start)
 
     def repeat(self, r: int) -> "CyclicWord":
         if r < 1:
@@ -215,14 +191,19 @@ def power_endo(category: FinCat, endo: str, r: int) -> str:
 def psi(category: FinCat, r: int, x) -> HHClass:
     """The r-th power operator on trace classes.
 
-    Accepts an endomorphism id, a cyclic word, or a class.  It powers the
+    Accepts an endomorphism id, a cyclic word, or a class, all of category
+    itself; a word or class of another category is rejected.  It powers the
     endomorphism, the word's composite or the class representative: by the
     trace relation the r-fold repeat of a word has the class of its
     composite's r-th power, and psi_r psi_s = psi_rs.
     """
     if isinstance(x, CyclicWord):
+        if x.category is not category:
+            raise QuivercalcError("the word belongs to another category")
         endo = x.composite()
     elif isinstance(x, HHClass):
+        if x.table.category is not category:
+            raise QuivercalcError("the class belongs to another category")
         endo = x.rep
     else:
         endo = x

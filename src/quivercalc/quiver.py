@@ -227,10 +227,8 @@ class QuiverMor:
     def map_path(self, p: Path) -> Path:
         if p.graph != self.source:
             raise QuivercalcError("path lives in the wrong graph")
-        out = Path.empty(self.target, self.vertex_map[p.start])
-        for eid in p.edges:
-            out = out.then(self.edge_paths[eid])
-        return out
+        return Path(self.target, self.vertex_map[p.start],
+                    [e for eid in p.edges for e in self.edge_paths[eid].edges])
 
     def __eq__(self, other):
         if not isinstance(other, QuiverMor):

@@ -5,7 +5,12 @@ It walks every closed walk from every vertex, keeps the primitive ones that
 start with their least edge, and drops the rotations it has already seen.
 """
 from quivercalc.digraph import walks
-from quivercalc.emm import DirectedCycle, primitive_period
+from quivercalc.emm import DirectedCycle
+
+
+def is_primitive(walk):
+    """No proper rotation of the walk equals it."""
+    return all(walk[d:] + walk[:d] != walk for d in range(1, len(walk)))
 
 
 def enumerate_directed_cycles(graph, max_len):
@@ -15,7 +20,7 @@ def enumerate_directed_cycles(graph, max_len):
     for v in graph.vertices:
         for walk in walks(graph, v, v, max_len):
             if (walk and min(walk, key=graph.edge_index) == walk[0]
-                    and primitive_period(walk) == len(walk)):
+                    and is_primitive(walk)):
                 z = DirectedCycle.walk(graph, walk)
                 if z.edges not in seen:
                     seen.add(z.edges)

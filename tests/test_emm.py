@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
-                                standard_digraph)
+                                lyndon_rotation, standard_digraph)
 from quivercalc.fincat import (BadComposite, chain_poset_category,
                                cyclic_group_category, enumerate_reps,
                                symmetric_group_category,
@@ -21,7 +21,7 @@ from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
                             enumerate_directed_cycles,
                             fact_homology, fact_map, hom_m, identity_m,
                             make_excision_site, mobject_of_digraph,
-                            primitive_period, quiv_op_mmor, verify_excision)
+                            quiv_op_mmor, verify_excision)
 
 import cycle_oracle
 import string_oracle as oracle
@@ -60,9 +60,9 @@ def test_cycle_rejects_bad_walks():
 
 
 def test_primitive_period():
-    assert primitive_period(("a", "b", "a", "b")) == 2
-    assert primitive_period(("a", "b", "b")) == 3
-    assert primitive_period(("a",)) == 1
+    assert lyndon_rotation(("a", "b", "a", "b"))[1] == 2
+    assert lyndon_rotation(("a", "b", "b"))[1] == 3
+    assert lyndon_rotation(("a",))[1] == 1
 
 
 def test_enumerate_cycles_on_cyclic_graph():
@@ -299,6 +299,21 @@ def test_compose_cycle_through_quiver_part_wraps():
     assert isinstance(got, CycleToCircle)
     assert got.cycle == DirectedCycle.walk(c1, ["e0"])
     assert got.weight == 2
+
+
+def test_compose_cycle_onto_a_power_of_a_later_rotation():
+    # the 4-cycle pushed onto bouquet(2) reads e1 e0 e1 e0: twice round the
+    # 2-cycle, which is stored from its least edge as e0 e1
+    c4, b2 = standard_digraph("cyclic", 4), standard_digraph("bouquet", 2)
+    fold = QuiverMor(c4, b2, {v: "0" for v in c4.vertices},
+                     {f"e{i}": Path.of_edge(b2, f"e{(i + 1) % 2}") for i in range(4)})
+    m4, mb = mobject_of_digraph(c4), mobject_of_digraph(b2)
+    part = MMor(mb, m4, (), (QuivPart(0, fold),))
+    z4 = DirectedCycle.walk(c4, ["e0", "e1", "e2", "e3"])
+    to_circle = MMor(m4, circle_object(), (CycleToCircle(0, z4, 3),), ())
+    got = compose_m(to_circle, part).circle_parts[0]
+    assert got == CycleToCircle(0, DirectedCycle.walk(b2, ["e1", "e0"]), 6)
+    assert got.cycle.edges == ("e0", "e1")
 
 
 def test_compose_cycle_collapsing_to_vertex():
@@ -685,6 +700,24 @@ EMM_REJECTIONS = {
                            "circle weights are >= 1"),
     "mmor-vertex": (lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(0, "zz")], []),
                     "unknown vertex 'zz'"),
+    "mmor-vertex-quiver": (lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(1, "0")], []),
+                           "no source quiver 1"),
+    "mmor-vertex-quiver-negative": (
+        lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(-1, "0")], []),
+        "no source quiver -1"),
+    "mmor-cycle-quiver-index": (
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
+            1, DirectedCycle.walk(Q2, ("e0", "e1")), 1)], []),
+        "no source quiver 1"),
+    "mmor-cycle-quiver-negative": (
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
+            -1, DirectedCycle.walk(Q2, ("e0", "e1")), 1)], []),
+        "no source quiver -1"),
+    "mmor-quiver-index": (lambda: MMor(SRC, TO_INTERVAL, [], [QuivPart(1, INTO_L2)]),
+                          "no source quiver 1"),
+    "mmor-quiver-negative": (
+        lambda: MMor(SRC, TO_INTERVAL, [], [QuivPart(-1, INTO_L2)]),
+        "no source quiver -1"),
     "mmor-cycle-quiver": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
             0, DirectedCycle.walk(standard_digraph("cyclic", 1), ("e0",)), 1)], []),

@@ -6,15 +6,15 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercalc.digraph import QuivercalcError, standard_digraph
+from quivercalc.digraph import (QuivercalcError, lyndon_rotation,
+                                standard_digraph)
 from quivercalc.fincat import (BadComposite, FinCat, Functor,
                                chain_poset_category, cyclic_group_category,
                                exit_path, symmetric_group_category,
                                validate_fincat, walking_arrow_category)
 from quivercalc.hochschild import (CyclicWord, HHTable, UnionFind,
                                    class_of_word, compute_hh, hh_map,
-                                   least_rotation_index, power_endo, psi,
-                                   trace_end, trace_obj)
+                                   power_endo, psi, trace_end, trace_obj)
 from tests.conftest import triples
 
 GROUPS = [
@@ -397,7 +397,7 @@ def test_hh_map_rejects_foreign_classes():
         hh_map(f, compute_hh(z4).class_of("g1"))
 
 
-# --- least rotation ------------------------------------------------------------
+# --- least rotation (CyclicWord.canonical) -------------------------------------
 
 
 def naive_least_rotation(seq):
@@ -409,23 +409,37 @@ def naive_least_rotation(seq):
     raise AssertionError
 
 
+def naive_period(seq):
+    """The least d > 0 with seq equal to its rotation by d."""
+    return next(d for d in range(1, len(seq) + 1)
+                if tuple(seq[d:]) + tuple(seq[:d]) == tuple(seq))
+
+
 def test_least_rotation_hand_cases():
-    assert least_rotation_index([1, 0]) == 1
-    assert least_rotation_index([2, 1, 1]) == 1
-    assert least_rotation_index([0, 0, 0]) == 0
-    assert least_rotation_index([3]) == 0
+    assert lyndon_rotation([1, 0]) == (1, 2)
+    assert lyndon_rotation([2, 1, 1]) == (1, 3)
+    assert lyndon_rotation([0, 0, 0]) == (0, 1)
+    assert lyndon_rotation([3]) == (0, 1)
+    assert lyndon_rotation([1, 0, 1, 0]) == (1, 2)
+    assert lyndon_rotation([0, 1, 0, 0, 1, 0]) == (2, 3)
 
 
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+letters = st.lists(st.integers(0, 3), min_size=1, max_size=12)
+powers = st.builds(lambda w, k: w * k,
+                   st.lists(st.integers(0, 3), min_size=1, max_size=5),
+                   st.integers(2, 4))
+
+
+@given(st.one_of(letters, powers))
 def test_least_rotation_matches_naive(seq):
-    assert least_rotation_index(seq) == naive_least_rotation(seq)
+    assert lyndon_rotation(seq) == (naive_least_rotation(seq), naive_period(seq))
 
 
 # --- every rejection names what is wrong -------------------------------------
 
 HH_ARROW = walking_arrow_category()
 HH_REJECTIONS = {
-    "rotation": (lambda: least_rotation_index([]),
+    "rotation": (lambda: lyndon_rotation([]),
                  "an empty sequence has no least rotation"),
     "word-empty": (lambda: CyclicWord(HH_ARROW, ()), "cyclic words are nonempty"),
     "word-chain": (lambda: CyclicWord(HH_ARROW, ("le:0:1",)),
@@ -440,6 +454,12 @@ HH_REJECTIONS = {
                        "'le:0:1' is not an endomorphism of this category"),
     "class-unknown": (lambda: compute_hh(HH_ARROW).class_of("nope"),
                       "'nope' is not an endomorphism of this category"),
+    "psi-class": (lambda: psi(cyclic_group_category(3), 2,
+                              compute_hh(cyclic_group_category(2)).class_of("g1")),
+                  "the class belongs to another category"),
+    "psi-word": (lambda: psi(cyclic_group_category(3), 1,
+                             CyclicWord(cyclic_group_category(2), ["g1"])),
+                 "the word belongs to another category"),
     "hh-map": (lambda: hh_map(Functor(HH_ARROW, HH_ARROW, {"0": "0", "1": "1"},
                                       {m.mid: m.mid for m in HH_ARROW.morphisms}),
                               trace_obj(cyclic_group_category(2), "*")),
