@@ -223,17 +223,27 @@ class MMor:
         if len(self.quiver_parts) != len(target.quivers):
             raise QuivercalcError("need one component per target quiver")
 
+        def check_index(i, what: str, count: int) -> None:
+            if type(i) is not int:          # bool is no index
+                raise QuivercalcError(f"source {what} indices are integers, "
+                                      f"not {i!r}")
+            if not 0 <= i < count:
+                raise QuivercalcError(f"no source {what} {i}")
+
+        def check_weight(w) -> None:
+            if type(w) is not int:
+                raise QuivercalcError(f"circle weights are integers, not {w!r}")
+            if w < 1:
+                raise QuivercalcError("circle weights are >= 1")
+
         def source_quiver(i: int) -> Digraph:
-            if not 0 <= i < len(source.quivers):
-                raise QuivercalcError(f"no source quiver {i}")
+            check_index(i, "quiver", len(source.quivers))
             return source.quivers[i]
 
         for part in self.circle_parts:
             if isinstance(part, CircleEndo):
-                if not 0 <= part.circle < source.circles:
-                    raise QuivercalcError(f"no source circle {part.circle}")
-                if part.weight < 1:
-                    raise QuivercalcError("circle weights are >= 1")
+                check_index(part.circle, "circle", source.circles)
+                check_weight(part.weight)
             elif isinstance(part, VertexToCircle):
                 source_quiver(part.quiver).vertex_index(part.vertex)
             elif isinstance(part, CycleToCircle):
@@ -241,8 +251,7 @@ class MMor:
                     raise QuivercalcError("the cycle lies in another quiver")
                 if part.cycle.is_constant:
                     raise QuivercalcError("constant cycles are vertex components")
-                if part.weight < 1:
-                    raise QuivercalcError("circle weights are >= 1")
+                check_weight(part.weight)
             else:
                 raise QuivercalcError(f"not a circle component: {part!r}")
         for beta, part in enumerate(self.quiver_parts):
@@ -409,8 +418,9 @@ def fact_tuples(category: FinCat, m: MObject) -> list[tuple]:
     """The elements of the invariant as index tuples, in canonical order:
     the full product of the trace classes per circle and the
     representations per quiver."""
-    classes = compute_hh(category).classes
-    slots = [[(i,) for i in range(len(classes))]] * m.circles + \
+    # trace classes only where a circle needs them
+    classes = range(len(compute_hh(category))) if m.circles else ()
+    slots = [[(i,) for i in classes]] * m.circles + \
             [rep_tuples(category, q) for q in m.quivers]
     if len(slots) == 1:
         return slots[0]
@@ -420,7 +430,7 @@ def fact_tuples(category: FinCat, m: MObject) -> list[tuple]:
 
 def fact_namer(category: FinCat, m: MObject):
     """Index tuple -> (trace classes, representations)."""
-    classes = compute_hh(category).classes
+    classes = compute_hh(category).classes if m.circles else ()
     blocks = list(zip(m.quivers, _blocks(m)))
 
     def name(x: tuple) -> tuple:
@@ -484,7 +494,7 @@ def fact_map(category: FinCat, f: MMor):
     """The induced map on invariants, covariant in the object map."""
     run = _compile_mmor(category, f)
     name = fact_namer(category, f.target)
-    classes = compute_hh(category).classes
+    classes = compute_hh(category).classes if f.source.circles else ()
 
     def apply(elem: tuple) -> tuple:
         cls, reps = elem

@@ -115,6 +115,7 @@ class FinCat:
         self.int_table = IntTable(src, tgt, identity, into, out, at, hom,
                                   comp, stray)
         self.hh_table = None      # trace classes, filled by compute_hh
+        self.generators = None    # set by validate_fincat once the laws hold
 
     @property
     def identities(self) -> MappingProxyType:
@@ -243,7 +244,9 @@ def validate_fincat(c: FinCat) -> None:
     (f∘g)∘h = f∘(g∘h) for all composable f, h are closed under composition
     (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, §1.2),
     and identities are among them once they are neutral.  So it suffices
-    to test the middle position on a generating set.
+    to test the middle position on a generating set.  When every check
+    passes, that set is stored as c.generators, which also marks c as
+    validated; the trace classes are computed from it.
     """
     t = c.int_table
     src, tgt, comp, ident, at = t.src, t.tgt, t.comp, t.identity, t.at
@@ -281,7 +284,8 @@ def validate_fincat(c: FinCat) -> None:
 
     # comp[g] lists g∘h for h in into[src[g]]; so does comp[f∘g], which has
     # the same source, for (f∘g)∘h
-    for g in _generators(t):
+    gens = _generators(t)
+    for g in gens:
         gh_at = [at[k] for k in comp[g]]
         for f in t.out[tgt[g]]:
             row_f = comp[f]
@@ -290,6 +294,7 @@ def validate_fincat(c: FinCat) -> None:
             if row_fg != f_gh:
                 h = next(h for h, a, b in zip(t.into[src[g]], row_fg, f_gh) if a != b)
                 raise NotAssociative(f"({names[f]!r}, {names[g]!r}, {names[h]!r})")
+    c.generators = gens
 
 
 def _generators(t: IntTable) -> list[int]:

@@ -3,8 +3,10 @@
 Two endomorphisms are identified when they are the two ways around a
 composable round trip: for f: x -> y and g: y -> x, the loops g∘f and f∘g
 fall in the same class.  The classes of a finite category are computed by a
-union-find sweep over all such pairs.  For a one-object group category the
-classes are exactly the conjugacy classes.
+union-find sweep over the round trips (u, v) in which u is one of the
+generators validate_fincat found: O(|gens|·M) unions for M morphisms, not
+O(M²).  For a one-object group category the classes are exactly the
+conjugacy classes.
 
 Cyclic words (composable cycles of morphisms) represent classes too: a word
 maps to the class of its composite, independently of the chosen basepoint.
@@ -14,7 +16,7 @@ member; equivalently it repeats a cyclic word r times.
 from __future__ import annotations
 
 from .digraph import QuivercalcError, lyndon_rotation
-from .fincat import BadComposite, FinCat, Functor
+from .fincat import FinCat, Functor, validate_fincat
 
 
 class UnionFind:
@@ -68,20 +70,32 @@ class HHClass:
 
 
 class HHTable:
+    """The trace classes of a category, computed from its generators' rows.
+
+    The relation u∘v ~ v∘u, over all u: x -> y and v: y -> x, is generated
+    by the pairs in which u is a generator.  Every non-identity u is a
+    composite of generators, and an identity relates nothing new; so
+    induct on the number of factors, with u = a∘u' for a generator a:
+
+        u∘v = a∘(u'∘v) ~ (u'∘v)∘a = u'∘(v∘a) ~ (v∘a)∘u' = v∘u,
+
+    the first step by the pair (a, u'∘v), the second by (u', v∘a), where
+    u' has fewer factors.  Regrouping needs associativity, so a category
+    that has not passed validate_fincat is validated first, and its error
+    raised.
+    """
+
     def __init__(self, category: FinCat):
+        if category.generators is None:
+            validate_fincat(category)
         self.category = category
         t = category.int_table
         src, tgt, comp, at = t.src, t.tgt, t.comp, t.at
         uf = UnionFind([m for m in range(len(comp)) if src[m] == tgt[m]])
-        try:
-            for f, row_f in enumerate(comp):
-                at_f = at[f]
-                for g in t.out[tgt[f]]:
-                    if tgt[g] == src[f]:
-                        uf.union(comp[g][at_f], row_f[at[g]])
-        except KeyError:        # a missing or non-endomorphic round trip
-            raise BadComposite("trace classes need a category that passes "
-                               "validate_fincat") from None
+        for u in category.generators:
+            row_u, at_u = comp[u], at[u]
+            for v in t.hom[tgt[u]].get(src[u], ()):
+                uf.union(row_u[at[v]], comp[v][at_u])
         names = [m.mid for m in category.morphisms]
         self._class_index = [-1] * len(comp)    # per morphism, -1 if no endo
         self.classes: list[HHClass] = []

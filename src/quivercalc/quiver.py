@@ -38,6 +38,15 @@ class Path:
         self.end = at
 
     @classmethod
+    def _trusted(cls, graph: Digraph, start: str, end: str,
+                 edges: tuple) -> "Path":
+        """A path known to chain from start to end, such as a walk that
+        digraph.walks built from the graph's own edges; nothing is checked."""
+        p = cls.__new__(cls)
+        p.graph, p.start, p.edges, p.end = graph, start, edges, end
+        return p
+
+    @classmethod
     def empty(cls, graph: Digraph, v: str) -> "Path":
         return cls(graph, v, ())
 
@@ -85,7 +94,7 @@ def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Pa
     graph.vertex_index(src), graph.vertex_index(tgt)
     # walks come in lexicographic order, so a stable sort by length suffices
     found = sorted(walks(graph, src, tgt, max_len), key=len)
-    return [Path(graph, src, w) for w in found]
+    return [Path._trusted(graph, src, tgt, w) for w in found]
 
 
 def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]:

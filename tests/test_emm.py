@@ -673,6 +673,7 @@ Q2, L1, L2 = (standard_digraph("cyclic", 2), standard_digraph("interval"),
               standard_digraph("linear", 2))
 SRC = MObject(1, [Q2])                   # one circle, one 2-cycle
 TO_CIRCLE, TO_INTERVAL = MObject(1, []), MObject(0, [L1])
+CIRCLE = circle_object(1)
 INTO_L2 = QuiverMor(L1, L2, {"0": "0", "1": "1"}, {"e0": Path.of_edge(L2, "e0")})
 EMM_REJECTIONS = {
     "walk-and-vertex": (lambda: DirectedCycle(Q2, "0", ("e0", "e1")),
@@ -698,6 +699,31 @@ EMM_REJECTIONS = {
                            "no source circle 1"),
     "mmor-circle-weight": (lambda: MMor(SRC, TO_CIRCLE, [CircleEndo(0, 0)], []),
                            "circle weights are >= 1"),
+    "mmor-circle-float": (lambda: MMor(CIRCLE, CIRCLE, [CircleEndo(0.5, 1)], []),
+                          "source circle indices are integers, not 0.5"),
+    "mmor-circle-bool": (lambda: MMor(CIRCLE, CIRCLE, [CircleEndo(False, 1)], []),
+                         "source circle indices are integers, not False"),
+    "mmor-weight-float": (lambda: MMor(CIRCLE, CIRCLE, [CircleEndo(0, 1.5)], []),
+                          "circle weights are integers, not 1.5"),
+    "mmor-weight-bool": (lambda: MMor(CIRCLE, CIRCLE, [CircleEndo(0, True)], []),
+                         "circle weights are integers, not True"),
+    "mmor-vertex-quiver-float": (
+        lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(0.0, "0")], []),
+        "source quiver indices are integers, not 0.0"),
+    "mmor-vertex-quiver-bool": (
+        lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(False, "0")], []),
+        "source quiver indices are integers, not False"),
+    "mmor-cycle-quiver-float": (
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
+            0.0, DirectedCycle.walk(Q2, ("e0", "e1")), 1)], []),
+        "source quiver indices are integers, not 0.0"),
+    "mmor-cycle-weight-float": (
+        lambda: MMor(SRC, TO_CIRCLE,
+                     [CycleToCircle(0, DirectedCycle.walk(Q2, ("e0", "e1")), 2.0)], []),
+        "circle weights are integers, not 2.0"),
+    "mmor-quiver-index-float": (
+        lambda: MMor(SRC, TO_INTERVAL, [], [QuivPart(0.0, QuiverMor.identity(L1))]),
+        "source quiver indices are integers, not 0.0"),
     "mmor-vertex": (lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(0, "zz")], []),
                     "unknown vertex 'zz'"),
     "mmor-vertex-quiver": (lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(1, "0")], []),

@@ -1,21 +1,26 @@
+import functools
 import gc
 import itertools
+import json
 import random
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import quivercalc.hochschild as hochschild
 from quivercalc.digraph import (QuivercalcError, lyndon_rotation,
                                 standard_digraph)
-from quivercalc.fincat import (BadComposite, FinCat, Functor,
+from quivercalc.fincat import (BadComposite, FinCat, Functor, NotAssociative,
                                chain_poset_category, cyclic_group_category,
-                               exit_path, symmetric_group_category,
-                               validate_fincat, walking_arrow_category)
+                               exit_path, monoid_category,
+                               symmetric_group_category, validate_fincat,
+                               walking_arrow_category)
 from quivercalc.hochschild import (CyclicWord, HHTable, UnionFind,
                                    class_of_word, compute_hh, hh_map,
                                    power_endo, psi, trace_end, trace_obj)
-from tests.conftest import triples
+from random_categories import concrete_categories, concrete_category
+from tests.conftest import FIXTURES, triples
 
 GROUPS = [
     (cyclic_group_category(2), 2),
@@ -127,6 +132,27 @@ def string_sweep(category):
     return out
 
 
+def index_sweep(category):
+    """The union-find sweep over every composable round trip, on indices,
+    as HHTable ran it before it swept only the generators' rows.  It needs
+    no validation: (representative, members) per class, in class order."""
+    t = category.int_table
+    src, tgt, comp, at = t.src, t.tgt, t.comp, t.at
+    uf = UnionFind([m for m in range(len(comp)) if src[m] == tgt[m]])
+    for f, row_f in enumerate(comp):
+        for g in t.out[tgt[f]]:
+            if tgt[g] == src[f]:
+                uf.union(comp[g][at[f]], row_f[at[g]])
+    names = [m.mid for m in category.morphisms]
+    return [(names[ms[0]], tuple(names[m] for m in ms))
+            for ms in sorted(map(sorted, uf.classes().values()))]
+
+
+def classes(category):
+    """compute_hh's classes as (representative, members), in class order."""
+    return [(cls.rep, cls.members) for cls in compute_hh(category).classes]
+
+
 def shuffled(cat, seed):
     """The same category with fresh names and shuffled declaration orders
     of objects, morphisms and table entries."""
@@ -171,15 +197,101 @@ def test_classes_match_the_string_sweep(cat):
     for seed in range(3):
         c = shuffled(cat, seed) if seed else cat
         validate_fincat(c)
-        assert [(cls.rep, cls.members) for cls in compute_hh(c).classes] == \
-            string_sweep(c)
+        assert classes(c) == index_sweep(c) == string_sweep(c)
+
+
+@functools.cache
+def s6_category():
+    return symmetric_group_category(6)
 
 
 def test_s6_validates_and_has_eleven_classes():
     # 720 morphisms: the exhaustive check would take 720³ ≈ 3.7·10⁸ lookups
-    s6 = symmetric_group_category(6)
+    s6 = s6_category()
     validate_fincat(s6)
     assert len(compute_hh(s6)) == 11    # p(6)
+
+
+def transformation_monoid(n):
+    """T_n: all n^n maps [n] -> [n] under composition, on one object."""
+    maps = itertools.product(range(n), repeat=n)
+    return concrete_category([n], [(0, 0, v) for v in maps], cap=n ** n)
+
+
+def fixture_category(path):
+    return FinCat.from_json(json.loads(path.read_text()))
+
+
+FIXTURE_CATEGORIES = {
+    f"fixture-{p.stem}": p for p in sorted(FIXTURES.glob("*.json"))
+    if "compose" in json.loads(p.read_text())}
+# the categories SWEPT lacks; S6 is swept on its own, since it is slow to build
+UNSWEPT = {
+    "s1": functools.partial(symmetric_group_category, 1),
+    "s2": functools.partial(symmetric_group_category, 2),
+    "t3": functools.partial(transformation_monoid, 3),
+    "arrow": walking_arrow_category,
+    **{name: functools.partial(fixture_category, p)
+       for name, p in FIXTURE_CATEGORIES.items()},
+}
+
+
+@pytest.mark.parametrize("name", UNSWEPT)
+def test_generator_sweep_equals_the_full_sweep(name):
+    cat = UNSWEPT[name]()
+    for seed in range(3):
+        c = shuffled(cat, seed) if seed else cat
+        assert classes(c) == index_sweep(c) == string_sweep(c)
+
+
+def test_generator_sweep_equals_the_full_sweep_on_s6():
+    assert classes(s6_category()) == index_sweep(s6_category())
+
+
+def test_full_transformation_monoid_t3():
+    t3 = transformation_monoid(3)
+    assert len(t3.morphisms) == 27
+    assert len(compute_hh(t3)) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(concrete_categories(), st.integers(0, 2))
+def test_generator_sweep_equals_the_full_sweep_on_random_categories(cat, seed):
+    c = shuffled(cat, seed) if seed else cat
+    assert classes(c) == index_sweep(c) == string_sweep(c)
+
+
+def test_the_fixture_categories_are_all_swept():
+    assert sorted(FIXTURE_CATEGORIES) == ["fixture-arrow", "fixture-chain3",
+                                          "fixture-cyclic3", "fixture-s3"]
+
+
+def test_compute_hh_validates_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hochschild, "validate_fincat",
+                        lambda c: calls.append(c) or validate_fincat(c))
+    fresh, checked = cyclic_group_category(4), cyclic_group_category(4)
+    validate_fincat(checked)
+    compute_hh(fresh), compute_hh(checked)
+    assert calls == [fresh]
+    assert fresh.generators == checked.generators == [1]
+
+
+def test_non_associative_table_raises_not_associative():
+    # e is neutral and the table complete, but (a·a)·b != a·(a·b); the full
+    # sweep still answers (e~c, a, b), and a sweep of a's rows alone would
+    # give four classes
+    els = ["e", "a", "b", "c"]
+    table = {("e", x): x for x in els} | {(x, "e"): x for x in els} | {
+        ("a", "a"): "c", ("a", "b"): "c", ("a", "c"): "b",
+        ("b", "a"): "c", ("b", "b"): "b", ("b", "c"): "e",
+        ("c", "a"): "b", ("c", "b"): "c", ("c", "c"): "e"}
+    c = monoid_category(els, table, "e")
+    assert index_sweep(c) == [("e", ("e", "c")), ("a", ("a",)), ("b", ("b",))]
+    with pytest.raises(NotAssociative) as e:
+        compute_hh(c)
+    assert str(e.value) == "('a', 'a', 'b')"
+    assert c.generators is None and c.hh_table is None
 
 
 def test_unvalidated_table_is_rejected():

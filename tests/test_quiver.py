@@ -88,6 +88,21 @@ def test_paths_come_sorted_by_length_then_edge_indices():
             assert ps == sorted(ps, key=Path.key), (g.edges, u, v)
 
 
+def test_enumerated_paths_are_what_the_checking_constructor_builds():
+    # enumerate_paths builds its paths unchecked; each must equal the path
+    # Path.__init__ builds and checks from the same edges
+    rng = random.Random(6)
+    graphs = [standard_digraph("bouquet", 2), standard_digraph("linear", 3)]
+    graphs += [random_digraph(rng, rng.randint(1, 4), rng.randint(1, 7))
+               for _ in range(20)]
+    for g in graphs:
+        for u, v in itertools.product(g.vertices, repeat=2):
+            for p in enumerate_paths(g, u, v, 4):
+                q = Path(g, u, p.edges)
+                assert (p, p.start, p.end, p.edges) == (q, q.start, q.end, q.edges)
+                assert type(p.edges) is tuple and p.end == v
+
+
 def test_hom_finiteness_against_bounded_enumeration():
     # a path with |V| or more edges repeats a vertex, so it runs through a
     # cycle on a route; conversely, a cycle on a route can be pumped into
