@@ -99,6 +99,8 @@ def para_phi(r: int, f: ParaMor) -> ParaMor:
     phi_r phi_s = phi_rs, and the image of the canonical rotation of the
     source is an r-th root of the canonical rotation of the image object.
     """
+    if type(r) is not int:              # bool is no factor
+        raise QuivercalcError(f"inflation needs an integer r, not {r!r}")
     if r < 1:
         raise QuivercalcError(f"inflation needs r >= 1, not {r}")
     return ParaMor(r * f.m, r * f.n, [f.value(j) for j in range(r * f.m)])

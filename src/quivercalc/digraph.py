@@ -268,21 +268,33 @@ def reachable(start: Hashable, step: Callable[[Hashable], Iterable]) -> set:
     return seen
 
 
+def component_labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The connected components of the graph on 0..n-1 whose edges are the
+    given pairs: label[i] is the component of i, the components numbered
+    in order of their least members."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n
+    count = 0
+    for i in range(n):
+        if label[i] < 0:
+            for j in reachable(i, adj.__getitem__):
+                label[j] = count
+            count += 1
+    return label
+
+
 def weak_components(d: Digraph) -> list[list[str]]:
     """Connected components of the underlying undirected graph,
     each listed in vertex declaration order."""
-    adj: dict[str, list[str]] = {v: [] for v in d.vertices}
-    for e in d.edges:
-        adj[e.src].append(e.tgt)
-        adj[e.tgt].append(e.src)
-    comp_of: dict[str, int] = {}
-    comps: list[list[str]] = []
-    for v in d.vertices:
-        if v not in comp_of:
-            for u in reachable(v, adj.__getitem__):
-                comp_of[u] = len(comps)
-            comps.append([])
-        comps[comp_of[v]].append(v)
+    index = d._vindex
+    label = component_labels(len(d.vertices),
+                             ((index[e.src], index[e.tgt]) for e in d.edges))
+    comps: list[list[str]] = [[] for _ in range(max(label, default=-1) + 1)]
+    for v, c in zip(d.vertices, label):
+        comps[c].append(v)
     return comps
 
 
@@ -329,11 +341,6 @@ def strong_components(d: Digraph) -> list[list[str]]:
                         on_open.discard(comp[-1])
                     comps.append(comp)
     return comps
-
-
-def has_directed_cycle(d: Digraph) -> bool:
-    return (any(e.src == e.tgt for e in d.edges)
-            or any(len(c) > 1 for c in strong_components(d)))
 
 
 def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
@@ -457,15 +464,16 @@ def classify_digraph(d: Digraph) -> DigraphShape:
     A graph is cyclically directed when it is connected and every vertex has
     exactly one incoming and one outgoing edge (it is then a directed cycle);
     linearly directed when it is connected, acyclic, and every vertex has at
-    most one incoming and one outgoing edge (a directed chain).
+    most one incoming and one outgoing edge (a directed chain).  A connected
+    graph of such valences is a directed cycle or a directed chain, so the
+    chains are the connected ones of those valences that are not cycles.
     """
     valences = {v: d.valence(v) for v in d.vertices}
     connected = len(weak_components(d)) == 1
     cyclic = connected and all(val == (1, 1) for val in valences.values())
     linear = (
-        connected
+        connected and not cyclic
         and all(val.incoming <= 1 and val.outgoing <= 1 for val in valences.values())
-        and not has_directed_cycle(d)
     )
     return DigraphShape(connected, cyclic, linear, valences)
 

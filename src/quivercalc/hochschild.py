@@ -2,11 +2,11 @@
 
 Two endomorphisms are identified when they are the two ways around a
 composable round trip: for f: x -> y and g: y -> x, the loops g∘f and f∘g
-fall in the same class.  The classes of a finite category are computed by a
-union-find sweep over the round trips (u, v) in which u is one of the
-generators validate_fincat found: O(|gens|·M) unions for M morphisms, not
-O(M²).  For a one-object group category the classes are exactly the
-conjugacy classes.
+fall in the same class.  The classes of a finite category are the
+connected components of the morphisms under the pairs (u∘v, v∘u), over the
+round trips (u, v) in which u is one of the generators validate_fincat
+found: O(|gens|·M) pairs for M morphisms, not O(M²).  For a one-object
+group category the classes are exactly the conjugacy classes.
 
 Cyclic words (composable cycles of morphisms) represent classes too: a word
 maps to the class of its composite, independently of the chosen basepoint.
@@ -15,37 +15,8 @@ member; equivalently it repeats a cyclic word r times.
 """
 from __future__ import annotations
 
-from .digraph import QuivercalcError, lyndon_rotation
+from .digraph import QuivercalcError, component_labels, lyndon_rotation
 from .fincat import FinCat, Functor, validate_fincat
-
-
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-    def classes(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 class HHClass:
@@ -91,16 +62,19 @@ class HHTable:
         self.category = category
         t = category.int_table
         src, tgt, comp, at = t.src, t.tgt, t.comp, t.at
-        uf = UnionFind([m for m in range(len(comp)) if src[m] == tgt[m]])
-        for u in category.generators:
-            row_u, at_u = comp[u], at[u]
-            for v in t.hom[tgt[u]].get(src[u], ()):
-                uf.union(row_u[at[v]], comp[v][at_u])
+        label = component_labels(len(comp), (
+            (comp[u][at[v]], comp[v][at[u]]) for u in category.generators
+            for v in t.hom[tgt[u]].get(src[u], ())))
+        # the endomorphisms by label, in index order: classes come in order
+        # of their least members, each listing its members in index order
+        groups: dict[int, list[int]] = {}
+        for m in range(len(comp)):
+            if src[m] == tgt[m]:
+                groups.setdefault(label[m], []).append(m)
         names = [m.mid for m in category.morphisms]
         self._class_index = [-1] * len(comp)    # per morphism, -1 if no endo
         self.classes: list[HHClass] = []
-        for members in sorted(uf.classes().values(), key=min):
-            members = sorted(members)
+        for members in groups.values():
             for m in members:
                 self._class_index[m] = len(self.classes)
             self.classes.append(HHClass(self, names[members[0]],
@@ -155,6 +129,9 @@ class CyclicWord:
         return self.rotate(start)
 
     def repeat(self, r: int) -> "CyclicWord":
+        if type(r) is not int:          # bool is no count
+            raise QuivercalcError(f"a word repeats an integer number of times, "
+                                  f"not {r!r}")
         if r < 1:
             raise QuivercalcError(f"a word repeats r >= 1 times, not {r}")
         return CyclicWord(self.category, self.word * r)
@@ -189,6 +166,8 @@ def power_endo(category: FinCat, endo: str, r: int) -> str:
     """endo composed with itself r times, by repeated squaring: O(log r)
     compositions.  Regrouping the factors is sound because composition is
     associative, which validate_fincat establishes for a loaded category."""
+    if type(r) is not int:              # bool is no exponent
+        raise QuivercalcError(f"powers are taken for integers r, not {r!r}")
     if r < 1:
         raise QuivercalcError(f"powers are taken for r >= 1, not {r}")
     _endo_index(category, endo)

@@ -12,7 +12,8 @@ from quivercalc.digraph import QuivercalcError
 from quivercalc.emm import (CircleEndo, ExcisionVerdict, VertexToCircle,
                             quiv_op_mmor)
 from quivercalc.fincat import Representation, SheafVerdict, enumerate_reps
-from quivercalc.hochschild import CyclicWord, UnionFind, compute_hh, psi
+from quivercalc.hochschild import CyclicWord, compute_hh, psi
+from union_find import UnionFind
 
 
 def compose_along_path(rep, path):

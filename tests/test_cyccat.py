@@ -524,6 +524,10 @@ CYCCAT_REJECTIONS = {
                      "(1/3)Z -> (1/3)Z then (1/2)Z -> (1/2)Z"),
     "para-phi": (lambda: para_phi(0, identity_para(1)),
                  "inflation needs r >= 1, not 0"),
+    "para-phi-float": (lambda: para_phi(2.0, identity_para(1)),
+                       "inflation needs an integer r, not 2.0"),
+    "para-phi-bool": (lambda: para_phi(True, identity_para(1)),
+                      "inflation needs an integer r, not True"),
     "para-parse": (lambda: parse_para("2 x : 0 1"),
                    "cannot parse paracyclic morphism from '2 x : 0 1'"),
     "epi-sizes": (lambda: EpiMor(0, 1, (), ()), "cycles of sizes 0, 1 need m, n >= 1"),

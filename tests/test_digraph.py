@@ -5,13 +5,14 @@ from hypothesis import given, strategies as st
 
 from quivercalc.digraph import (ClosedCover, Digraph, Incomposable, NotACover,
                                 QuivercalcError, UnknownEdge, UnknownVertex,
-                                classify_digraph, disjoint_union,
-                                has_directed_cycle, make_closed_cover,
-                                reachable, standard_digraph, strong_components,
+                                classify_digraph, component_labels,
+                                disjoint_union, make_closed_cover, reachable,
+                                standard_digraph, strong_components,
                                 weak_components)
 from quivercalc.fincat import exit_path, validate_fincat
 from quivercalc.quiver import (Path, QuiverMor, classify_quiver_mor,
                                compose_quiver_mor)
+from union_find import UnionFind
 
 
 def test_basic_accessors():
@@ -66,6 +67,12 @@ def test_classification():
     assert not shape.cyclically_directed
     two = disjoint_union([standard_digraph("point"), standard_digraph("point")])
     assert not classify_digraph(two).connected
+
+
+def has_directed_cycle(d):
+    """A loop, or a strong component with more than one vertex."""
+    return (any(e.src == e.tgt for e in d.edges)
+            or any(len(c) > 1 for c in strong_components(d)))
 
 
 def test_cycle_detection():
@@ -155,6 +162,42 @@ def test_strong_components_against_mutual_reachability(g):
             assert same == (where[u] == where[v])
     # reverse topological order: edges never point to a later component
     assert all(where[e.tgt] <= where[e.src] for e in g.edges)
+
+
+@given(digraphs())
+def test_linear_shape_is_an_acyclic_chain(g):
+    """classify_digraph reads a chain as a connected graph of valences <= 1
+    that is not a cycle; here, as one that has no directed cycle."""
+    shape = classify_digraph(g)
+    assert shape.linearly_directed == (
+        shape.connected and not has_directed_cycle(g)
+        and all(val.incoming <= 1 and val.outgoing <= 1
+                for val in shape.valences.values()))
+
+
+def union_find_labels(n, pairs):
+    """Component labels from a union-find, numbered by least member."""
+    uf = UnionFind(range(n))
+    for a, b in pairs:
+        uf.union(a, b)
+    first: dict = {}
+    return [first.setdefault(uf.find(i), len(first)) for i in range(n)]
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))),
+                         max_size=12 if n else 0))))
+def test_component_labels_match_union_find(case):
+    n, pairs = case
+    assert component_labels(n, pairs) == union_find_labels(n, pairs)
+
+
+def test_component_labels_edge_cases():
+    assert component_labels(0, []) == []
+    assert component_labels(3, [(1, 1)]) == [0, 1, 2]
+    assert component_labels(4, [(3, 1), (1, 3), (3, 1)]) == [0, 1, 2, 1]
+    assert component_labels(4, iter([(2, 0), (3, 3)])) == [0, 1, 0, 2]
 
 
 def test_strong_components_of_a_deep_cycle():

@@ -540,6 +540,15 @@ def test_circle_site_levels():
     assert site.level(0).circles == 0
 
 
+def test_circle_face_maps_are_the_two_joint_inclusions():
+    g0, g1 = standard_digraph("cyclic", 1), standard_digraph("cyclic", 2)
+    a, b = make_excision_site("circle").face_maps()
+    assert a == QuiverMor(g0, g1, {"0": "0"},
+                          {"e0": Path(g1, "0", ("e0", "e1"))})
+    assert b == QuiverMor(g0, g1, {"0": "1"},
+                          {"e0": Path(g1, "1", ("e1", "e0"))})
+
+
 def test_refinement_map_classifies():
     from quivercalc.quiver import classify_quiver_mor
     site = make_excision_site(standard_digraph("interval"), ["e0"])

@@ -16,10 +16,11 @@ from quivercalc.fincat import (BadComposite, FinCat, Functor, NotAssociative,
                                exit_path, monoid_category,
                                symmetric_group_category, validate_fincat,
                                walking_arrow_category)
-from quivercalc.hochschild import (CyclicWord, HHTable, UnionFind,
-                                   class_of_word, compute_hh, hh_map,
-                                   power_endo, psi, trace_end, trace_obj)
+from quivercalc.hochschild import (CyclicWord, HHTable, class_of_word,
+                                   compute_hh, hh_map, power_endo, psi,
+                                   trace_end, trace_obj)
 from random_categories import concrete_categories, concrete_category
+from union_find import UnionFind
 from tests.conftest import FIXTURES, triples
 
 GROUPS = [
@@ -558,8 +559,18 @@ HH_REJECTIONS = {
                    "'le:0:1' then 'le:0:1' does not chain cyclically"),
     "word-repeat": (lambda: CyclicWord(HH_ARROW, ("le:0:0",)).repeat(0),
                     "a word repeats r >= 1 times, not 0"),
+    "word-repeat-float": (lambda: CyclicWord(HH_ARROW, ("le:0:0",)).repeat(2.0),
+                          "a word repeats an integer number of times, not 2.0"),
+    "word-repeat-bool": (lambda: CyclicWord(HH_ARROW, ("le:0:0",)).repeat(True),
+                         "a word repeats an integer number of times, not True"),
     "power-r": (lambda: power_endo(HH_ARROW, "le:0:0", 0),
                 "powers are taken for r >= 1, not 0"),
+    "power-float": (lambda: power_endo(HH_ARROW, "le:0:0", 2.5),
+                    "powers are taken for integers r, not 2.5"),
+    "power-bool": (lambda: power_endo(cyclic_group_category(3), "g1", True),
+                   "powers are taken for integers r, not True"),
+    "psi-float": (lambda: psi(cyclic_group_category(3), 2.0, "g1"),
+                  "powers are taken for integers r, not 2.0"),
     "power-unknown": (lambda: power_endo(HH_ARROW, "nope", 2),
                       "'nope' is not an endomorphism of this category"),
     "power-not-endo": (lambda: power_endo(HH_ARROW, "le:0:1", 3),
