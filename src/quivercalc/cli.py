@@ -104,15 +104,15 @@ def cmd_classify(args) -> int:
 
 def cmd_paths(args) -> int:
     g = _load_graph(args.graph)
-    finite, exact = hom_is_finite(g, args.src, args.tgt)
+    finite, total = hom_is_finite(g, args.src, args.tgt)
     ps = enumerate_paths(g, args.src, args.tgt, args.max_len)
     for p in ps:
         print("(empty)" if not p.edges else "·".join(p.edges))
-    if finite:
-        print(f"count: {len(ps)} (complete; {exact} in total)")
+    if finite and len(ps) == total:
+        print(f"count: {len(ps)} (complete; {total} in total)")
     else:
         print(f"count: {len(ps)} (truncated at length {args.max_len}; "
-              "infinitely many in total)")
+              f"{total if finite else 'infinitely many'} in total)")
     return 0
 
 

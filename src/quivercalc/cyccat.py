@@ -28,6 +28,10 @@ class ParaMor:
         self.m = m
         self.n = n
         self.values = tuple(values)
+        for x in (m, n, *self.values):
+            if type(x) is not int:          # bool is no size or value
+                raise QuivercalcError(
+                    f"paracyclic sizes and values are integers, not {x!r}")
         if m < 1 or n < 1:
             raise QuivercalcError(f"(1/{m})Z -> (1/{n})Z needs m, n >= 1")
         if len(self.values) != m:
@@ -59,8 +63,8 @@ def identity_para(m: int) -> ParaMor:
 
 
 def para_alpha(m: int) -> ParaMor:
-    """The canonical rotation: the translate x -> x + 1 of (1/m)Z."""
-    return ParaMor(m, m, range(m, 2 * m))
+    """The canonical rotation x -> x + 1 of (1/m)Z: phi_m of x -> x + m on Z."""
+    return para_phi(m, ParaMor(1, 1, (m,)))
 
 
 def para_small_rotation(m: int) -> ParaMor:
@@ -153,6 +157,10 @@ class EpiMor:
         self.n = n
         self.vertex_map = tuple(vertex_map)
         self.lengths = tuple(lengths)
+        for x in (m, n, *self.vertex_map, *self.lengths):
+            if type(x) is not int:          # bool is no size, vertex or length
+                raise QuivercalcError("epicyclic sizes, vertex images and "
+                                      f"lengths are integers, not {x!r}")
         if m < 1 or n < 1:
             raise QuivercalcError(f"cycles of sizes {m}, {n} need m, n >= 1")
         if len(self.vertex_map) != m or len(self.lengths) != m:
@@ -160,10 +168,11 @@ class EpiMor:
         for v in self.vertex_map:
             if not 0 <= v < n:
                 raise QuivercalcError(f"vertex image {v} outside Z/{n}")
-        for l, v in zip(self.lengths, range(m)):
+        vm = self.vertex_map
+        for v, l in enumerate(self.lengths):
             if l < 0:
                 raise QuivercalcError(f"length at {v} is negative")
-            want = (self.vertex_map[(v + 1) % m] - self.vertex_map[v]) % n
+            want = (vm[(v + 1) % m] - vm[v]) % n
             if l % n != want:
                 raise QuivercalcError(
                     f"length at {v} incompatible with the vertex map")

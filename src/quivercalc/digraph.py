@@ -6,7 +6,9 @@ collapse a real edge onto the degenerate loop at a vertex.  All enumeration
 follows declaration order, so results are reproducible.
 
 Every graph traversal of the package lives here, written with explicit
-stacks, so that no graph size runs into Python's recursion limit.
+stacks, so that no graph size runs into Python's recursion limit.  A search
+visits only what can answer it: walks enter only vertices that can still
+reach their end, and components label each vertex once, then read each edge.
 """
 from __future__ import annotations
 
@@ -345,20 +347,25 @@ def strong_components(d: Digraph) -> list[list[str]]:
 
 def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
     """Every walk start -> end with at most max_len edges, as a tuple of edge
-    ids, depth first with edges in declaration order."""
+    ids, depth first with edges in declaration order, entering only vertices
+    that can still reach end (Johnson's pruning, as in lyndon_walks)."""
+    d.vertex_index(start), d.vertex_index(end)
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
-    out = d._out
+    out, in_ = d._out, d._in
+    back = reachable(end, lambda v: [e.src for e in in_[v]])
     if start == end:
         yield ()
     walk: list[str] = []
-    stack = [iter(out[start])] if max_len else []
+    stack = [iter(out[start])] if max_len and start in back else []
     while stack:
         e = next(stack[-1], None)
         if e is None:
             stack.pop()
             if walk:
                 walk.pop()
+            continue
+        if e.tgt not in back:
             continue
         walk.append(e.eid)
         if e.tgt == end:
@@ -468,7 +475,7 @@ def classify_digraph(d: Digraph) -> DigraphShape:
     graph of such valences is a directed cycle or a directed chain, so the
     chains are the connected ones of those valences that are not cycles.
     """
-    valences = {v: d.valence(v) for v in d.vertices}
+    valences = {v: Valence(len(d._in[v]), len(d._out[v])) for v in d.vertices}
     connected = len(weak_components(d)) == 1
     cyclic = connected and all(val == (1, 1) for val in valences.values())
     linear = (

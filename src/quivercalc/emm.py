@@ -113,21 +113,19 @@ def cycle_length_bound(graph: Digraph) -> int | None:
 
     Primitive closed walks are bounded exactly when every strongly connected
     piece is a bare simple cycle; two distinct loops through a common vertex
-    already generate primitive walks of unbounded length.
+    already generate primitive walks of unbounded length.  Each vertex of a
+    piece with an inner edge has an inner edge out, so the piece is a bare
+    cycle exactly when none has two.
     """
-    bound = 0
-    for comp in strong_components(graph):
-        cset = set(comp)
-        internal = [e for e in graph.edges if e.src in cset and e.tgt in cset]
-        if not internal:
-            continue
-        outs: dict[str, int] = {v: 0 for v in comp}
-        for e in internal:
-            outs[e.src] += 1
-        if any(n != 1 for n in outs.values()) or len(internal) != len(comp):
-            return None
-        bound = max(bound, len(comp))
-    return bound
+    comps = strong_components(graph)
+    label = {v: c for c, comp in enumerate(comps) for v in comp}
+    inside = dict.fromkeys(graph.vertices, 0)
+    for e in graph.edges:
+        if label[e.src] == label[e.tgt]:
+            inside[e.src] += 1
+    if any(k > 1 for k in inside.values()):
+        return None
+    return max((len(comp) for comp in comps if inside[comp[0]]), default=0)
 
 
 # --- objects ----------------------------------------------------------------
@@ -303,13 +301,10 @@ def hom_m(source: MObject, target: MObject, max_len: int = 6,
         for a, q in enumerate(source.quivers):
             opts.extend(VertexToCircle(a, v) for v in q.vertices)
         for a, q in enumerate(source.quivers):
-            bound = cycle_length_bound(q)
-            if bound is None or bound > max_len:
-                truncated = True
+            if cycle_length_bound(q) != 0:
+                truncated = True  # a cycle winds round a circle any number of times
             cycles = [z for z in enumerate_directed_cycles(q, max_len)
                       if not z.is_constant]
-            if cycles:
-                truncated = True  # weights again
             opts.extend(CycleToCircle(a, z, w)
                         for z in cycles for w in range(1, max_weight + 1))
         circle_options = [opts] * target.circles

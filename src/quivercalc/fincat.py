@@ -685,14 +685,6 @@ def compile_pullback(category: FinCat, qmor, offset: int) -> Callable:
         [path_steps(tgt, qmor.edge_paths[e.eid], offset) for e in qmor.source.edges])
 
 
-def compose_along_path(rep: Representation, path) -> str:
-    """The composite morphism a representation assigns to an edge path
-    (identity at the starting vertex's label for the empty path)."""
-    c = rep.category
-    run = index_program(c, (), [path_steps(rep.graph, path, 0)])
-    return c.morphisms[run(rep.indices())[0]].mid
-
-
 def pullback_rep(qmor, rep: Representation) -> Representation:
     """Restrict a representation of the target graph along a quiver morphism.
 

@@ -91,7 +91,6 @@ class Path:
 def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Path]:
     """All paths src -> tgt of length <= max_len, sorted by length then by
     edge indices lexicographically."""
-    graph.vertex_index(src), graph.vertex_index(tgt)
     # walks come in lexicographic order, so a stable sort by length suffices
     found = sorted(walks(graph, src, tgt, max_len), key=len)
     return [Path._trusted(graph, src, tgt, w) for w in found]
@@ -113,7 +112,7 @@ def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]
            & reachable(tgt, lambda x: [e.src for e in in_[x]]))
     if not mid:
         return (True, 0)
-    waiting = {v: sum(e.src in mid for e in in_[v]) for v in mid}
+    waiting = {v: len([e for e in in_[v] if e.src in mid]) for v in mid}
     # every vertex of mid is reachable from src, so when mid is acyclic src
     # is the only one ready at the start
     ready = [v for v, k in waiting.items() if not k]
@@ -358,35 +357,30 @@ def delta_mor_to_quiver(f: DeltaMor) -> QuiverMor:
 
 def components(d: Digraph) -> list[Digraph]:
     """The weakly connected components, as subgraphs."""
-    out = []
-    for verts in weak_components(d):
-        vset = set(verts)
-        eids = [e.eid for e in d.edges if e.src in vset]
-        out.append(d.subgraph(verts, eids))
-    return out
+    comps = weak_components(d)
+    label = {v: c for c, verts in enumerate(comps) for v in verts}
+    edges = [[] for _ in comps]
+    for e in d.edges:
+        edges[label[e.src]].append(e)
+    return [Digraph(verts, es) for verts, es in zip(comps, edges)]
 
 
 def _path_options(tgt: Digraph, a: str, b: str, path_cap: int | None,
                   cache: dict) -> tuple[list[Path], bool]:
-    """All candidate image paths a -> b; second value says the list is exact."""
+    """All candidate image paths a -> b, those up to path_cap edges long;
+    second value says the list is exact, i.e. holds every path a -> b."""
     key = (a, b)
     if key in cache:
         return cache[key]
-    finite, _ = hom_is_finite(tgt, a, b)
-    if finite:
-        # in the acyclic relevant region no path repeats an edge
-        full = enumerate_paths(tgt, a, b, len(tgt.edges))
-        if path_cap is not None and any(p.length > path_cap for p in full):
-            res = ([p for p in full if p.length <= path_cap], False)
-        else:
-            res = (full, True)
-    else:
-        if path_cap is None:
+    finite, count = hom_is_finite(tgt, a, b)
+    if path_cap is None:
+        if not finite:
             raise QuivercalcError(f"infinitely many paths {a!r} -> {b!r}; "
                                   "a path cap is required")
-        res = (enumerate_paths(tgt, a, b, path_cap), False)
-    cache[key] = res
-    return res
+        path_cap = len(tgt.edges)   # the routes are acyclic: no edge repeats
+    paths = enumerate_paths(tgt, a, b, path_cap)
+    cache[key] = (paths, finite and len(paths) == count)
+    return cache[key]
 
 
 def enumerate_quiver_mors(src: Digraph, tgt: Digraph,

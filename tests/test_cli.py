@@ -38,6 +38,17 @@ def test_paths_finite_and_truncated(capsys):
     assert "infinitely many" in out
 
 
+def test_paths_cut_by_the_length_cap_is_not_complete(capsys):
+    # the hom-set 0 -> 2 of linear(2) is finite, but its one path is longer
+    # than the cap, so the listing is not the whole hom-set
+    code, out, _ = run("paths", "--graph", str(FIXTURES / "linear2.json"),
+                       "0", "2", "--max-len", "1", capsys=capsys)
+    assert (code, out) == (0, "count: 0 (truncated at length 1; 1 in total)\n")
+    code, out, _ = run("paths", "--graph", str(FIXTURES / "linear2.json"),
+                       "0", "2", "--max-len", "2", capsys=capsys)
+    assert (code, out) == (0, "e0·e1\ncount: 1 (complete; 1 in total)\n")
+
+
 def test_paths_unknown_vertex_is_usage_error(capsys):
     code, _, err = run("paths", "--graph", str(FIXTURES / "interval.json"),
                        "0", "zzz", capsys=capsys)

@@ -528,9 +528,26 @@ CYCCAT_REJECTIONS = {
                        "inflation needs an integer r, not 2.0"),
     "para-phi-bool": (lambda: para_phi(True, identity_para(1)),
                       "inflation needs an integer r, not True"),
+    "para-size-float": (lambda: ParaMor(2.0, 3, (0, 1)),
+                        "paracyclic sizes and values are integers, not 2.0"),
+    "para-value-float": (lambda: ParaMor(1, 1, (0.5,)),
+                         "paracyclic sizes and values are integers, not 0.5"),
+    "para-identity-bool": (lambda: identity_para(True),
+                           "paracyclic sizes and values are integers, not True"),
+    "para-alpha-float": (lambda: para_alpha(2.5),
+                         "paracyclic sizes and values are integers, not 2.5"),
     "para-parse": (lambda: parse_para("2 x : 0 1"),
                    "cannot parse paracyclic morphism from '2 x : 0 1'"),
     "epi-sizes": (lambda: EpiMor(0, 1, (), ()), "cycles of sizes 0, 1 need m, n >= 1"),
+    "epi-size-float": (lambda: EpiMor(1, 2.0, [0], [2]),
+                       "epicyclic sizes, vertex images and lengths are "
+                       "integers, not 2.0"),
+    "epi-vertex-bool": (lambda: EpiMor(1, 1, [False], [1]),
+                        "epicyclic sizes, vertex images and lengths are "
+                        "integers, not False"),
+    "epi-length-float": (lambda: EpiMor(1, 1, [0], [1.0]),
+                         "epicyclic sizes, vertex images and lengths are "
+                         "integers, not 1.0"),
     "epi-lengths": (lambda: EpiMor(2, 2, (0, 1), (1,)),
                     "need exactly m vertex images and m lengths"),
     "epi-vertex": (lambda: EpiMor(1, 2, (2,), (2,)), "vertex image 2 outside Z/2"),

@@ -1,17 +1,19 @@
+import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quivercalc.digraph import (ClosedCover, Digraph, Incomposable, NotACover,
                                 QuivercalcError, UnknownEdge, UnknownVertex,
                                 classify_digraph, component_labels,
                                 disjoint_union, make_closed_cover, reachable,
-                                standard_digraph, strong_components,
+                                standard_digraph, strong_components, walks,
                                 weak_components)
 from quivercalc.fincat import exit_path, validate_fincat
 from quivercalc.quiver import (Path, QuiverMor, classify_quiver_mor,
                                compose_quiver_mor)
+import search_oracle
 from union_find import UnionFind
 
 
@@ -135,6 +137,32 @@ def digraphs(draw):
         edges.append((f"e{i}", draw(st.sampled_from(vs)),
                       draw(st.sampled_from(vs))))
     return Digraph(vs, edges)
+
+
+# a route a -> b beside two loops that no route passes through; and that
+# graph again, in one graph with a 2-cycle and an isolated vertex
+SIDE_CYCLE = Digraph(["a", "b", "c"], [("ab", "a", "b"), ("ac", "a", "c"),
+                                       ("l0", "c", "c"), ("l1", "c", "c")])
+PIECES = disjoint_union([SIDE_CYCLE, standard_digraph("cyclic", 2),
+                         standard_digraph("point")])
+
+
+@example(SIDE_CYCLE)
+@example(PIECES)
+@given(digraphs())
+def test_walks_match_the_unpruned_search(g):
+    for u, v in itertools.product(g.vertices, repeat=2):
+        for max_len in range(5):
+            assert (list(walks(g, u, v, max_len))
+                    == list(search_oracle.walks(g, u, v, max_len))), (u, v, max_len)
+
+
+def test_walks_reject_an_unknown_start_or_end():
+    g = standard_digraph("interval")
+    for start, end in (("zz", "1"), ("0", "zz"), ("zz", "zz")):
+        with pytest.raises(UnknownVertex) as e:
+            list(walks(g, start, end, 2))
+        assert str(e.value) == "unknown vertex 'zz'"
 
 
 @given(digraphs())

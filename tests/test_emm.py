@@ -5,6 +5,7 @@ import sys
 
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
 
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
                                 lyndon_rotation, standard_digraph)
@@ -24,8 +25,10 @@ from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
                             quiv_op_mmor, verify_excision)
 
 import cycle_oracle
+import search_oracle
 import string_oracle as oracle
 from tests.conftest import FIXTURES
+from test_digraph import PIECES, SIDE_CYCLE, digraphs, has_directed_cycle
 from test_fincat import without_composite
 
 
@@ -137,6 +140,27 @@ def test_cycles_longer_than_the_recursion_limit():
     assert [z.length for z in zs if not z.is_constant] == [n]
     with pytest.raises(QuivercalcError):
         enumerate_directed_cycles(standard_digraph("cyclic", 2), -1)
+
+
+@example(SIDE_CYCLE)
+@example(PIECES)
+@given(digraphs())
+def test_cycle_length_bound_matches_the_per_piece_scan(g):
+    assert cycle_length_bound(g) == search_oracle.cycle_length_bound(g)
+
+
+def test_cycle_length_bound_of_a_long_chain():
+    assert cycle_length_bound(standard_digraph("linear", 20000)) == 0
+
+
+@example(SIDE_CYCLE, 0, 1)
+@given(digraphs(), st.integers(0, 2), st.integers(0, 3))
+def test_hom_m_to_a_circle_is_truncated_exactly_when_something_winds(
+        g, circles, max_len):
+    source = MObject(circles, components(g))
+    _, truncated = hom_m(source, circle_object(1), max_len=max_len,
+                         max_weight=1, path_cap=1)
+    assert truncated == (circles > 0 or has_directed_cycle(g))
 
 
 def test_cycle_length_bound():

@@ -16,9 +16,9 @@ from quivercalc.emm import make_excision_site
 from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
                                MissingIdentity, NotAssociative, Representation,
                                chain_poset_category, check_closed_sheaf,
-                               compile_pullback, compose_along_path,
-                               cyclic_group_category, enumerate_reps,
-                               exit_path, limit_sections, monoid_category,
+                               compile_pullback, cyclic_group_category,
+                               enumerate_reps, exit_path, index_program,
+                               limit_sections, monoid_category, path_steps,
                                poset_category, pullback_rep, rep_tuples,
                                rep_via_exit_limit, symmetric_group_category,
                                validate_fincat, walking_arrow_category,
@@ -438,14 +438,24 @@ def test_rep_restrict():
         assert res.edge_labels == {"e0": r.edge_labels["e0"]}
 
 
+def compose_along_path(rep, path):
+    """The composite morphism a representation assigns to an edge path, run
+    as a one-step index_program (the identity at the start for the empty
+    path)."""
+    c = rep.category
+    run = index_program(c, (), [path_steps(rep.graph, path, 0)])
+    return c.morphisms[run(rep.indices())[0]].mid
+
+
 def test_compose_along_path():
     z4 = cyclic_group_category(4)
     g = standard_digraph("linear", 2)
     rep = Representation(z4, g, {"0": "*", "1": "*", "2": "*"},
                          {"e0": "g1", "e1": "g2"})
     p = Path(g, "0", ("e0", "e1"))
-    assert compose_along_path(rep, p) == "g3"
-    assert compose_along_path(rep, Path.empty(g, "1")) == "g0"
+    for compose in (compose_along_path, oracle.compose_along_path):
+        assert compose(rep, p) == "g3"
+        assert compose(rep, Path.empty(g, "1")) == "g0"
 
 
 def test_pullback_rep_contravariant():

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
                                 standard_digraph)
@@ -13,7 +13,10 @@ from quivercalc.quiver import (DeltaMor, Path, QuiverMor, classify_quiver_mor,
                                delta_mor_to_quiver, enumerate_paths,
                                enumerate_quiver_mors, factor_active_closed,
                                hom_is_finite, hom_quiver_count,
-                               is_active_delta, is_closed_delta)
+                               is_active_delta, is_closed_delta, _path_options)
+
+import search_oracle
+from test_digraph import PIECES, SIDE_CYCLE, digraphs
 
 
 # --- paths, with the adjacency-matrix oracle -----------------------------
@@ -158,6 +161,12 @@ def test_deep_graphs_do_not_recurse():
     g = standard_digraph("linear", n)
     assert hom_is_finite(g, "0", str(n)) == (True, 1)
     assert [p.length for p in enumerate_paths(g, "0", str(n), n)] == [n]
+
+
+def test_a_side_cycle_costs_the_path_search_nothing():
+    # walking round the two loops at c, an unpruned search would try 2^59
+    # words to length 60 before it found that none of them reaches b
+    assert [p.edges for p in enumerate_paths(SIDE_CYCLE, "a", "b", 60)] == [("ab",)]
 
 
 def test_negative_length_cap_is_rejected():
@@ -361,7 +370,51 @@ def test_components_order_and_inclusions():
         assert classify_quiver_mor(inc).closed
 
 
+@example(SIDE_CYCLE)
+@example(PIECES)
+@given(digraphs())
+def test_components_match_the_subgraph_oracle(g):
+    assert components(g) == search_oracle.components(g)
+
+
+def test_components_of_many_pieces():
+    g = disjoint_union([standard_digraph("interval")] * 5000)
+    comps = components(g)
+    assert len(comps) == 5000
+    assert comps[-1] == Digraph(["4999.0", "4999.1"],
+                                [("4999.e0", "4999.0", "4999.1")])
+
+
 # --- enumeration of quiver morphisms --------------------------------------
+
+
+def outcome(options, *args):
+    """What a path-options routine returns, as edge tuples, or its error."""
+    try:
+        paths, exact = options(*args)
+    except QuivercalcError as e:
+        return str(e)
+    return [getattr(p, "edges", p) for p in paths], exact
+
+
+@example(SIDE_CYCLE, 1)
+@example(PIECES, None)
+@given(digraphs(), st.sampled_from([None, 0, 1, 2, 3]))
+def test_path_options_match_the_filtering_oracle(g, cap):
+    for a, b in itertools.product(g.vertices, repeat=2):
+        assert (outcome(_path_options, g, a, b, cap, {})
+                == outcome(search_oracle.path_options, g, a, b, cap)), (a, b)
+
+
+def test_a_side_cycle_costs_the_morphism_search_nothing():
+    # the hom-sets from 0 into the chain are finite, and the unpruned search
+    # enumerated each to |E| = 20 edges, walking every word round the loops
+    # at s on the way
+    g = Digraph([str(i) for i in range(18)] + ["s"],
+                [(f"e{i}", str(i), str(i + 1)) for i in range(17)]
+                + [("es", "0", "s"), ("l0", "s", "s"), ("l1", "s", "s")])
+    mors, truncated = enumerate_quiver_mors(standard_digraph("interval"), g, 3)
+    assert (len(mors), truncated) == (88, True)
 
 
 def brute_quiver_mors(src, tgt, max_len):
