@@ -23,17 +23,24 @@ from .quiver import DeltaMor, Path, QuiverMor
 from .digraph import Incomposable, QuivercalcError, standard_digraph
 
 
+def _integers(what: str, *xs) -> None:
+    for x in xs:
+        if type(x) is not int:              # bool is no size or value
+            raise QuivercalcError(f"{what} are integers, not {x!r}")
+
+
+def _para_sizes(m: int, n: int, *values) -> None:
+    _integers("paracyclic sizes and values", m, n, *values)
+    if m < 1 or n < 1:
+        raise QuivercalcError(f"(1/{m})Z -> (1/{n})Z needs m, n >= 1")
+
+
 class ParaMor:
     def __init__(self, m: int, n: int, values):
         self.m = m
         self.n = n
         self.values = tuple(values)
-        for x in (m, n, *self.values):
-            if type(x) is not int:          # bool is no size or value
-                raise QuivercalcError(
-                    f"paracyclic sizes and values are integers, not {x!r}")
-        if m < 1 or n < 1:
-            raise QuivercalcError(f"(1/{m})Z -> (1/{n})Z needs m, n >= 1")
+        _para_sizes(m, n, *self.values)
         if len(self.values) != m:
             raise QuivercalcError("need exactly m values")
         for a, b in zip(self.values, self.values[1:]):
@@ -59,6 +66,7 @@ class ParaMor:
 
 
 def identity_para(m: int) -> ParaMor:
+    _para_sizes(m, m)
     return ParaMor(m, m, range(m))
 
 
@@ -69,6 +77,7 @@ def para_alpha(m: int) -> ParaMor:
 
 def para_small_rotation(m: int) -> ParaMor:
     """The step x -> x + 1/m; its m-th power is para_alpha(m)."""
+    _para_sizes(m, m)
     return ParaMor(m, m, range(1, m + 1))
 
 
@@ -120,6 +129,7 @@ def enumerate_para_transversal(m: int, n: int) -> list[ParaMor]:
     """One representative per translate orbit: all value lists with
     0 <= g(0) < n.  Every paracyclic morphism is a unique integer translate
     g + k*n of exactly one of these."""
+    _para_sizes(m, n)
     return [ParaMor(m, n, (g0,) + rest) for g0 in range(n)
             for rest in itertools.combinations_with_replacement(
                 range(g0, g0 + n + 1), m - 1)]
@@ -157,10 +167,8 @@ class EpiMor:
         self.n = n
         self.vertex_map = tuple(vertex_map)
         self.lengths = tuple(lengths)
-        for x in (m, n, *self.vertex_map, *self.lengths):
-            if type(x) is not int:          # bool is no size, vertex or length
-                raise QuivercalcError("epicyclic sizes, vertex images and "
-                                      f"lengths are integers, not {x!r}")
+        _integers("epicyclic sizes, vertex images and lengths",
+                  m, n, *self.vertex_map, *self.lengths)
         if m < 1 or n < 1:
             raise QuivercalcError(f"cycles of sizes {m}, {n} need m, n >= 1")
         if len(self.vertex_map) != m or len(self.lengths) != m:
@@ -214,6 +222,7 @@ class EpiMor:
 
 
 def identity_epi(n: int) -> EpiMor:
+    _integers("epicyclic sizes, vertex images and lengths", n)
     return EpiMor(n, n, range(n), [1] * n)
 
 

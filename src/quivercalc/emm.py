@@ -396,13 +396,15 @@ def quiv_op_mmor(q: QuiverMor) -> MMor:
 #
 # Inside the library an element of an invariant is one flat tuple of
 # indices: a class index (into compute_hh(category).classes) per circle,
-# then each quiver's representation tuple (see fincat.rep_tuples).  Trace
+# then each quiver's representation tuple (see fincat.rep_tuples).  The
+# compiled maps take a block (a list) of elements at a time.  Trace
 # classes and Representations are built only by fact_namer, for
 # fact_homology, fact_map and the command line.
 
 
 def _blocks(m: MObject) -> list[tuple[int, int]]:
-    """(start, end) of each quiver's representation tuple in an element."""
+    """(start, end) of each quiver's representation tuple in an element
+    (not a block of elements, which the compiled maps take)."""
     out, at = [], m.circles
     for q in m.quivers:
         out.append((at, at + len(q.vertices) + len(q.edges)))
@@ -444,44 +446,42 @@ def fact_homology(category: FinCat, m: MObject) -> list[tuple]:
 
 
 def _circle_map(category: FinCat, source: MObject, part):
-    """One target circle's class index, as a function of a source element."""
+    """One target circle's class index, as a block map: source elements to
+    1-tuples.  A vertex part is the trace of its empty loop."""
     hh = compute_hh(category)
     index = {cls.rep: i for i, cls in enumerate(hh.classes)}
     if isinstance(part, CircleEndo):
-        def power(x):
-            return index[psi(category, part.weight, hh.classes[x[part.circle]]).rep]
-        return power
-    start = _blocks(source)[part.quiver][0]
-    q = source.quivers[part.quiver]
-    if isinstance(part, VertexToCircle):
-        at = start + q.vertex_index(part.vertex)
+        def endos(block):
+            return [hh.classes[x[part.circle]] for x in block]
+    else:
+        q = source.quivers[part.quiver]
+        path = (Path.empty(q, part.vertex) if isinstance(part, VertexToCircle)
+                else Path(q, part.cycle.vertex, part.cycle.edges))
+        word = index_program(category, (), [path_steps(
+            q, path, _blocks(source)[part.quiver][0])])
 
-        def trace(x):
-            return index[hh.class_of(category.identity(category.objects[x[at]])).rep]
-        return trace
-    word = index_program(category, (), [path_steps(
-        q, Path(q, part.cycle.vertex, part.cycle.edges), start)])
-
-    def holonomy(x):
-        endo = category.morphisms[word(x)[0]].mid
-        return index[psi(category, part.weight, endo).rep]
-    return holonomy
+        def endos(block):
+            return [category.morphisms[m].mid for m, in word(block)]
+    weight = 1 if isinstance(part, VertexToCircle) else part.weight
+    return lambda block: [(index[psi(category, weight, e).rep],)
+                          for e in endos(block)]
 
 
 def _compile_mmor(category: FinCat, f: MMor):
-    """The induced map on index tuples, compiled once for category."""
-    circles = [_circle_map(category, f.source, part) for part in f.circle_parts]
+    """The induced map on blocks of index tuples, compiled once for
+    category."""
     blocks = _blocks(f.source)
-    pulls = [compile_pullback(category, part.mor, blocks[part.quiver][0])
-             for part in f.quiver_parts]
-    if not circles and len(pulls) == 1:
-        return pulls[0]
+    parts = ([_circle_map(category, f.source, part) for part in f.circle_parts]
+             + [compile_pullback(category, part.mor, blocks[part.quiver][0])
+                for part in f.quiver_parts])
+    if len(parts) == 1:
+        return parts[0]
 
-    def apply(x: tuple) -> tuple:
-        out = tuple([c(x) for c in circles])
-        for pull in pulls:
-            out += pull(x)
-        return out
+    def apply(block: list) -> list:
+        if not parts:           # the empty object: zip(*[]) would drop rows
+            return [()] * len(block)
+        return [tuple(itertools.chain.from_iterable(row))
+                for row in zip(*[part(block) for part in parts])]
 
     return apply
 
@@ -501,7 +501,7 @@ def fact_map(category: FinCat, f: MMor):
                                   "source's invariant")
         x = tuple(classes.index(c) for c in cls) + \
             tuple(itertools.chain.from_iterable(r.indices() for r in reps))
-        return name(run(x))
+        return name(run([x])[0])
 
     return apply
 
@@ -635,6 +635,15 @@ class ExcisionVerdict:
     note: str = ""
 
 
+BLOCK = 2048    # rows mapped at once: a whole stage would cost its own size again
+
+
+def _blockwise(f, xs: list):
+    """The rows of f applied to xs, one block of BLOCK rows at a time."""
+    return itertools.chain.from_iterable(
+        f(xs[start:start + BLOCK]) for start in range(0, len(xs), BLOCK))
+
+
 def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     """Coequalize the two stage maps on invariants and compare with the
     invariant of the glued object.
@@ -643,7 +652,7 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     stage 0 on invariants; gluing induces stage 0 -> glued.  The verdict is
     ok when gluing coequalizes the pair and the induced map from the
     coequalizer is a bijection.  It runs on index tuples (see fact_tuples),
-    in fact_homology's order.
+    in fact_homology's order, and maps each stage in blocks of BLOCK rows.
     """
     fa, fb = site.face_maps()
     x0 = fact_tuples(category, site.level(0))
@@ -652,8 +661,9 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     map_b = _compile_mmor(category, quiv_op_mmor(fb))
 
     index = {elem: i for i, elem in enumerate(x0)}
-    label = component_labels(len(x0),
-                             ((index[map_a(y)], index[map_b(y)]) for y in x1))
+    label = component_labels(len(x0), zip(
+        map(index.__getitem__, _blockwise(map_a, x1)),
+        map(index.__getitem__, _blockwise(map_b, x1))))
     coeq = max(label, default=-1) + 1
 
     glue = _compile_mmor(category, site.glue_mmor())
@@ -663,8 +673,7 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     note = ""
     ok = True
     glued_of_comp: dict[int, int] = {}
-    for i, elem in enumerate(x0):
-        g = glue(elem)
+    for i, g in enumerate(_blockwise(glue, x0)):
         if g not in direct_index:
             ok, note = False, "gluing left the invariant of the glued object"
             break

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
@@ -639,45 +640,49 @@ def path_steps(graph: Digraph, path, offset: int) -> tuple:
 
 
 def index_program(category: FinCat, vertex_pos, edge_steps) -> Callable:
-    """A map of index tuples, compiled once: x goes to the tuple of x[p] for
-    p in vertex_pos, followed, for each step (start, positions) in
-    edge_steps, by the composite of the morphisms x[p] for p in positions,
-    starting from the identity at the object x[start].
+    """A map of blocks of index tuples, compiled once: each tuple x of a
+    block (a list) goes to the tuple of x[p] for p in vertex_pos, followed,
+    for each step (start, positions) in edge_steps, by the composite of the
+    morphisms x[p] for p in positions, starting from the identity at the
+    object x[start].  The block is transposed once and run a column at a
+    time, one pass per path edge; map a single x as the block [x].
 
     The category must pass validate_fincat, and the morphisms of each step
     must chain, as the edges of a path do in a representation.  A missing
     identity or composite raises MissingIdentity or BadComposite, as
-    FinCat.identity and FinCat.comp do, so a -1 of the table is never used
-    as an index.
+    FinCat.identity and FinCat.comp do, naming the first row of the first
+    column that misses one, so a -1 of the table is never used as an index.
     """
     t = category.int_table
     comp, ident, at = t.comp, t.identity, t.at
 
-    def run(x: tuple) -> tuple:
-        out = [x[p] for p in vertex_pos]
+    def run(block: list) -> list:
+        if not (block and (vertex_pos or edge_steps)):
+            return [()] * len(block)
+        cols = list(zip(*block))
+        out = [cols[p] for p in vertex_pos]
         for start, positions in edge_steps:
-            m = ident[x[start]]
-            if m < 0:
-                raise MissingIdentity(
-                    f"object {category.objects[x[start]]!r} has no identity")
+            m = [ident[o] for o in cols[start]]
+            if -1 in m:         # FinCat.identity raises, naming the object
+                category.identity(category.objects[cols[start][m.index(-1)]])
             for p in positions:
-                g = x[p]
-                h = comp[g][at[m]]
-                if h < 0:
-                    raise BadComposite(
-                        f"composite of {category.morphisms[g].mid!r} after "
-                        f"{category.morphisms[m].mid!r} missing from table")
+                col = cols[p]
+                h = [comp[g][at[f]] for g, f in zip(col, m)]
+                if -1 in h:     # FinCat.comp raises, naming the pair
+                    i = h.index(-1)
+                    category.comp(category.morphisms[col[i]].mid,
+                                  category.morphisms[m[i]].mid)
                 m = h
             out.append(m)
-        return tuple(out)
+        return list(zip(*out))
 
     return run
 
 
 def compile_pullback(category: FinCat, qmor, offset: int) -> Callable:
-    """pullback_rep along qmor on index tuples: it reads the target graph's
-    tuple from position `offset` of its argument and returns the source
-    graph's tuple."""
+    """pullback_rep along qmor on blocks of index tuples: it reads the
+    target graph's tuple from position `offset` of each row and returns the
+    source graph's tuples."""
     tgt = qmor.target
     return index_program(
         category,
@@ -695,7 +700,7 @@ def pullback_rep(qmor, rep: Representation) -> Representation:
         raise QuivercalcError("representation lives on a different graph")
     pull = compile_pullback(rep.category, qmor, 0)
     return Representation.from_indices(rep.category, qmor.source,
-                                       pull(rep.indices()))
+                                       pull([rep.indices()])[0])
 
 
 # --- the closed-sheaf condition -------------------------------------------
@@ -712,12 +717,16 @@ class SheafVerdict:
     witness: str | None = None
 
 
-def _restriction(graph: Digraph, sub: Digraph) -> Callable:
-    """Restriction of index tuples from a graph to a subgraph."""
+def _restrict(xs: list, graph: Digraph, sub: Digraph) -> list:
+    """Index tuples of graph, restricted to a subgraph."""
     nv = len(graph.vertices)
     positions = ([graph.vertex_index(v) for v in sub.vertices]
                  + [nv + graph.edge_index(e.eid) for e in sub.edges])
-    return lambda x: tuple([x[p] for p in positions])
+    if len(positions) > 1:
+        return list(map(itemgetter(*positions), xs))
+    if positions:               # itemgetter of one position gives no tuple
+        return [(x[positions[0]],) for x in xs]
+    return [()] * len(xs)
 
 
 def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:
@@ -734,19 +743,18 @@ def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:
     right = rep_tuples(category, cover.right)
     inter = rep_tuples(category, cover.intersection)
 
-    left_key = _restriction(cover.left, cover.intersection)
-    right_key = _restriction(cover.right, cover.intersection)
+    left_keys = _restrict(left, cover.left, cover.intersection)
+    right_keys = _restrict(right, cover.right, cover.intersection)
     by_key: dict[tuple, list[tuple]] = {}
-    for b in right:
-        by_key.setdefault(right_key(b), []).append(b)
-    fiber = sum(len(by_key.get(left_key(a), ())) for a in left)
+    for k, b in zip(right_keys, right):
+        by_key.setdefault(k, []).append(b)
+    fiber = sum(len(by_key.get(k, ())) for k in left_keys)
 
-    to_left = _restriction(cover.ambient, cover.left)
-    to_right = _restriction(cover.ambient, cover.right)
+    pairs = zip(_restrict(whole, cover.ambient, cover.left),
+                _restrict(whole, cover.ambient, cover.right))
     image: set[tuple] = set()
     repeated = None
-    for x in whole:
-        pair = (to_left(x), to_right(x))
+    for x, pair in zip(whole, pairs):
         if pair in image:
             repeated = x
         image.add(pair)
@@ -759,7 +767,8 @@ def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:
         def key(graph, x):
             return Representation.from_indices(category, graph, x).key()
         unglued = min((key(cover.left, a), key(cover.right, b))
-                      for a in left for b in by_key.get(left_key(a), ())
+                      for a, k in zip(left, left_keys)
+                      for b in by_key.get(k, ())
                       if (a, b) not in image)
         witness = f"unglued compatible pair: {unglued}"
     return SheafVerdict(witness is None, len(whole), len(left), len(right),

@@ -536,6 +536,23 @@ CYCCAT_REJECTIONS = {
                            "paracyclic sizes and values are integers, not True"),
     "para-alpha-float": (lambda: para_alpha(2.5),
                          "paracyclic sizes and values are integers, not 2.5"),
+    "para-identity-float": (lambda: identity_para(2.5),
+                            "paracyclic sizes and values are integers, not 2.5"),
+    "para-small-rotation-float": (lambda: para_small_rotation(2.5),
+                                  "paracyclic sizes and values are integers, "
+                                  "not 2.5"),
+    "para-transversal-source-float": (
+        lambda: enumerate_para_transversal(1.5, 2),
+        "paracyclic sizes and values are integers, not 1.5"),
+    "para-transversal-target-float": (
+        lambda: enumerate_para_transversal(2, 2.5),
+        "paracyclic sizes and values are integers, not 2.5"),
+    "para-transversal-source-zero": (lambda: enumerate_para_transversal(0, 2),
+                                     "(1/0)Z -> (1/2)Z needs m, n >= 1"),
+    "para-transversal-target-zero": (lambda: enumerate_para_transversal(2, 0),
+                                     "(1/2)Z -> (1/0)Z needs m, n >= 1"),
+    "epi-degree1-float": (lambda: enumerate_epi_degree1(1, 1.5),
+                          "paracyclic sizes and values are integers, not 1.5"),
     "para-parse": (lambda: parse_para("2 x : 0 1"),
                    "cannot parse paracyclic morphism from '2 x : 0 1'"),
     "epi-sizes": (lambda: EpiMor(0, 1, (), ()), "cycles of sizes 0, 1 need m, n >= 1"),
@@ -548,6 +565,12 @@ CYCCAT_REJECTIONS = {
     "epi-length-float": (lambda: EpiMor(1, 1, [0], [1.0]),
                          "epicyclic sizes, vertex images and lengths are "
                          "integers, not 1.0"),
+    "epi-identity-float": (lambda: identity_epi(2.5),
+                           "epicyclic sizes, vertex images and lengths are "
+                           "integers, not 2.5"),
+    "epi-identity-bool": (lambda: identity_epi(True),
+                          "epicyclic sizes, vertex images and lengths are "
+                          "integers, not True"),
     "epi-lengths": (lambda: EpiMor(2, 2, (0, 1), (1,)),
                     "need exactly m vertex images and m lengths"),
     "epi-vertex": (lambda: EpiMor(1, 2, (2,), (2,)), "vertex image 2 outside Z/2"),

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quivercalc.digraph import (ClosedCover, Digraph, QuivercalcError,
                                 disjoint_union, make_closed_cover,
@@ -26,6 +26,7 @@ from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
 from quivercalc.quiver import Path, QuiverMor, enumerate_quiver_mors
 
 import string_oracle as oracle
+from random_categories import concrete_categories
 from test_hochschild import shuffled
 from tests.conftest import triples
 
@@ -444,7 +445,8 @@ def compose_along_path(rep, path):
     path)."""
     c = rep.category
     run = index_program(c, (), [path_steps(rep.graph, path, 0)])
-    return c.morphisms[run(rep.indices())[0]].mid
+    (m,), = run([rep.indices()])
+    return c.morphisms[m].mid
 
 
 def test_compose_along_path():
@@ -637,6 +639,68 @@ def test_sheaf_verdicts_match_the_string_oracle_on_partial_covers():
     assert witnesses == {"restriction not injective", "unglued compatible pair"}
 
 
+# Restriction picks positions with itemgetter, which returns a bare value for
+# one position and cannot be built for none.  These covers give the
+# intersection and the pieces 0, 1 and more positions.
+
+TWO_POINTS = Digraph(["a", "b"], [])
+LOOP = standard_digraph("bouquet", 1)
+SMALL_PIECE_COVERS = {
+    "empty-graph": (Digraph([], []), ([], []), ([], [])),
+    "point-twice": (standard_digraph("point"), (["0"], []), (["0"], [])),
+    "two-points-apart": (TWO_POINTS, (["a"], []), (["b"], [])),
+    "interval-ends-apart": (standard_digraph("interval"), (["0"], []), (["1"], [])),
+    "interval-empty-left": (standard_digraph("interval"), ([], []),
+                            (["0", "1"], ["e0"])),
+    "interval-one-end": (standard_digraph("interval"), (["0", "1"], ["e0"]),
+                         (["0"], [])),
+    "linear-at-the-middle": (standard_digraph("linear", 2), (["0", "1"], ["e0"]),
+                             (["1", "2"], ["e1"])),
+    "loop-and-its-vertex": (LOOP, (["0"], []), (["0"], ["e0"])),
+    "loop-twice": (LOOP, (["0"], ["e0"]), (["0"], ["e0"])),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_PIECE_COVERS)
+def test_sheaf_verdicts_on_pieces_of_zero_and_one_positions(name):
+    g, left, right = SMALL_PIECE_COVERS[name]
+    cover = ClosedCover(g, g.subgraph(*left), g.subgraph(*right))
+    for cat in FIXTURE_CATS:
+        v = check_closed_sheaf(cat, cover)
+        assert v == oracle.check_closed_sheaf(cat, cover), (name, cat)
+        assert v.intersection == len(rep_tuples(cat, cover.intersection))
+
+
+def test_small_piece_covers_give_every_restriction_width():
+    def width(p):
+        return len(p.vertices) + len(p.edges)
+    pieces, meets = set(), set()
+    for g, left, right in SMALL_PIECE_COVERS.values():
+        cover = ClosedCover(g, g.subgraph(*left), g.subgraph(*right))
+        pieces |= {min(width(cover.left), 2), min(width(cover.right), 2)}
+        meets.add(min(width(cover.intersection), 2))
+    assert pieces == meets == {0, 1, 2}
+
+
+def test_sheaf_witnesses_on_pieces_of_zero_and_one_positions():
+    z2, arrow = cyclic_group_category(2), walking_arrow_category()
+    g, left, right = SMALL_PIECE_COVERS["interval-ends-apart"]
+    cover = ClosedCover(g, g.subgraph(*left), g.subgraph(*right))
+    v = check_closed_sheaf(arrow, cover)
+    assert v.witness == "unglued compatible pair: ((('1',), ()), (('0',), ()))"
+    g, left, right = SMALL_PIECE_COVERS["loop-and-its-vertex"]
+    cover = ClosedCover(g, g.subgraph(*left), g.subgraph(*right))
+    assert check_closed_sheaf(z2, cover).ok
+    g, left, right = SMALL_PIECE_COVERS["interval-empty-left"]
+    cover = ClosedCover(g, g.subgraph(*left), g.subgraph(*right))
+    assert check_closed_sheaf(z2, cover).ok
+    cover = ClosedCover(g, g.subgraph([], []), g.subgraph(["0", "1"], []))
+    v = check_closed_sheaf(z2, cover)
+    assert v.witness == "restriction not injective at Rep(0=*, 1=* | e0=g1)"
+    assert (v.total, v.left, v.right, v.intersection, v.fiber_product) == \
+        (2, 1, 1, 1, 1)
+
+
 # --- representations as index tuples ----------------------------------------
 
 TUPLE_GRAPHS = [
@@ -702,7 +766,7 @@ def test_compiled_pullback_matches_the_string_oracle(cat, mor, pick, offset):
     want = oracle.pullback_rep(mor, rep)
     assert pullback_rep(mor, rep) == want
     padded = (len(cat.objects),) * offset + rep.indices()
-    assert compile_pullback(cat, mor, offset)(padded) == want.indices()
+    assert compile_pullback(cat, mor, offset)([padded]) == [want.indices()]
     for e in mor.source.edges:
         path = mor.edge_paths[e.eid]
         assert compose_along_path(rep, path) == oracle.compose_along_path(rep, path)
@@ -735,6 +799,80 @@ def test_missing_composite_raises_and_is_never_indexed():
     for pull in (pullback_rep, oracle.pullback_rep):
         with pytest.raises(MissingIdentity, match="object '1' has no identity"):
             pull(collapse, rep)
+
+
+# --- index programs map whole blocks of tuples ------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(cat=concrete_categories(max_objects=2, max_size=2),
+       mor=st.sampled_from(PULLBACK_POOL), offset=st.integers(0, 2))
+def test_a_block_of_every_representation_matches_the_string_oracle(cat, mor,
+                                                                   offset):
+    xs = rep_tuples(cat, mor.target)
+    assume(len(xs) <= 3000)         # the oracle builds each row as strings
+    want = [oracle.pullback_rep(
+                mor, Representation.from_indices(cat, mor.target, x)).indices()
+            for x in xs]
+    pad = (len(cat.objects),) * offset
+    assert compile_pullback(cat, mor, offset)([pad + x for x in xs]) == want
+
+
+def test_an_empty_block_and_an_empty_program():
+    s3 = symmetric_group_category(3)
+    for mor in PULLBACK_POOL:
+        assert compile_pullback(s3, mor, 0)([]) == []
+    assert index_program(s3, (), [])([]) == []
+    assert index_program(s3, (), [])([(), (0, 1)]) == [(), ()]
+    into_point = QuiverMor(Digraph([], []), standard_digraph("point"), {}, {})
+    assert compile_pullback(s3, into_point, 0)([(0,), (0,)]) == [(), ()]
+
+
+def test_a_bad_row_in_the_middle_of_a_block_is_named():
+    broken = without_composite(walking_arrow_category(), "le:1:1", "le:0:1")
+    b, g = standard_digraph("linear", 2), standard_digraph("interval")
+    f = QuiverMor(g, b, {"0": "0", "1": "2"}, {"e0": Path(b, "0", ("e0", "e1"))})
+    bad = Representation(broken, b, {"0": "0", "1": "1", "2": "1"},
+                         {"e0": "le:0:1", "e1": "le:1:1"}).indices()
+    good = [x for x in rep_tuples(broken, b) if x != bad]
+    pull = compile_pullback(broken, f, 0)
+    assert pull(good) == [
+        oracle.pullback_rep(f, Representation.from_indices(broken, b, x)).indices()
+        for x in good]
+    with pytest.raises(BadComposite) as e:
+        pull(good * 700 + [bad] + good * 700)
+    assert str(e.value) == "composite of 'le:1:1' after 'le:0:1' missing from table"
+
+
+def test_the_first_bad_row_of_a_column_is_named():
+    z3 = cyclic_group_category(3)
+    broken = without_composite(without_composite(z3, "g1", "g1"), "g2", "g2")
+    b, g = standard_digraph("linear", 2), standard_digraph("interval")
+    f = QuiverMor(g, b, {"0": "0", "1": "2"}, {"e0": Path(b, "0", ("e0", "e1"))})
+    pull = compile_pullback(broken, f, 0)
+
+    def row(e0, e1):
+        return Representation(broken, b, dict.fromkeys(b.vertices, "*"),
+                              {"e0": e0, "e1": e1}).indices()
+    for first, second in (("g1", "g2"), ("g2", "g1")):
+        block = [row("g0", "g1"), row(first, first), row("g1", "g0"),
+                 row(second, second)]
+        with pytest.raises(BadComposite) as e:
+            pull(block)
+        assert str(e.value) == \
+            f"composite of {first!r} after {first!r} missing from table"
+
+
+def test_a_missing_identity_in_the_middle_of_a_block_is_named():
+    no_id = FinCat(["0", "1"], [("i0", "0", "0"), ("a", "0", "1")],
+                   {"0": "i0"}, [("i0", "i0", "i0"), ("a", "i0", "a")])
+    g, pt = standard_digraph("interval"), standard_digraph("point")
+    collapse = QuiverMor(g, pt, {"0": "0", "1": "0"}, {"e0": Path.empty(pt, "0")})
+    pull = compile_pullback(no_id, collapse, 0)
+    assert pull([(0,), (0,)]) == [(0, 0, 0), (0, 0, 0)]
+    with pytest.raises(MissingIdentity) as e:
+        pull([(0,)] * 3000 + [(1,)] + [(0,)] * 3000)
+    assert str(e.value) == "object '1' has no identity"
 
 
 # --- the composition table is read as triples, in order ---------------------
