@@ -18,6 +18,7 @@ invariant of the glued object -- verify_excision checks this exhaustively.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .cyccat import EpiMor
@@ -29,7 +30,8 @@ from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
 # enumerate_reps and pullback_rep are no longer called here; perfbench's
 # traced run still wraps them under these names
 from .fincat import (FinCat, Representation, compile_pullback, enumerate_reps,
-                     index_program, path_steps, pullback_rep, rep_tuples)
+                     index_program, path_steps, pullback_rep, rep_count,
+                     rep_tuples, validate_fincat)
 from .hochschild import compute_hh, psi
 
 
@@ -589,6 +591,41 @@ class ExcisionSite:
             pb[f"{s}:c1"] = Path(g1, f"{s}:w1", (f"{s}:c2",))
         return (QuiverMor(g0, g1, va, pa), QuiverMor(g0, g1, vb, pb))
 
+    def degeneracies(self) -> tuple[QuiverMor, ...]:
+        """The degeneracies of the two-joint stage onto the one-joint stage,
+        one sigma_k per cut edge k = s -> t, in cut order.  sigma_k sends
+        k's weld vertices w0, w1 to s, w0 and its chain c0, c1, c2 to the
+        empty path at s, c0, c1; for every other cut edge it sends w0, w1
+        to w0 and c0, c1, c2 to c0, the empty path at w0, c1.  The rest of
+        the graph maps to itself.  So sigma_k after the second face map is
+        the identity, and after the first it folds k's chain onto its
+        second edge.  Only for graph sites."""
+        if self.kind != "graph":
+            raise QuivercalcError("only graph sites have degeneracies")
+        g0, g1 = self.level_graph(0), self.level_graph(1)
+        out = []
+        for k in self.cut_edges:
+            vmap = {v: v for v in self.graph.vertices}
+            paths = {}
+            for e in self.graph.edges:
+                s = e.eid
+                if s not in self._cut:
+                    paths[s] = Path.of_edge(g0, s)
+                    continue
+                w0, c0, c1 = f"{s}:w0", f"{s}:c0", f"{s}:c1"
+                if s == k:
+                    vmap[w0] = e.src
+                    paths[c0] = Path.empty(g0, e.src)
+                    paths[c1] = Path.of_edge(g0, c0)
+                else:
+                    vmap[w0] = w0
+                    paths[c0] = Path.of_edge(g0, c0)
+                    paths[c1] = Path.empty(g0, w0)
+                vmap[f"{s}:w1"] = w0
+                paths[f"{s}:c2"] = Path.of_edge(g0, c1)
+            out.append(QuiverMor(g1, g0, vmap, paths))
+        return tuple(out)
+
     def refinement(self, p: int) -> QuiverMor:
         """The original graph refined into stage p: each cut edge becomes
         its chain.  Only for graph sites."""
@@ -638,10 +675,9 @@ class ExcisionVerdict:
 BLOCK = 2048    # rows mapped at once: a whole stage would cost its own size again
 
 
-def _blockwise(f, xs: list):
-    """The rows of f applied to xs, one block of BLOCK rows at a time."""
-    return itertools.chain.from_iterable(
-        f(xs[start:start + BLOCK]) for start in range(0, len(xs), BLOCK))
+def _chunks(xs: list):
+    """xs in blocks of BLOCK rows."""
+    return (xs[start:start + BLOCK] for start in range(0, len(xs), BLOCK))
 
 
 def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
@@ -652,18 +688,44 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     stage 0 on invariants; gluing induces stage 0 -> glued.  The verdict is
     ok when gluing coequalizes the pair and the induced map from the
     coequalizer is a bijection.  It runs on index tuples (see fact_tuples),
-    in fact_homology's order, and maps each stage in blocks of BLOCK rows.
-    """
-    fa, fb = site.face_maps()
-    x0 = fact_tuples(category, site.level(0))
-    x1 = fact_tuples(category, site.level(1))
-    map_a = _compile_mmor(category, quiv_op_mmor(fa))
-    map_b = _compile_mmor(category, quiv_op_mmor(fb))
+    in fact_homology's order, and maps stages in blocks of BLOCK rows.
 
+    On a graph site stage 1 is counted (rep_count), not enumerated, and
+    the coequalizer is built from its degenerate rows alone: the pullbacks
+    of stage 0 along site.degeneracies().  The classes are the same.
+    Write the chain of a stage-1 row at a cut as u, v, w: its first face
+    puts (u, w∘v) on that cut's one-joint chain, its second (v∘u, w), and
+    both copy the rest of the graph.  Let N_k replace the pair (p, q) at
+    cut k by (id, q∘p); the N_k commute and are idempotent, and by
+    associativity and neutral identities both faces have the normal form
+    N_1...N_n, with (id, w∘v∘u) at every cut.  The degenerate row of x
+    along sigma_k has the faces N_k(x) and x, so the degenerate rows relate
+    x ~ N_k(x), hence x ~ N_1...N_n(x) and both faces of every row; being
+    rows of stage 1, they relate nothing more.  So the labels (numbered by
+    least member) and the verdict are those of the whole stage.  The
+    argument needs the category laws: a category that has not passed
+    validate_fincat is validated first, and its error raised, on every
+    site.  A circle site has no endpoint to collapse onto, and maps its
+    whole stage 1: at most M^2 composable round trips.
+    """
+    if category.generators is None:
+        validate_fincat(category)
+    x0 = fact_tuples(category, site.level(0))
     index = {elem: i for i, elem in enumerate(x0)}
-    label = component_labels(len(x0), zip(
-        map(index.__getitem__, _blockwise(map_a, x1)),
-        map(index.__getitem__, _blockwise(map_b, x1))))
+    map_a, map_b = (_compile_mmor(category, quiv_op_mmor(f))
+                    for f in site.face_maps())
+    if site.kind == "graph":
+        stage1 = math.prod(rep_count(category, q)
+                           for q in site.level(1).quivers)
+        pulls = [_compile_mmor(category, quiv_op_mmor(d))
+                 for d in site.degeneracies()]
+        rows = (pull(block) for pull in pulls for block in _chunks(x0))
+    else:
+        x1 = fact_tuples(category, site.level(1))
+        stage1, rows = len(x1), _chunks(x1)
+    label = component_labels(len(x0), itertools.chain.from_iterable(
+        zip(map(index.__getitem__, map_a(block)),
+            map(index.__getitem__, map_b(block))) for block in rows))
     coeq = max(label, default=-1) + 1
 
     glue = _compile_mmor(category, site.glue_mmor())
@@ -673,7 +735,8 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     note = ""
     ok = True
     glued_of_comp: dict[int, int] = {}
-    for i, g in enumerate(_blockwise(glue, x0)):
+    images = itertools.chain.from_iterable(map(glue, _chunks(x0)))
+    for i, g in enumerate(images):
         if g not in direct_index:
             ok, note = False, "gluing left the invariant of the glued object"
             break
@@ -688,4 +751,4 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
             ok, note = False, "induced map from the coequalizer is not injective"
         elif len(image) != len(direct):
             ok, note = False, "induced map from the coequalizer is not surjective"
-    return ExcisionVerdict(ok, len(x0), len(x1), coeq, len(direct), note)
+    return ExcisionVerdict(ok, len(x0), stage1, coeq, len(direct), note)

@@ -10,6 +10,7 @@ route is kept deliberately independent and is used to cross-check the first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
@@ -538,20 +539,32 @@ class Representation:
         return f"Rep({vs} | {es})"
 
 
+def _labellings(category: FinCat, graph: Digraph):
+    """Each labelling of graph's vertices by object indices, in
+    lexicographic order, with the hom-set each edge may then take."""
+    hom = category.int_table.hom
+    ends = [(graph.vertex_index(e.src), graph.vertex_index(e.tgt))
+            for e in graph.edges]
+    for objs in itertools.product(range(len(category.objects)),
+                                  repeat=len(graph.vertices)):
+        yield objs, [hom[objs[s]].get(objs[t], ()) for s, t in ends]
+
+
 def rep_tuples(category: FinCat, graph: Digraph) -> list[tuple]:
     """All representations as index tuples: an object index per vertex,
     then a morphism index per edge, in declaration order.  The list is
     sorted, which is enumerate_reps' order, since indices follow the
     declaration order of objects and morphisms."""
-    hom = category.int_table.hom
-    ends = [(graph.vertex_index(e.src), graph.vertex_index(e.tgt))
-            for e in graph.edges]
     out: list[tuple] = []
-    for objs in itertools.product(range(len(category.objects)),
-                                  repeat=len(graph.vertices)):
-        options = [hom[objs[s]].get(objs[t], ()) for s, t in ends]
+    for objs, options in _labellings(category, graph):
         out.extend(objs + choice for choice in itertools.product(*options))
     return out
+
+
+def rep_count(category: FinCat, graph: Digraph) -> int:
+    """len(rep_tuples(category, graph)), without building the tuples."""
+    return sum(math.prod(map(len, options))
+               for _, options in _labellings(category, graph))
 
 
 def enumerate_reps(category: FinCat, graph: Digraph) -> list[Representation]:

@@ -10,10 +10,12 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
-                                lyndon_rotation, standard_digraph)
-from quivercalc.fincat import (BadComposite, chain_poset_category,
-                               cyclic_group_category, enumerate_reps,
+from quivercalc.digraph import (Digraph, QuivercalcError, component_labels,
+                                disjoint_union, lyndon_rotation,
+                                standard_digraph)
+from quivercalc.fincat import (BadComposite, NotAssociative,
+                               chain_poset_category, cyclic_group_category,
+                               enumerate_reps, monoid_category,
                                symmetric_group_category, validate_fincat,
                                walking_arrow_category)
 from quivercalc.hochschild import compute_hh, psi, trace_obj
@@ -731,32 +733,165 @@ def test_excision_verdicts_do_not_depend_on_the_block_size(cat, site, block):
             for p in (0, 1))
 
 
-def test_a_stage_of_many_blocks_counts_the_h_colourings_in_little_memory():
-    """Stage 1 here has 46 656 elements.  Mapped in blocks, the check peaks
-    near 8 MB of traced allocations (CPython 3.11); mapping the whole stage
-    at once would hold every face image at the same time, about 21 MB."""
-    s3 = symmetric_group_category(3)
-    validate_fincat(s3)
-    g, cuts = standard_digraph("bouquet", 2), ["e0", "e1"]
-    site = make_excision_site(g, cuts)
+def excise_every_edge_traced(cat, g):
+    """The verdict of cutting every edge of g, checked against the
+    H-colouring counts, and the peak of its traced allocations."""
+    validate_fincat(cat)
+    site = make_excision_site(g, [e.eid for e in g.edges])
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        v = verify_excision(s3, site)
+        v = verify_excision(cat, site)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    h, n = hom_size_matrix(s3), len(s3.objects)
+    h, n = hom_size_matrix(cat), len(cat.objects)
     glued = h_colourings(g, n, lambda e: h)
-    assert v.ok and v.stage1 == 46656 > 20 * emm.BLOCK
     assert (v.stage0, v.stage1, v.coequalizer, v.direct) == (
         h_colourings(g, n, lambda e: h @ h), h_colourings(g, n, lambda e: h @ h @ h),
         glued, glued)
+    return v, peak
+
+
+def test_a_stage_of_many_blocks_counts_the_h_colourings_in_little_memory():
+    """Stage 1 here has 46 656 elements.  It is counted, not mapped: only
+    its degenerate rows, two pullbacks of the 1 296 elements of stage 0, go
+    through the face maps in blocks, and the check peaks near 1 MB of
+    traced allocations (CPython 3.11).  Mapping the whole stage at once
+    would hold every face image at the same time, about 21 MB."""
+    v, peak = excise_every_edge_traced(symmetric_group_category(3),
+                                       standard_digraph("bouquet", 2))
+    assert v.ok and v.stage1 == 46656 > 20 * emm.BLOCK
     assert peak < 10_000_000
+
+
+# --- stage 1 counted, the coequalizer from its degenerate rows ---------------
+
+
+def full_stage_labels(category, site):
+    """Stage 1's size and the coequalizer's component labels from every
+    stage-1 element through both face maps: the whole-stage route that
+    verify_excision took before it counted stage 1."""
+    x0 = emm.fact_tuples(category, site.level(0))
+    x1 = emm.fact_tuples(category, site.level(1))
+    index = {elem: i for i, elem in enumerate(x0)}
+    map_a, map_b = (emm._compile_mmor(category, quiv_op_mmor(f))
+                    for f in site.face_maps())
+    return len(x1), component_labels(len(x0), zip(
+        map(index.__getitem__, map_a(x1)), map(index.__getitem__, map_b(x1))))
+
+
+def excision_labels(category, site):
+    """verify_excision's verdict and the component labels it computed."""
+    labels = []
+
+    def spy(n, pairs):
+        labels.append(component_labels(n, pairs))
+        return labels[-1]
+
+    with mock.patch.object(emm, "component_labels", spy):
+        v = verify_excision(category, site)
+    (label,) = labels
+    return v, label
+
+
+BRANCHED = Digraph(["a", "b", "c"], [("e", "a", "b"), ("f", "a", "c")])
+LABEL_SITES = {
+    "empty": make_excision_site(Digraph([], [])),
+    "no-cuts": make_excision_site(standard_digraph("linear", 2)),
+    "shared-endpoint": make_excision_site(standard_digraph("linear", 2),
+                                          ["e0", "e1"]),
+    "loop": make_excision_site(standard_digraph("bouquet", 1), ["e0"]),
+    "loop-beside-a-loop": make_excision_site(standard_digraph("bouquet", 2),
+                                             ["e1"]),
+    "two-cycle": make_excision_site(standard_digraph("cyclic", 2),
+                                    ["e0", "e1"]),
+    "components": make_excision_site(
+        disjoint_union([standard_digraph("interval"),
+                        standard_digraph("cyclic", 1)]), ["0.e0", "1.e0"]),
+    "branched": make_excision_site(BRANCHED, ["e", "f"]),
+}
+
+
+def test_the_faces_then_a_degeneracy_fix_all_but_its_cut():
+    """Pulling back along sigma_k then the second face is the identity;
+    then the first face, it is N_k: cut k's composite moves onto its
+    second chain edge, and everything else stays."""
+    for site in LABEL_SITES.values():
+        fa, fb = site.face_maps()
+        g0 = site.level_graph(0)
+        degeneracies = site.degeneracies()
+        assert len(degeneracies) == len(site.cut_edges)
+        for k, sigma in zip(site.cut_edges, degeneracies):
+            assert compose_quiver_mor(sigma, fb) == QuiverMor.identity(g0)
+            s = site.graph.edge(k).src
+            vmap = {v: v for v in g0.vertices} | {f"{k}:w0": s}
+            paths = {e.eid: Path.of_edge(g0, e.eid) for e in g0.edges}
+            paths[f"{k}:c0"] = Path.empty(g0, s)
+            paths[f"{k}:c1"] = Path(g0, s, (f"{k}:c0", f"{k}:c1"))
+            n_k = QuiverMor(g0, g0, vmap, paths)
+            assert compose_quiver_mor(sigma, fa) == n_k
+
+
+def test_a_circle_site_has_no_degeneracies():
+    with pytest.raises(QuivercalcError,
+                       match="only graph sites have degeneracies"):
+        make_excision_site("circle").degeneracies()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cat=concrete_categories(max_objects=2, max_size=2),
+       name=st.sampled_from(sorted(LABEL_SITES)))
+def test_degenerate_rows_label_the_coequalizer_as_the_whole_stage_does(cat,
+                                                                        name):
+    site = LABEL_SITES[name]
+    v, label = excision_labels(cat, site)
+    assert (v.stage1, label) == full_stage_labels(cat, site)
+    assert v == oracle.verify_excision(cat, site)
+
+
+@pytest.mark.parametrize("cat", [walking_arrow_category(),
+                                 cyclic_group_category(3),
+                                 chain_poset_category(3),
+                                 symmetric_group_category(3)],
+                         ids=["arrow", "z3", "chain3", "s3"])
+def test_both_loops_cut_label_the_coequalizer_as_the_whole_stage_does(cat):
+    site = make_excision_site(standard_digraph("bouquet", 2), ["e0", "e1"])
+    v, label = excision_labels(cat, site)
+    assert v.ok and (v.stage1, label) == full_stage_labels(cat, site)
+
+
+def test_a_stage_of_ten_million_elements_is_counted_in_little_memory():
+    """S3 on the 3-cycle with all three edges cut: stage 1 has 6^9 =
+    10 077 696 elements, which as index tuples would take about 2 GB.
+    Counted, with only the 3 x 46 656 degenerate rows mapped in blocks, the
+    check peaks near 19 MB of traced allocations (CPython 3.11), most of it
+    stage 0 and its index."""
+    v, peak = excise_every_edge_traced(symmetric_group_category(3),
+                                       standard_digraph("cyclic", 3))
+    assert v.ok and v.stage1 == 10_077_696
+    assert peak < 40_000_000
+
+
+def test_an_unvalidated_non_associative_table_raises_on_every_site():
+    """Complete, with a neutral e, but every product of a and b is e, so
+    (a∘a)∘b = b while a∘(a∘b) = a.  The degenerate rows stand for the
+    whole stage only in a category, so a graph site validates first, as a
+    circle site does through the trace classes."""
+    products = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a",
+                ("e", "b"): "b", ("b", "e"): "b"}
+    products |= {(x, y): "e" for x in "ab" for y in "ab"}
+    bouquet = standard_digraph("bouquet", 2)
+    for site in (make_excision_site(bouquet, ["e0", "e1"]),
+                 make_excision_site(standard_digraph("interval")),
+                 make_excision_site("circle")):
+        cat = monoid_category(["e", "a", "b"], products, "e")
+        with pytest.raises(NotAssociative, match=r"^\('a', 'a', 'b'\)$"):
+            verify_excision(cat, site)
 
 
 def test_missing_composite_raises_in_excision_and_fact_map():

@@ -19,16 +19,18 @@ from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
                                compile_pullback, cyclic_group_category,
                                enumerate_reps, exit_path, index_program,
                                limit_sections, monoid_category, path_steps,
-                               poset_category, pullback_rep, rep_tuples,
-                               rep_via_exit_limit, symmetric_group_category,
-                               validate_fincat, walking_arrow_category,
-                               _generators)
+                               poset_category, pullback_rep, rep_count,
+                               rep_tuples, rep_via_exit_limit,
+                               symmetric_group_category, validate_fincat,
+                               walking_arrow_category, _generators)
 from quivercalc.quiver import Path, QuiverMor, enumerate_quiver_mors
 
 import string_oracle as oracle
 from random_categories import concrete_categories
+import test_acceptance
+from test_acceptance import h_colourings, hom_size_matrix
 from test_hochschild import shuffled
-from tests.conftest import triples
+from tests.conftest import FIXTURES, triples
 
 FIXTURE_CATS = [
     walking_arrow_category(),
@@ -723,6 +725,30 @@ def test_rep_tuples_are_sorted_in_enumerate_reps_order(seed):
             assert [Representation.from_indices(cat, g, x).key() for x in xs] == \
                 [r.key() for r in rep_via_exit_limit(cat, g)]
             assert [r.indices() for r in enumerate_reps(cat, g)] == xs
+
+
+FIXTURE_GRAPHS = [Digraph.from_json(json.loads((FIXTURES / f"{name}.json")
+                                              .read_text()))
+                  for name in ("bouquet2", "interval", "linear2", "triangle")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cat=concrete_categories(),
+       g=st.sampled_from(SMALL_GRAPHS + TUPLE_GRAPHS + FIXTURE_GRAPHS))
+def test_rep_count_is_the_number_of_rep_tuples(cat, g):
+    assert rep_count(cat, g) == len(rep_tuples(cat, g))
+
+
+def test_rep_count_is_the_number_of_h_colourings():
+    # the stage graphs of excision sites, too: their representations run
+    # to millions, which rep_tuples could not build
+    stages = [make_excision_site(standard_digraph("cyclic", 3),
+                                 ["e0", "e1", "e2"]).level_graph(p)
+              for p in (0, 1)]
+    for cat in test_acceptance.FIXTURE_CATS.values():
+        h, n = hom_size_matrix(cat), len(cat.objects)
+        for g in SMALL_GRAPHS + TUPLE_GRAPHS + FIXTURE_GRAPHS + stages:
+            assert rep_count(cat, g) == h_colourings(g, n, lambda e: h)
 
 
 def _pullback_pool():
