@@ -86,6 +86,12 @@ def _parse_cover_piece(text: str, what: str):
     return verts, edges
 
 
+def _write_lines(lines: list[str]) -> None:
+    """Print each line, in one write: the same bytes as one print per line."""
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
 # --- verbs -------------------------------------------------------------------
 
 
@@ -106,13 +112,13 @@ def cmd_paths(args) -> int:
     g = _load_graph(args.graph)
     finite, total = hom_is_finite(g, args.src, args.tgt)
     ps = enumerate_paths(g, args.src, args.tgt, args.max_len)
-    for p in ps:
-        print("(empty)" if not p.edges else "·".join(p.edges))
+    lines = ["·".join(p.edges) if p.edges else "(empty)" for p in ps]
     if finite and len(ps) == total:
-        print(f"count: {len(ps)} (complete; {total} in total)")
+        lines.append(f"count: {len(ps)} (complete; {total} in total)")
     else:
-        print(f"count: {len(ps)} (truncated at length {args.max_len}; "
-              f"{total if finite else 'infinitely many'} in total)")
+        lines.append(f"count: {len(ps)} (truncated at length {args.max_len}; "
+                     f"{total if finite else 'infinitely many'} in total)")
+    _write_lines(lines)
     return 0
 
 
@@ -204,11 +210,8 @@ def cmd_epi(args) -> int:
 
 def cmd_cycles(args) -> int:
     g = _load_graph(args.graph)
-    for z in enumerate_directed_cycles(g, args.max_len):
-        if z.is_constant:
-            print(f"constant at {z.vertex}")
-        else:
-            print("·".join(z.edges))
+    _write_lines(["·".join(z.edges) if z.edges else f"constant at {z.vertex}"
+                  for z in enumerate_directed_cycles(g, args.max_len)])
     return 0
 
 

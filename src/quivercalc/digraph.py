@@ -5,6 +5,12 @@ every vertex implicitly carries one, and graph morphisms are allowed to
 collapse a real edge onto the degenerate loop at a vertex.  All enumeration
 follows declaration order, so results are reproducible.
 
+A Digraph keeps one adjacency, on indices, built in one pass over the
+edges: per edge the indices of its endpoints, and per vertex the indices of
+its out-edges, of their targets and of the sources of its in-edges.  Every
+search below runs on these lists and turns indices back into names only
+where it yields; names are looked up only at the boundary.
+
 Every graph traversal of the package lives here, written with explicit
 stacks, so that no graph size runs into Python's recursion limit.  A search
 visits only what can answer it: walks enter only vertices that can still
@@ -92,17 +98,30 @@ class Digraph:
         self._eindex = {e.eid: i for i, e in enumerate(self.edges)}
         if len(self._eindex) != len(self.edges):
             raise QuivercalcError("duplicate edge names")
-        for e in self.edges:
-            if e.src not in self._vindex:
-                raise UnknownVertex(f"edge {e.eid!r} has undeclared source {e.src!r}")
-            if e.tgt not in self._vindex:
-                raise UnknownVertex(f"edge {e.eid!r} has undeclared target {e.tgt!r}")
 
-        self._out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        self._in: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            self._out[e.src].append(e)
-            self._in[e.tgt].append(e)
+        # the one adjacency, on indices: per edge its endpoints, per vertex
+        # its out-edges, their targets, and the source of each in-edge
+        index = self._vindex
+        n = len(self.vertices)
+        self._out: list[list[int]] = [[] for _ in range(n)]
+        self._succ: list[list[int]] = [[] for _ in range(n)]
+        self._pred: list[list[int]] = [[] for _ in range(n)]
+        src, tgt = [], []
+        for j, e in enumerate(self.edges):
+            s = index.get(e.src)
+            if s is None:
+                raise UnknownVertex(f"edge {e.eid!r} has undeclared source {e.src!r}")
+            t = index.get(e.tgt)
+            if t is None:
+                raise UnknownVertex(f"edge {e.eid!r} has undeclared target {e.tgt!r}")
+            src.append(s)
+            tgt.append(t)
+            self._out[s].append(j)
+            self._succ[s].append(t)
+            self._pred[t].append(s)
+        self._src, self._tgt = tuple(src), tuple(tgt)
+        # (target, the vertices that can reach it): the last backward search
+        self._reach: tuple[int, set[int]] | None = None
 
     def edge(self, eid: str) -> Edge:
         try:
@@ -117,17 +136,17 @@ class Digraph:
         return eid in self._eindex
 
     def out_edges(self, v: str) -> list[Edge]:
-        if v not in self._vindex:
-            raise UnknownVertex(f"unknown vertex {v!r}")
-        return list(self._out[v])
+        return [self.edges[j] for j in self._out[self.vertex_index(v)]]
 
     def in_edges(self, v: str) -> list[Edge]:
-        if v not in self._vindex:
-            raise UnknownVertex(f"unknown vertex {v!r}")
-        return list(self._in[v])
+        i = self.vertex_index(v)
+        tgt = self._tgt
+        return [self.edges[j] for j in sorted(
+            j for u in set(self._pred[i]) for j in self._out[u] if tgt[j] == i)]
 
     def valence(self, v: str) -> Valence:
-        return Valence(len(self.in_edges(v)), len(self.out_edges(v)))
+        i = self.vertex_index(v)
+        return Valence(len(self._pred[i]), len(self._out[i]))
 
     def vertex_index(self, v: str) -> int:
         if v not in self._vindex:
@@ -160,6 +179,8 @@ class Digraph:
         return Digraph(vs, es)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Digraph):
             return NotImplemented
         return self.vertices == other.vertices and self.edges == other.edges
@@ -291,9 +312,7 @@ def component_labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 def weak_components(d: Digraph) -> list[list[str]]:
     """Connected components of the underlying undirected graph,
     each listed in vertex declaration order."""
-    index = d._vindex
-    label = component_labels(len(d.vertices),
-                             ((index[e.src], index[e.tgt]) for e in d.edges))
+    label = component_labels(len(d.vertices), zip(d._src, d._tgt))
     comps: list[list[str]] = [[] for _ in range(max(label, default=-1) + 1)]
     for v, c in zip(d.vertices, label):
         comps[c].append(v)
@@ -305,31 +324,35 @@ def strong_components(d: Digraph) -> list[list[str]]:
     edge between two components points into an earlier one.
 
     Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
-    Comput. 1 (1972), run with an explicit stack of edge iterators.
+    Comput. 1 (1972), run with an explicit stack of successor iterators.
     """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    open_: list[str] = []          # Tarjan's stack of unfinished vertices
-    on_open: set[str] = set()
+    succ, names = d._succ, d.vertices
+    n = len(names)
+    index = [-1] * n
+    low = [0] * n
+    on_open = [False] * n
+    open_: list[int] = []          # Tarjan's stack of unfinished vertices
     comps: list[list[str]] = []
-    for root in d.vertices:
-        if root in index:
+    seen = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = seen
+        seen += 1
         open_.append(root)
-        on_open.add(root)
-        work = [(root, iter(d._out[root]))]
+        on_open[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            for e in it:
-                w = e.tgt
-                if w not in index:
-                    index[w] = low[w] = len(index)
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = seen
+                    seen += 1
                     open_.append(w)
-                    on_open.add(w)
-                    work.append((w, iter(d._out[w])))
+                    on_open[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_open:
+                if on_open[w]:
                     low[v] = min(low[v], index[w])
             else:
                 work.pop()
@@ -340,40 +363,53 @@ def strong_components(d: Digraph) -> list[list[str]]:
                     comp = []
                     while not comp or comp[-1] != v:
                         comp.append(open_.pop())
-                        on_open.discard(comp[-1])
-                    comps.append(comp)
+                        on_open[comp[-1]] = False
+                    comps.append([names[w] for w in comp])
     return comps
+
+
+def reaching(d: Digraph, end: int) -> set[int]:
+    """The indices of the vertices that can reach the vertex of index end,
+    end included; callers must not change the set.
+
+    The graph keeps the last answer, so the searches of one hom-set
+    (hom_is_finite, then walks) search backward from its target once.  It
+    keeps only the last, so memory does not grow with the targets asked.
+    """
+    slot = d._reach
+    if slot is None or slot[0] != end:
+        slot = d._reach = (end, reachable(end, d._pred.__getitem__))
+    return slot[1]
 
 
 def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
     """Every walk start -> end with at most max_len edges, as a tuple of edge
     ids, depth first with edges in declaration order, entering only vertices
-    that can still reach end (Johnson's pruning, as in lyndon_walks)."""
-    d.vertex_index(start), d.vertex_index(end)
+    that can still reach end (Johnson's pruning, as in lyndon_words)."""
+    s, t = d.vertex_index(start), d.vertex_index(end)
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
-    out, in_ = d._out, d._in
-    back = reachable(end, lambda v: [e.src for e in in_[v]])
-    if start == end:
+    back = reaching(d, t)
+    out, tgt, edges = d._out, d._tgt, d.edges
+    if s == t:
         yield ()
     walk: list[str] = []
-    stack = [iter(out[start])] if max_len and start in back else []
+    stack = [iter(out[s])] if max_len and s in back else []
     while stack:
-        e = next(stack[-1], None)
-        if e is None:
+        for j in stack[-1]:
+            w = tgt[j]
+            if w in back:
+                walk.append(edges[j].eid)
+                if w == t:
+                    yield tuple(walk)
+                if len(walk) < max_len:
+                    stack.append(iter(out[w]))
+                    break
+                walk.pop()
+        else:
             stack.pop()
             if walk:
                 walk.pop()
-            continue
-        if e.tgt not in back:
-            continue
-        walk.append(e.eid)
-        if e.tgt == end:
-            yield tuple(walk)
-        if len(walk) < max_len:
-            stack.append(iter(out[e.tgt]))
-        else:
-            walk.pop()
 
 
 def lyndon_rotation(seq) -> tuple[int, int]:
@@ -405,64 +441,72 @@ def lyndon_rotation(seq) -> tuple[int, int]:
     return start, period
 
 
-def lyndon_walks(d: Digraph, max_len: int) -> Iterator[tuple]:
+def lyndon_words(d: Digraph, max_len: int) -> Iterator[tuple[int, ...]]:
     """Every closed walk with 1..max_len edges whose sequence of edge
     indices is a Lyndon word, i.e. strictly less than each of its proper
-    rotations; in lexicographic order of edge indices, a walk before its
+    rotations, as that word; in lexicographic order, a word before its
     extensions.  These are the primitive closed walks up to rotation, each
     once, in its least rotation.
 
-    A Lyndon word starts with its least letter, so after a first edge e the
-    search takes only edges of index >= index(e), and only into vertices
-    that can still reach e's source over such edges: it never extends a walk
-    that cannot close up (the pruning of Johnson, "Finding all the
-    elementary circuits of a directed graph", SIAM J. Comput. 4 (1975),
-    applied to closed walks).  It also extends only prenecklaces, prefixes
-    of some necklace: a prenecklace a_1..a_n whose longest Lyndon prefix
-    has length p extends by b exactly when b >= a_(n+1-p), keeping p when
-    b equals it and making n+1 the new p otherwise; it is a Lyndon word
-    when p = n (Ruskey, Savage & Wang, "Generating necklaces",
-    J. Algorithms 13 (1992)).
+    A Lyndon word starts with its least letter, so after a first edge i the
+    search takes only edges of index >= i, and only into vertices that can
+    still reach i's source over such edges: it never extends a walk that
+    cannot close up (the pruning of Johnson, "Finding all the elementary
+    circuits of a directed graph", SIAM J. Comput. 4 (1975), applied to
+    closed walks).  It also extends only prenecklaces, prefixes of some
+    necklace: a prenecklace a_1..a_n whose longest Lyndon prefix has length
+    p extends by b exactly when b >= a_(n+1-p), keeping p when b equals it
+    and making n+1 the new p otherwise; it is a Lyndon word when p = n
+    (Ruskey, Savage & Wang, "Generating necklaces", J. Algorithms 13
+    (1992)).
     """
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
     if not max_len:
         return
-    index = d._eindex
-    for i, first in enumerate(d.edges):
-        end = first.src
-        back = reachable(end, lambda v: [e.src for e in d._in[v]
-                                         if index[e.eid] >= i])
-        if first.tgt not in back:
+    src, tgt, out = d._src, d._tgt, d._out
+    into: list[list[int]] = [[] for _ in d.vertices]    # in-edges, in order
+    for j, t in enumerate(tgt):
+        into[t].append(j)
+    for i, end in enumerate(src):
+        back = reachable(end, lambda v: [src[j] for j in into[v] if j >= i])
+        if tgt[i] not in back:
             continue
-        # out[v]: the usable edges out of v as (index, edge), in index order
-        out = {v: [(index[e.eid], e) for e in d._out[v]
-                   if index[e.eid] >= i and e.tgt in back] for v in back}
-        if first.tgt == end:
-            yield (first.eid,)
-        word, walk = [i], [first.eid]
+        # usable[v]: the edges out of v that the search may take, as
+        # (index, target), in index order
+        usable = {v: [(j, tgt[j]) for j in out[v] if j >= i and tgt[j] in back]
+                  for v in back}
+        if tgt[i] == end:
+            yield (i,)
+        word = [i]
         # a frame extends the word of length n, whose Lyndon prefix has
-        # length p, from the end of the walk, by letters >= word[n - p]
-        stack = [(iter(out[first.tgt]), 1, 1)] if max_len > 1 else []
+        # length p, from the end of its walk, by letters >= word[n - p]
+        stack = [(iter(usable[tgt[i]]), 1, 1)] if max_len > 1 else []
         while stack:
             it, n, p = stack[-1]
             nxt = next(it, None)
             if nxt is None:
                 stack.pop()
                 continue
-            j, e = nxt
+            j, w = nxt
             least = word[n - p]
             if j < least:
                 continue
-            del word[n:], walk[n:]
+            del word[n:]
             word.append(j)
-            walk.append(e.eid)
             if j > least:
                 p = n + 1
-                if e.tgt == end:
-                    yield tuple(walk)
+                if w == end:
+                    yield tuple(word)
             if n + 1 < max_len:
-                stack.append((iter(out[e.tgt]), n + 1, p))
+                stack.append((iter(usable[w]), n + 1, p))
+
+
+def lyndon_walks(d: Digraph, max_len: int) -> Iterator[tuple]:
+    """The walks of lyndon_words, in its order, as tuples of edge ids."""
+    edges = d.edges
+    for word in lyndon_words(d, max_len):
+        yield tuple([edges[j].eid for j in word])
 
 
 def classify_digraph(d: Digraph) -> DigraphShape:
@@ -475,7 +519,9 @@ def classify_digraph(d: Digraph) -> DigraphShape:
     graph of such valences is a directed cycle or a directed chain, so the
     chains are the connected ones of those valences that are not cycles.
     """
-    valences = {v: Valence(len(d._in[v]), len(d._out[v])) for v in d.vertices}
+    pred, out = d._pred, d._out
+    valences = {v: Valence(len(pred[i]), len(out[i]))
+                for i, v in enumerate(d.vertices)}
     connected = len(weak_components(d)) == 1
     cyclic = connected and all(val == (1, 1) for val in valences.values())
     linear = (

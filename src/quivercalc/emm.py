@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .cyccat import EpiMor
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
                       classify_digraph, component_labels, lyndon_rotation,
-                      lyndon_walks, standard_digraph, strong_components)
+                      lyndon_words, standard_digraph, strong_components)
 from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
                      enumerate_quiver_mors)
 # enumerate_reps and pullback_rep are no longer called here; perfbench's
@@ -42,9 +42,10 @@ class DirectedCycle:
     """A constant cycle at a vertex, or a primitive closed walk up to
     rotation, stored in the rotation whose edge indices are least.
 
-    A walk is checked to be a closed path of the graph, then read once by
-    lyndon_rotation, which both rejects a proper power and finds the
-    rotation to store; vertex is the basepoint of that rotation.
+    A walk is checked on its word of edge indices: consecutive edges chain
+    and the last returns to the start of the first.  The word is then read
+    once by lyndon_rotation, which both rejects a proper power and finds
+    the rotation to store; vertex is the basepoint of that rotation.
     """
 
     def __init__(self, graph: Digraph, vertex: str | None, edges=()):
@@ -53,20 +54,41 @@ class DirectedCycle:
         if self.edges:
             if vertex is not None:
                 raise QuivercalcError("a walk determines its own basepoint")
-            p = Path(graph, graph.edge(self.edges[0]).src, self.edges)
-            if p.end != p.start:
-                raise QuivercalcError("cycle walks must close up")
-            start, period = lyndon_rotation(
-                [graph.edge_index(e) for e in self.edges])
-            if period != len(self.edges):
-                raise QuivercalcError("cycle walks must be primitive")
-            self.edges = self.edges[start:] + self.edges[:start]
-            self.vertex = graph.edge(self.edges[0]).src
+            self._set_word([graph.edge_index(e) for e in self.edges])
         else:
             if vertex is None:
                 raise QuivercalcError("a constant cycle needs a vertex")
             graph.vertex_index(vertex)
             self.vertex = vertex
+
+    @classmethod
+    def _of_word(cls, graph: Digraph, word) -> "DirectedCycle":
+        """The cycle of a nonempty walk given by its edge indices, with the
+        same checks as walk()."""
+        z = cls.__new__(cls)
+        z.graph = graph
+        z._set_word(word)
+        return z
+
+    def _set_word(self, word) -> None:
+        """Check a walk's word of edge indices and store its least rotation."""
+        g = self.graph
+        src, tgt = g._src, g._tgt
+        at = first = src[word[0]]
+        for j in word:
+            if src[j] != at:
+                raise QuivercalcError(
+                    f"edge {g.edges[j].eid!r} starts at "
+                    f"{g.vertices[src[j]]!r}, not {g.vertices[at]!r}")
+            at = tgt[j]
+        if at != first:
+            raise QuivercalcError("cycle walks must close up")
+        start, period = lyndon_rotation(word)
+        if period != len(word):
+            raise QuivercalcError("cycle walks must be primitive")
+        edges = g.edges
+        self.edges = tuple([edges[j].eid for j in word[start:] + word[:start]])
+        self.vertex = g.vertices[src[word[start]]]
 
     @classmethod
     def constant(cls, graph: Digraph, vertex: str) -> "DirectedCycle":
@@ -106,8 +128,8 @@ def enumerate_directed_cycles(graph: Digraph, max_len: int) -> list[DirectedCycl
     # a primitive closed walk is kept once, from its least rotation: the
     # walks whose edge indices form a Lyndon word, which come in
     # lexicographic order, so a stable sort by length finishes the order
-    found = sorted(lyndon_walks(graph, max_len), key=len)
-    return out + [DirectedCycle.walk(graph, w) for w in found]
+    found = sorted(lyndon_words(graph, max_len), key=len)
+    return out + [DirectedCycle._of_word(graph, w) for w in found]
 
 
 def cycle_length_bound(graph: Digraph) -> int | None:

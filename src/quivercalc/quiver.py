@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownVertex,
-                      reachable, standard_digraph, walks, weak_components)
+                      reaching, standard_digraph, walks, weak_components)
 
 
 class Path:
@@ -22,6 +22,8 @@ class Path:
     The edges are listed in traversal order: the path (e1, e2) means e1
     followed by e2, so its composite in the free category is e2∘e1.
     """
+
+    __slots__ = ("graph", "start", "edges", "end")
 
     def __init__(self, graph: Digraph, start: str, edges: Iterable[str]):
         self.graph = graph
@@ -39,12 +41,20 @@ class Path:
 
     @classmethod
     def _trusted(cls, graph: Digraph, start: str, end: str,
-                 edges: tuple) -> "Path":
-        """A path known to chain from start to end, such as a walk that
-        digraph.walks built from the graph's own edges; nothing is checked."""
-        p = cls.__new__(cls)
-        p.graph, p.start, p.edges, p.end = graph, start, edges, end
-        return p
+                 walks: Iterable[tuple]) -> list["Path"]:
+        """One path per walk, each known to chain from start to end, such as
+        the walks that digraph.walks built from the graph's own edges;
+        nothing is checked."""
+        new = cls.__new__
+        paths = []
+        for w in walks:
+            p = new(cls)
+            p.graph = graph
+            p.start = start
+            p.edges = w
+            p.end = end
+            paths.append(p)
+        return paths
 
     @classmethod
     def empty(cls, graph: Digraph, v: str) -> "Path":
@@ -92,8 +102,8 @@ def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Pa
     """All paths src -> tgt of length <= max_len, sorted by length then by
     edge indices lexicographically."""
     # walks come in lexicographic order, so a stable sort by length suffices
-    found = sorted(walks(graph, src, tgt, max_len), key=len)
-    return [Path._trusted(graph, src, tgt, w) for w in found]
+    return Path._trusted(graph, src, tgt,
+                         sorted(walks(graph, src, tgt, max_len), key=len))
 
 
 def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]:
@@ -101,37 +111,42 @@ def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]
     and the exact count when it does.
 
     The hom-set is infinite exactly when some directed cycle lies on a route
-    from src to tgt.  Kahn's algorithm on the vertices of those routes
-    ("Topological sorting of large networks", CACM 5 (1962)) either orders
-    them all, counting the paths from src to each vertex as it goes, or
-    stalls on a cycle.
+    from src to tgt.  A depth-first search from src that enters only
+    vertices that can reach tgt visits exactly the vertices of those routes,
+    and meets such a cycle exactly when an edge leads back into its own
+    stack.  Otherwise its finishing order, reversed, is a topological order
+    of the routes, along which the paths from src to each vertex add up.
     """
-    graph.vertex_index(src), graph.vertex_index(tgt)
-    out, in_ = graph._out, graph._in
-    mid = (reachable(src, lambda x: [e.tgt for e in out[x]])
-           & reachable(tgt, lambda x: [e.src for e in in_[x]]))
-    if not mid:
+    s, t = graph.vertex_index(src), graph.vertex_index(tgt)
+    succ = graph._succ
+    back = reaching(graph, t)
+    if s not in back:
         return (True, 0)
-    waiting = {v: len([e for e in in_[v] if e.src in mid]) for v in mid}
-    # every vertex of mid is reachable from src, so when mid is acyclic src
-    # is the only one ready at the start
-    ready = [v for v, k in waiting.items() if not k]
-    count = dict.fromkeys(mid, 0)
-    count[src] = 1
-    done = 0
-    while ready:
-        v = ready.pop()
-        done += 1
-        for e in out[v]:
-            w = e.tgt
-            if w in mid:
-                count[w] += count[v]
-                waiting[w] -= 1
-                if not waiting[w]:
-                    ready.append(w)
-    if done < len(mid):
-        return (False, None)
-    return (True, count[tgt])
+    open_ = {s: True}          # visited vertex -> still on the stack
+    finished = []
+    stack = [(s, iter(succ[s]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if w in back:
+                if w not in open_:
+                    open_[w] = True
+                    stack.append((w, iter(succ[w])))
+                    break
+                if open_[w]:
+                    return (False, None)
+        else:
+            stack.pop()
+            open_[v] = False
+            finished.append(v)
+    count = dict.fromkeys(finished, 0)
+    count[s] = 1
+    for v in reversed(finished):
+        c = count[v]
+        for w in succ[v]:
+            if w in back:
+                count[w] += c
+    return (True, count[t])
 
 
 # --- monotone maps of finite ordinals --------------------------------------

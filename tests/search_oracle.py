@@ -5,7 +5,8 @@ Each visits everything the replaced code visited: walks takes every edge
 out of the end of the walk, cycle_length_bound scans all edges once per
 strong component, components builds each piece with Digraph.subgraph, and
 path_options enumerates every path up to |E| edges before it applies the
-cap.  None of them calls the pruned search it checks.
+cap.  None of them calls the pruned search it checks, or reads the
+graph's adjacency other than through out_edges.
 """
 from quivercalc.digraph import QuivercalcError, strong_components, weak_components
 from quivercalc.quiver import hom_is_finite
@@ -16,11 +17,11 @@ def walks(d, start, end, max_len):
     edges in declaration order, with no pruning."""
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
-    out = d._out
+    out = d.out_edges
     if start == end:
         yield ()
     walk = []
-    stack = [iter(out[start])] if max_len else []
+    stack = [iter(out(start))] if max_len else []
     while stack:
         e = next(stack[-1], None)
         if e is None:
@@ -32,7 +33,7 @@ def walks(d, start, end, max_len):
         if e.tgt == end:
             yield tuple(walk)
         if len(walk) < max_len:
-            stack.append(iter(out[e.tgt]))
+            stack.append(iter(out(e.tgt)))
         else:
             walk.pop()
 
@@ -81,3 +82,15 @@ def path_options(tgt, a, b, path_cap):
         raise QuivercalcError(f"infinitely many paths {a!r} -> {b!r}; "
                               "a path cap is required")
     return paths(tgt, a, b, path_cap), False
+
+
+def hom_size(d, start, end):
+    """The number of paths start -> end, or None when there are infinitely
+    many: a path with |V| or more edges repeats a vertex, so it runs through
+    a cycle on a route, and such a cycle can be pumped into a path whose
+    length lies in [|V|, 2|V| - 1]."""
+    n = len(d.vertices)
+    found = paths(d, start, end, 2 * n - 1)
+    if any(len(p) >= n for p in found):
+        return None
+    return len(found)

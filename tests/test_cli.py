@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -10,8 +11,13 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quivercalc import digraph
 from quivercalc.cli import main
+from quivercalc.digraph import Digraph, standard_digraph
 from tests.conftest import FIXTURES, ROOT
+
+import cycle_oracle
+import search_oracle
 
 
 def run(*argv, capsys=None):
@@ -54,6 +60,90 @@ def test_paths_unknown_vertex_is_usage_error(capsys):
                        "0", "zzz", capsys=capsys)
     assert code == 2
     assert "unknown vertex" in err
+
+
+GRAPH_FIXTURES = ("bouquet2", "interval", "linear2", "triangle")
+
+
+def paths_listing(g, u, v, max_len):
+    """What `paths` prints, rendered from the unpruned search oracle."""
+    found = search_oracle.paths(g, u, v, max_len)
+    total = search_oracle.hom_size(g, u, v)
+    lines = ["·".join(p) if p else "(empty)" for p in found]
+    if total is not None and len(found) == total:
+        lines.append(f"count: {len(found)} (complete; {total} in total)")
+    else:
+        lines.append(f"count: {len(found)} (truncated at length {max_len}; "
+                     f"{'infinitely many' if total is None else total} in total)")
+    return "".join(line + "\n" for line in lines)
+
+
+def cycles_listing(g, max_len):
+    """What `cycles` prints, rendered from the exhaustive cycle oracle."""
+    return "".join(("·".join(z.edges) if z.edges else f"constant at {z.vertex}")
+                   + "\n" for z in cycle_oracle.enumerate_directed_cycles(g, max_len))
+
+
+@pytest.mark.parametrize("name", GRAPH_FIXTURES)
+def test_paths_and_cycles_listings_are_byte_identical_to_the_oracles(name, capsys):
+    path = str(FIXTURES / f"{name}.json")
+    g = Digraph.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    for max_len in (0, 1, 3):
+        for u, v in itertools.product(g.vertices, repeat=2):
+            code, out, err = run("paths", "--graph", path, u, v,
+                                 "--max-len", str(max_len), capsys=capsys)
+            assert (code, out, err) == (0, paths_listing(g, u, v, max_len), ""), \
+                (u, v, max_len)
+        code, out, err = run("cycles", "--graph", path, "--max-len", str(max_len),
+                             capsys=capsys)
+        assert (code, out, err) == (0, cycles_listing(g, max_len), ""), max_len
+
+
+def test_listing_edge_cases(tmp_path, capsys):
+    # no walks: only the count line
+    linear2 = str(FIXTURES / "linear2.json")
+    assert run("paths", "--graph", linear2, "2", "0", capsys=capsys) == (
+        0, "count: 0 (complete; 0 in total)\n", "")
+    # the empty walk, at length cap 0
+    bouquet2 = str(FIXTURES / "bouquet2.json")
+    assert run("paths", "--graph", bouquet2, "0", "0", "--max-len", "0",
+               capsys=capsys) == (
+        0, "(empty)\ncount: 1 (truncated at length 0; infinitely many in total)\n", "")
+    # an edgeless graph has only constant cycles, and an empty one none
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"vertices": ["p", "q"], "edges": []}))
+    assert run("cycles", "--graph", str(points), capsys=capsys) == (
+        0, "constant at p\nconstant at q\n", "")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "edges": []}))
+    assert run("cycles", "--graph", str(empty), capsys=capsys) == (0, "", "")
+    # an unknown vertex prints nothing on stdout
+    code, out, err = run("paths", "--graph", linear2, "0", "zz", capsys=capsys)
+    assert (code, out, err) == (2, "", "error: unknown vertex 'zz'\n")
+
+
+def test_one_paths_call_searches_backward_from_its_target_once(monkeypatch, capsys):
+    starts = []
+    real = digraph.reachable
+
+    def spy(start, step):
+        starts.append(start)
+        return real(start, step)
+
+    monkeypatch.setattr(digraph, "reachable", spy)
+    code, out, _ = run("paths", "--graph", str(FIXTURES / "triangle.json"),
+                       "0", "2", "--max-len", "4", capsys=capsys)
+    assert code == 0 and out.endswith("in total)\n")
+    assert starts.count(2) == 1, starts     # 2 is the index of vertex "2"
+
+
+def test_paths_on_a_long_chain(tmp_path, capsys):
+    n = 50_000
+    g = tmp_path / "chain.json"
+    g.write_text(json.dumps(standard_digraph("linear", n).to_json()))
+    assert run("paths", "--graph", str(g), "0", str(n), "--max-len", str(n),
+               capsys=capsys) == (0, "·".join(f"e{i}" for i in range(n))
+                                  + "\ncount: 1 (complete; 1 in total)\n", "")
 
 
 def test_reps(capsys):

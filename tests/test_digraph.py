@@ -150,6 +150,17 @@ PIECES = disjoint_union([SIDE_CYCLE, standard_digraph("cyclic", 2),
 @example(SIDE_CYCLE)
 @example(PIECES)
 @given(digraphs())
+def test_edge_lists_and_valences_read_the_declared_edges(g):
+    for v in g.vertices:
+        outs = [e for e in g.edges if e.src == v]
+        ins = [e for e in g.edges if e.tgt == v]
+        assert (g.out_edges(v), g.in_edges(v)) == (outs, ins)
+        assert g.valence(v) == (len(ins), len(outs))
+
+
+@example(SIDE_CYCLE)
+@example(PIECES)
+@given(digraphs())
 def test_walks_match_the_unpruned_search(g):
     for u, v in itertools.product(g.vertices, repeat=2):
         for max_len in range(5):

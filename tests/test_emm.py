@@ -11,7 +11,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from quivercalc.digraph import (Digraph, QuivercalcError, component_labels,
-                                disjoint_union, lyndon_rotation,
+                                disjoint_union, lyndon_rotation, lyndon_walks,
                                 standard_digraph)
 from quivercalc.fincat import (BadComposite, NotAssociative,
                                chain_poset_category, cyclic_group_category,
@@ -138,8 +138,20 @@ def oracle_graphs():
 @pytest.mark.parametrize("g,max_len", oracle_graphs())
 def test_cycles_match_the_exhaustive_oracle(g, max_len):
     for n in range(max_len + 1):
-        assert (enumerate_directed_cycles(g, n)
-                == cycle_oracle.enumerate_directed_cycles(g, n)), n
+        want = cycle_oracle.enumerate_directed_cycles(g, n)
+        assert enumerate_directed_cycles(g, n) == want, n
+        assert (sorted(lyndon_walks(g, n), key=len)
+                == [z.edges for z in want if not z.is_constant]), n
+
+
+@example(SIDE_CYCLE)
+@example(PIECES)
+@given(digraphs())
+def test_cycles_from_index_words_equal_the_checked_walks(g):
+    for z in enumerate_directed_cycles(g, 5):
+        if not z.is_constant:
+            w = DirectedCycle.walk(g, z.edges)
+            assert (w, w.vertex, w.edges) == (z, z.vertex, z.edges)
 
 
 def test_cycles_longer_than_the_recursion_limit():
@@ -923,6 +935,16 @@ EMM_REJECTIONS = {
                   "cycle walks must close up"),
     "walk-power": (lambda: DirectedCycle.walk(Q2, ("e0", "e1", "e0", "e1")),
                    "cycle walks must be primitive"),
+    "walk-chain": (lambda: DirectedCycle.walk(Q2, ("e0", "e0")),
+                   "edge 'e0' starts at '0', not '1'"),
+    # the same checks on words of edge indices, the route of
+    # enumerate_directed_cycles
+    "word-open": (lambda: DirectedCycle._of_word(L2, (0, 1)),
+                  "cycle walks must close up"),
+    "word-power": (lambda: DirectedCycle._of_word(Q2, (0, 1, 0, 1)),
+                   "cycle walks must be primitive"),
+    "word-chain": (lambda: DirectedCycle._of_word(Q2, (0, 0)),
+                   "edge 'e0' starts at '0', not '1'"),
     "constant-vertex": (lambda: DirectedCycle(Q2, None), "a constant cycle needs a vertex"),
     "circle-count": (lambda: MObject(-1, []),
                      "the circle count must be an integer >= 0, not -1"),

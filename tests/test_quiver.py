@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from quivercalc import digraph
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
                                 standard_digraph)
 from quivercalc.cyccat import compose_para, delta_to_para
@@ -161,6 +162,30 @@ def test_deep_graphs_do_not_recurse():
     g = standard_digraph("linear", n)
     assert hom_is_finite(g, "0", str(n)) == (True, 1)
     assert [p.length for p in enumerate_paths(g, "0", str(n), n)] == [n]
+
+
+def test_hom_is_finite_on_a_long_cycle():
+    n = 50_000
+    g = standard_digraph("cyclic", n)
+    assert hom_is_finite(g, "0", str(n - 1)) == (False, None)
+
+
+def test_the_backward_search_is_kept_for_the_last_target_only(monkeypatch):
+    starts = []
+    real = digraph.reachable
+
+    def spy(start, step):
+        starts.append(start)
+        return real(start, step)
+
+    monkeypatch.setattr(digraph, "reachable", spy)
+    g = standard_digraph("linear", 3)
+    assert hom_is_finite(g, "0", "3") == (True, 1)
+    assert len(enumerate_paths(g, "1", "3", 3)) == 1
+    assert starts == [3]                # both asked of target 3: one search
+    hom_is_finite(g, "0", "2")
+    enumerate_paths(g, "0", "3", 3)
+    assert starts == [3, 2, 3]          # one slot: target 3 was forgotten
 
 
 def test_a_side_cycle_costs_the_path_search_nothing():
