@@ -17,7 +17,7 @@ from .digraph import (Digraph, QuivercalcError, check_names, classify_digraph,
 from .quiver import enumerate_paths, hom_is_finite
 from .fincat import (FinCat, Representation, check_closed_sheaf,
                      chain_poset_category, cyclic_group_category,
-                     enumerate_reps, rep_tuples, rep_via_exit_limit,
+                     enumerate_reps, rep_count, rep_tuples, rep_via_exit_limit,
                      symmetric_group_category, validate_fincat,
                      walking_arrow_category)
 from .cyccat import (EpiMor, cartesian_factor, compose_epi, compose_para,
@@ -29,9 +29,10 @@ from .hochschild import compute_hh, psi, trace_obj, power_endo
 # fact_homology is no longer called here; perfbench's traced run still
 # wraps it under this name
 from .emm import (CircleEndo, MObject, VertexToCircle,
-                  enumerate_directed_cycles, fact_homology, fact_namer,
-                  fact_tuples, compose_m, hom_m, make_excision_site,
-                  verify_excision, circle_object, mobject_of_digraph)
+                  enumerate_directed_cycles, fact_count, fact_homology,
+                  fact_namer, fact_tuples, compose_m, hom_m,
+                  make_excision_site, verify_excision, circle_object,
+                  mobject_of_digraph)
 
 
 def _load(path: str, what: str, parse):
@@ -125,15 +126,15 @@ def cmd_paths(args) -> int:
 def cmd_reps(args) -> int:
     cat = _load_cat(args.cat)
     g = _load_graph(args.graph)
-    reps = rep_tuples(cat, g)
-    for x in reps[:args.limit]:
+    count = rep_count(cat, g)
+    for x in rep_tuples(cat, g, args.limit):
         r = Representation.from_indices(cat, g, x)
         vs = " ".join(f"{v}:{r.vertex_labels[v]}" for v in g.vertices)
         es = " ".join(f"{e.eid}:{r.edge_labels[e.eid]}" for e in g.edges)
         print(f"{vs} | {es}".strip(" |"))
-    if len(reps) > args.limit:
-        print(f"... and {len(reps) - args.limit} more")
-    print(f"count: {len(reps)}")
+    if count > args.limit:
+        print(f"... and {count - args.limit} more")
+    print(f"count: {count}")
     return 0
 
 
@@ -247,17 +248,17 @@ def _describe_mmor(f) -> str:
 def cmd_fact(args) -> int:
     cat = _load_cat(args.cat)
     m = _load_mobject(args.mobject)
-    elems = fact_tuples(cat, m)
+    size = fact_count(cat, m)
     name = fact_namer(cat, m)
-    for classes, reps in map(name, elems[:args.limit]):
+    for classes, reps in map(name, fact_tuples(cat, m, args.limit)):
         cbit = " ".join(c.rep for c in classes)
         rbit = " ".join("(" + " ".join(f"{e.eid}:{r.edge_labels[e.eid]}"
                                        for e in r.graph.edges) + ")"
                         for r in reps)
         print((cbit + " " + rbit).strip() or "(unit)")
-    if len(elems) > args.limit:
-        print(f"... and {len(elems) - args.limit} more")
-    print(f"size: {len(elems)}")
+    if size > args.limit:
+        print(f"... and {size - args.limit} more")
+    print(f"size: {size}")
     return 0
 
 

@@ -436,18 +436,26 @@ def _blocks(m: MObject) -> list[tuple[int, int]]:
     return out
 
 
-def fact_tuples(category: FinCat, m: MObject) -> list[tuple]:
+def fact_tuples(category: FinCat, m: MObject,
+                limit: int | None = None) -> list[tuple]:
     """The elements of the invariant as index tuples, in canonical order:
     the full product of the trace classes per circle and the
-    representations per quiver."""
+    representations per quiver.  With a limit, only the first `limit`,
+    for which no factor is read past its first `limit` elements."""
     # trace classes only where a circle needs them
     classes = range(len(compute_hh(category))) if m.circles else ()
-    slots = [[(i,) for i in classes]] * m.circles + \
-            [rep_tuples(category, q) for q in m.quivers]
+    slots = [[(i,) for i in classes][:limit]] * m.circles + \
+            [rep_tuples(category, q, limit) for q in m.quivers]
     if len(slots) == 1:
         return slots[0]
-    return [tuple(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*slots)]
+    return [tuple(itertools.chain.from_iterable(combo)) for combo in
+            itertools.islice(itertools.product(*slots), limit)]
+
+
+def fact_count(category: FinCat, m: MObject) -> int:
+    """len(fact_tuples(category, m)): |HH|^circles · Π |Rep(quiver)|."""
+    classes = len(compute_hh(category)) ** m.circles if m.circles else 1
+    return classes * math.prod(rep_count(category, q) for q in m.quivers)
 
 
 def fact_namer(category: FinCat, m: MObject):
@@ -712,42 +720,48 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     coequalizer is a bijection.  It runs on index tuples (see fact_tuples),
     in fact_homology's order, and maps stages in blocks of BLOCK rows.
 
-    On a graph site stage 1 is counted (rep_count), not enumerated, and
-    the coequalizer is built from its degenerate rows alone: the pullbacks
-    of stage 0 along site.degeneracies().  The classes are the same.
-    Write the chain of a stage-1 row at a cut as u, v, w: its first face
-    puts (u, w∘v) on that cut's one-joint chain, its second (v∘u, w), and
-    both copy the rest of the graph.  Let N_k replace the pair (p, q) at
-    cut k by (id, q∘p); the N_k commute and are idempotent, and by
-    associativity and neutral identities both faces have the normal form
-    N_1...N_n, with (id, w∘v∘u) at every cut.  The degenerate row of x
-    along sigma_k has the faces N_k(x) and x, so the degenerate rows relate
-    x ~ N_k(x), hence x ~ N_1...N_n(x) and both faces of every row; being
-    rows of stage 1, they relate nothing more.  So the labels (numbered by
-    least member) and the verdict are those of the whole stage.  The
-    argument needs the category laws: a category that has not passed
-    validate_fincat is validated first, and its error raised, on every
-    site.  A circle site has no endpoint to collapse onto, and maps its
-    whole stage 1: at most M^2 composable round trips.
+    On a graph site stage 1 is counted (fact_count), and the coequalizer
+    is built on stage 0 from the pairs (x, N_k(x)), one per cut k.  Write
+    the chain of a stage-1 row at a cut as u, v, w: its first face puts
+    (u, w∘v) on that cut's one-joint chain, its second (v∘u, w), and both
+    copy the rest.  N_k replaces the pair (p, q) at cut k by (id, q∘p); the
+    N_k commute and are idempotent, and by the category laws both faces
+    have the normal form N_1...N_n, so the pairs relate the faces of every
+    row.  They relate nothing more: N_k is compiled as sigma_k
+    (site.degeneracies()) after the first face, so (N_k(x), x) are the
+    faces of the degenerate row of x once sigma_k after the second face is
+    the identity, which is checked on the quiver morphisms before any row
+    is mapped (QuivercalcError if not).  So the labels (numbered by least
+    member) and the verdict are those of the whole stage.  A category that
+    has not passed validate_fincat is validated first, and its error
+    raised, on every site.  A circle site maps its whole stage 1 through
+    both faces: at most M^2 composable round trips.
     """
     if category.generators is None:
         validate_fincat(category)
     x0 = fact_tuples(category, site.level(0))
     index = {elem: i for i, elem in enumerate(x0)}
-    map_a, map_b = (_compile_mmor(category, quiv_op_mmor(f))
-                    for f in site.face_maps())
+    face_a, face_b = site.face_maps()
     if site.kind == "graph":
-        stage1 = math.prod(rep_count(category, q)
-                           for q in site.level(1).quivers)
-        pulls = [_compile_mmor(category, quiv_op_mmor(d))
-                 for d in site.degeneracies()]
-        rows = (pull(block) for pull in pulls for block in _chunks(x0))
+        stage1 = fact_count(category, site.level(1))
+        normal = []
+        for k, sigma in zip(site.cut_edges, site.degeneracies()):
+            if compose_quiver_mor(sigma, face_b) != QuiverMor.identity(sigma.target):
+                raise QuivercalcError(f"the degeneracy at cut edge {k!r} does "
+                                      "not undo the second face map")
+            normal.append(_compile_mmor(category, quiv_op_mmor(
+                compose_quiver_mor(sigma, face_a))))
+        # i from index.values(), ints that exist already: component_labels keeps each
+        pairs = ((i, index[y]) for n_k in normal for i, y in zip(
+            index.values(), itertools.chain.from_iterable(map(n_k, _chunks(x0)))))
     else:
         x1 = fact_tuples(category, site.level(1))
-        stage1, rows = len(x1), _chunks(x1)
-    label = component_labels(len(x0), itertools.chain.from_iterable(
-        zip(map(index.__getitem__, map_a(block)),
-            map(index.__getitem__, map_b(block))) for block in rows))
+        stage1 = len(x1)
+        map_a, map_b = (_compile_mmor(category, quiv_op_mmor(f))
+                        for f in (face_a, face_b))
+        pairs = ((index[a], index[b]) for block in _chunks(x1)
+                 for a, b in zip(map_a(block), map_b(block)))
+    label = component_labels(len(x0), pairs)
     coeq = max(label, default=-1) + 1
 
     glue = _compile_mmor(category, site.glue_mmor())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
@@ -550,15 +551,16 @@ def _labellings(category: FinCat, graph: Digraph):
         yield objs, [hom[objs[s]].get(objs[t], ()) for s, t in ends]
 
 
-def rep_tuples(category: FinCat, graph: Digraph) -> list[tuple]:
+def rep_tuples(category: FinCat, graph: Digraph,
+               limit: int | None = None) -> list[tuple]:
     """All representations as index tuples: an object index per vertex,
     then a morphism index per edge, in declaration order.  The list is
     sorted, which is enumerate_reps' order, since indices follow the
-    declaration order of objects and morphisms."""
-    out: list[tuple] = []
-    for objs, options in _labellings(category, graph):
-        out.extend(objs + choice for choice in itertools.product(*options))
-    return out
+    declaration order of objects and morphisms.  With a limit, only the
+    first `limit`, taken from a lazy enumeration that stops there."""
+    return list(itertools.islice(itertools.chain.from_iterable(
+        map(objs.__add__, itertools.product(*options))
+        for objs, options in _labellings(category, graph)), limit))
 
 
 def rep_count(category: FinCat, graph: Digraph) -> int:
@@ -656,15 +658,16 @@ def index_program(category: FinCat, vertex_pos, edge_steps) -> Callable:
     """A map of blocks of index tuples, compiled once: each tuple x of a
     block (a list) goes to the tuple of x[p] for p in vertex_pos, followed,
     for each step (start, positions) in edge_steps, by the composite of the
-    morphisms x[p] for p in positions, starting from the identity at the
-    object x[start].  The block is transposed once and run a column at a
-    time, one pass per path edge; map a single x as the block [x].
-
-    The category must pass validate_fincat, and the morphisms of each step
-    must chain, as the edges of a path do in a representation.  A missing
-    identity or composite raises MissingIdentity or BadComposite, as
-    FinCat.identity and FinCat.comp do, naming the first row of the first
-    column that misses one, so a -1 of the table is never used as an index.
+    morphisms x[p] for p in positions.  The block is transposed once and
+    run a column at a time, one pass per path edge; map a single x as the
+    block [x].  A step starts from its first edge's column once the
+    category has passed validate_fincat (identities are neutral), and from
+    the identity at the object x[start] when it has no edge or the category
+    has not.  The morphisms of each step must chain, as the edges of a path
+    do in a representation.  A missing identity or composite raises
+    MissingIdentity or BadComposite, as FinCat.identity and FinCat.comp do,
+    naming the first row of the first column that misses one, so a -1 of
+    the table is never used as an index.
     """
     t = category.int_table
     comp, ident, at = t.comp, t.identity, t.at
@@ -675,9 +678,12 @@ def index_program(category: FinCat, vertex_pos, edge_steps) -> Callable:
         cols = list(zip(*block))
         out = [cols[p] for p in vertex_pos]
         for start, positions in edge_steps:
-            m = [ident[o] for o in cols[start]]
-            if -1 in m:         # FinCat.identity raises, naming the object
-                category.identity(category.objects[cols[start][m.index(-1)]])
+            if category.generators is not None and positions:
+                m, positions = cols[positions[0]], positions[1:]
+            else:
+                m = [ident[o] for o in cols[start]]
+                if -1 in m:     # FinCat.identity raises, naming the object
+                    category.identity(category.objects[cols[start][m.index(-1)]])
             for p in positions:
                 col = cols[p]
                 h = [comp[g][at[f]] for g, f in zip(col, m)]
@@ -746,43 +752,45 @@ def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:
     """Check that restriction identifies Rep(whole) with the fiber product
     of Rep(left) and Rep(right) over Rep(intersection).
 
-    The fiber product is a hash join of Rep(left) with Rep(right) on the
-    restriction to the intersection.  Restrictions of one representation
-    always agree there, so the image lies in the fiber product, and the two
-    are equal exactly when they have the same size.
+    The fiber product is counted by joining Rep(left) and Rep(right) on the
+    intersection, where restrictions of one representation agree.  The
+    pair (x|left, x|right) and x restricted to both pieces' union determine
+    each other, so the image is counted on that one restriction; the rows
+    are scanned for a witness only when a count disagrees.
     """
-    whole = rep_tuples(category, cover.ambient)
-    left = rep_tuples(category, cover.left)
-    right = rep_tuples(category, cover.right)
-    inter = rep_tuples(category, cover.intersection)
-
-    left_keys = _restrict(left, cover.left, cover.intersection)
-    right_keys = _restrict(right, cover.right, cover.intersection)
-    by_key: dict[tuple, list[tuple]] = {}
-    for k, b in zip(right_keys, right):
-        by_key.setdefault(k, []).append(b)
-    fiber = sum(len(by_key.get(k, ())) for k in left_keys)
-
-    pairs = zip(_restrict(whole, cover.ambient, cover.left),
-                _restrict(whole, cover.ambient, cover.right))
-    image: set[tuple] = set()
-    repeated = None
-    for x, pair in zip(whole, pairs):
-        if pair in image:
-            repeated = x
-        image.add(pair)
+    ambient, left_g, right_g = cover.ambient, cover.left, cover.right
+    whole = rep_tuples(category, ambient)
+    left = rep_tuples(category, left_g)
+    right = rep_tuples(category, right_g)
+    left_keys = _restrict(left, left_g, cover.intersection)
+    right_keys = _restrict(right, right_g, cover.intersection)
+    fiber = sum(map(Counter(right_keys).__getitem__, left_keys))
+    union = ambient.subgraph([*left_g.vertices, *right_g.vertices],
+                             [e.eid for g in (left_g, right_g) for e in g.edges])
+    keys = _restrict(whole, ambient, union)
+    image = len(set(keys))
 
     witness = None
-    if repeated is not None:
-        r = Representation.from_indices(category, cover.ambient, repeated)
+    if image < len(whole):
+        # the last row whose restriction occurs twice repeats an earlier one
+        counts = Counter(keys)
+        repeated = next(x for x, k in zip(reversed(whole), reversed(keys))
+                        if counts[k] > 1)
+        r = Representation.from_indices(category, ambient, repeated)
         witness = f"restriction not injective at {r!r}"
-    elif len(image) != fiber:
+    elif image != fiber:
+        pairs = set(zip(_restrict(whole, ambient, left_g),
+                        _restrict(whole, ambient, right_g)))
+        by_key: dict[tuple, list[tuple]] = {}
+        for k, b in zip(right_keys, right):
+            by_key.setdefault(k, []).append(b)
+
         def key(graph, x):
             return Representation.from_indices(category, graph, x).key()
-        unglued = min((key(cover.left, a), key(cover.right, b))
+        unglued = min((key(left_g, a), key(right_g, b))
                       for a, k in zip(left, left_keys)
                       for b in by_key.get(k, ())
-                      if (a, b) not in image)
+                      if (a, b) not in pairs)
         witness = f"unglued compatible pair: {unglued}"
     return SheafVerdict(witness is None, len(whole), len(left), len(right),
-                        len(inter), fiber, witness)
+                        rep_count(category, cover.intersection), fiber, witness)

@@ -771,17 +771,17 @@ def excise_every_edge_traced(cat, g):
 
 def test_a_stage_of_many_blocks_counts_the_h_colourings_in_little_memory():
     """Stage 1 here has 46 656 elements.  It is counted, not mapped: only
-    its degenerate rows, two pullbacks of the 1 296 elements of stage 0, go
-    through the face maps in blocks, and the check peaks near 1 MB of
-    traced allocations (CPython 3.11).  Mapping the whole stage at once
-    would hold every face image at the same time, about 21 MB."""
+    the 1 296 elements of stage 0 go through N_1 and N_2 in blocks, and the
+    check peaks near 0.7 MB of traced allocations (CPython 3.11).  Mapping
+    the whole stage at once would hold every face image at the same time,
+    about 21 MB."""
     v, peak = excise_every_edge_traced(symmetric_group_category(3),
                                        standard_digraph("bouquet", 2))
     assert v.ok and v.stage1 == 46656 > 20 * emm.BLOCK
     assert peak < 10_000_000
 
 
-# --- stage 1 counted, the coequalizer from its degenerate rows ---------------
+# --- stage 1 counted, the coequalizer from the pairs (x, N_k(x)) -------------
 
 
 def full_stage_labels(category, site):
@@ -849,6 +849,63 @@ def test_the_faces_then_a_degeneracy_fix_all_but_its_cut():
             assert compose_quiver_mor(sigma, fa) == n_k
 
 
+def compiled_maps_run(monkeypatch):
+    """Spy on emm._compile_mmor: the maps compiled, each with the number of
+    rows it has been run on so far."""
+    rows = []
+    real = emm._compile_mmor
+
+    def spy(category, f):
+        run, entry = real(category, f), [f, 0]
+        rows.append(entry)
+
+        def counted(block):
+            entry[1] += len(block)
+            return run(block)
+        return counted
+
+    monkeypatch.setattr(emm, "_compile_mmor", spy)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(n for n, site in LABEL_SITES.items()
+                                         if site.cut_edges))
+def test_a_graph_site_maps_rows_only_through_n_k_and_gluing(name, monkeypatch):
+    """No row goes through a degeneracy or the second face: each N_k (sigma_k
+    after the first face) runs on stage 0 once, and gluing runs on it."""
+    site, cat = LABEL_SITES[name], symmetric_group_category(3)
+    validate_fincat(cat)
+    fa, fb = site.face_maps()
+    sigmas = site.degeneracies()
+    rows = compiled_maps_run(monkeypatch)
+    v = verify_excision(cat, site)
+    ran = {quiv: n for quiv, n in rows if n}
+    for f in [fb, *sigmas]:
+        assert quiv_op_mmor(f) not in ran
+    n_k = [quiv_op_mmor(compose_quiver_mor(s, fa)) for s in sigmas]
+    assert ran == {f: v.stage0 for f in n_k + [site.glue_mmor()]}
+
+
+def test_a_degeneracy_that_does_not_undo_the_second_face_raises(monkeypatch):
+    """A wrong sigma is caught on the quiver morphisms, before any row is
+    mapped: here the mirror degeneracy of the cut loop, which collapses
+    its last chain edge and so undoes the first face instead."""
+    site = make_excision_site(standard_digraph("bouquet", 1), ["e0"])
+    g0, g1 = site.level_graph(0), site.level_graph(1)
+    mirror = QuiverMor(g1, g0, {"0": "0", "e0:w0": "e0:w0", "e0:w1": "0"},
+                       {"e0:c0": Path.of_edge(g0, "e0:c0"),
+                        "e0:c1": Path.of_edge(g0, "e0:c1"),
+                        "e0:c2": Path.empty(g0, "0")})
+    assert compose_quiver_mor(mirror, site.face_maps()[0]) == QuiverMor.identity(g0)
+    monkeypatch.setattr(ExcisionSite, "degeneracies", lambda self: (mirror,))
+    rows = compiled_maps_run(monkeypatch)
+    with pytest.raises(QuivercalcError,
+                       match="^the degeneracy at cut edge 'e0' does not undo "
+                             "the second face map$"):
+        verify_excision(cyclic_group_category(3), site)
+    assert not any(n for _, n in rows)
+
+
 def test_a_circle_site_has_no_degeneracies():
     with pytest.raises(QuivercalcError,
                        match="only graph sites have degeneracies"):
@@ -880,9 +937,9 @@ def test_both_loops_cut_label_the_coequalizer_as_the_whole_stage_does(cat):
 def test_a_stage_of_ten_million_elements_is_counted_in_little_memory():
     """S3 on the 3-cycle with all three edges cut: stage 1 has 6^9 =
     10 077 696 elements, which as index tuples would take about 2 GB.
-    Counted, with only the 3 x 46 656 degenerate rows mapped in blocks, the
-    check peaks near 19 MB of traced allocations (CPython 3.11), most of it
-    stage 0 and its index."""
+    Counted, with only the 46 656 elements of stage 0 mapped through the
+    three N_k in blocks, the check peaks near 18 MB of traced allocations
+    (CPython 3.11), most of it stage 0 and its index."""
     v, peak = excise_every_edge_traced(symmetric_group_category(3),
                                        standard_digraph("cyclic", 3))
     assert v.ok and v.stage1 == 10_077_696
@@ -891,7 +948,7 @@ def test_a_stage_of_ten_million_elements_is_counted_in_little_memory():
 
 def test_an_unvalidated_non_associative_table_raises_on_every_site():
     """Complete, with a neutral e, but every product of a and b is e, so
-    (a∘a)∘b = b while a∘(a∘b) = a.  The degenerate rows stand for the
+    (a∘a)∘b = b while a∘(a∘b) = a.  The pairs (x, N_k(x)) stand for the
     whole stage only in a category, so a graph site validates first, as a
     circle site does through the trace classes."""
     products = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a",

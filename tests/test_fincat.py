@@ -26,7 +26,7 @@ from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
 from quivercalc.quiver import Path, QuiverMor, enumerate_quiver_mors
 
 import string_oracle as oracle
-from random_categories import concrete_categories
+from random_categories import concrete_categories, concrete_category
 import test_acceptance
 from test_acceptance import h_colourings, hom_size_matrix
 from test_hochschild import shuffled
@@ -641,6 +641,56 @@ def test_sheaf_verdicts_match_the_string_oracle_on_partial_covers():
     assert witnesses == {"restriction not injective", "unglued compatible pair"}
 
 
+def random_piece(rng, g):
+    """A subgraph of g: about half its edges, with their endpoints, and
+    about half of its other vertices."""
+    es = [e for e in g.edges if rng.random() < 0.5]
+    vs = {v for e in es for v in (e.src, e.tgt)} | \
+        {v for v in g.vertices if rng.random() < 0.5}
+    return g.subgraph([v for v in g.vertices if v in vs], [e.eid for e in es])
+
+
+def sheaf_witness_kind(v):
+    return None if v.ok else v.witness.split(" at ")[0].split(":")[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=concrete_categories(max_objects=2, max_size=2),
+       g=st.sampled_from(COVER_GRAPHS[:6]), seed=st.integers(0, 2**16))
+def test_sheaf_verdicts_match_the_string_oracle_on_random_tables(base, g, seed):
+    """Shuffled random tables, on genuine covers and on pieces that may
+    leave a vertex or an edge uncovered."""
+    rng = random.Random(seed)
+    cat = shuffled(base, seed)
+    covers = [make_closed_cover(g, left, right)
+              for left, right in rng.sample(list(graph_covers(g)), 3)]
+    covers += [ClosedCover(g, random_piece(rng, g), random_piece(rng, g))
+               for _ in range(3)]
+    for cover in covers:
+        assert check_closed_sheaf(cat, cover) == oracle.check_closed_sheaf(cat, cover)
+
+
+def test_both_sheaf_witnesses_arise_on_random_tables():
+    """The count on the union of the pieces, and each witness scan behind
+    it, run on random concrete categories, and agree with the oracle."""
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(120):
+        sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+        functions = []
+        for _ in range(rng.randint(1, 3)):
+            x, y = rng.randrange(len(sizes)), rng.randrange(len(sizes))
+            functions.append((x, y, tuple(rng.randrange(sizes[y])
+                                          for _ in range(sizes[x]))))
+        cat = shuffled(concrete_category(sizes, functions), rng.randrange(99))
+        g = rng.choice(COVER_GRAPHS[:6])
+        cover = ClosedCover(g, random_piece(rng, g), random_piece(rng, g))
+        v = check_closed_sheaf(cat, cover)
+        assert v == oracle.check_closed_sheaf(cat, cover)
+        kinds.add(sheaf_witness_kind(v))
+    assert kinds == {None, "restriction not injective", "unglued compatible pair"}
+
+
 # Restriction picks positions with itemgetter, which returns a bare value for
 # one position and cannot be built for none.  These covers give the
 # intersection and the pieces 0, 1 and more positions.
@@ -842,6 +892,24 @@ def test_a_block_of_every_representation_matches_the_string_oracle(cat, mor,
             for x in xs]
     pad = (len(cat.objects),) * offset
     assert compile_pullback(cat, mor, offset)([pad + x for x in xs]) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(cat=concrete_categories(max_objects=2, max_size=2),
+       mor=st.sampled_from(PULLBACK_POOL), offset=st.integers(0, 2))
+def test_a_validated_table_starts_at_the_first_edge_with_the_same_rows(cat, mor,
+                                                                      offset):
+    """A validated category's programs start each path at its first edge;
+    an unvalidated copy of the same table starts at the identity, and both
+    map every representation to the same row."""
+    unvalidated = FinCat.from_json(cat.to_json())
+    validate_fincat(cat)
+    assert cat.generators is not None and unvalidated.generators is None
+    xs = rep_tuples(cat, mor.target)
+    assume(len(xs) <= 3000)
+    block = [(len(cat.objects),) * offset + x for x in xs]
+    assert compile_pullback(cat, mor, offset)(block) == \
+        compile_pullback(unvalidated, mor, offset)(block)
 
 
 def test_an_empty_block_and_an_empty_program():
