@@ -710,6 +710,53 @@ def _chunks(xs: list):
     return (xs[start:start + BLOCK] for start in range(0, len(xs), BLOCK))
 
 
+def _normal_form_steps(site: ExcisionSite) -> list[QuiverMor]:
+    """N_k = sigma_k after the first face, one per cut edge k, as quiver
+    morphisms of stage 0.  The premises of the normal form are checked on
+    them before any row is mapped: sigma_k after the second face is the
+    identity, each N_k is idempotent, and every two commute.  On a site
+    that violates one, QuivercalcError."""
+    face_a, face_b = site.face_maps()
+    steps = []
+    for k, sigma in zip(site.cut_edges, site.degeneracies()):
+        if compose_quiver_mor(sigma, face_b) != QuiverMor.identity(sigma.target):
+            raise QuivercalcError(f"the degeneracy at cut edge {k!r} does "
+                                  "not undo the second face map")
+        n_k = compose_quiver_mor(sigma, face_a)
+        if compose_quiver_mor(n_k, n_k) != n_k:
+            raise QuivercalcError(f"the normal form step at cut edge {k!r} "
+                                  "is not idempotent")
+        for j, n_j in zip(site.cut_edges, steps):
+            if compose_quiver_mor(n_j, n_k) != compose_quiver_mor(n_k, n_j):
+                raise QuivercalcError(f"the normal form steps at cut edges "
+                                      f"{j!r} and {k!r} do not commute")
+        steps.append(n_k)
+    return steps
+
+
+def _coequalizer_labels(category: FinCat, site: ExcisionSite,
+                        x0: list) -> tuple[int, list[int]]:
+    """Stage 1's size, and each stage-0 row's class in the coequalizer,
+    numbered by least member (see verify_excision)."""
+    if site.kind == "graph":
+        steps = [_compile_mmor(category, quiv_op_mmor(n_k))
+                 for n_k in _normal_form_steps(site)]
+        first: dict[tuple, int] = {}
+        label = []
+        for block in _chunks(x0):
+            for n_k in steps:
+                block = n_k(block)
+            label.extend(first.setdefault(y, len(first)) for y in block)
+        return fact_count(category, site.level(1)), label
+    x1 = fact_tuples(category, site.level(1))
+    index = {elem: i for i, elem in enumerate(x0)}
+    map_a, map_b = (_compile_mmor(category, quiv_op_mmor(f))
+                    for f in site.face_maps())
+    pairs = ((index[a], index[b]) for block in _chunks(x1)
+             for a, b in zip(map_a(block), map_b(block)))
+    return len(x1), component_labels(len(x0), pairs)
+
+
 def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     """Coequalize the two stage maps on invariants and compare with the
     invariant of the glued object.
@@ -720,48 +767,31 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     coequalizer is a bijection.  It runs on index tuples (see fact_tuples),
     in fact_homology's order, and maps stages in blocks of BLOCK rows.
 
-    On a graph site stage 1 is counted (fact_count), and the coequalizer
-    is built on stage 0 from the pairs (x, N_k(x)), one per cut k.  Write
-    the chain of a stage-1 row at a cut as u, v, w: its first face puts
-    (u, w∘v) on that cut's one-joint chain, its second (v∘u, w), and both
-    copy the rest.  N_k replaces the pair (p, q) at cut k by (id, q∘p); the
-    N_k commute and are idempotent, and by the category laws both faces
-    have the normal form N_1...N_n, so the pairs relate the faces of every
-    row.  They relate nothing more: N_k is compiled as sigma_k
-    (site.degeneracies()) after the first face, so (N_k(x), x) are the
-    faces of the degenerate row of x once sigma_k after the second face is
-    the identity, which is checked on the quiver morphisms before any row
-    is mapped (QuivercalcError if not).  So the labels (numbered by least
-    member) and the verdict are those of the whole stage.  A category that
-    has not passed validate_fincat is validated first, and its error
-    raised, on every site.  A circle site maps its whole stage 1 through
-    both faces: at most M^2 composable round trips.
+    On a graph site stage 1 is counted (fact_count), and the classes of
+    the coequalizer are the fibres of one map on stage 0, the normal form
+    N = N_1...N_n, one step per cut k.  Write the chain of a stage-1 row at
+    a cut as u, v, w: its first face puts (u, w∘v) on that cut's one-joint
+    chain, its second (v∘u, w), and both copy the rest.  N_k replaces the
+    pair (p, q) at cut k by (id, q∘p), so by the category laws both faces
+    of a row have the same N, and N is constant on each class.  Conversely,
+    x and N_k(x) are the faces of one row, the degenerate row of x: N_k is
+    compiled as sigma_k (site.degeneracies()) after the first face, and
+    sigma_k after the second face is the identity.  As the N_k are
+    idempotent and commute, x, N_1(x), N_2 N_1(x), ..., N(x) is a chain of
+    such pairs, so each fibre of N lies in one class.  These premises are
+    checked on the quiver morphisms before any row is mapped
+    (QuivercalcError if one fails).  Each block of stage 0 runs through
+    N_1, ..., N_n in turn, and a row's label is the order in which its
+    normal form first appears; rows are read in increasing index, so the
+    classes are numbered by least member.  A category that has not passed
+    validate_fincat is validated first, and its error raised, on every
+    site.  A circle site maps its whole stage 1 through both faces (at most
+    M^2 composable round trips) and labels the components of those pairs.
     """
     if category.generators is None:
         validate_fincat(category)
     x0 = fact_tuples(category, site.level(0))
-    index = {elem: i for i, elem in enumerate(x0)}
-    face_a, face_b = site.face_maps()
-    if site.kind == "graph":
-        stage1 = fact_count(category, site.level(1))
-        normal = []
-        for k, sigma in zip(site.cut_edges, site.degeneracies()):
-            if compose_quiver_mor(sigma, face_b) != QuiverMor.identity(sigma.target):
-                raise QuivercalcError(f"the degeneracy at cut edge {k!r} does "
-                                      "not undo the second face map")
-            normal.append(_compile_mmor(category, quiv_op_mmor(
-                compose_quiver_mor(sigma, face_a))))
-        # i from index.values(), ints that exist already: component_labels keeps each
-        pairs = ((i, index[y]) for n_k in normal for i, y in zip(
-            index.values(), itertools.chain.from_iterable(map(n_k, _chunks(x0)))))
-    else:
-        x1 = fact_tuples(category, site.level(1))
-        stage1 = len(x1)
-        map_a, map_b = (_compile_mmor(category, quiv_op_mmor(f))
-                        for f in (face_a, face_b))
-        pairs = ((index[a], index[b]) for block in _chunks(x1)
-                 for a, b in zip(map_a(block), map_b(block)))
-    label = component_labels(len(x0), pairs)
+    stage1, label = _coequalizer_labels(category, site, x0)
     coeq = max(label, default=-1) + 1
 
     glue = _compile_mmor(category, site.glue_mmor())

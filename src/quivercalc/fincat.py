@@ -755,11 +755,14 @@ def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:
     The fiber product is counted by joining Rep(left) and Rep(right) on the
     intersection, where restrictions of one representation agree.  The
     pair (x|left, x|right) and x restricted to both pieces' union determine
-    each other, so the image is counted on that one restriction; the rows
-    are scanned for a witness only when a count disagrees.
+    each other, so the image is counted on that one restriction.  When the
+    pieces cover the graph, as every cover make_closed_cover builds does,
+    that restriction is the identity: Rep(whole) is counted (rep_count),
+    not enumerated, and the image is all of it.  The rows are enumerated
+    and scanned for a witness only when a count disagrees, or to count the
+    image of a cover that leaves something out.
     """
     ambient, left_g, right_g = cover.ambient, cover.left, cover.right
-    whole = rep_tuples(category, ambient)
     left = rep_tuples(category, left_g)
     right = rep_tuples(category, right_g)
     left_keys = _restrict(left, left_g, cover.intersection)
@@ -767,11 +770,16 @@ def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:
     fiber = sum(map(Counter(right_keys).__getitem__, left_keys))
     union = ambient.subgraph([*left_g.vertices, *right_g.vertices],
                              [e.eid for g in (left_g, right_g) for e in g.edges])
-    keys = _restrict(whole, ambient, union)
-    image = len(set(keys))
+    if union == ambient:
+        total = image = rep_count(category, ambient)
+        whole = rep_tuples(category, ambient) if image != fiber else []
+    else:
+        whole = rep_tuples(category, ambient)
+        keys = _restrict(whole, ambient, union)
+        total, image = len(whole), len(set(keys))
 
     witness = None
-    if image < len(whole):
+    if image < total:
         # the last row whose restriction occurs twice repeats an earlier one
         counts = Counter(keys)
         repeated = next(x for x, k in zip(reversed(whole), reversed(keys))
@@ -792,5 +800,5 @@ def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:
                       for b in by_key.get(k, ())
                       if (a, b) not in pairs)
         witness = f"unglued compatible pair: {unglued}"
-    return SheafVerdict(witness is None, len(whole), len(left), len(right),
+    return SheafVerdict(witness is None, total, len(left), len(right),
                         rep_count(category, cover.intersection), fiber, witness)

@@ -772,7 +772,7 @@ def excise_every_edge_traced(cat, g):
 def test_a_stage_of_many_blocks_counts_the_h_colourings_in_little_memory():
     """Stage 1 here has 46 656 elements.  It is counted, not mapped: only
     the 1 296 elements of stage 0 go through N_1 and N_2 in blocks, and the
-    check peaks near 0.7 MB of traced allocations (CPython 3.11).  Mapping
+    check peaks near 0.5 MB of traced allocations (CPython 3.11).  Mapping
     the whole stage at once would hold every face image at the same time,
     about 21 MB."""
     v, peak = excise_every_edge_traced(symmetric_group_category(3),
@@ -798,14 +798,22 @@ def full_stage_labels(category, site):
 
 
 def excision_labels(category, site):
-    """verify_excision's verdict and the component labels it computed."""
+    """verify_excision's verdict and the coequalizer labels it computed, on
+    a graph site, where they are the fibres of the normal form: no pairs are
+    built and no component search runs."""
     labels = []
+    real = emm._coequalizer_labels
 
-    def spy(n, pairs):
-        labels.append(component_labels(n, pairs))
-        return labels[-1]
+    def spy(category, site, x0):
+        stage1, label = real(category, site, x0)
+        labels.append(label)
+        return stage1, label
 
-    with mock.patch.object(emm, "component_labels", spy):
+    def refuse(n, pairs):
+        raise AssertionError("component_labels called on a graph site")
+
+    with mock.patch.object(emm, "_coequalizer_labels", spy), \
+            mock.patch.object(emm, "component_labels", refuse):
         v = verify_excision(category, site)
     (label,) = labels
     return v, label
@@ -906,6 +914,54 @@ def test_a_degeneracy_that_does_not_undo_the_second_face_raises(monkeypatch):
     assert not any(n for _, n in rows)
 
 
+def test_a_non_idempotent_normal_form_step_raises(monkeypatch):
+    """A first face that swaps the cut loop's two vertices still lets
+    sigma undo the second face, but makes N_k = sigma after it the swap of
+    stage 0, which is not idempotent: caught before any row is mapped."""
+    site = make_excision_site(standard_digraph("bouquet", 1), ["e0"])
+    g0, g1 = site.level_graph(0), site.level_graph(1)
+    fb = site.face_maps()[1]
+    (sigma,) = site.degeneracies()
+    twisted = QuiverMor(g0, g1, {"0": "e0:w1", "e0:w0": "0"},
+                        {"e0:c0": Path.of_edge(g1, "e0:c2"),
+                         "e0:c1": Path(g1, "0", ("e0:c0", "e0:c1"))})
+    swap = QuiverMor(g0, g0, {"0": "e0:w0", "e0:w0": "0"},
+                     {"e0:c0": Path.of_edge(g0, "e0:c1"),
+                      "e0:c1": Path.of_edge(g0, "e0:c0")})
+    assert compose_quiver_mor(sigma, twisted) == swap
+    monkeypatch.setattr(ExcisionSite, "face_maps", lambda self: (twisted, fb))
+    rows = compiled_maps_run(monkeypatch)
+    with pytest.raises(QuivercalcError,
+                       match="^the normal form step at cut edge 'e0' is not "
+                             "idempotent$"):
+        verify_excision(cyclic_group_category(3), site)
+    assert not any(n for _, n in rows)
+
+
+def test_normal_form_steps_that_do_not_commute_raise(monkeypatch):
+    """A first face that moves the shared middle vertex of linear(2) onto
+    e1's weld vertex: each N_k is still idempotent, but N_e0 and N_e1 no
+    longer commute.  Caught before any row is mapped."""
+    site = make_excision_site(standard_digraph("linear", 2), ["e0", "e1"])
+    g0, g1 = site.level_graph(0), site.level_graph(1)
+    fb = site.face_maps()[1]
+    vmap = {v: v for v in g0.vertices} | {"1": "e1:w0"}
+    paths = {"e0:c0": Path.of_edge(g1, "e0:c0"),
+             "e0:c1": Path(g1, "e0:w0", ("e0:c1", "e0:c2", "e1:c0")),
+             "e1:c0": Path.empty(g1, "e1:w0"),
+             "e1:c1": Path(g1, "e1:w0", ("e1:c1", "e1:c2"))}
+    twisted = QuiverMor(g0, g1, vmap, paths)
+    steps = [compose_quiver_mor(sigma, twisted) for sigma in site.degeneracies()]
+    assert all(compose_quiver_mor(n, n) == n for n in steps)
+    monkeypatch.setattr(ExcisionSite, "face_maps", lambda self: (twisted, fb))
+    rows = compiled_maps_run(monkeypatch)
+    with pytest.raises(QuivercalcError,
+                       match="^the normal form steps at cut edges 'e0' and "
+                             "'e1' do not commute$"):
+        verify_excision(symmetric_group_category(3), site)
+    assert not any(n for _, n in rows)
+
+
 def test_a_circle_site_has_no_degeneracies():
     with pytest.raises(QuivercalcError,
                        match="only graph sites have degeneracies"):
@@ -938,8 +994,8 @@ def test_a_stage_of_ten_million_elements_is_counted_in_little_memory():
     """S3 on the 3-cycle with all three edges cut: stage 1 has 6^9 =
     10 077 696 elements, which as index tuples would take about 2 GB.
     Counted, with only the 46 656 elements of stage 0 mapped through the
-    three N_k in blocks, the check peaks near 18 MB of traced allocations
-    (CPython 3.11), most of it stage 0 and its index."""
+    three N_k in blocks and labelled by their normal forms, the check peaks
+    near 8 MB of traced allocations (CPython 3.11), most of it stage 0."""
     v, peak = excise_every_edge_traced(symmetric_group_category(3),
                                        standard_digraph("cyclic", 3))
     assert v.ok and v.stage1 == 10_077_696

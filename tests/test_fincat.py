@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from quivercalc.digraph import (ClosedCover, Digraph, QuivercalcError,
                                 disjoint_union, make_closed_cover,
                                 standard_digraph)
+from quivercalc import fincat
 from quivercalc.emm import make_excision_site
 from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
                                MissingIdentity, NotAssociative, Representation,
@@ -229,8 +230,12 @@ CORRUPTIBLE = [symmetric_group_category(3), symmetric_group_category(4),
 def corrupted_tables(draw):
     """A valid table with a few entries or identities changed, dropped or
     added.  Most changes keep a composite in its hom-set, so the table
-    stays well-typed and the later checks get reached."""
-    base = draw(st.sampled_from(CORRUPTIBLE))
+    stays well-typed and the later checks get reached.  The valid table is
+    a fixed one or a random concrete category with shuffled names and
+    declaration orders."""
+    base = draw(st.one_of(
+        st.sampled_from(CORRUPTIBLE),
+        st.builds(shuffled, concrete_categories(), st.integers(0, 2**16))))
     mids = [m.mid for m in base.morphisms]
     ids, table = dict(base.identities), dict(base.table)
     for _ in range(draw(st.integers(1, 3))):
@@ -412,6 +417,15 @@ def test_rep_enumeration_three_routes(cat, g):
     assert sorted(r.key() for r in direct) == sorted(r.key() for r in brute)
 
 
+@settings(max_examples=80, deadline=None)
+@given(base=concrete_categories(), seed=st.integers(0, 2**16),
+       g=st.sampled_from(SMALL_GRAPHS))
+def test_the_exit_path_limit_gives_rep_tuples_on_random_tables(base, seed, g):
+    """Same tuples, same order, on shuffled random concrete categories."""
+    cat = shuffled(base, seed)
+    assert [r.indices() for r in rep_via_exit_limit(cat, g)] == rep_tuples(cat, g)
+
+
 def test_rep_counts_on_groups():
     # over a one-object category every edge is labeled freely
     z3 = cyclic_group_category(3)
@@ -558,14 +572,60 @@ COVER_GRAPHS = [
 ]
 
 
+def ambient_enumerations(monkeypatch):
+    """Spy on fincat.rep_tuples: the graphs it has been called on."""
+    graphs = []
+    real = fincat.rep_tuples
+
+    def spy(category, graph, limit=None):
+        graphs.append(graph)
+        return real(category, graph, limit)
+
+    monkeypatch.setattr(fincat, "rep_tuples", spy)
+    return graphs
+
+
 @pytest.mark.parametrize("cat", FIXTURE_CATS,
                          ids=["arrow", "z2", "z3", "s3", "chain3"])
-def test_closed_sheaf_on_generated_covers(cat):
+def test_closed_sheaf_on_generated_covers(cat, monkeypatch):
+    """On every cover make_closed_cover builds, restriction to the union of
+    the pieces is the identity: Rep(whole) is counted, never enumerated."""
+    graphs = ambient_enumerations(monkeypatch)
     for g in COVER_GRAPHS:
         for left, right in graph_covers(g):
-            cover = make_closed_cover(g, left, right)
-            verdict = check_closed_sheaf(cat, cover)
+            graphs.clear()
+            verdict = check_closed_sheaf(cat, make_closed_cover(g, left, right))
             assert verdict.ok, (g.vertices, left, right, verdict.witness)
+            assert verdict.total == rep_count(cat, g)
+            assert not any(h is g for h in graphs)
+
+
+def test_a_covering_cover_that_fails_names_the_oracles_witness(monkeypatch):
+    """Make the whole graph lose one representation, both from its
+    enumeration and from its count: the covering cover then fails, the
+    rows are enumerated for the witness, and the witness is the string
+    oracle's, which sees the same loss."""
+    g = standard_digraph("linear", 2)
+    cover = make_closed_cover(g, (["0", "1"], ["e0"]), (["1", "2"], ["e1"]))
+    cat = symmetric_group_category(3)
+    real_tuples, real_count = fincat.rep_tuples, fincat.rep_count
+    lost = real_tuples(cat, g)[7]
+
+    def lossy(category, graph, limit=None):
+        xs = real_tuples(category, graph, limit)
+        return [x for x in xs if x != lost] if graph is g else xs
+
+    monkeypatch.setattr(fincat, "rep_tuples", lossy)
+    monkeypatch.setattr(fincat, "rep_count", lambda category, graph: (
+        len(lossy(category, graph)) if graph is g else real_count(category, graph)))
+    graphs = ambient_enumerations(monkeypatch)
+    v = check_closed_sheaf(cat, cover)
+    assert sum(h is g for h in graphs) == 1
+    assert (v.ok, v.total, v.fiber_product) == (False, 35, 36)
+    r = Representation.from_indices(cat, g, lost)
+    pair = (r.restrict(cover.left).key(), r.restrict(cover.right).key())
+    assert v.witness == f"unglued compatible pair: {pair}"
+    assert v == oracle.check_closed_sheaf(cat, cover)
 
 
 def test_sheaf_verdict_sizes():
