@@ -513,106 +513,106 @@ def _count(least: int):
     return count
 
 
+def _arg(*names, **kw):
+    """One add_argument call of a verb, as (names, keywords)."""
+    return names, kw
+
+
+_GRAPH = _arg("--graph", required=True)
+_CAT = _arg("--cat", required=True)
+_MAX_LEN = _arg("--max-len", type=_count(0), default=6)
+_LIMIT = _arg("--limit", type=_count(0), default=200)
+
+# verb -> (help, handler, its arguments in order); the one place they are defined
+VERBS = {
+    "classify": ("shape of a digraph", cmd_classify, [_GRAPH]),
+    "paths": ("paths between two vertices", cmd_paths,
+              [_GRAPH, _arg("src"), _arg("tgt"), _MAX_LEN]),
+    "reps": ("representations of a graph in a category", cmd_reps,
+             [_CAT, _GRAPH, _LIMIT]),
+    "sheaf": ("check gluing along a closed cover", cmd_sheaf,
+              [_CAT, _GRAPH, _arg("--left", required=True, metavar="V,V;E,E"),
+               _arg("--right", required=True, metavar="V,V;E,E")]),
+    "hh": ("trace classes of a category", cmd_hh, [_CAT]),
+    "psi": ("power operator on a trace class", cmd_psi,
+            [_CAT, _arg("--r", type=_count(1), default=2), _arg("endo")]),
+    "trace": ("trace class of an object's identity", cmd_trace, [_CAT, _arg("object")]),
+    "para": ("paracyclic morphism arithmetic", cmd_para,
+             [_arg("mor", metavar="'m n : g0 g1 ...'"),
+              _arg("compose", nargs="?", default=None, metavar="'n p : h0 ...'",
+                   help="compose (applied second)"),
+              _arg("--r", type=_count(1), default=1)]),
+    "epi": ("epicyclic morphism arithmetic", cmd_epi,
+            [_arg("mor", metavar="'m n : v0 ... | l0 ...'"),
+             _arg("compose", nargs="?", default=None)]),
+    "cycles": ("directed cycles of a graph", cmd_cycles, [_GRAPH, _MAX_LEN]),
+    "hom-m": ("maps between one-manifold objects", cmd_hom_m,
+              [_arg("source"), _arg("target"), _MAX_LEN,
+               _arg("--max-weight", type=_count(1), default=3),
+               _arg("--path-cap", type=_count(0), default=4), _LIMIT]),
+    "fact": ("invariant of a one-manifold object", cmd_fact,
+             [_CAT, _arg("--m", dest="mobject", required=True), _LIMIT]),
+    "excise": ("check cut-and-glue for a site", cmd_excise,
+               [_CAT, _arg("--site", required=True)]),
+    "dot": ("emit graphviz", cmd_dot, [_GRAPH]),
+    "verify": ("run the built-in check battery", cmd_verify,
+               [_arg("--seed", type=int, default=0)]),
+}
+
+
+def _fill(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """Give p the arguments and defaults of one verb."""
+    for names, kw in VERBS[verb][2]:
+        p.add_argument(*names, **kw)
+    p.set_defaults(verb=verb, func=VERBS[verb][1])
+    return p
+
+
+@functools.cache
+def _verb_parser(verb: str) -> argparse.ArgumentParser:
+    """One verb's parser, the one build_parser's subparser for it would be.
+    parse_args leaves it unchanged, so it is built on the first call for
+    that verb and shared by every later one."""
+    return _fill(_Parser(prog=f"quivercalc {verb}"), verb)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one: parse_args leaves it unchanged, so main reuses it."""
+    """The full command-line parser, with a subparser per verb, built on the
+    first call and shared by every later one.  main needs it only for an
+    argv that names no verb (no arguments, -h/--help, an unknown verb, or
+    -- before the verb), which ends in its help or its error."""
     ap = _Parser(
         prog="quivercalc",
         description="quiver representations, cyclic morphism arithmetic, "
                     "trace classes, and cut-and-glue checks")
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("classify", help="shape of a digraph")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("paths", help="paths between two vertices")
-    p.add_argument("--graph", required=True)
-    p.add_argument("src")
-    p.add_argument("tgt")
-    p.add_argument("--max-len", type=_count(0), default=6)
-    p.set_defaults(func=cmd_paths)
-
-    p = sub.add_parser("reps", help="representations of a graph in a category")
-    p.add_argument("--cat", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--limit", type=_count(0), default=200)
-    p.set_defaults(func=cmd_reps)
-
-    p = sub.add_parser("sheaf", help="check gluing along a closed cover")
-    p.add_argument("--cat", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--left", required=True, metavar="V,V;E,E")
-    p.add_argument("--right", required=True, metavar="V,V;E,E")
-    p.set_defaults(func=cmd_sheaf)
-
-    p = sub.add_parser("hh", help="trace classes of a category")
-    p.add_argument("--cat", required=True)
-    p.set_defaults(func=cmd_hh)
-
-    p = sub.add_parser("psi", help="power operator on a trace class")
-    p.add_argument("--cat", required=True)
-    p.add_argument("--r", type=_count(1), default=2)
-    p.add_argument("endo")
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("trace", help="trace class of an object's identity")
-    p.add_argument("--cat", required=True)
-    p.add_argument("object")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("para", help="paracyclic morphism arithmetic")
-    p.add_argument("mor", metavar="'m n : g0 g1 ...'")
-    p.add_argument("compose", nargs="?", default=None,
-                   metavar="'n p : h0 ...'", help="compose (applied second)")
-    p.add_argument("--r", type=_count(1), default=1)
-    p.set_defaults(func=cmd_para)
-
-    p = sub.add_parser("epi", help="epicyclic morphism arithmetic")
-    p.add_argument("mor", metavar="'m n : v0 ... | l0 ...'")
-    p.add_argument("compose", nargs="?", default=None)
-    p.set_defaults(func=cmd_epi)
-
-    p = sub.add_parser("cycles", help="directed cycles of a graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--max-len", type=_count(0), default=6)
-    p.set_defaults(func=cmd_cycles)
-
-    p = sub.add_parser("hom-m", help="maps between one-manifold objects")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--max-len", type=_count(0), default=6)
-    p.add_argument("--max-weight", type=_count(1), default=3)
-    p.add_argument("--path-cap", type=_count(0), default=4)
-    p.add_argument("--limit", type=_count(0), default=200)
-    p.set_defaults(func=cmd_hom_m)
-
-    p = sub.add_parser("fact", help="invariant of a one-manifold object")
-    p.add_argument("--cat", required=True)
-    p.add_argument("--m", dest="mobject", required=True)
-    p.add_argument("--limit", type=_count(0), default=200)
-    p.set_defaults(func=cmd_fact)
-
-    p = sub.add_parser("excise", help="check cut-and-glue for a site")
-    p.add_argument("--cat", required=True)
-    p.add_argument("--site", required=True)
-    p.set_defaults(func=cmd_excise)
-
-    p = sub.add_parser("dot", help="emit graphviz")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_dot)
-
-    p = sub.add_parser("verify", help="run the built-in check battery")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
+    for verb, (help_, _func, _arguments) in VERBS.items():
+        _fill(sub.add_parser(verb, help=help_), verb)
     return ap
 
 
+def _parse(argv) -> argparse.Namespace:
+    """main's parse of argv (see main)."""
+    if argv and argv[0] in VERBS:
+        return _verb_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    An argv that starts with a verb is parsed by that verb's parser alone;
+    any other goes to the full parser.  The result is the same as if every
+    argv went to the full parser: it has no option but -h, and its verb
+    positional (nargs=PARSER) hands every later argument to the verb's
+    subparser unchanged, -- and option-like strings included.  Either
+    parser reports an argument left over as "unrecognized arguments: ...",
+    and _Parser.error turns both into the same one-line error.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except QuivercalcError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -554,6 +554,7 @@ class ExcisionSite:
         self.graph = graph
         self.cut_edges = tuple(cut_edges)
         self._cut = set(self.cut_edges)
+        self._levels: dict[int, Digraph] = {}     # stage p -> its graph
         if kind == "graph":
             if not isinstance(graph, Digraph):
                 raise QuivercalcError("a graph site needs a digraph")
@@ -574,10 +575,15 @@ class ExcisionSite:
     # stage graphs ------------------------------------------------------
 
     def level_graph(self, p: int) -> Digraph:
-        if p < 0:
-            raise QuivercalcError(f"stages are numbered from 0, not {p}")
-        if self.kind == "circle":
-            return standard_digraph("cyclic", p + 1)
+        """Stage p's graph, built on the first call for p and kept."""
+        if p not in self._levels:
+            if p < 0:
+                raise QuivercalcError(f"stages are numbered from 0, not {p}")
+            self._levels[p] = (standard_digraph("cyclic", p + 1)
+                               if self.kind == "circle" else self._build_level(p))
+        return self._levels[p]
+
+    def _build_level(self, p: int) -> Digraph:
         g = self.graph
         cuts = [e for e in g.edges if e.eid in self._cut]
         vs = list(g.vertices)

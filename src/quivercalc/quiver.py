@@ -371,8 +371,11 @@ def delta_mor_to_quiver(f: DeltaMor) -> QuiverMor:
 
 
 def components(d: Digraph) -> list[Digraph]:
-    """The weakly connected components, as subgraphs."""
+    """The weakly connected components, as subgraphs; d itself when it is
+    one component."""
     comps = weak_components(d)
+    if len(comps) == 1:
+        return [d]
     label = {v: c for c, verts in enumerate(comps) for v in verts}
     edges = [[] for _ in comps]
     for e in d.edges:

@@ -13,9 +13,9 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivercalc import digraph
-from quivercalc.cli import main
-from quivercalc.digraph import Digraph, standard_digraph
+from quivercalc import cli, digraph
+from quivercalc.cli import build_parser, main
+from quivercalc.digraph import Digraph, QuivercalcError, standard_digraph
 from quivercalc.emm import MObject
 from quivercalc.fincat import (FinCat, rep_via_exit_limit,
                                symmetric_group_category, validate_fincat)
@@ -212,6 +212,9 @@ def test_para_and_epi(capsys):
     assert "degree: 6" in out
     code, _, err = run("epi", "2 3 : 0 2 | 9 9", capsys=capsys)
     assert code == 2
+    # main takes any iterable of words, as argparse does
+    assert main(iter(["epi", "1 1 : 0 | 6"])) == 0
+    assert "degree: 6" in capsys.readouterr().out
 
 
 def test_para_and_epi_with_huge_values(capsys):
@@ -696,6 +699,126 @@ def test_verify_battery_still_checks_under_O():
     assert "[FAIL] circle maps from bouquets count primitive necklaces" in out.stdout
 
 
+# --- one parser per verb: main's route parses as the full parser does --------
+
+
+def full_parse(argv):
+    """Any argv through the full parser: the reference main's route must
+    agree with."""
+    return build_parser().parse_args(argv)
+
+
+def parse_outcome(parse, argv):
+    """The namespace, or the error's class and message, or the exit code
+    and the help printed on stdout."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return ("namespace", vars(parse(argv)))
+    except QuivercalcError as e:
+        return ("error", type(e), str(e))
+    except SystemExit as e:
+        return ("exit", e.code, out.getvalue())
+
+
+def oracle_corpus(bad_files):
+    graph = str(FIXTURES / "bouquet2.json")
+    obj = str(FIXTURES / "circle_obj.json")
+    return [
+        *readme_commands(), *REUSE_SEQUENCE,
+        *(_bad_argv(name, bad_files) for name in BAD_INPUTS),
+        *([verb, "-h"] for verb in cli.VERBS),
+        ["classify"], ["paths", "--graph", graph, "0"],     # missing arguments
+        ["sheaf", "--cat", ARROW, "--graph", graph, "--left", "0;"],
+        ["paths", "--graph", graph, "0", "0", "--max-len", "x"],   # bad counts
+        ["verify", "--seed", "1.5"], ["para", "1 1 : 0", "--r", "x"],
+        ["hh", "--cat", ARROW, "extra"], ["dot", "--graph", graph, "a", "b"],
+        ["para", "1 1 : 0", "1 1 : 0", "1 1 : 0"], ["epi", "1 1 : 0 | 1", "x", "y"],
+        ["para", "--", "1 1 : 0"], ["paths", "--graph", graph, "--", "0", "0"],
+        ["para", "1 1 : 0", "--", "--r"], ["trace", "--cat", ARROW, "--", "-h"],
+        ["para", "1 1 : -1"], ["paths", "--graph", graph, "-1", "0"],
+        ["paths", "--graph", graph, "0", "0", "--max", "2"],   # abbreviations
+        ["hom-m", obj, obj, "--max", "2"], ["hom-m", obj, obj, "--max-w", "2"],
+        ["para", "--he"], ["fact", "--ca", ARROW, "--m", obj],
+        ["para", "--bogus", "1 1 : 0"], ["para", "1 1 : 0", "--r=2"],
+    ]
+
+
+def test_the_verb_route_parses_as_the_full_parser(bad_files, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    kinds = set()
+    for argv in oracle_corpus(bad_files):
+        want = parse_outcome(full_parse, argv)
+        assert parse_outcome(cli._parse, argv) == want, argv
+        kinds.add(want[0])
+    assert kinds == {"namespace", "error", "exit"}
+
+
+def test_a_verb_builds_its_own_parser_once_and_never_the_full_one(monkeypatch, capsys):
+    built = []
+    fill = cli._fill
+    monkeypatch.setattr(cli, "_fill",
+                        lambda p, verb: built.append(verb) or fill(p, verb))
+    cli.build_parser.cache_clear()
+    cli._verb_parser.cache_clear()
+    for _ in range(3):
+        for verb in cli.VERBS:
+            assert main([verb, "--no-such-option"]) == 2
+        for argv in REUSE_SEQUENCE:
+            if argv[0] in cli.VERBS:
+                main(argv)
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 0
+    assert built == list(cli.VERBS)
+
+
+# what main(["-h"]), main([]) and main(["nonsense"]) print, byte for byte, at
+# 80 columns
+TOP_LEVEL_HELP = """\
+usage: quivercalc [-h]
+                  {classify,paths,reps,sheaf,hh,psi,trace,para,epi,cycles,hom-m,fact,excise,dot,verify}
+                  ...
+
+quiver representations, cyclic morphism arithmetic, trace classes, and cut-
+and-glue checks
+
+positional arguments:
+  {classify,paths,reps,sheaf,hh,psi,trace,para,epi,cycles,hom-m,fact,excise,dot,verify}
+    classify            shape of a digraph
+    paths               paths between two vertices
+    reps                representations of a graph in a category
+    sheaf               check gluing along a closed cover
+    hh                  trace classes of a category
+    psi                 power operator on a trace class
+    trace               trace class of an object's identity
+    para                paracyclic morphism arithmetic
+    epi                 epicyclic morphism arithmetic
+    cycles              directed cycles of a graph
+    hom-m               maps between one-manifold objects
+    fact                invariant of a one-manifold object
+    excise              check cut-and-glue for a site
+    dot                 emit graphviz
+    verify              run the built-in check battery
+
+options:
+  -h, --help            show this help message and exit
+"""
+NO_VERB = "error: the following arguments are required: verb\n"
+UNKNOWN_VERB = ("error: argument verb: invalid choice: 'nonsense' (choose from "
+                "'classify', 'paths', 'reps', 'sheaf', 'hh', 'psi', 'trace', "
+                "'para', 'epi', 'cycles', 'hom-m', 'fact', 'excise', 'dot', "
+                "'verify')\n")
+
+
+def test_top_level_help_and_errors_are_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    assert (exit_.value.code, capsys.readouterr()) == (0, (TOP_LEVEL_HELP, ""))
+    assert run(capsys=capsys) == (2, "", NO_VERB)
+    assert run("nonsense", capsys=capsys) == (2, "", UNKNOWN_VERB)
+
+
 # --- fuzzing main: any argv and any JSON end in exit 0, 1 or 2 ---------------
 
 FUZZ_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
@@ -799,6 +922,7 @@ def test_main_never_raises(fuzz_dir, argv, docs):
         paths[f"{{{i}}}"] = str(fuzz_dir / f"{i}.json")
         (fuzz_dir / f"{i}.json").write_text(json.dumps(doc))
     argv = [paths.get(a, a) for a in argv]
+    assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

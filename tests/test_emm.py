@@ -604,6 +604,29 @@ def test_circle_face_maps_are_the_two_joint_inclusions():
                           {"e0": Path(g1, "1", ("e1", "e0"))})
 
 
+def test_a_graph_site_builds_each_stage_graph_once():
+    """Stages 0 and 1 are the only graphs an excision check on a graph site
+    builds: the site keeps them, and a connected stage is its own one
+    component."""
+    site = make_excision_site(standard_digraph("bouquet", 2), ["e0", "e1"])
+    built = []
+    init = Digraph.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    with mock.patch.object(Digraph, "__init__", spy):
+        for _ in range(2):
+            assert verify_excision(symmetric_group_category(3), site).ok
+    assert built == [site.level_graph(0), site.level_graph(1)]
+    assert site.level(1).quivers[0] is site.level_graph(1)
+    circle = make_excision_site("circle")
+    assert circle.level_graph(2) is circle.level_graph(2)
+    with pytest.raises(QuivercalcError, match="numbered from 0, not -1"):
+        site.level_graph(-1)
+
+
 def test_refinement_map_classifies():
     from quivercalc.quiver import classify_quiver_mor
     site = make_excision_site(standard_digraph("interval"), ["e0"])

@@ -395,6 +395,13 @@ def test_components_order_and_inclusions():
         assert classify_quiver_mor(inc).closed
 
 
+def test_a_connected_graph_is_its_own_one_component():
+    for g in (standard_digraph("bouquet", 2), standard_digraph("linear", 3)):
+        comps = components(g)
+        assert len(comps) == 1 and comps[0] is g
+    assert components(Digraph([], [])) == []
+
+
 @example(SIDE_CYCLE)
 @example(PIECES)
 @given(digraphs())
