@@ -99,13 +99,14 @@ def _write_lines(lines: list[str]) -> None:
 def cmd_classify(args) -> int:
     g = _load_graph(args.graph)
     shape = classify_digraph(g)
-    print(f"vertices: {len(g.vertices)}  edges: {len(g.edges)}")
-    print(f"connected: {'yes' if shape.connected else 'no'}")
-    print(f"cyclically directed: {'yes' if shape.cyclically_directed else 'no'}")
-    print(f"linearly directed: {'yes' if shape.linearly_directed else 'no'}")
-    for v in g.vertices:
-        val = shape.valences[v]
-        print(f"valence {v}: in={val.incoming} out={val.outgoing}")
+    valence = shape.valences
+    _write_lines([
+        f"vertices: {len(g.vertices)}  edges: {len(g.edges)}",
+        f"connected: {'yes' if shape.connected else 'no'}",
+        f"cyclically directed: {'yes' if shape.cyclically_directed else 'no'}",
+        f"linearly directed: {'yes' if shape.linearly_directed else 'no'}",
+        *(f"valence {v}: in={valence[v].incoming} out={valence[v].outgoing}"
+          for v in g.vertices)])
     return 0
 
 
@@ -156,9 +157,9 @@ def cmd_sheaf(args) -> int:
 def cmd_hh(args) -> int:
     cat = _load_cat(args.cat)
     table = compute_hh(cat)
-    for i, cls in enumerate(table.classes):
-        print(f"class {i}: {cls.rep}  {{{', '.join(cls.members)}}}")
-    print(f"classes: {len(table)}")
+    _write_lines([*(f"class {i}: {cls.rep}  {{{', '.join(cls.members)}}}"
+                    for i, cls in enumerate(table.classes)),
+                  f"classes: {len(table)}"])
     return 0
 
 
@@ -571,9 +572,93 @@ def _fill(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
 @functools.cache
 def _verb_parser(verb: str) -> argparse.ArgumentParser:
     """One verb's parser, the one build_parser's subparser for it would be.
-    parse_args leaves it unchanged, so it is built on the first call for
-    that verb and shared by every later one."""
+    parse_args leaves it unchanged, so it is built on the first argv for
+    that verb that _plain cannot read, and shared by every later one."""
     return _fill(_Parser(prog=f"quivercalc {verb}"), verb)
+
+
+# the add_argument keywords whose effect _plain reproduces
+_PLAIN_KEYS = {"action", "default", "dest", "help", "metavar", "nargs",
+               "required", "type"}
+
+
+@functools.cache
+def _grammar(verb: str):
+    """What _plain needs of one verb, read from the same VERBS entries _fill
+    hands to argparse: option name -> (dest, type), the positionals as
+    [(dest, type)], how many of them are required, the dests of the
+    required options, and every dest's default followed by verb and func,
+    in the order argparse fills its namespace.  None when some argument
+    does what _plain does not: an action other than store, an nargs other
+    than None (or "?" on a positional after the required ones), another
+    keyword, or a string default that argparse would pass to its type."""
+    _help, func, arguments = VERBS[verb]
+    options, positionals, required, defaults = {}, [], [], {}
+    least = 0
+    for names, kw in arguments:
+        type_, default, nargs = kw.get("type"), kw.get("default"), kw.get("nargs")
+        if (not _PLAIN_KEYS.issuperset(kw) or kw.get("action", "store") != "store"
+                or (type_ is not None and isinstance(default, str))):
+            return None
+        if names[0].startswith("-"):
+            if nargs is not None:
+                return None
+            dest = kw.get("dest") or next(
+                (n for n in names if n.startswith("--")), names[0]
+            ).lstrip("-").replace("-", "_")
+            options.update((name, (dest, type_)) for name in names)
+            if kw.get("required"):
+                required.append(dest)
+        else:
+            if ("dest" in kw or "required" in kw or nargs not in (None, "?")
+                    or (nargs is None and least < len(positionals))):
+                return None
+            dest = names[0]
+            positionals.append((dest, type_))
+            least += nargs is None
+        defaults[dest] = default
+    defaults.update(verb=verb, func=func)
+    return options, positionals, least, required, defaults
+
+
+def _plain(verb: str, words):
+    """The namespace argparse gives for a verb's words in the plain form,
+    or None for any other words.  In the plain form every word that starts
+    with "-" is one of the verb's option names, followed by one value that
+    does not; the other words, the positionals, form one unbroken run of
+    between the required and the total count; every required option is
+    present; and every type function accepts its value.  Those are the
+    words that argparse reads without abbreviations, "=", "--", negative
+    numbers, help or an error, so both reach the same namespace."""
+    grammar = _grammar(verb)
+    if grammar is None:
+        return None
+    options, positionals, least, required, defaults = grammar
+    values, given, run = dict(defaults), set(), 0     # run: positionals read
+    run_ended = False
+    words = iter(words)
+    try:
+        for word in words:
+            if not word.startswith("-"):
+                if run_ended or run == len(positionals):
+                    return None
+                dest, type_ = positionals[run]
+                run += 1
+            else:
+                if word not in options:
+                    return None
+                run_ended = run > 0
+                dest, type_ = options[word]
+                word = next(words, "-")         # "-": no value at the end
+                if word.startswith("-"):
+                    return None
+                given.add(dest)
+            values[dest] = word if type_ is None else type_(word)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    if run < least or not given.issuperset(required):
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.cache
@@ -593,8 +678,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """main's parse of argv (see main)."""
+    """main's parse of argv (see main): the namespace, or the error or help
+    exit that build_parser().parse_args(argv) would give."""
     if argv and argv[0] in VERBS:
+        args = _plain(argv[0], argv[1:])
+        if args is not None:
+            return args
         return _verb_parser(argv[0]).parse_args(argv[1:])
     return build_parser().parse_args(argv)
 
@@ -602,13 +691,16 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
-    An argv that starts with a verb is parsed by that verb's parser alone;
-    any other goes to the full parser.  The result is the same as if every
-    argv went to the full parser: it has no option but -h, and its verb
-    positional (nargs=PARSER) hands every later argument to the verb's
-    subparser unchanged, -- and option-like strings included.  Either
-    parser reports an argument left over as "unrecognized arguments: ...",
-    and _Parser.error turns both into the same one-line error.
+    An argv that starts with a verb and is otherwise in the plain form (see
+    _plain) is read straight from the verb's VERBS entry, with no argparse
+    parser at all.  Any other argv that starts with a verb goes to that
+    verb's own parser, and an argv that names no verb to the full parser.
+    The result is the same as if every argv went to the full parser: it
+    has no option but -h, and its verb positional (nargs=PARSER) hands
+    every later argument to the verb's subparser unchanged, -- and
+    option-like strings included.  Either parser reports an argument left
+    over as "unrecognized arguments: ...", and _Parser.error turns both
+    into the same one-line error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:

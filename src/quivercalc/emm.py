@@ -21,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cyccat import EpiMor
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
                       classify_digraph, component_labels, lyndon_rotation,
                       lyndon_words, standard_digraph, strong_components)
@@ -606,10 +605,13 @@ class ExcisionSite:
         """The two ways the one-joint stage includes into the two-joint
         stage: each weld vertex goes to the first or the second joint, and
         the middle chain edge is absorbed on the respective side."""
-        if self.kind == "circle":
-            # the degree-one functors from the 1-cycle onto the 2-cycle
-            return tuple(EpiMor(1, 2, [v], [2]).to_quiver_mor() for v in (0, 1))
         g0, g1 = self.level_graph(0), self.level_graph(1)
+        if self.kind == "circle":
+            # the degree-one functors from the 1-cycle onto the 2-cycle,
+            # EpiMor(1, 2, [v], [2]) on the kept stage graphs
+            return tuple(QuiverMor(g0, g1, {"0": str(v)},
+                                   {"e0": Path(g1, str(v), (f"e{v}", f"e{1 - v}"))})
+                         for v in (0, 1))
         va = {v: v for v in self.graph.vertices}
         vb = dict(va)
         pa, pb = {}, {}

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from quivercalc.fincat import (BadComposite, NotAssociative,
                                symmetric_group_category, validate_fincat,
                                walking_arrow_category)
 from quivercalc.hochschild import compute_hh, psi, trace_obj
+from quivercalc.cyccat import EpiMor
 from quivercalc.quiver import Path, QuiverMor, compose_quiver_mor, components
 from quivercalc import emm
 from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
@@ -597,17 +599,23 @@ def test_circle_site_levels():
 
 def test_circle_face_maps_are_the_two_joint_inclusions():
     g0, g1 = standard_digraph("cyclic", 1), standard_digraph("cyclic", 2)
-    a, b = make_excision_site("circle").face_maps()
+    site = make_excision_site("circle")
+    a, b = site.face_maps()
     assert a == QuiverMor(g0, g1, {"0": "0"},
                           {"e0": Path(g1, "0", ("e0", "e1"))})
     assert b == QuiverMor(g0, g1, {"0": "1"},
                           {"e0": Path(g1, "1", ("e1", "e0"))})
+    # the degree-one functors of the 1-cycle onto the 2-cycle, drawn on the
+    # site's own stage graphs
+    assert (a, b) == tuple(EpiMor(1, 2, [v], [2]).to_quiver_mor() for v in (0, 1))
+    assert all(f.source is site.level_graph(0) and f.target is site.level_graph(1)
+               for f in (a, b))
 
 
 def test_a_graph_site_builds_each_stage_graph_once():
-    """Stages 0 and 1 are the only graphs an excision check on a graph site
-    builds: the site keeps them, and a connected stage is its own one
-    component."""
+    """Stages 0 and 1 are the only graphs an excision check builds, on a
+    graph site and on the circle: the site keeps them, its face maps are
+    drawn on them, and a connected stage is its own one component."""
     site = make_excision_site(standard_digraph("bouquet", 2), ["e0", "e1"])
     built = []
     init = Digraph.__init__
@@ -616,12 +624,14 @@ def test_a_graph_site_builds_each_stage_graph_once():
         built.append(self)
         init(self, *args)
 
-    with mock.patch.object(Digraph, "__init__", spy):
-        for _ in range(2):
-            assert verify_excision(symmetric_group_category(3), site).ok
-    assert built == [site.level_graph(0), site.level_graph(1)]
-    assert site.level(1).quivers[0] is site.level_graph(1)
     circle = make_excision_site("circle")
+    with mock.patch.object(Digraph, "__init__", spy):
+        for s in (site, circle):
+            for _ in range(2):
+                assert verify_excision(symmetric_group_category(3), s).ok
+    stages = [s.level_graph(p) for s in (site, circle) for p in (0, 1)]
+    assert len(built) == len(stages) and all(map(operator.is_, built, stages))
+    assert site.level(1).quivers[0] is site.level_graph(1)
     assert circle.level_graph(2) is circle.level_graph(2)
     with pytest.raises(QuivercalcError, match="numbered from 0, not -1"):
         site.level_graph(-1)
