@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: VERBS defines each verb's arguments once, and
+_parse reads every command line against them and generates help from them.
 
 Exit codes: 0 on success, 1 when a checked verdict fails (sheaf, excise,
 verify), 2 on bad input of any kind: every QuivercalcError, including a bad
@@ -6,11 +7,12 @@ command line, ends as one line "error: <message>" on stderr.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import random
+import re
 import sys
+from types import SimpleNamespace
 
 from .digraph import (Digraph, QuivercalcError, check_names, classify_digraph,
                       make_closed_cover, standard_digraph)
@@ -93,6 +95,12 @@ def _write_lines(lines: list[str]) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _write_listing(rows, total: int, limit: int, last: str) -> None:
+    """Write the rows shown, how many more there are, and the last line."""
+    more = [f"... and {total - limit} more"] if total > limit else []
+    _write_lines([*rows, *more, last])
+
+
 # --- verbs -------------------------------------------------------------------
 
 
@@ -127,15 +135,13 @@ def cmd_paths(args) -> int:
 def cmd_reps(args) -> int:
     cat = _load_cat(args.cat)
     g = _load_graph(args.graph)
-    count = rep_count(cat, g)
+    count, rows = rep_count(cat, g), []
     for x in rep_tuples(cat, g, args.limit):
         r = Representation.from_indices(cat, g, x)
         vs = " ".join(f"{v}:{r.vertex_labels[v]}" for v in g.vertices)
         es = " ".join(f"{e.eid}:{r.edge_labels[e.eid]}" for e in g.edges)
-        print(f"{vs} | {es}".strip(" |"))
-    if count > args.limit:
-        print(f"... and {count - args.limit} more")
-    print(f"count: {count}")
+        rows.append(f"{vs} | {es}".strip(" |"))
+    _write_listing(rows, count, args.limit, f"count: {count}")
     return 0
 
 
@@ -185,28 +191,23 @@ def cmd_para(args) -> int:
         g = parse_para(args.compose)
         print(f"composite: {format_para(compose_para(g, f))}")
         return 0
-    print(f"morphism: {format_para(f)}")
-    print(f"dual: {format_para(dualize_para(f))}")
+    lines = [f"morphism: {format_para(f)}", f"dual: {format_para(dualize_para(f))}"]
     if args.r != 1:
-        print(f"inflation by {args.r}: {format_para(para_phi(args.r, f))}")
-    e = project_para_to_epi(f)
-    print(f"projection: {format_epi(e)}")
+        lines.append(f"inflation by {args.r}: {format_para(para_phi(args.r, f))}")
+    lines.append(f"projection: {format_epi(project_para_to_epi(f))}")
+    _write_lines(lines)
     return 0
 
 
 def cmd_epi(args) -> int:
     f = parse_epi(args.mor)
     if args.compose:
-        g = parse_epi(args.compose)
-        h = compose_epi(g, f)
-        print(f"composite: {format_epi(h)}")
-        print(f"degree: {h.degree}")
+        h = compose_epi(parse_epi(args.compose), f)
+        _write_lines([f"composite: {format_epi(h)}", f"degree: {h.degree}"])
         return 0
-    print(f"morphism: {format_epi(f)}")
-    print(f"degree: {f.degree}")
     cover, cyc = cartesian_factor(f)
-    print(f"cover: {format_epi(cover)}")
-    print(f"winding part: {format_epi(cyc)}")
+    _write_lines([f"morphism: {format_epi(f)}", f"degree: {f.degree}",
+                  f"cover: {format_epi(cover)}", f"winding part: {format_epi(cyc)}"])
     return 0
 
 
@@ -222,11 +223,8 @@ def cmd_hom_m(args) -> int:
     tgt = _load_mobject(args.target)
     mors, truncated = hom_m(src, tgt, max_len=args.max_len,
                             max_weight=args.max_weight, path_cap=args.path_cap)
-    for f in mors[:args.limit]:
-        print(_describe_mmor(f))
-    if len(mors) > args.limit:
-        print(f"... and {len(mors) - args.limit} more")
-    print(f"count: {len(mors)} ({'truncated' if truncated else 'complete'})")
+    _write_listing(map(_describe_mmor, mors[:args.limit]), len(mors), args.limit,
+                   f"count: {len(mors)} ({'truncated' if truncated else 'complete'})")
     return 0
 
 
@@ -250,16 +248,14 @@ def cmd_fact(args) -> int:
     cat = _load_cat(args.cat)
     m = _load_mobject(args.mobject)
     size = fact_count(cat, m)
-    name = fact_namer(cat, m)
+    name, rows = fact_namer(cat, m), []
     for classes, reps in map(name, fact_tuples(cat, m, args.limit)):
         cbit = " ".join(c.rep for c in classes)
         rbit = " ".join("(" + " ".join(f"{e.eid}:{r.edge_labels[e.eid]}"
                                        for e in r.graph.edges) + ")"
                         for r in reps)
-        print((cbit + " " + rbit).strip() or "(unit)")
-    if size > args.limit:
-        print(f"... and {size - args.limit} more")
-    print(f"size: {size}")
+        rows.append((cbit + " " + rbit).strip() or "(unit)")
+    _write_listing(rows, size, args.limit, f"size: {size}")
     return 0
 
 
@@ -497,25 +493,19 @@ def cmd_verify(args) -> int:
 # --- wiring -------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line like any other bad input."""
-
-    def error(self, message):
-        raise QuivercalcError(message)
-
-
 def _count(least: int):
-    """An argparse type: an integer that is at least `least`."""
+    """A value type: an integer that is at least `least`."""
     def count(text: str) -> int:
         n = int(text)
         if n < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, not {n}")
+            raise QuivercalcError(f"must be >= {least}, not {n}")
         return n
     return count
 
 
 def _arg(*names, **kw):
-    """One add_argument call of a verb, as (names, keywords)."""
+    """One argument of a verb, as (names, keywords): an option if its names
+    start with "-", else a positional; _grammar reads the keywords."""
     return names, kw
 
 
@@ -561,150 +551,125 @@ VERBS = {
 }
 
 
-def _fill(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
-    """Give p the arguments and defaults of one verb."""
-    for names, kw in VERBS[verb][2]:
-        p.add_argument(*names, **kw)
-    p.set_defaults(verb=verb, func=VERBS[verb][1])
-    return p
-
-
-@functools.cache
-def _verb_parser(verb: str) -> argparse.ArgumentParser:
-    """One verb's parser, the one build_parser's subparser for it would be.
-    parse_args leaves it unchanged, so it is built on the first argv for
-    that verb that _plain cannot read, and shared by every later one."""
-    return _fill(_Parser(prog=f"quivercalc {verb}"), verb)
-
-
-# the add_argument keywords whose effect _plain reproduces
-_PLAIN_KEYS = {"action", "default", "dest", "help", "metavar", "nargs",
-               "required", "type"}
+_DESCRIPTION = ("quiver representations, cyclic morphism arithmetic, trace "
+               "classes, and cut-and-glue checks")
+_HELP = object()  # the entry of -h and --help
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$").match
 
 
 @functools.cache
 def _grammar(verb: str):
-    """What _plain needs of one verb, read from the same VERBS entries _fill
-    hands to argparse: option name -> (dest, type), the positionals as
-    [(dest, type)], how many of them are required, the dests of the
-    required options, and every dest's default followed by verb and func,
-    in the order argparse fills its namespace.  None when some argument
-    does what _plain does not: an action other than store, an nargs other
-    than None (or "?" on a positional after the required ones), another
-    keyword, or a string default that argparse would pass to its type."""
-    _help, func, arguments = VERBS[verb]
-    options, positionals, required, defaults = {}, [], [], {}
-    least = 0
+    """One verb's grammar, read from its VERBS entry: option name -> (dest,
+    name, type), the positionals as [(dest, name, type)] in order, the
+    required arguments as [(dest, name)], the namespace of defaults with
+    the verb and its handler, and the verb's help text.  The keywords read
+    are required, default, type (called on each value, str if none), dest,
+    nargs="?" (a positional that may be left out), metavar and help."""
+    about, func, arguments = VERBS[verb]
+    options, positionals, required = {"-h": _HELP, "--help": _HELP}, [], []
+    defaults, usage, notes = {"verb": verb, "func": func}, [], []
     for names, kw in arguments:
-        type_, default, nargs = kw.get("type"), kw.get("default"), kw.get("nargs")
-        if (not _PLAIN_KEYS.issuperset(kw) or kw.get("action", "store") != "store"
-                or (type_ is not None and isinstance(default, str))):
-            return None
         if names[0].startswith("-"):
-            if nargs is not None:
-                return None
-            dest = kw.get("dest") or next(
-                (n for n in names if n.startswith("--")), names[0]
-            ).lstrip("-").replace("-", "_")
-            options.update((name, (dest, type_)) for name in names)
-            if kw.get("required"):
-                required.append(dest)
+            dest = kw.get("dest") or names[-1].lstrip("-").replace("-", "_")
+            name, needed = "/".join(names), kw.get("required")
+            shown = f"{name} {kw.get('metavar', dest.upper())}"
+            options.update(dict.fromkeys(names, (dest, name, kw.get("type", str))))
         else:
-            if ("dest" in kw or "required" in kw or nargs not in (None, "?")
-                    or (nargs is None and least < len(positionals))):
-                return None
-            dest = names[0]
-            positionals.append((dest, type_))
-            least += nargs is None
-        defaults[dest] = default
-    defaults.update(verb=verb, func=func)
-    return options, positionals, least, required, defaults
+            dest, needed = names[0], kw.get("nargs") != "?"
+            name = shown = kw.get("metavar", dest)
+            positionals.append((dest, name, kw.get("type", str)))
+        if needed:
+            required.append((dest, name))
+        defaults[dest] = kw.get("default")
+        usage.append(shown if needed else f"[{shown}]")
+        notes += [f"  {shown}  {kw['help']}"] if "help" in kw else []
+    help_ = [f"usage: quivercalc {verb} [-h] {' '.join(usage)}", "", about, *notes]
+    return options, positionals, required, defaults, "\n".join(help_) + "\n"
 
 
-def _plain(verb: str, words):
-    """The namespace argparse gives for a verb's words in the plain form,
-    or None for any other words.  In the plain form every word that starts
-    with "-" is one of the verb's option names, followed by one value that
-    does not; the other words, the positionals, form one unbroken run of
-    between the required and the total count; every required option is
-    present; and every type function accepts its value.  Those are the
-    words that argparse reads without abbreviations, "=", "--", negative
-    numbers, help or an error, so both reach the same namespace."""
-    grammar = _grammar(verb)
-    if grammar is None:
-        return None
-    options, positionals, least, required, defaults = grammar
-    values, given, run = dict(defaults), set(), 0     # run: positionals read
-    run_ended = False
-    words = iter(words)
-    try:
-        for word in words:
-            if not word.startswith("-"):
-                if run_ended or run == len(positionals):
-                    return None
-                dest, type_ = positionals[run]
-                run += 1
-            else:
-                if word not in options:
-                    return None
-                run_ended = run > 0
-                dest, type_ = options[word]
-                word = next(words, "-")         # "-": no value at the end
-                if word.startswith("-"):
-                    return None
-                given.add(dest)
-            values[dest] = word if type_ is None else type_(word)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return None
-    if run < least or not given.issuperset(required):
-        return None
-    return argparse.Namespace(**values)
+def _option(options: dict, word: str):
+    """What a word that starts with "-" and comes before "--" is: (entry,
+    its value after "=" or None) for an option, which a unique prefix of a
+    "--" name also names; (None, None) for an unknown option; None for a
+    positional (a lone "-", a negative number, or a word with a space)."""
+    name, eq, value = word.partition("=")
+    value = value if eq else None
+    if name in options:
+        return options[name], value
+    if word[1:2] == "-":
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            raise QuivercalcError(f"ambiguous option: {word} could match "
+                                  f"{', '.join(matches)}")
+        if matches:
+            return options[matches[0]], value
+    return None if len(word) == 1 or _NEGATIVE(word) or " " in word else (None, None)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The full command-line parser, with a subparser per verb, built on the
-    first call and shared by every later one.  main needs it only for an
-    argv that names no verb (no arguments, -h/--help, an unknown verb, or
-    -- before the verb), which ends in its help or its error."""
-    ap = _Parser(
-        prog="quivercalc",
-        description="quiver representations, cyclic morphism arithmetic, "
-                    "trace classes, and cut-and-glue checks")
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for verb, (help_, _func, _arguments) in VERBS.items():
-        _fill(sub.add_parser(verb, help=help_), verb)
-    return ap
+def _parse(argv: list):
+    """The namespace of one command line, or the help text it asks for.
 
-
-def _parse(argv) -> argparse.Namespace:
-    """main's parse of argv (see main): the namespace, or the error or help
-    exit that build_parser().parse_args(argv) would give."""
-    if argv and argv[0] in VERBS:
-        args = _plain(argv[0], argv[1:])
-        if args is not None:
-            return args
-        return _verb_parser(argv[0]).parse_args(argv[1:])
-    return build_parser().parse_args(argv)
+    argv is a verb and its words.  An option (see _option) takes the next
+    word as its value unless it carries one after "=", and the last of a
+    repeated option wins; every other word, and every word after "--",
+    fills the next free positional.  Every fault is a QuivercalcError."""
+    verb = argv[0] if argv else "-"
+    if verb not in VERBS:
+        if verb == "-h" or (len(verb) > 2 and "--help".startswith(verb)):
+            width = max(map(len, VERBS))
+            return "\n".join(["usage: quivercalc [-h] VERB ...", "", _DESCRIPTION, "",
+                              *(f"  {v:{width}}  {VERBS[v][0]}" for v in VERBS)]) + "\n"
+        if verb.startswith("-"):
+            raise QuivercalcError("the following arguments are required: verb")
+        raise QuivercalcError(f"argument verb: invalid choice: {verb!r} (choose "
+                              f"from {', '.join(map(repr, VERBS))})")
+    options, positionals, required, defaults, help_ = _grammar(verb)
+    values, given, extras = dict(defaults), set(), []
+    words, free, dashes = iter(argv[1:]), iter(positionals), False
+    for word in words:
+        if word == "--" and not dashes:
+            dashes = True
+            continue
+        found = None if dashes or word[:1] != "-" else _option(options, word)
+        entry, value = (next(free, None), word) if found is None else found
+        if entry is None:               # an unknown option or one word too many
+            extras.append(word)
+            continue
+        if entry is _HELP:
+            return help_
+        dest, name, type_ = entry
+        if value is None:
+            value = next(words, "--")
+            if value == "--" or (value[:1] == "-" and _option(options, value)):
+                raise QuivercalcError(f"argument {name}: expected one argument")
+        try:
+            value = type_(value)
+        except QuivercalcError as e:
+            raise QuivercalcError(f"argument {name}: {e}") from None
+        except (TypeError, ValueError):
+            raise QuivercalcError(f"argument {name}: invalid {type_.__name__} "
+                                  f"value: {value!r}") from None
+        values[dest] = value
+        given.add(dest)
+    missing = ", ".join(name for dest, name in required if dest not in given)
+    if missing:
+        raise QuivercalcError(f"the following arguments are required: {missing}")
+    if extras:
+        raise QuivercalcError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    """Run one command line and return its exit code.
-
-    An argv that starts with a verb and is otherwise in the plain form (see
-    _plain) is read straight from the verb's VERBS entry, with no argparse
-    parser at all.  Any other argv that starts with a verb goes to that
-    verb's own parser, and an argv that names no verb to the full parser.
-    The result is the same as if every argv went to the full parser: it
-    has no option but -h, and its verb positional (nargs=PARSER) hands
-    every later argument to the verb's subparser unchanged, -- and
-    option-like strings included.  Either parser reports an argument left
-    over as "unrecognized arguments: ...", and _Parser.error turns both
-    into the same one-line error.
-    """
+    """Run one command line and return its exit code: help, for the whole
+    command line or one verb, is printed and returns 0, and a bad command
+    line, like any other bad input, is one line "error: ..." on stderr and
+    returns 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return 0
         return args.func(args)
     except QuivercalcError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quivercalc import cli, digraph
-from quivercalc.cli import build_parser, main
-from quivercalc.digraph import Digraph, QuivercalcError, standard_digraph
+from quivercalc.cli import main
+from quivercalc.digraph import Digraph, standard_digraph
 from quivercalc.emm import MObject
 from quivercalc.fincat import (FinCat, rep_via_exit_limit,
                                symmetric_group_category, validate_fincat)
@@ -222,7 +222,7 @@ def test_para_and_epi(capsys):
     assert "degree: 6" in out
     code, _, err = run("epi", "2 3 : 0 2 | 9 9", capsys=capsys)
     assert code == 2
-    # main takes any iterable of words, as argparse does
+    # main takes any iterable of words
     assert main(iter(["epi", "1 1 : 0 | 6"])) == 0
     assert "degree: 6" in capsys.readouterr().out
 
@@ -549,7 +549,7 @@ def test_subgraph_error_does_not_depend_on_string_hashing():
         assert (out.returncode, out.stderr) == (2, "error: unknown vertex 'a'\n")
 
 
-# --- one parser for every call of main in a process --------------------------
+# --- one cached grammar per verb for every call of main in a process ----------
 
 BOUQUET2 = str(FIXTURES / "bouquet2.json")
 REUSE_SEQUENCE = [
@@ -709,201 +709,278 @@ def test_verify_battery_still_checks_under_O():
     assert "[FAIL] circle maps from bouquets count primitive necklaces" in out.stdout
 
 
-# --- one parser per verb: main's route parses as the full parser does --------
+# --- the command-line grammar: argv -> namespace, error line or help ---------
+
+# every verb's namespace before any word is read
+DEFAULTS = {
+    "classify": {"graph": None},
+    "paths": {"graph": None, "src": None, "tgt": None, "max_len": 6},
+    "reps": {"cat": None, "graph": None, "limit": 200},
+    "sheaf": {"cat": None, "graph": None, "left": None, "right": None},
+    "hh": {"cat": None},
+    "psi": {"cat": None, "r": 2, "endo": None},
+    "trace": {"cat": None, "object": None},
+    "para": {"mor": None, "compose": None, "r": 1},
+    "epi": {"mor": None, "compose": None},
+    "cycles": {"graph": None, "max_len": 6},
+    "hom-m": {"source": None, "target": None, "max_len": 6, "max_weight": 3,
+              "path_cap": 4, "limit": 200},
+    "fact": {"cat": None, "mobject": None, "limit": 200},
+    "excise": {"cat": None, "site": None},
+    "dot": {"graph": None},
+    "verify": {"seed": 0},
+}
+HELP = "help"
+OBJ = str(FIXTURES / "circle_obj.json")
+VERBS_LISTED = ("'classify', 'paths', 'reps', 'sheaf', 'hh', 'psi', 'trace', 'para', "
+                "'epi', 'cycles', 'hom-m', 'fact', 'excise', 'dot', 'verify'")
 
 
-def full_parse(argv):
-    """Any argv through the full parser: the reference main's route must
-    agree with."""
-    return build_parser().parse_args(argv)
+def fx(name):
+    return f"fixtures/{name}.json"
 
 
-def parse_outcome(parse, argv):
-    """The namespace, or the error's class and message, or the exit code
-    and the help printed on stdout."""
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            return ("namespace", vars(parse(argv)))
-    except QuivercalcError as e:
-        return ("error", type(e), str(e))
-    except SystemExit as e:
-        return ("exit", e.code, out.getvalue())
+# what each BAD_INPUTS command line parses to: its fault is in the command
+# line itself, or only in the files or morphisms it names
+BAD_PARSES = {
+    "para-not-monotone": {"mor": "2 3 : 5 0"},
+    "psi-r-0": "error: argument --r: must be >= 1, not 0",
+    "para-r-0": "error: argument --r: must be >= 1, not 0",
+    "reps-limit-negative": "error: argument --limit: must be >= 0, not -1",
+    "cycles-max-len-negative": "error: argument --max-len: must be >= 0, not -1",
+    "paths-max-len-negative": "error: argument --max-len: must be >= 0, not -1",
+    "hom-m-max-weight-0": "error: argument --max-weight: must be >= 1, not 0",
+    "hom-m-path-cap-negative": "error: argument --path-cap: must be >= 0, not -1",
+    "excise-site-not-an-object": {"cat": ARROW, "site": "{bad}/site.json"},
+    "fact-negative-circles": {"cat": ARROW, "mobject": "{bad}/obj.json"},
+    "fact-bool-circles": {"cat": str(FIXTURES / "cyclic3.json"),
+                          "mobject": "{bad}/bool_obj.json"},
+    "excise-cut-edges-string": {"cat": ARROW, "site": "{bad}/string_cuts.json"},
+    "hh-compose-pair": {"cat": "{bad}/pair_compose.json"},
+    "classify-edge-without-tgt": {"graph": "{bad}/no_tgt.json"},
+    "classify-edge-string": {"graph": "{bad}/string_edge.json"},
+}
+
+# argv -> the words it sets (over DEFAULTS), the one error line, or HELP
+GRAMMAR = [
+    # README's commands
+    (["verify", "--seed", "7"], {"seed": 7}),
+    (["classify", "--graph", fx("triangle")], {"graph": fx("triangle")}),
+    (["paths", "--graph", fx("linear2"), "0", "2", "--max-len", "4"],
+     {"graph": fx("linear2"), "src": "0", "tgt": "2", "max_len": 4}),
+    (["reps", "--cat", fx("cyclic3"), "--graph", fx("interval")],
+     {"cat": fx("cyclic3"), "graph": fx("interval")}),
+    (["sheaf", "--cat", fx("arrow"), "--graph", fx("linear2"), "--left", "0,1;e0",
+      "--right", "1,2;e1"],
+     {"cat": fx("arrow"), "graph": fx("linear2"), "left": "0,1;e0", "right": "1,2;e1"}),
+    (["hh", "--cat", fx("s3")], {"cat": fx("s3")}),
+    (["psi", "--cat", fx("cyclic3"), "--r", "2", "g1"],
+     {"cat": fx("cyclic3"), "r": 2, "endo": "g1"}),
+    (["trace", "--cat", fx("arrow"), "0"], {"cat": fx("arrow"), "object": "0"}),
+    (["para", "2 3 : 0 1", "--r", "2"], {"mor": "2 3 : 0 1", "r": 2}),
+    (["epi", "1 1 : 0 | 6"], {"mor": "1 1 : 0 | 6"}),
+    (["epi", "2 2 : 0 1 | 1 1", "2 2 : 1 0 | 1 1"],
+     {"mor": "2 2 : 0 1 | 1 1", "compose": "2 2 : 1 0 | 1 1"}),
+    (["cycles", "--graph", fx("bouquet2"), "--max-len", "4"],
+     {"graph": fx("bouquet2"), "max_len": 4}),
+    (["hom-m", fx("interval_obj"), fx("circle_obj")],
+     {"source": fx("interval_obj"), "target": fx("circle_obj")}),
+    (["fact", "--cat", fx("cyclic3"), "--m", fx("circle_obj")],
+     {"cat": fx("cyclic3"), "mobject": fx("circle_obj")}),
+    (["excise", "--cat", fx("cyclic3"), "--site", fx("site_circle")],
+     {"cat": fx("cyclic3"), "site": fx("site_circle")}),
+    (["excise", "--cat", fx("s3"), "--site", fx("site_bouquet2")],
+     {"cat": fx("s3"), "site": fx("site_bouquet2")}),
+    (["dot", "--graph", fx("triangle")], {"graph": fx("triangle")}),
+    # REUSE_SEQUENCE
+    (["para", "2 3 : 0 2", "--r", "3"], {"mor": "2 3 : 0 2", "r": 3}),
+    (["para", "2 3 : 0 2"], {"mor": "2 3 : 0 2"}),
+    (["epi", "2 2 : 0 1 | 1 1", "2 2 : 0 1 | 1 1"],
+     {"mor": "2 2 : 0 1 | 1 1", "compose": "2 2 : 0 1 | 1 1"}),
+    (["epi", "2 2 : 0 1 | 1 1"], {"mor": "2 2 : 0 1 | 1 1"}),
+    (["cycles", "--graph", BOUQUET2, "--max-len", "-1"],
+     "error: argument --max-len: must be >= 0, not -1"),
+    (["nonsense"], f"error: argument verb: invalid choice: 'nonsense' (choose from "
+                   f"{VERBS_LISTED})"),
+    (["hh", "--cat", str(FIXTURES / "missing.json")],
+     {"cat": str(FIXTURES / "missing.json")}),
+    (["cycles", "--graph", BOUQUET2, "--max-len", "2"], {"graph": BOUQUET2, "max_len": 2}),
+    # BAD_INPUTS
+    *((BAD_INPUTS[name], want) for name, want in BAD_PARSES.items()),
+    # help: for the whole command line, and for each verb
+    *(([verb, "-h"], HELP) for verb in DEFAULTS),
+    (["-h"], HELP), (["--help"], HELP), (["--he"], HELP), (["para", "--he"], HELP),
+    (["paths", "--graph", BOUQUET2, "--help", "--max-len", "x"], HELP),
+    # no verb, or an unknown one
+    ([], "error: the following arguments are required: verb"),
+    (["-x"], "error: the following arguments are required: verb"),
+    # required arguments left out, named in VERBS order
+    (["classify"], "error: the following arguments are required: --graph"),
+    (["paths"], "error: the following arguments are required: --graph, src, tgt"),
+    (["paths", "--graph", BOUQUET2, "0"], "error: the following arguments are required: tgt"),
+    (["para"], "error: the following arguments are required: 'm n : g0 g1 ...'"),
+    (["sheaf", "--cat", ARROW, "--graph", BOUQUET2, "--left", "0;"],
+     "error: the following arguments are required: --right"),
+    (["fact", "--cat", ARROW], "error: the following arguments are required: --m"),
+    # values that do not read
+    (["paths", "--graph", BOUQUET2, "0", "0", "--max-len", "x"],
+     "error: argument --max-len: invalid count value: 'x'"),
+    (["verify", "--seed", "1.5"], "error: argument --seed: invalid int value: '1.5'"),
+    (["para", "1 1 : 0", "--r", "x"], "error: argument --r: invalid count value: 'x'"),
+    (["paths", "--graph", BOUQUET2, "0", "0", "--max-len", "-1"],
+     "error: argument --max-len: must be >= 0, not -1"),
+    (["para", "1 1 : 0", "--r", "0"], "error: argument --r: must be >= 1, not 0"),
+    (["psi", "--cat", ARROW, "--r", "-2", "g"], "error: argument --r: must be >= 1, not -2"),
+    (["verify", "--seed", "-1"], {"seed": -1}),
+    # an option with no value after it
+    (["para", "1 1 : 0", "--r"], "error: argument --r: expected one argument"),
+    (["paths", "--graph", BOUQUET2, "0", "0", "--graph"],
+     "error: argument --graph: expected one argument"),
+    (["para", "1 1 : 0", "--r", "--r"], "error: argument --r: expected one argument"),
+    (["para", "1 1 : 0", "--r", "-x"], "error: argument --r: expected one argument"),
+    (["para", "1 1 : 0", "--r", "--", "2"], "error: argument --r: expected one argument"),
+    # words left over, unknown options among them, in the order given
+    (["hh", "--cat", ARROW, "extra"], "error: unrecognized arguments: extra"),
+    (["dot", "--graph", BOUQUET2, "a", "b"], "error: unrecognized arguments: a b"),
+    (["para", "1 1 : 0", "1 1 : 0", "1 1 : 0"], "error: unrecognized arguments: 1 1 : 0"),
+    (["epi", "1 1 : 0 | 1", "x", "y"], "error: unrecognized arguments: y"),
+    (["paths", "--graph", BOUQUET2, "0", "0", "0"], "error: unrecognized arguments: 0"),
+    (["trace", "--cat", ARROW, "0", "1"], "error: unrecognized arguments: 1"),
+    (["para", "--bogus", "1 1 : 0"], "error: unrecognized arguments: --bogus"),
+    (["para", "1 1 : 0", "-x", "1 1 : 0", "y"], "error: unrecognized arguments: -x y"),
+    (["para", "1 1 : 0", "--bogus=1"], "error: unrecognized arguments: --bogus=1"),
+    (["hh", "--cat", ARROW, "--", "--"], "error: unrecognized arguments: --"),
+    # "--": every later word is a positional
+    (["para", "--", "1 1 : 0"], {"mor": "1 1 : 0"}),
+    (["paths", "--graph", BOUQUET2, "--", "0", "0"], {"graph": BOUQUET2, "src": "0", "tgt": "0"}),
+    (["para", "1 1 : 0", "--", "--r"], {"mor": "1 1 : 0", "compose": "--r"}),
+    (["trace", "--cat", ARROW, "--", "-h"], {"cat": ARROW, "object": "-h"}),
+    (["psi", "--cat", ARROW, "--", "-1"], {"cat": ARROW, "endo": "-1"}),
+    # positionals: a negative number, a lone "-", "", or a word with a space
+    (["para", "1 1 : -1"], {"mor": "1 1 : -1"}),
+    (["paths", "--graph", BOUQUET2, "-1", "0"], {"graph": BOUQUET2, "src": "-1", "tgt": "0"}),
+    (["para", "-1 1 : 0"], {"mor": "-1 1 : 0"}),
+    (["para", "-"], {"mor": "-"}), (["para", ""], {"mor": ""}),
+    (["trace", "--cat", ARROW, "-"], {"cat": ARROW, "object": "-"}),
+    (["paths", "--graph", "-", "0", "0"], {"graph": "-", "src": "0", "tgt": "0"}),
+    (["paths", "--graph", "", "0", ""], {"graph": "", "src": "0", "tgt": ""}),
+    (["sheaf", "--cat", ARROW, "--graph", BOUQUET2, "--left", "", "--right", "-"],
+     {"cat": ARROW, "graph": BOUQUET2, "left": "", "right": "-"}),
+    # positionals split by an option
+    (["paths", "--graph", BOUQUET2, "0", "--max-len", "2", "0"],
+     {"graph": BOUQUET2, "src": "0", "tgt": "0", "max_len": 2}),
+    (["para", "1 1 : 0", "--r", "2", "1 1 : 0"],
+     {"mor": "1 1 : 0", "compose": "1 1 : 0", "r": 2}),
+    (["para", "--r", "2", "1 1 : 0"], {"mor": "1 1 : 0", "r": 2}),
+    (["hom-m", OBJ, "--max-len", "2", OBJ], {"source": OBJ, "target": OBJ, "max_len": 2}),
+    # unique prefixes, and the ambiguous one
+    (["paths", "--graph", BOUQUET2, "0", "0", "--max", "2"],
+     {"graph": BOUQUET2, "src": "0", "tgt": "0", "max_len": 2}),
+    (["hom-m", OBJ, OBJ, "--max-w", "2"], {"source": OBJ, "target": OBJ, "max_weight": 2}),
+    (["fact", "--ca", ARROW, "--m", OBJ], {"cat": ARROW, "mobject": OBJ}),
+    (["verify", "--se", "2"], {"seed": 2}),
+    (["hom-m", OBJ, OBJ, "--max", "2"],
+     "error: ambiguous option: --max could match --max-len, --max-weight"),
+    (["hom-m", OBJ, OBJ, "--max=2"],
+     "error: ambiguous option: --max=2 could match --max-len, --max-weight"),
+    # --opt=value, with a prefix too
+    (["para", "1 1 : 0", "--r=2"], {"mor": "1 1 : 0", "r": 2}),
+    (["cycles", "--graph=" + BOUQUET2, "--max-l=2"], {"graph": BOUQUET2, "max_len": 2}),
+    (["para", "1 1 : 0", "--r=x"], "error: argument --r: invalid count value: 'x'"),
+    (["para", "1 1 : 0", "--r="], "error: argument --r: invalid count value: ''"),
+    (["sheaf", "--cat", ARROW, "--graph", BOUQUET2, "--left=", "--right=-"],
+     {"cat": ARROW, "graph": BOUQUET2, "left": "", "right": "-"}),
+    # a repeated option: the last one wins, but every value must read
+    (["para", "1 1 : 0", "--r", "2", "--r", "3"], {"mor": "1 1 : 0", "r": 3}),
+    (["paths", "--graph", "nope", "0", "0", "--graph", BOUQUET2],
+     {"graph": BOUQUET2, "src": "0", "tgt": "0"}),
+    (["para", "1 1 : 0", "--r", "x", "--r", "2"],
+     "error: argument --r: invalid count value: 'x'"),
+]
 
 
-def oracle_corpus(bad_files):
-    graph = str(FIXTURES / "bouquet2.json")
-    obj = str(FIXTURES / "circle_obj.json")
-    return [
-        *readme_commands(), *REUSE_SEQUENCE,
-        *(_bad_argv(name, bad_files) for name in BAD_INPUTS),
-        *([verb, "-h"] for verb in cli.VERBS),
-        ["classify"], ["paths", "--graph", graph, "0"],     # missing arguments
-        ["sheaf", "--cat", ARROW, "--graph", graph, "--left", "0;"],
-        ["paths", "--graph", graph, "0", "0", "--max-len", "x"],   # bad counts
-        ["verify", "--seed", "1.5"], ["para", "1 1 : 0", "--r", "x"],
-        ["hh", "--cat", ARROW, "extra"], ["dot", "--graph", graph, "a", "b"],
-        ["para", "1 1 : 0", "1 1 : 0", "1 1 : 0"], ["epi", "1 1 : 0 | 1", "x", "y"],
-        ["para", "--", "1 1 : 0"], ["paths", "--graph", graph, "--", "0", "0"],
-        ["para", "1 1 : 0", "--", "--r"], ["trace", "--cat", ARROW, "--", "-h"],
-        ["para", "1 1 : -1"], ["paths", "--graph", graph, "-1", "0"],
-        ["paths", "--graph", graph, "0", "0", "--max", "2"],   # abbreviations
-        ["hom-m", obj, obj, "--max", "2"], ["hom-m", obj, obj, "--max-w", "2"],
-        ["para", "--he"], ["fact", "--ca", ARROW, "--m", obj],
-        ["para", "--bogus", "1 1 : 0"], ["para", "1 1 : 0", "--r=2"],
-        # what the plain form leaves to argparse, or reads itself, at its edges
-        ["paths", "--graph", graph, "0", "--max-len", "2", "0"],   # split runs
-        ["para", "1 1 : 0", "--r", "2", "1 1 : 0"], ["para", "--r", "2", "1 1 : 0"],
-        ["para", "-"], ["para", ""], ["trace", "--cat", ARROW, "-"],
-        ["paths", "--graph", "-", "0", "0"], ["paths", "--graph", "", "0", ""],
-        ["sheaf", "--cat", ARROW, "--graph", graph, "--left", "", "--right", "-"],
-        ["para", "1 1 : 0", "--r", "2", "--r", "3"],        # the last one wins
-        ["paths", "--graph", "nope", "0", "0", "--graph", graph],
-        ["para", "1 1 : 0", "--r", "x", "--r", "2"],
-        ["paths", "--graph", graph, "0", "0", "--max-len", "-1"],
-        ["para", "1 1 : 0", "--r", "0"], ["verify", "--seed", "-1"],
-        ["para", "1 1 : 0", "--r"], ["paths", "--graph", graph, "0", "0", "--graph"],
-        ["paths", "--graph", graph, "0", "0", "0"], ["trace", "--cat", ARROW, "0", "1"],
-    ]
+def test_the_grammar_reads_each_command_line_as_written(bad_files, capsys):
+    """Each GRAMMAR row, and every README, REUSE_SEQUENCE and BAD_INPUTS
+    command line among them."""
+    argvs = [argv for argv, _want in GRAMMAR]
+    for argv in [*readme_commands(), *REUSE_SEQUENCE, *BAD_INPUTS.values()]:
+        assert argv in argvs, argv
+    assert BAD_PARSES.keys() == BAD_INPUTS.keys()
+    for argv, want in GRAMMAR:
+        if isinstance(want, dict):
+            args = vars(cli._parse(argv))
+            assert args.pop("func") is cli.VERBS[argv[0]][1], argv
+            assert args == {**DEFAULTS[argv[0]], **want, "verb": argv[0]}, argv
+            continue
+        code, out, err = run(*argv, capsys=capsys)
+        if want == HELP:
+            assert (code, err) == (0, ""), argv
+            assert out.startswith("usage: quivercalc "), argv
+        else:
+            assert (code, out, err) == (2, "", want + "\n"), argv
 
 
-def test_the_verb_route_parses_as_the_full_parser(bad_files, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    kinds = set()
-    for argv in oracle_corpus(bad_files):
-        want = parse_outcome(full_parse, argv)
-        assert parse_outcome(cli._parse, argv) == want, argv
-        kinds.add(want[0])
-    assert kinds == {"namespace", "error", "exit"}
-
-
-# argvs shaped like the benchmark's walks jobs, each in the plain form
+# argvs shaped like the benchmark's walks jobs
 WALKS_ARGVS = [
     ["para", "2 3 : 0 2", "--r", "3"], ["para", "2 3 : 0 2", "3 1 : 0 0 1"],
     ["epi", "2 2 : 0 1 | 1 1"], ["epi", "1 1 : 0 | 2", "1 1 : 0 | 3"],
     ["paths", "--graph", BOUQUET2, "0", "0", "--max-len", "3"],
     ["cycles", "--graph", BOUQUET2, "--max-len", "3"], ["classify", "--graph", BOUQUET2],
-    ["hom-m", str(FIXTURES / "circle_obj.json"), str(FIXTURES / "circle_obj.json"),
-     "--max-len", "2"],
+    ["hom-m", OBJ, OBJ, "--max-len", "2"],
 ]
 
 
-def test_a_verb_builds_its_own_parser_once_and_never_the_full_one(monkeypatch, capsys):
-    """A plain argv builds no parser at all; any other builds only its own
-    verb's parser, once."""
-    built = []
-    fill = cli._fill
-    monkeypatch.setattr(cli, "_fill",
-                        lambda p, verb: built.append(verb) or fill(p, verb))
-    cli.build_parser.cache_clear()
-    cli._verb_parser.cache_clear()
-    # -1 is a negative number, which only argparse reads, and "nonsense"
-    # names no verb
-    plain = WALKS_ARGVS + [argv for argv in REUSE_SEQUENCE
-                           if argv[0] in cli.VERBS and "-1" not in argv]
-    assert len(plain) == len(WALKS_ARGVS) + 6
-    for argv in plain:
-        main(argv)
-    assert capsys.readouterr().err.count("error: ") == 1     # the missing file
-    assert (built, cli._verb_parser.cache_info().misses,
-            cli.build_parser.cache_info().misses) == ([], 0, 0)
+def test_each_verb_reads_its_grammar_from_verbs_once(capsys):
+    cli._grammar.cache_clear()
     for _ in range(3):
+        for argv in WALKS_ARGVS + REUSE_SEQUENCE:
+            main(argv)
         for verb in cli.VERBS:
             assert main([verb, "--no-such-option"]) == 2
-        for argv in REUSE_SEQUENCE:
-            if argv[0] in cli.VERBS:
-                main(argv)
     capsys.readouterr()
-    assert cli.build_parser.cache_info().misses == 0
-    assert built == list(cli.VERBS)
+    info = cli._grammar.cache_info()
+    assert (info.misses, info.currsize) == (len(cli.VERBS), len(cli.VERBS))
 
 
-@pytest.fixture
-def fresh_parsers():
-    """Parsers and grammars built from the VERBS a test sets up, and dropped
-    after it."""
-    caches = (cli._grammar, cli._verb_parser, cli.build_parser)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
+def test_help_names_every_argument_and_returns_0(capsys):
+    code, out, err = run("-h", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: quivercalc [-h] VERB ...\n")
+    for verb, (about, _func, _arguments) in cli.VERBS.items():
+        assert f"  {verb}" in out and about in out
+    for verb, (about, _func, arguments) in cli.VERBS.items():
+        code, out, err = run(verb, "-h", capsys=capsys)
+        assert (code, err) == (0, ""), verb
+        assert out.startswith(f"usage: quivercalc {verb} [-h]"), verb
+        assert about in out, verb
+        for names, kw in arguments:
+            for name in names:
+                shown = name if name.startswith("-") else kw.get("metavar", name)
+                assert shown in out, (verb, shown)
+    assert run("fact", "-h", capsys=capsys)[1] == (
+        "usage: quivercalc fact [-h] --cat CAT --m MOBJECT [--limit LIMIT]\n\n"
+        "invariant of a one-manifold object\n")
+    assert run("para", "--help", capsys=capsys)[1] == (
+        "usage: quivercalc para [-h] 'm n : g0 g1 ...' ['n p : h0 ...'] [--r R]\n\n"
+        "paracyclic morphism arithmetic\n"
+        "  'n p : h0 ...'  compose (applied second)\n")
 
 
-@pytest.mark.parametrize("arguments, plain", [
-    ([cli._arg("-n", "--num", type=int, default=1), cli._arg("--to-do", dest="job"),
-      cli._arg("name", nargs="?", default="z")], True),
-    ([cli._arg("--n", action="store_true")], False),
-    ([cli._arg("--n", nargs="+")], False),
-    ([cli._arg("--n", nargs="?")], False),
-    ([cli._arg("--n", type=int, default="3")], False),
-    ([cli._arg("--n", choices=["1", "2"])], False),
-    ([cli._arg("a", nargs="?"), cli._arg("b")], False),
-    ([cli._arg("a", nargs="*")], False),
-])
-def test_a_verb_argparse_alone_can_read_always_goes_to_argparse(
-        arguments, plain, monkeypatch, fresh_parsers):
-    monkeypatch.setitem(cli.VERBS, "x", ("x", cli.cmd_verify, arguments))
-    assert (cli._grammar("x") is not None) == plain
-    for argv in (["x"], ["x", "1"], ["x", "1", "2"], ["x", "--n", "2"],
-                 ["x", "-n", "2", "1"], ["x", "--num", "5", "--to-do", "y"],
-                 ["x", "--n", "1", "--n", "3"], ["x", "--n"]):
-        assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv), argv
+def test_help_from_the_console_script_exits_0():
+    out = subprocess.run([sys.executable, "-m", "quivercalc", "paths", "-h"],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("usage: quivercalc paths [-h] --graph GRAPH src tgt")
 
 
-# what main(["-h"]), main([]) and main(["nonsense"]) print, byte for byte, at
-# 80 columns
-TOP_LEVEL_HELP = """\
-usage: quivercalc [-h]
-                  {classify,paths,reps,sheaf,hh,psi,trace,para,epi,cycles,hom-m,fact,excise,dot,verify}
-                  ...
-
-quiver representations, cyclic morphism arithmetic, trace classes, and cut-
-and-glue checks
-
-positional arguments:
-  {classify,paths,reps,sheaf,hh,psi,trace,para,epi,cycles,hom-m,fact,excise,dot,verify}
-    classify            shape of a digraph
-    paths               paths between two vertices
-    reps                representations of a graph in a category
-    sheaf               check gluing along a closed cover
-    hh                  trace classes of a category
-    psi                 power operator on a trace class
-    trace               trace class of an object's identity
-    para                paracyclic morphism arithmetic
-    epi                 epicyclic morphism arithmetic
-    cycles              directed cycles of a graph
-    hom-m               maps between one-manifold objects
-    fact                invariant of a one-manifold object
-    excise              check cut-and-glue for a site
-    dot                 emit graphviz
-    verify              run the built-in check battery
-
-options:
-  -h, --help            show this help message and exit
-"""
-NO_VERB = "error: the following arguments are required: verb\n"
-UNKNOWN_VERB = ("error: argument verb: invalid choice: 'nonsense' (choose from "
-                "'classify', 'paths', 'reps', 'sheaf', 'hh', 'psi', 'trace', "
-                "'para', 'epi', 'cycles', 'hom-m', 'fact', 'excise', 'dot', "
-                "'verify')\n")
-# the same text as argparse lays it out from Python 3.13, which keeps "..."
-# on the line of the verb choices, and from 3.12.8 and 3.13.1, which name
-# the choices in an error unquoted
-TOP_LEVEL_HELPS = {TOP_LEVEL_HELP,
-                   TOP_LEVEL_HELP.replace("verify}\n                  ...", "verify} ...")}
-UNKNOWN_VERBS = {UNKNOWN_VERB, re.sub(r"'([a-z-]+)'(?=[,)])", r"\1", UNKNOWN_VERB)}
-
-
-def test_top_level_help_and_errors_are_unchanged(monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exit_:
-        main(["-h"])
-    code, (out, err) = exit_.value.code, capsys.readouterr()
-    assert (code, out in TOP_LEVEL_HELPS, err) == (0, True, "")
-    assert run(capsys=capsys) == (2, "", NO_VERB)
-    code, out, err = run("nonsense", capsys=capsys)
-    assert (code, out, err in UNKNOWN_VERBS) == (2, "", True)
+def test_top_level_help_and_errors_are_unchanged(capsys):
+    code, out, err = run("-h", capsys=capsys)
+    assert (code, out.startswith("usage: quivercalc"), err) == (0, True, "")
+    assert run(capsys=capsys) == (
+        2, "", "error: the following arguments are required: verb\n")
+    assert run("nonsense", capsys=capsys) == (
+        2, "", f"error: argument verb: invalid choice: 'nonsense' (choose from "
+               f"{VERBS_LISTED})\n")
 
 
 # --- fuzzing main: any argv and any JSON end in exit 0, 1 or 2 ---------------
@@ -1011,7 +1088,6 @@ def test_main_never_raises(fuzz_dir, argv, docs):
         paths[f"{{{i}}}"] = str(fuzz_dir / f"{i}.json")
         (fuzz_dir / f"{i}.json").write_text(json.dumps(doc))
     argv = [paths.get(a, a) for a in argv]
-    assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
