@@ -18,6 +18,7 @@ reach their end, and components label each vertex once, then read each edge.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 
@@ -90,7 +91,7 @@ class Digraph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable):
         self.vertices = tuple(vertices)
-        self.edges = tuple(Edge(*e) for e in edges)
+        self.edges = tuple(map(Edge._make, edges))
 
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         if len(self._vindex) != len(self.vertices):
@@ -103,9 +104,9 @@ class Digraph:
         # its out-edges, their targets, and the source of each in-edge
         index = self._vindex
         n = len(self.vertices)
-        self._out: list[list[int]] = [[] for _ in range(n)]
-        self._succ: list[list[int]] = [[] for _ in range(n)]
-        self._pred: list[list[int]] = [[] for _ in range(n)]
+        out: list[list[int]] = [[] for _ in itertools.repeat(None, n)]
+        succ: list[list[int]] = [[] for _ in itertools.repeat(None, n)]
+        pred: list[list[int]] = [[] for _ in itertools.repeat(None, n)]
         src, tgt = [], []
         for j, e in enumerate(self.edges):
             s = index.get(e.src)
@@ -116,9 +117,10 @@ class Digraph:
                 raise UnknownVertex(f"edge {e.eid!r} has undeclared target {e.tgt!r}")
             src.append(s)
             tgt.append(t)
-            self._out[s].append(j)
-            self._succ[s].append(t)
-            self._pred[t].append(s)
+            out[s].append(j)
+            succ[s].append(t)
+            pred[t].append(s)
+        self._out, self._succ, self._pred = out, succ, pred
         self._src, self._tgt = tuple(src), tuple(tgt)
         # (target, the vertices that can reach it): the last backward search
         self._reach: tuple[int, set[int]] | None = None

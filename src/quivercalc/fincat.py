@@ -47,8 +47,10 @@ class IntTable(NamedTuple):
     resp. source, x, in declaration order; at[f] is f's position in
     into[tgt[f]], and hom[x] maps y to the morphisms from x to y.
     comp[g][at[f]]: the index of g∘f for each f composable with g, or -1
-    where the table has no entry.  Table entries for non-composable pairs
-    are kept apart in stray, so validate_fincat can report them.
+    where the table has no entry; each row comp[g] is a tuple, so no caller
+    can change the table behind validate_fincat's back.  Table entries for
+    non-composable pairs are kept apart in stray, so validate_fincat can
+    report them.
     """
     src: list[int]
     tgt: list[int]
@@ -57,18 +59,19 @@ class IntTable(NamedTuple):
     out: list[list[int]]
     at: list[int]
     hom: list[dict[int, list[int]]]
-    comp: list[list[int]]
+    comp: list[tuple[int, ...]]
     stray: dict[tuple[int, int], int]
 
 
 class FinCat:
     """A finite category: objects, morphisms, identities, composition table.
 
-    compose lists triples (g, f, h), each saying g∘f = h ("f then g"), as
-    the JSON format does; they are read in order, and a repeated (g, f)
-    keeps its last h.  Construction resolves every name to its index once,
-    into int_table, the only stored form of the category; it checks only
-    that the names resolve, and validate_fincat checks the categorical laws.
+    compose is a list of triples (g, f, h), lists or tuples, each saying
+    g∘f = h ("f then g"), as the JSON format does; they are read in order,
+    and a repeated (g, f) keeps its last h.  Construction resolves every
+    name to its index once, into int_table, the only stored form of the
+    category; it checks only that the names resolve, and validate_fincat
+    checks the categorical laws.
     """
 
     def __init__(self, objects: Iterable[str], morphisms: Iterable,
@@ -106,6 +109,10 @@ class FinCat:
             identity[oindex[x]] = mindex[i]
         comp = [[-1] * len(into[x]) for x in src]
         stray: dict[tuple[int, int], int] = {}
+        # a string or a dict of three names would unpack as a triple
+        if not _TRIPLE_TYPES.issuperset(map(type, compose)) and not all(
+                isinstance(entry, (list, tuple)) for entry in compose):
+            raise QuivercalcError(_compose_fault(compose, mindex))
         try:
             for g, f, h in compose:
                 gi, fi, hi = mindex[g], mindex[f], mindex[h]
@@ -116,7 +123,7 @@ class FinCat:
         except (KeyError, TypeError, ValueError):
             raise QuivercalcError(_compose_fault(compose, mindex)) from None
         self.int_table = IntTable(src, tgt, identity, into, out, at, hom,
-                                  comp, stray)
+                                  list(map(tuple, comp)), stray)
         self.hh_table = None      # trace classes, filled by compute_hh
         self.generators = None    # set by validate_fincat once the laws hold
 
@@ -222,6 +229,9 @@ class FinCat:
         return cls(data["objects"], morphisms, ids, compose)
 
 
+_TRIPLE_TYPES = frozenset({list, tuple})
+
+
 def _compose_fault(compose, mindex: dict) -> str:
     """What is wrong with a composition table that does not resolve: its
     first entry, counted from 0, that is no triple of names, wherever it
@@ -243,13 +253,17 @@ def validate_fincat(c: FinCat) -> None:
     the table.  NotAssociative: a failing triple (f, g, h), i.e.
     (f∘g)∘h != f∘(g∘h).
 
+    The entries are checked a whole row at a time (_rows_well_formed);
+    only a table that fails this pass is scanned entry by entry, to name
+    its first bad entry.
+
     Associativity is checked by Light's test: the morphisms g with
     (f∘g)∘h = f∘(g∘h) for all composable f, h are closed under composition
     (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, §1.2),
     and identities are among them once they are neutral.  So it suffices
-    to test the middle position on a generating set.  When every check
-    passes, that set is stored as c.generators, which also marks c as
-    validated; the trace classes are computed from it.
+    to test the middle position on a generating set, one row f at a time.
+    When every check passes, that set is stored as c.generators, which
+    also marks c as validated; the trace classes are computed from it.
     """
     t = c.int_table
     src, tgt, comp, ident, at = t.src, t.tgt, t.comp, t.identity, t.at
@@ -262,22 +276,23 @@ def validate_fincat(c: FinCat) -> None:
             raise MissingIdentity(f"identity of {name!r} is not an endomorphism of it")
 
     # the first bad entry in index order: a stray one, or the first composite
-    # with the wrong endpoints
-    wrong = ((g, f) for g, row in enumerate(comp)
-             for f, h in zip(t.into[src[g]], row)
-             if h >= 0 and (src[h] != src[f] or tgt[h] != tgt[g]))
-    first = min(itertools.chain(t.stray, itertools.islice(wrong, 1)), default=None)
-    if first is not None:
-        g, f = first
-        if first in t.stray:
-            raise BadComposite(f"table entry for non-composable pair "
-                               f"({names[g]!r}, {names[f]!r})")
-        raise BadComposite(f"{names[g]!r}∘{names[f]!r} = "
-                           f"{names[comp[g][at[f]]]!r} has the wrong endpoints")
-    for g, row in enumerate(comp):
-        for f, h in zip(t.into[src[g]], row):
-            if h < 0:
-                raise BadComposite(f"missing composite {names[g]!r}∘{names[f]!r}")
+    # with the wrong endpoints; looked for only in a table that has one
+    if not _rows_well_formed(t):
+        wrong = ((g, f) for g, row in enumerate(comp)
+                 for f, h in zip(t.into[src[g]], row)
+                 if h >= 0 and (src[h] != src[f] or tgt[h] != tgt[g]))
+        first = min(itertools.chain(t.stray, itertools.islice(wrong, 1)), default=None)
+        if first is not None:
+            g, f = first
+            if first in t.stray:
+                raise BadComposite(f"table entry for non-composable pair "
+                                   f"({names[g]!r}, {names[f]!r})")
+            raise BadComposite(f"{names[g]!r}∘{names[f]!r} = "
+                               f"{names[comp[g][at[f]]]!r} has the wrong endpoints")
+        for g, row in enumerate(comp):
+            for f, h in zip(t.into[src[g]], row):
+                if h < 0:
+                    raise BadComposite(f"missing composite {names[g]!r}∘{names[f]!r}")
 
     for f, name in enumerate(names):
         if comp[ident[tgt[f]]][at[f]] != f:
@@ -286,49 +301,89 @@ def validate_fincat(c: FinCat) -> None:
             raise MissingIdentity(f"{name!r}∘id differs from {name!r}")
 
     # comp[g] lists g∘h for h in into[src[g]]; so does comp[f∘g], which has
-    # the same source, for (f∘g)∘h
+    # the same source, for (f∘g)∘h; comp[f] picked at the positions of the
+    # g∘h lists f∘(g∘h)
     gens = _generators(t)
     for g in gens:
-        gh_at = [at[k] for k in comp[g]]
+        pick = _getter([at[k] for k in comp[g]])
         for f in t.out[tgt[g]]:
             row_f = comp[f]
             row_fg = comp[row_f[at[g]]]
-            f_gh = list(map(row_f.__getitem__, gh_at))
-            if row_fg != f_gh:
-                h = next(h for h, a, b in zip(t.into[src[g]], row_fg, f_gh) if a != b)
+            if pick(row_f) != row_fg:
+                h = next(h for h, a, b in zip(t.into[src[g]], row_fg, pick(row_f))
+                         if a != b)
                 raise NotAssociative(f"({names[f]!r}, {names[g]!r}, {names[h]!r})")
     c.generators = gens
+
+
+def _rows_well_formed(t: IntTable) -> bool:
+    """Whether t has no stray entry and each row g has no gap, and
+    composites with the sources of into[src g] and the target tgt[g]: a
+    few whole-row operations per row."""
+    if t.stray:
+        return False
+    src, tgt = t.src, t.tgt
+    src_into = [tuple(map(src.__getitem__, fs)) for fs in t.into]
+    for g, row in enumerate(t.comp):
+        pick = _getter(row)
+        if (-1 in row or pick(src) != src_into[src[g]]
+                or pick(tgt).count(tgt[g]) != len(row)):
+            return False
+    return True
+
+
+def _getter(positions) -> Callable:
+    """itemgetter(*positions), which returns a tuple for any number of
+    positions, one or none included."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        p = positions[0]
+        return lambda row: (row[p],)
+    return lambda row: ()
 
 
 def _generators(t: IntTable) -> list[int]:
     """Morphism indices that generate every non-identity under composition.
 
     Greedy in declaration order: a morphism not yet reached becomes a
-    generator, and the reached set is closed again by composing each new
-    member with every member on both sides.  Only table lookups are used,
-    so no associativity is assumed; the table must be complete and its
-    identities neutral.
+    generator, and the reached set is closed again under composition with
+    a generator on the left: the new generator m is composed with every
+    reached morphism into src m, and every newly reached morphism with
+    every generator out of its target.  So everything reached is a product
+    s∘b of a generator s and a reached b, and the generators' closure
+    under composition is every morphism.  On an associative table the
+    reached set is the closure of the generators so far at every step, so
+    the greedy picks what a two-sided closure would.  Only table lookups
+    are used, so no associativity is assumed; the table must be complete
+    and its identities neutral.  O(M·|gens| + the reached morphisms seen
+    once per generator).
     """
     comp, src, tgt, at = t.comp, t.src, t.tgt, t.at
     reached = [False] * len(comp)
     for i in t.identity:
         reached[i] = True
     into: list[list[int]] = [[] for _ in t.into]   # reached, by target
-    out: list[list[int]] = [[] for _ in t.out]     # reached, by source
+    left: list[list[int]] = [[] for _ in t.out]    # generators, by source
     gens = []
     for m in range(len(comp)):
         if reached[m]:
             continue
         gens.append(m)
+        left[src[m]].append(m)
         reached[m] = True
         work = [m]
+        row = comp[m]
+        for h in [row[at[a]] for a in into[src[m]]]:
+            if not reached[h]:
+                reached[h] = True
+                work.append(h)
         while work:
-            a = work.pop()
-            into[tgt[a]].append(a)
-            out[src[a]].append(a)
-            row = comp[a]
-            for h in ([row[at[b]] for b in into[src[a]]]
-                      + [comp[b][at[a]] for b in out[tgt[a]]]):
+            b = work.pop()
+            into[tgt[b]].append(b)
+            a = at[b]
+            for s in left[tgt[b]]:
+                h = comp[s][a]
                 if not reached[h]:
                     reached[h] = True
                     work.append(h)
@@ -739,13 +794,9 @@ class SheafVerdict:
 def _restrict(xs: list, graph: Digraph, sub: Digraph) -> list:
     """Index tuples of graph, restricted to a subgraph."""
     nv = len(graph.vertices)
-    positions = ([graph.vertex_index(v) for v in sub.vertices]
-                 + [nv + graph.edge_index(e.eid) for e in sub.edges])
-    if len(positions) > 1:
-        return list(map(itemgetter(*positions), xs))
-    if positions:               # itemgetter of one position gives no tuple
-        return [(x[positions[0]],) for x in xs]
-    return [()] * len(xs)
+    return list(map(_getter([graph.vertex_index(v) for v in sub.vertices]
+                            + [nv + graph.edge_index(e.eid) for e in sub.edges]),
+                    xs))
 
 
 def check_closed_sheaf(category: FinCat, cover: ClosedCover) -> SheafVerdict:

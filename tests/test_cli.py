@@ -620,6 +620,10 @@ def bad_files(tmp_path_factory):
     arrow = json.loads((FIXTURES / "arrow.json").read_text())
     arrow["compose"].append(["le:0:0", "le:0:0"])
     (tmp / "pair_compose.json").write_text(json.dumps(arrow))
+    (tmp / "string_compose.json").write_text(json.dumps(
+        {"objects": ["*"], "morphisms": [{"id": m, "src": "*", "tgt": "*"}
+                                         for m in "ea"],
+         "ids": {"*": "e"}, "compose": ["eee", "eaa", "aea", "aae"]}))
     (tmp / "no_tgt.json").write_text(json.dumps(
         {"vertices": ["0", "1"], "edges": [{"id": "e0", "src": "0", "tgt": "1"},
                                            {"id": "e1", "src": "1"}]}))
@@ -650,6 +654,7 @@ BAD_INPUTS = {
     "excise-cut-edges-string": ["excise", "--cat", ARROW,
                                 "--site", "{bad}/string_cuts.json"],
     "hh-compose-pair": ["hh", "--cat", "{bad}/pair_compose.json"],
+    "hh-compose-string": ["hh", "--cat", "{bad}/string_compose.json"],
     "classify-edge-without-tgt": ["classify", "--graph", "{bad}/no_tgt.json"],
     "classify-edge-string": ["classify", "--graph", "{bad}/string_edge.json"],
 }
@@ -658,6 +663,8 @@ BAD_MESSAGES = {
                                  "site JSON needs 'graph'\n",
     "hh-compose-pair": "error: bad category in {bad}/pair_compose.json: "
                        "compose entry 4 is not a [g, f, h] triple\n",
+    "hh-compose-string": "error: bad category in {bad}/string_compose.json: "
+                         "compose entry 0 is not a [g, f, h] triple\n",
     "classify-edge-without-tgt": "error: bad digraph in {bad}/no_tgt.json: "
                                  "edge entry 1 has no 'tgt'\n",
     "classify-edge-string": "error: bad digraph in {bad}/string_edge.json: edge "
@@ -757,6 +764,7 @@ BAD_PARSES = {
                           "mobject": "{bad}/bool_obj.json"},
     "excise-cut-edges-string": {"cat": ARROW, "site": "{bad}/string_cuts.json"},
     "hh-compose-pair": {"cat": "{bad}/pair_compose.json"},
+    "hh-compose-string": {"cat": "{bad}/string_compose.json"},
     "classify-edge-without-tgt": {"graph": "{bad}/no_tgt.json"},
     "classify-edge-string": {"graph": "{bad}/string_edge.json"},
 }

@@ -27,6 +27,7 @@ from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
 from quivercalc.quiver import Path, QuiverMor, enumerate_quiver_mors
 
 import string_oracle as oracle
+from generator_oracle import two_sided_generators
 from random_categories import concrete_categories, concrete_category
 import test_acceptance
 from test_acceptance import h_colourings, hom_size_matrix
@@ -124,6 +125,12 @@ REJECTED = [
      "composition table mentions unknown 'k'"),
     (["x"], [("e", "x", "x")], {"x": "e"}, [("j", "k", "e")],
      "composition table mentions unknown 'j'"),
+    # three one-letter names in a string, or three keys, would unpack
+    (["x"], [("e", "x", "x"), ("a", "x", "x")], {"x": "e"},
+     ["eee", "eaa", "aea", "aae"], "compose entry 0 is not a [g, f, h] triple"),
+    (["x"], [("e", "x", "x"), ("a", "x", "x"), ("b", "x", "x")], {"x": "e"},
+     [("e", "e", "e"), ["e", "a", "a"], {"e": 0, "a": 1, "b": 2}],
+     "compose entry 2 is not a [g, f, h] triple"),
 ]
 
 
@@ -306,6 +313,39 @@ def test_generating_sets():
     assert type(raised(exhaustive_validate, broken)) is NotAssociative
 
 
+def test_generators_match_the_two_sided_oracle():
+    # on an associative table the left closure reaches what the two-sided
+    # closure reaches at every step, so the greedy picks the same morphisms
+    for c in ([symmetric_group_category(n) for n in range(3, 7)]
+              + [chain_poset_category(n) for n in (1, 2, 5, 12)]
+              + [zero_product_monoid(12)] + CORRUPTIBLE):
+        assert _generators(c.int_table) == two_sided_generators(c.int_table), c
+
+
+def binary_closure(c: FinCat, mids) -> set[str]:
+    """mids and the identities, closed under composition, by name."""
+    have = set(mids) | set(c.identities.values())
+    while True:
+        more = {c.comp(g, f) for g in have for f in have
+                if c.tgt(f) == c.src(g)} - have
+        if not more:
+            return have
+        have |= more
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tables())
+def test_generators_generate_every_table_that_reaches_lights_test(c):
+    # Light's test is reached when the identities, entries and neutrality
+    # hold, i.e. when the only fault, if any, is associativity
+    assume(type(raised(exhaustive_validate, c)) in (type(None), NotAssociative))
+    gens = _generators(c.int_table)
+    assert binary_closure(c, [c.morphisms[g].mid for g in gens]) == \
+        {m.mid for m in c.morphisms}
+    if raised(validate_fincat, c) is None:
+        assert gens == two_sided_generators(c.int_table) == c.generators
+
+
 def test_tables_are_read_only():
     # the compiled table must not go stale behind validate_fincat's back
     c = cyclic_group_category(3)
@@ -314,7 +354,54 @@ def test_tables_are_read_only():
         c.table[("g1", "g1")] = "g1"
     with pytest.raises(TypeError):
         c.identities["*"] = "g1"
+    with pytest.raises(TypeError):
+        c.int_table.comp[1][1] = 1
     assert c.comp("g1", "g1") == "g2"
+
+
+def _last_row_fault(c: FinCat, kind: str) -> FinCat:
+    """c with one fault in the row of its last morphism g, an endomorphism:
+    g∘f dropped for the last f into src g (a gap), g∘f set to g (the wrong
+    source) or to the identity of src f (the wrong target) for the last
+    such f that is no endomorphism, or an entry (g, f) added for the first
+    f that ends elsewhere (a stray)."""
+    g = c.morphisms[-1]
+    into = [f for f in c.morphisms if f.tgt == g.src]
+    table = dict(c.table)
+    if kind == "gap":
+        del table[(g.mid, into[-1].mid)]
+    elif kind in ("source", "target"):
+        f = [f for f in into if f.src != f.tgt][-1]
+        table[(g.mid, f.mid)] = g.mid if kind == "source" else c.identity(f.src)
+    else:
+        table[(g.mid, next(f.mid for f in c.morphisms if f.tgt != g.src))] = g.mid
+    return FinCat(c.objects, c.morphisms, c.identities, triples(table))
+
+
+@pytest.mark.parametrize("cat,kind,message", [
+    (symmetric_group_category(3), "gap", "missing composite 'p210'∘'p210'"),
+    (zero_product_monoid(3), "gap", "missing composite 'a3'∘'a3'"),
+    (chain_poset_category(4), "gap", "missing composite 'le:3:3'∘'le:3:3'"),
+    (walking_arrow_category(), "source",
+     "'le:1:1'∘'le:0:1' = 'le:1:1' has the wrong endpoints"),
+    (chain_poset_category(4), "source",
+     "'le:3:3'∘'le:2:3' = 'le:3:3' has the wrong endpoints"),
+    (walking_arrow_category(), "target",
+     "'le:1:1'∘'le:0:1' = 'le:0:0' has the wrong endpoints"),
+    (chain_poset_category(4), "target",
+     "'le:3:3'∘'le:2:3' = 'le:2:2' has the wrong endpoints"),
+    (chain_poset_category(4), "stray",
+     "table entry for non-composable pair ('le:3:3', 'le:0:0')"),
+    (walking_arrow_category(), "stray",
+     "table entry for non-composable pair ('le:1:1', 'le:0:0')")])
+def test_a_fault_in_the_last_row_is_named_as_the_oracle_names_it(cat, kind,
+                                                                message):
+    # the whole-row pass meets the fault in its last row, and the scans it
+    # falls back to name it
+    c = _last_row_fault(cat, kind)
+    got, want = raised(validate_fincat, c), raised(exhaustive_validate, c)
+    assert type(got) is type(want) is BadComposite
+    assert str(got) == str(want) == message
 
 
 def test_comp_raises_on_mismatched_endpoints():
