@@ -17,10 +17,9 @@ from types import SimpleNamespace
 from .digraph import (Digraph, QuivercalcError, check_names, classify_digraph,
                       make_closed_cover, standard_digraph)
 from .quiver import enumerate_paths, hom_is_finite
-from .fincat import (FinCat, Representation, check_closed_sheaf,
-                     chain_poset_category, cyclic_group_category,
-                     enumerate_reps, rep_count, rep_tuples, rep_via_exit_limit,
-                     symmetric_group_category, validate_fincat,
+from .fincat import (FinCat, check_closed_sheaf, chain_poset_category,
+                     cyclic_group_category, enumerate_reps, rep_count, rep_tuples,
+                     rep_via_exit_limit, symmetric_group_category, validate_fincat,
                      walking_arrow_category)
 from .cyccat import (EpiMor, cartesian_factor, compose_epi, compose_para,
                      dualize_para, enumerate_epi_degree1,
@@ -28,13 +27,11 @@ from .cyccat import (EpiMor, cartesian_factor, compose_epi, compose_para,
                      lift_epi_degree1, para_phi, parse_epi, parse_para,
                      project_para_to_epi)
 from .hochschild import compute_hh, psi, trace_obj, power_endo
-# fact_homology is no longer called here; perfbench's traced run still
-# wraps it under this name
-from .emm import (CircleEndo, MObject, VertexToCircle,
-                  enumerate_directed_cycles, fact_count, fact_homology,
-                  fact_namer, fact_tuples, compose_m, hom_m,
-                  make_excision_site, verify_excision, circle_object,
-                  mobject_of_digraph)
+# fact_homology is not called here; perfbench's traced run wraps this name
+from .emm import (CircleEndo, MObject, VertexToCircle, _blocks, circle_object,
+                  compose_m, enumerate_directed_cycles, fact_count, fact_homology,
+                  fact_tuples, hom_m, make_excision_site, mobject_of_digraph,
+                  verify_excision)
 
 
 def _load(path: str, what: str, parse):
@@ -46,6 +43,8 @@ def _load(path: str, what: str, parse):
         raise QuivercalcError(f"cannot read {path}: {e}")
     except ValueError as e:
         raise QuivercalcError(f"{path} is not valid JSON: {e}")
+    except RecursionError:
+        raise QuivercalcError(f"{path} is not valid JSON: nested too deeply")
     try:
         return parse(data)
     except (ValueError, KeyError, TypeError, AttributeError) as e:
@@ -72,9 +71,8 @@ def _load_site(path: str):
     def parse(data):
         if not isinstance(data, dict) or "graph" not in data:
             raise QuivercalcError("site JSON needs 'graph'")
-        if data["graph"] == "circle":
-            return make_excision_site("circle")
-        graph, cuts = Digraph.from_json(data["graph"]), data.get("cut_edges", [])
+        graph, cuts = data["graph"], data.get("cut_edges", [])
+        graph = graph if graph == "circle" else Digraph.from_json(graph)
         check_names(cuts, "cut edge")
         return make_excision_site(graph, cuts)
     return _load(path, "site", parse)
@@ -87,6 +85,11 @@ def _parse_cover_piece(text: str, what: str):
     verts = [v for v in vs.split(",") if v]
     edges = [e for e in es.split(",") if e]
     return verts, edges
+
+
+def _pairs(keys, names, indices) -> str:
+    """'key:name' for each key, its name read from its index into names."""
+    return " ".join(f"{k}:{names[i]}" for k, i in zip(keys, indices))
 
 
 def _write_lines(lines: list[str]) -> None:
@@ -135,12 +138,10 @@ def cmd_paths(args) -> int:
 def cmd_reps(args) -> int:
     cat = _load_cat(args.cat)
     g = _load_graph(args.graph)
-    count, rows = rep_count(cat, g), []
-    for x in rep_tuples(cat, g, args.limit):
-        r = Representation.from_indices(cat, g, x)
-        vs = " ".join(f"{v}:{r.vertex_labels[v]}" for v in g.vertices)
-        es = " ".join(f"{e.eid}:{r.edge_labels[e.eid]}" for e in g.edges)
-        rows.append(f"{vs} | {es}".strip(" |"))
+    count, nv, eids = rep_count(cat, g), len(g.vertices), [e.eid for e in g.edges]
+    mors = [f.mid for f in cat.morphisms]
+    rows = [f"{_pairs(g.vertices, cat.objects, x)} | {_pairs(eids, mors, x[nv:])}"
+            .strip(" |") for x in rep_tuples(cat, g, args.limit)]
     _write_listing(rows, count, args.limit, f"count: {count}")
     return 0
 
@@ -247,14 +248,13 @@ def _describe_mmor(f) -> str:
 def cmd_fact(args) -> int:
     cat = _load_cat(args.cat)
     m = _load_mobject(args.mobject)
-    size = fact_count(cat, m)
-    name, rows = fact_namer(cat, m), []
-    for classes, reps in map(name, fact_tuples(cat, m, args.limit)):
-        cbit = " ".join(c.rep for c in classes)
-        rbit = " ".join("(" + " ".join(f"{e.eid}:{r.edge_labels[e.eid]}"
-                                       for e in r.graph.edges) + ")"
-                        for r in reps)
-        rows.append((cbit + " " + rbit).strip() or "(unit)")
+    size, mors = fact_count(cat, m), [f.mid for f in cat.morphisms]
+    classes = [c.rep for c in compute_hh(cat).classes] if m.circles else ()
+    quivers = [([e.eid for e in q.edges], a + len(q.vertices), b)
+               for q, (a, b) in zip(m.quivers, _blocks(m))]
+    rows = [" ".join([*(classes[i] for i in x[:m.circles]),
+                      *(f"({_pairs(eids, mors, x[a:b])})" for eids, a, b in quivers)])
+            .strip() or "(unit)" for x in fact_tuples(cat, m, args.limit)]
     _write_listing(rows, size, args.limit, f"size: {size}")
     return 0
 

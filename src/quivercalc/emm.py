@@ -546,6 +546,19 @@ class ExcisionSite:
     Cutting severs each chosen edge; gluing stage p re-joins the stumps
     through a directed chain with p interior vertices.  For the circle,
     stage p is the directed (p+1)-cycle.
+
+    On a graph site, cut edge k = s -> t is at stage p the chain of points
+    s, k:w0, ..., k:wp, t and edges k:c0, ..., k:c(p+1); at stage -1, the
+    uncut graph, it is s, t and k.  Every map between stages fixes the rest
+    of the graph and is, on each cut's chain, a monotone map of its points
+    that fixes both ends, as in cyccat's lifts: point i goes to point
+    lift[i], and edge i to the run of edges between the images of its ends
+    (an empty run collapses it).  The lifts on a cut's chain:
+
+        first face      stage 0 -> 1    (0, 1, 3)
+        second face     stage 0 -> 1    (0, 2, 3)
+        sigma_k         stage 1 -> 0    (0, 0, 1, 2) on k, (0, 1, 1, 2) elsewhere
+        refinement(p)   stage -1 -> p   (0, p+2)
     """
 
     def __init__(self, kind: str, graph: Digraph | None, cut_edges):
@@ -553,7 +566,7 @@ class ExcisionSite:
         self.graph = graph
         self.cut_edges = tuple(cut_edges)
         self._cut = set(self.cut_edges)
-        self._levels: dict[int, Digraph] = {}     # stage p -> its graph
+        self._levels: dict[int, tuple[Digraph, dict, dict]] = {}    # see _level
         if kind == "graph":
             if not isinstance(graph, Digraph):
                 raise QuivercalcError("a graph site needs a digraph")
@@ -575,28 +588,50 @@ class ExcisionSite:
 
     def level_graph(self, p: int) -> Digraph:
         """Stage p's graph, built on the first call for p and kept."""
+        return self._level(p)[0]
+
+    def _level(self, p: int) -> tuple[Digraph, dict, dict]:
+        """Stage p's graph, its chains and the paths of its uncut edges."""
         if p not in self._levels:
             if p < 0:
                 raise QuivercalcError(f"stages are numbered from 0, not {p}")
-            self._levels[p] = (standard_digraph("cyclic", p + 1)
-                               if self.kind == "circle" else self._build_level(p))
+            if self.kind == "circle":
+                self._levels[p] = (standard_digraph("cyclic", p + 1), {}, {})
+                return self._levels[p]
+            chains, vs, es = self._chains(p), list(self.graph.vertices), []
+            for points, edges in chains.values():
+                vs.extend(points[1:-1])
+                es.extend(zip(edges, points, points[1:]))
+            g = Digraph(vs, es)
+            self._levels[p] = (g, chains, {k: Path.of_edge(g, k) for k in chains
+                                           if k not in self._cut})
         return self._levels[p]
 
-    def _build_level(self, p: int) -> Digraph:
-        g = self.graph
-        cuts = [e for e in g.edges if e.eid in self._cut]
-        vs = list(g.vertices)
-        for e in cuts:
-            vs.extend(f"{e.eid}:w{i}" for i in range(p + 1))
-        es = []
-        for e in g.edges:
-            if e.eid not in self._cut:
-                es.append((e.eid, e.src, e.tgt))
-                continue
-            chain = [e.src] + [f"{e.eid}:w{i}" for i in range(p + 1)] + [e.tgt]
-            es.extend((f"{e.eid}:c{i}", chain[i], chain[i + 1])
-                      for i in range(p + 2))
-        return Digraph(vs, es)
+    def _chains(self, p: int) -> dict:
+        """Each edge's chain at stage p, in graph order, as (points, edges);
+        an uncut edge is its own chain.  The one place chain names are made."""
+        out = {}
+        for e in self.graph.edges:
+            k = e.eid
+            out[k] = (((e.src, *[f"{k}:w{i}" for i in range(p + 1)], e.tgt),
+                       tuple([f"{k}:c{i}" for i in range(p + 2)]))
+                      if k in self._cut and p >= 0 else ((e.src, e.tgt), (k,)))
+        return out
+
+    def _stage_mor(self, p: int, q: int, lift) -> QuiverMor:
+        """The map from stage p (-1: the uncut graph) to stage q that sends
+        the points of cut k's chain by lift(k) (see the class docstring)."""
+        source, chains, _ = ((self.graph, self._chains(p), {}) if p < 0
+                             else self._level(p))
+        target, images, fixed = self._level(q)
+        vmap, paths = {v: v for v in self.graph.vertices}, dict(fixed)
+        for k in self.cut_edges:
+            (points, edges), (to, runs), at = chains[k], images[k], lift(k)
+            for i in range(1, len(points) - 1):
+                vmap[points[i]] = to[at[i]]
+            for i, c in enumerate(edges):
+                paths[c] = Path(target, to[at[i]], runs[at[i]:at[i + 1]])
+        return QuiverMor(source, target, vmap, paths)
 
     def level(self, p: int) -> MObject:
         return mobject_of_digraph(self.level_graph(p))
@@ -605,80 +640,30 @@ class ExcisionSite:
         """The two ways the one-joint stage includes into the two-joint
         stage: each weld vertex goes to the first or the second joint, and
         the middle chain edge is absorbed on the respective side."""
-        g0, g1 = self.level_graph(0), self.level_graph(1)
         if self.kind == "circle":
+            g0, g1 = self.level_graph(0), self.level_graph(1)
             # the degree-one functors from the 1-cycle onto the 2-cycle,
             # EpiMor(1, 2, [v], [2]) on the kept stage graphs
             return tuple(QuiverMor(g0, g1, {"0": str(v)},
                                    {"e0": Path(g1, str(v), (f"e{v}", f"e{1 - v}"))})
                          for v in (0, 1))
-        va = {v: v for v in self.graph.vertices}
-        vb = dict(va)
-        pa, pb = {}, {}
-        for e in self.graph.edges:
-            s = e.eid
-            if s not in self._cut:
-                pa[s] = Path.of_edge(g1, s)
-                pb[s] = Path.of_edge(g1, s)
-                continue
-            va[f"{s}:w0"] = f"{s}:w0"
-            vb[f"{s}:w0"] = f"{s}:w1"
-            pa[f"{s}:c0"] = Path(g1, e.src, (f"{s}:c0",))
-            pa[f"{s}:c1"] = Path(g1, f"{s}:w0", (f"{s}:c1", f"{s}:c2"))
-            pb[f"{s}:c0"] = Path(g1, e.src, (f"{s}:c0", f"{s}:c1"))
-            pb[f"{s}:c1"] = Path(g1, f"{s}:w1", (f"{s}:c2",))
-        return (QuiverMor(g0, g1, va, pa), QuiverMor(g0, g1, vb, pb))
+        return (self._stage_mor(0, 1, lambda k: (0, 1, 3)),
+                self._stage_mor(0, 1, lambda k: (0, 2, 3)))
 
     def degeneracies(self) -> tuple[QuiverMor, ...]:
         """The degeneracies of the two-joint stage onto the one-joint stage,
-        one sigma_k per cut edge k = s -> t, in cut order.  sigma_k sends
-        k's weld vertices w0, w1 to s, w0 and its chain c0, c1, c2 to the
-        empty path at s, c0, c1; for every other cut edge it sends w0, w1
-        to w0 and c0, c1, c2 to c0, the empty path at w0, c1.  The rest of
-        the graph maps to itself.  So sigma_k after the second face map is
-        the identity, and after the first it folds k's chain onto its
-        second edge.  Only for graph sites."""
+        one sigma_k per cut edge k, in cut order.  Only for graph sites."""
         if self.kind != "graph":
             raise QuivercalcError("only graph sites have degeneracies")
-        g0, g1 = self.level_graph(0), self.level_graph(1)
-        out = []
-        for k in self.cut_edges:
-            vmap = {v: v for v in self.graph.vertices}
-            paths = {}
-            for e in self.graph.edges:
-                s = e.eid
-                if s not in self._cut:
-                    paths[s] = Path.of_edge(g0, s)
-                    continue
-                w0, c0, c1 = f"{s}:w0", f"{s}:c0", f"{s}:c1"
-                if s == k:
-                    vmap[w0] = e.src
-                    paths[c0] = Path.empty(g0, e.src)
-                    paths[c1] = Path.of_edge(g0, c0)
-                else:
-                    vmap[w0] = w0
-                    paths[c0] = Path.of_edge(g0, c0)
-                    paths[c1] = Path.empty(g0, w0)
-                vmap[f"{s}:w1"] = w0
-                paths[f"{s}:c2"] = Path.of_edge(g0, c1)
-            out.append(QuiverMor(g1, g0, vmap, paths))
-        return tuple(out)
+        return tuple(self._stage_mor(1, 0, lambda s, k=k: (0, 0 if s == k else 1, 1, 2))
+                     for k in self.cut_edges)
 
     def refinement(self, p: int) -> QuiverMor:
         """The original graph refined into stage p: each cut edge becomes
         its chain.  Only for graph sites."""
         if self.kind != "graph":
             raise QuivercalcError("only graph sites have a refinement map")
-        gp = self.level_graph(p)
-        vmap = {v: v for v in self.graph.vertices}
-        paths = {}
-        for e in self.graph.edges:
-            if e.eid in self._cut:
-                paths[e.eid] = Path(gp, e.src,
-                                    tuple(f"{e.eid}:c{i}" for i in range(p + 2)))
-            else:
-                paths[e.eid] = Path.of_edge(gp, e.eid)
-        return QuiverMor(self.graph, gp, vmap, paths)
+        return self._stage_mor(-1, p, lambda k: (0, p + 2))
 
     def total(self) -> MObject:
         return (circle_object(1) if self.kind == "circle"
@@ -688,16 +673,14 @@ class ExcisionSite:
         """Stage 0 mapping onto the glued object."""
         if self.kind == "graph":
             return quiv_op_mmor(self.refinement(0))
-        g0 = self.level_graph(0)
-        m0 = mobject_of_digraph(g0)
+        m0 = self.level(0)
         z = DirectedCycle.walk(m0.quivers[0], ("e0",))
         return MMor(m0, circle_object(1), (CycleToCircle(0, z, 1),), ())
 
 
 def make_excision_site(graph, cut_edges=()) -> ExcisionSite:
-    if graph == "circle":
-        return ExcisionSite("circle", None, ())
-    return ExcisionSite("graph", graph, cut_edges)
+    return (ExcisionSite("circle", None, cut_edges) if graph == "circle"
+            else ExcisionSite("graph", graph, cut_edges))
 
 
 @dataclass

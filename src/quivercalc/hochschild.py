@@ -164,13 +164,16 @@ def class_of_word(w: CyclicWord) -> HHClass:
 
 def power_endo(category: FinCat, endo: str, r: int) -> str:
     """endo composed with itself r times, by repeated squaring: O(log r)
-    compositions.  Regrouping the factors is sound because composition is
-    associative, which validate_fincat establishes for a loaded category."""
+    compositions.  Regrouping the factors needs associativity, so a
+    category that has not passed validate_fincat is validated first, and
+    its error raised."""
     if type(r) is not int:              # bool is no exponent
         raise QuivercalcError(f"powers are taken for integers r, not {r!r}")
     if r < 1:
         raise QuivercalcError(f"powers are taken for r >= 1, not {r}")
     _endo_index(category, endo)
+    if category.generators is None:
+        validate_fincat(category)
     out, square = None, endo
     while True:
         if r & 1:

@@ -617,6 +617,11 @@ def bad_files(tmp_path_factory):
     interval = json.loads((FIXTURES / "interval.json").read_text())
     (tmp / "string_cuts.json").write_text(
         json.dumps({"graph": interval, "cut_edges": "e0"}))
+    (tmp / "circle_cuts.json").write_text(
+        json.dumps({"graph": "circle", "cut_edges": ["e0"]}))
+    (tmp / "circle_junk_cuts.json").write_text(
+        json.dumps({"graph": "circle", "cut_edges": "junk"}))
+    (tmp / "deep.json").write_text("[" * 100_000)
     arrow = json.loads((FIXTURES / "arrow.json").read_text())
     arrow["compose"].append(["le:0:0", "le:0:0"])
     (tmp / "pair_compose.json").write_text(json.dumps(arrow))
@@ -657,6 +662,11 @@ BAD_INPUTS = {
     "hh-compose-string": ["hh", "--cat", "{bad}/string_compose.json"],
     "classify-edge-without-tgt": ["classify", "--graph", "{bad}/no_tgt.json"],
     "classify-edge-string": ["classify", "--graph", "{bad}/string_edge.json"],
+    "hh-deep-json": ["hh", "--cat", "{bad}/deep.json"],
+    "excise-circle-cut-edges": ["excise", "--cat", ARROW,
+                                "--site", "{bad}/circle_cuts.json"],
+    "excise-circle-cut-edges-string": ["excise", "--cat", ARROW,
+                                       "--site", "{bad}/circle_junk_cuts.json"],
 }
 BAD_MESSAGES = {
     "excise-site-not-an-object": "error: bad site in {bad}/site.json: "
@@ -673,6 +683,11 @@ BAD_MESSAGES = {
                          "the circle count must be an integer >= 0, not True\n",
     "excise-cut-edges-string": "error: bad site in {bad}/string_cuts.json: "
                                "cut edge names must be a list of strings\n",
+    "hh-deep-json": "error: {bad}/deep.json is not valid JSON: nested too deeply\n",
+    "excise-circle-cut-edges": "error: bad site in {bad}/circle_cuts.json: a site "
+                               "is a graph with cut edges, or a bare circle\n",
+    "excise-circle-cut-edges-string": "error: bad site in {bad}/circle_junk_cuts.json: "
+                                      "cut edge names must be a list of strings\n",
 }
 
 
@@ -767,6 +782,10 @@ BAD_PARSES = {
     "hh-compose-string": {"cat": "{bad}/string_compose.json"},
     "classify-edge-without-tgt": {"graph": "{bad}/no_tgt.json"},
     "classify-edge-string": {"graph": "{bad}/string_edge.json"},
+    "hh-deep-json": {"cat": "{bad}/deep.json"},
+    "excise-circle-cut-edges": {"cat": ARROW, "site": "{bad}/circle_cuts.json"},
+    "excise-circle-cut-edges-string": {"cat": ARROW,
+                                       "site": "{bad}/circle_junk_cuts.json"},
 }
 
 # argv -> the words it sets (over DEFAULTS), the one error line, or HELP

@@ -34,6 +34,7 @@ from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
 
 import cycle_oracle
 import search_oracle
+import stage_oracle
 import string_oracle as oracle
 from random_categories import concrete_categories
 from tests.conftest import FIXTURES
@@ -870,6 +871,25 @@ LABEL_SITES = {
 }
 
 
+STAGE_SITES = {**{f"label-{n}": s for n, s in LABEL_SITES.items()},
+               **{f"block-{i}": s for i, s in enumerate(BLOCK_SITES)
+                  if s.kind == "graph"}}
+
+
+@pytest.mark.parametrize("name", STAGE_SITES)
+def test_stage_maps_by_lifts_equal_the_hand_written_ones(name):
+    """Every graph-site stage map comes from one rule, a monotone lift of
+    each cut's chain: the stage graphs (in vertex and edge order), faces,
+    degeneracies and refinements equal the ones written out by hand."""
+    site = STAGE_SITES[name]
+    for p in range(4):
+        got, want = site.level_graph(p), stage_oracle.level_graph(site, p)
+        assert (got.vertices, got.edges) == (want.vertices, want.edges)
+        assert site.refinement(p) == stage_oracle.refinement(site, p)
+    assert site.face_maps() == stage_oracle.face_maps(site)
+    assert site.degeneracies() == stage_oracle.degeneracies(site)
+
+
 def test_the_faces_then_a_degeneracy_fix_all_but_its_cut():
     """Pulling back along sigma_k then the second face is the identity;
     then the first face, it is N_k: cut k's composite moves onto its
@@ -1184,6 +1204,8 @@ EMM_REJECTIONS = {
                        "cut edges are listed twice"),
     "site-kind": (lambda: ExcisionSite("circle", L1, ()),
                   "a site is a graph with cut edges, or a bare circle"),
+    "site-circle-cuts": (lambda: make_excision_site("circle", ["e0"]),
+                         "a site is a graph with cut edges, or a bare circle"),
     "site-stage": (lambda: make_excision_site("circle").level_graph(-1),
                    "stages are numbered from 0, not -1"),
     "site-refinement": (lambda: make_excision_site("circle").refinement(0),

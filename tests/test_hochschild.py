@@ -551,6 +551,11 @@ def test_least_rotation_matches_naive(seq):
 # --- every rejection names what is wrong -------------------------------------
 
 HH_ARROW = walking_arrow_category()
+# one object, unit e, a∘a = a∘b = b∘a = e and b∘b = a: not associative.
+# Squaring would give b^4 = e, but b composed four times from the left is b.
+SKEW = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("e", "b"): "b",
+        ("b", "e"): "b", ("a", "a"): "e", ("a", "b"): "e", ("b", "a"): "e",
+        ("b", "b"): "a"}
 HH_REJECTIONS = {
     "rotation": (lambda: lyndon_rotation([]),
                  "an empty sequence has no least rotation"),
@@ -575,6 +580,9 @@ HH_REJECTIONS = {
                       "'nope' is not an endomorphism of this category"),
     "power-not-endo": (lambda: power_endo(HH_ARROW, "le:0:1", 3),
                        "'le:0:1' is not an endomorphism of this category"),
+    "power-not-associative": (
+        lambda: power_endo(monoid_category(["e", "a", "b"], SKEW, "e"), "b", 4),
+        "('a', 'a', 'b')"),
     "class-unknown": (lambda: compute_hh(HH_ARROW).class_of("nope"),
                       "'nope' is not an endomorphism of this category"),
     "psi-class": (lambda: psi(cyclic_group_category(3), 2,
