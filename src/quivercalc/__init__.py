@@ -27,7 +27,7 @@ from .cyccat import (EpiMor, ParaMor, cartesian_factor, compose_epi,
 from .hochschild import (CyclicWord, HHClass, HHTable, class_of_word,
                          compute_hh, hh_map, psi, trace_end, trace_obj)
 from .emm import (CircleEndo, CycleToCircle, DirectedCycle, ExcisionSite,
-                  ExcisionVerdict, MMor, MObject, QuivPart, VertexToCircle,
+                  ExcisionVerdict, MMor, MObject, QuivPart,
                   circle_object, compose_m, cycle_length_bound,
                   enumerate_directed_cycles, fact_homology,
                   fact_map, hom_m, identity_m, make_excision_site,

@@ -28,7 +28,7 @@ from .cyccat import (EpiMor, cartesian_factor, compose_epi, compose_para,
                      project_para_to_epi)
 from .hochschild import compute_hh, psi, trace_obj, power_endo
 # fact_homology is not called here; perfbench's traced run wraps this name
-from .emm import (CircleEndo, MObject, VertexToCircle, _blocks, circle_object,
+from .emm import (CircleEndo, MObject, _blocks, circle_object,
                   compose_m, enumerate_directed_cycles, fact_count, fact_homology,
                   fact_tuples, hom_m, make_excision_site, mobject_of_digraph,
                   verify_excision)
@@ -234,8 +234,8 @@ def _describe_mmor(f) -> str:
     for j, part in enumerate(f.circle_parts):
         if isinstance(part, CircleEndo):
             bits.append(f"circle{j} ← circle{part.circle} ^{part.weight}")
-        elif isinstance(part, VertexToCircle):
-            bits.append(f"circle{j} ← quiver{part.quiver}@{part.vertex}")
+        elif part.cycle.is_constant:
+            bits.append(f"circle{j} ← quiver{part.quiver}@{part.cycle.vertex}")
         else:
             bits.append(f"circle{j} ← quiver{part.quiver}"
                         f"[{'·'.join(part.cycle.edges)}]^{part.weight}")

@@ -504,13 +504,6 @@ def lyndon_words(d: Digraph, max_len: int) -> Iterator[tuple[int, ...]]:
                 stack.append((iter(usable[w]), n + 1, p))
 
 
-def lyndon_walks(d: Digraph, max_len: int) -> Iterator[tuple]:
-    """The walks of lyndon_words, in its order, as tuples of edge ids."""
-    edges = d.edges
-    for word in lyndon_words(d, max_len):
-        yield tuple([edges[j].eid for j in word])
-
-
 def classify_digraph(d: Digraph) -> DigraphShape:
     """Connectivity and the two distinguished shapes.
 

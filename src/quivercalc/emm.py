@@ -2,12 +2,12 @@
 
 An object here is a finite list of circles together with a finite list of
 connected digraphs.  Maps are described per TARGET component: a target
-circle either winds around a source circle (with a positive weight), sits at
-a vertex of a source quiver, or wraps a directed cycle of a source quiver a
-positive number of times; a target quiver receives a quiver morphism FROM it
-INTO a source quiver (quivers embed contravariantly).  There are no maps
-from a circle to a quiver, so hom-sets whose target has a quiver but whose
-source has none are empty.
+circle either winds around a source circle (with a positive weight) or wraps
+a directed cycle of a source quiver a positive number of times, where a
+constant cycle, wrapped once, sits at a vertex; a target quiver receives a
+quiver morphism FROM it INTO a source quiver (quivers embed
+contravariantly).  There are no maps from a circle to a quiver, so hom-sets
+whose target has a quiver but whose source has none are empty.
 
 Factorization homology assigns to such an object: one trace class per
 circle, one representation per quiver; maps act by power operators, traces,
@@ -21,17 +21,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
+# classify_digraph, enumerate_reps, pullback_rep and psi are no longer
+# called here; perfbench's traced run still wraps them under these names
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
                       classify_digraph, component_labels, lyndon_rotation,
-                      lyndon_words, standard_digraph, strong_components)
+                      lyndon_words, standard_digraph, strong_components,
+                      weak_components)
 from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
                      enumerate_quiver_mors)
-# enumerate_reps and pullback_rep are no longer called here; perfbench's
-# traced run still wraps them under these names
 from .fincat import (FinCat, Representation, compile_pullback, enumerate_reps,
                      index_program, path_steps, pullback_rep, rep_count,
-                     rep_tuples, validate_fincat)
-from .hochschild import compute_hh, psi
+                     rep_tuples, validated)
+from .hochschild import _powers, compute_hh, psi
 
 
 # --- directed cycles --------------------------------------------------------
@@ -164,7 +165,7 @@ class MObject:
             raise QuivercalcError(
                 f"the circle count must be an integer >= 0, not {circles!r}")
         for q in self.quivers:
-            if not classify_digraph(q).connected:
+            if len(weak_components(q)) != 1:
                 raise QuivercalcError("component quivers must be connected; "
                                       "split the graph first")
 
@@ -213,16 +214,10 @@ class CircleEndo:
 
 
 @dataclass(frozen=True)
-class VertexToCircle:
-    quiver: int          # source quiver index
-    vertex: str
-
-
-@dataclass(frozen=True)
 class CycleToCircle:
     quiver: int
-    cycle: DirectedCycle  # nonconstant
-    weight: int           # >= 1
+    cycle: DirectedCycle  # a constant cycle sits at its vertex
+    weight: int           # >= 1, and 1 on a constant cycle
 
 
 @dataclass(frozen=True)
@@ -266,14 +261,12 @@ class MMor:
             if isinstance(part, CircleEndo):
                 check_index(part.circle, "circle", source.circles)
                 check_weight(part.weight)
-            elif isinstance(part, VertexToCircle):
-                source_quiver(part.quiver).vertex_index(part.vertex)
             elif isinstance(part, CycleToCircle):
                 if part.cycle.graph != source_quiver(part.quiver):
                     raise QuivercalcError("the cycle lies in another quiver")
-                if part.cycle.is_constant:
-                    raise QuivercalcError("constant cycles are vertex components")
                 check_weight(part.weight)
+                if part.cycle.is_constant and part.weight != 1:
+                    raise QuivercalcError("a constant cycle winds once")
             else:
                 raise QuivercalcError(f"not a circle component: {part!r}")
         for beta, part in enumerate(self.quiver_parts):
@@ -321,15 +314,15 @@ def hom_m(source: MObject, target: MObject, max_len: int = 6,
             opts.extend(CircleEndo(i, w) for w in range(1, max_weight + 1))
         if source.circles:
             truncated = True  # weights are unbounded
-        for a, q in enumerate(source.quivers):
-            opts.extend(VertexToCircle(a, v) for v in q.vertices)
-        for a, q in enumerate(source.quivers):
+        # every quiver's constant cycles come before any other cycle
+        cycles = [enumerate_directed_cycles(q, max_len) for q in source.quivers]
+        for a, zs in enumerate(cycles):
+            opts.extend(CycleToCircle(a, z, 1) for z in zs if z.is_constant)
+        for a, (q, zs) in enumerate(zip(source.quivers, cycles)):
             if cycle_length_bound(q) != 0:
                 truncated = True  # a cycle winds round a circle any number of times
-            cycles = [z for z in enumerate_directed_cycles(q, max_len)
-                      if not z.is_constant]
-            opts.extend(CycleToCircle(a, z, w)
-                        for z in cycles for w in range(1, max_weight + 1))
+            opts.extend(CycleToCircle(a, z, w) for z in zs if not z.is_constant
+                        for w in range(1, max_weight + 1))
         circle_options = [opts] * target.circles
 
     quiver_options = []
@@ -360,22 +353,18 @@ def compose_m(g: MMor, f: MMor) -> MMor:
             inner = f.circle_parts[part.circle]
             if isinstance(inner, CircleEndo):
                 cparts.append(CircleEndo(inner.circle, inner.weight * part.weight))
-            elif isinstance(inner, VertexToCircle):
+            elif inner.cycle.is_constant:       # a vertex winds once
                 cparts.append(inner)
             else:
                 cparts.append(CycleToCircle(inner.quiver, inner.cycle,
                                             inner.weight * part.weight))
-        elif isinstance(part, VertexToCircle):
-            qp = f.quiver_parts[part.quiver]
-            cparts.append(VertexToCircle(qp.quiver,
-                                         qp.mor.vertex_map[part.vertex]))
         else:
             qp = f.quiver_parts[part.quiver]
             z, q = part.cycle, qp.mor.target
             edges = qp.mor.map_path(Path(z.graph, z.vertex, z.edges)).edges
             if not edges:       # the whole cycle collapses to a vertex
-                cparts.append(VertexToCircle(qp.quiver,
-                                             qp.mor.vertex_map[z.vertex]))
+                cparts.append(CycleToCircle(qp.quiver, DirectedCycle.constant(
+                    q, qp.mor.vertex_map[z.vertex]), 1))
             else:               # it winds len/p times around a p-cycle
                 _, p = lyndon_rotation([q.edge_index(e) for e in edges])
                 cparts.append(CycleToCircle(qp.quiver,
@@ -478,24 +467,24 @@ def fact_homology(category: FinCat, m: MObject) -> list[tuple]:
 
 def _circle_map(category: FinCat, source: MObject, part):
     """One target circle's class index, as a block map: source elements to
-    1-tuples.  A vertex part is the trace of its empty loop."""
+    1-tuples.  Each row's loop, a class representative or the holonomy
+    around a cycle (the identity at a constant cycle's vertex), goes to the
+    class of its w-th power."""
     hh = compute_hh(category)
-    index = {cls.rep: i for i, cls in enumerate(hh.classes)}
     if isinstance(part, CircleEndo):
-        def endos(block):
-            return [hh.classes[x[part.circle]] for x in block]
-    else:
-        q = source.quivers[part.quiver]
-        path = (Path.empty(q, part.vertex) if isinstance(part, VertexToCircle)
-                else Path(q, part.cycle.vertex, part.cycle.edges))
-        word = index_program(category, (), [path_steps(
-            q, path, _blocks(source)[part.quiver][0])])
+        reps = [category.morphism_index(cls.rep) for cls in hh.classes]
 
-        def endos(block):
-            return [category.morphisms[m].mid for m, in word(block)]
-    weight = 1 if isinstance(part, VertexToCircle) else part.weight
-    return lambda block: [(index[psi(category, weight, e).rep],)
-                          for e in endos(block)]
+        def loops(block):
+            return [reps[x[part.circle]] for x in block]
+    else:
+        q, z = source.quivers[part.quiver], part.cycle
+        holonomy = index_program(category, (), [path_steps(
+            q, Path(q, z.vertex, z.edges), _blocks(source)[part.quiver][0])])
+
+        def loops(block):
+            return [m for m, in holonomy(block)]
+    t, index = category.int_table, hh.class_index
+    return lambda block: [(index[m],) for m in _powers(t, loops(block), part.weight)]
 
 
 def _compile_mmor(category: FinCat, f: MMor):
@@ -566,7 +555,7 @@ class ExcisionSite:
         self.graph = graph
         self.cut_edges = tuple(cut_edges)
         self._cut = set(self.cut_edges)
-        self._levels: dict[int, tuple[Digraph, dict, dict]] = {}    # see _level
+        self._levels: dict[int, tuple] = {}     # see _level
         if kind == "graph":
             if not isinstance(graph, Digraph):
                 raise QuivercalcError("a graph site needs a digraph")
@@ -590,21 +579,26 @@ class ExcisionSite:
         """Stage p's graph, built on the first call for p and kept."""
         return self._level(p)[0]
 
-    def _level(self, p: int) -> tuple[Digraph, dict, dict]:
-        """Stage p's graph, its chains and the paths of its uncut edges."""
+    def level(self, p: int) -> MObject:
+        """Stage p as an object, built with its graph and kept."""
+        return self._level(p)[1]
+
+    def _level(self, p: int) -> tuple[Digraph, MObject, dict, dict]:
+        """Stage p's graph and object, its chains and the paths of its
+        uncut edges."""
         if p not in self._levels:
             if p < 0:
                 raise QuivercalcError(f"stages are numbered from 0, not {p}")
             if self.kind == "circle":
-                self._levels[p] = (standard_digraph("cyclic", p + 1), {}, {})
-                return self._levels[p]
-            chains, vs, es = self._chains(p), list(self.graph.vertices), []
-            for points, edges in chains.values():
-                vs.extend(points[1:-1])
-                es.extend(zip(edges, points, points[1:]))
-            g = Digraph(vs, es)
-            self._levels[p] = (g, chains, {k: Path.of_edge(g, k) for k in chains
-                                           if k not in self._cut})
+                g, chains, fixed = standard_digraph("cyclic", p + 1), {}, {}
+            else:
+                chains, vs, es = self._chains(p), list(self.graph.vertices), []
+                for points, edges in chains.values():
+                    vs.extend(points[1:-1])
+                    es.extend(zip(edges, points, points[1:]))
+                g = Digraph(vs, es)
+                fixed = {k: Path.of_edge(g, k) for k in chains if k not in self._cut}
+            self._levels[p] = (g, mobject_of_digraph(g), chains, fixed)
         return self._levels[p]
 
     def _chains(self, p: int) -> dict:
@@ -621,9 +615,9 @@ class ExcisionSite:
     def _stage_mor(self, p: int, q: int, lift) -> QuiverMor:
         """The map from stage p (-1: the uncut graph) to stage q that sends
         the points of cut k's chain by lift(k) (see the class docstring)."""
-        source, chains, _ = ((self.graph, self._chains(p), {}) if p < 0
-                             else self._level(p))
-        target, images, fixed = self._level(q)
+        source, _, chains, _ = ((self.graph, None, self._chains(p), None)
+                                if p < 0 else self._level(p))
+        target, _, images, fixed = self._level(q)
         vmap, paths = {v: v for v in self.graph.vertices}, dict(fixed)
         for k in self.cut_edges:
             (points, edges), (to, runs), at = chains[k], images[k], lift(k)
@@ -632,9 +626,6 @@ class ExcisionSite:
             for i, c in enumerate(edges):
                 paths[c] = Path(target, to[at[i]], runs[at[i]:at[i + 1]])
         return QuiverMor(source, target, vmap, paths)
-
-    def level(self, p: int) -> MObject:
-        return mobject_of_digraph(self.level_graph(p))
 
     def face_maps(self) -> tuple[QuiverMor, QuiverMor]:
         """The two ways the one-joint stage includes into the two-joint
@@ -779,8 +770,7 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     site.  A circle site maps its whole stage 1 through both faces (at most
     M^2 composable round trips) and labels the components of those pairs.
     """
-    if category.generators is None:
-        validate_fincat(category)
+    validated(category)
     x0 = fact_tuples(category, site.level(0))
     stage1, label = _coequalizer_labels(category, site, x0)
     coeq = max(label, default=-1) + 1

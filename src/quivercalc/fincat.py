@@ -316,6 +316,14 @@ def validate_fincat(c: FinCat) -> None:
     c.generators = gens
 
 
+def validated(c: FinCat) -> IntTable:
+    """c's integer table, once c has passed validate_fincat: a category not
+    validated yet is validated now, and its first fault raised."""
+    if c.generators is None:
+        validate_fincat(c)
+    return c.int_table
+
+
 def _rows_well_formed(t: IntTable) -> bool:
     """Whether t has no stray entry and each row g has no gap, and
     composites with the sources of into[src g] and the target tgt[g]: a
@@ -715,16 +723,14 @@ def index_program(category: FinCat, vertex_pos, edge_steps) -> Callable:
     for each step (start, positions) in edge_steps, by the composite of the
     morphisms x[p] for p in positions.  The block is transposed once and
     run a column at a time, one pass per path edge; map a single x as the
-    block [x].  A step starts from its first edge's column once the
-    category has passed validate_fincat (identities are neutral), and from
-    the identity at the object x[start] when it has no edge or the category
-    has not.  The morphisms of each step must chain, as the edges of a path
-    do in a representation.  A missing identity or composite raises
-    MissingIdentity or BadComposite, as FinCat.identity and FinCat.comp do,
-    naming the first row of the first column that misses one, so a -1 of
-    the table is never used as an index.
+    block [x].  A step starts from its first edge's column, and from the
+    identity at the object x[start] only when it has no edge.  The
+    morphisms of each step must chain, as the edges of a path do in a
+    representation.  The category is validated when the program is
+    compiled (see validated), so its table has every identity and
+    composite and a fault is raised before any row is read.
     """
-    t = category.int_table
+    t = validated(category)
     comp, ident, at = t.comp, t.identity, t.at
 
     def run(block: list) -> list:
@@ -733,20 +739,12 @@ def index_program(category: FinCat, vertex_pos, edge_steps) -> Callable:
         cols = list(zip(*block))
         out = [cols[p] for p in vertex_pos]
         for start, positions in edge_steps:
-            if category.generators is not None and positions:
-                m, positions = cols[positions[0]], positions[1:]
-            else:
-                m = [ident[o] for o in cols[start]]
-                if -1 in m:     # FinCat.identity raises, naming the object
-                    category.identity(category.objects[cols[start][m.index(-1)]])
-            for p in positions:
-                col = cols[p]
-                h = [comp[g][at[f]] for g, f in zip(col, m)]
-                if -1 in h:     # FinCat.comp raises, naming the pair
-                    i = h.index(-1)
-                    category.comp(category.morphisms[col[i]].mid,
-                                  category.morphisms[m[i]].mid)
-                m = h
+            if not positions:
+                out.append([ident[o] for o in cols[start]])
+                continue
+            m = cols[positions[0]]
+            for p in positions[1:]:
+                m = [comp[g][at[f]] for g, f in zip(cols[p], m)]
             out.append(m)
         return list(zip(*out))
 

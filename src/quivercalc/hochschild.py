@@ -16,7 +16,7 @@ member; equivalently it repeats a cyclic word r times.
 from __future__ import annotations
 
 from .digraph import QuivercalcError, component_labels, lyndon_rotation
-from .fincat import FinCat, Functor, validate_fincat
+from .fincat import FinCat, Functor, IntTable, validated
 
 
 class HHClass:
@@ -57,10 +57,8 @@ class HHTable:
     """
 
     def __init__(self, category: FinCat):
-        if category.generators is None:
-            validate_fincat(category)
+        t = validated(category)
         self.category = category
-        t = category.int_table
         src, tgt, comp, at = t.src, t.tgt, t.comp, t.at
         label = component_labels(len(comp), (
             (comp[u][at[v]], comp[v][at[u]]) for u in category.generators
@@ -72,16 +70,16 @@ class HHTable:
             if src[m] == tgt[m]:
                 groups.setdefault(label[m], []).append(m)
         names = [m.mid for m in category.morphisms]
-        self._class_index = [-1] * len(comp)    # per morphism, -1 if no endo
+        self.class_index = [-1] * len(comp)     # per morphism, -1 if no endo
         self.classes: list[HHClass] = []
         for members in groups.values():
             for m in members:
-                self._class_index[m] = len(self.classes)
+                self.class_index[m] = len(self.classes)
             self.classes.append(HHClass(self, names[members[0]],
                                         tuple(names[m] for m in members)))
 
     def class_of(self, endo: str) -> HHClass:
-        return self.classes[self._class_index[_endo_index(self.category, endo)]]
+        return self.classes[self.class_index[_endo_index(self.category, endo)]]
 
     def __len__(self):
         return len(self.classes)
@@ -162,26 +160,32 @@ def class_of_word(w: CyclicWord) -> HHClass:
     return compute_hh(w.category).class_of(w.composite())
 
 
+def _powers(t: IntTable, ms, r: int) -> list[int]:
+    """The r-th power of each endomorphism index in the column ms, by
+    repeated squaring: O(log r) passes over the column.  t must have passed
+    validate_fincat, which rules out a missing composite (-1)."""
+    comp, at = t.comp, t.at
+    out, square = None, ms
+    while True:
+        if r & 1:
+            out = square if out is None else [comp[s][at[o]]
+                                              for s, o in zip(square, out)]
+        r >>= 1
+        if not r:
+            return out
+        square = [comp[s][at[s]] for s in square]
+
+
 def power_endo(category: FinCat, endo: str, r: int) -> str:
-    """endo composed with itself r times, by repeated squaring: O(log r)
-    compositions.  Regrouping the factors needs associativity, so a
-    category that has not passed validate_fincat is validated first, and
-    its error raised."""
+    """endo composed with itself r times, by repeated squaring (_powers).
+    Regrouping the factors needs associativity, so a category that has not
+    passed validate_fincat is validated first, and its error raised."""
     if type(r) is not int:              # bool is no exponent
         raise QuivercalcError(f"powers are taken for integers r, not {r!r}")
     if r < 1:
         raise QuivercalcError(f"powers are taken for r >= 1, not {r}")
-    _endo_index(category, endo)
-    if category.generators is None:
-        validate_fincat(category)
-    out, square = None, endo
-    while True:
-        if r & 1:
-            out = square if out is None else category.comp(square, out)
-        r >>= 1
-        if not r:
-            return out
-        square = category.comp(square, square)
+    m = _endo_index(category, endo)
+    return category.morphisms[_powers(validated(category), [m], r)[0]].mid
 
 
 def psi(category: FinCat, r: int, x) -> HHClass:

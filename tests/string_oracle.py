@@ -9,10 +9,10 @@ witness strings included.
 import itertools
 
 from quivercalc.digraph import QuivercalcError
-from quivercalc.emm import (CircleEndo, ExcisionVerdict, VertexToCircle,
-                            quiv_op_mmor)
+from quivercalc.emm import CircleEndo, ExcisionVerdict, _blocks, quiv_op_mmor
 from quivercalc.fincat import Representation, SheafVerdict, enumerate_reps
 from quivercalc.hochschild import CyclicWord, compute_hh, psi
+from quivercalc.quiver import Path
 from union_find import UnionFind
 
 
@@ -55,8 +55,8 @@ def fact_map(category, f):
             if isinstance(part, CircleEndo):
                 new_classes.append(psi(category, part.weight,
                                        classes[part.circle]))
-            elif isinstance(part, VertexToCircle):
-                label = reps[part.quiver].vertex_labels[part.vertex]
+            elif part.cycle.is_constant:
+                label = reps[part.quiver].vertex_labels[part.cycle.vertex]
                 new_classes.append(table.class_of(category.identity(label)))
             else:
                 rep = reps[part.quiver]
@@ -68,6 +68,25 @@ def fact_map(category, f):
         return (tuple(new_classes), tuple(new_reps))
 
     return apply
+
+
+def circle_map(category, source, part):
+    """emm._circle_map by names, as it was before it ran on indices: each
+    row's loop, a class or the composite around the cycle, goes through
+    psi one row at a time."""
+    hh = compute_hh(category)
+    index = {cls.rep: i for i, cls in enumerate(hh.classes)}
+
+    def loop(x):
+        if isinstance(part, CircleEndo):
+            return hh.classes[x[part.circle]]
+        q, z = source.quivers[part.quiver], part.cycle
+        a, b = _blocks(source)[part.quiver]
+        rep = Representation.from_indices(category, q, x[a:b])
+        return compose_along_path(rep, Path(q, z.vertex, z.edges))
+
+    return lambda block: [(index[psi(category, part.weight, loop(x)).rep],)
+                          for x in block]
 
 
 def verify_excision(category, site):

@@ -285,6 +285,36 @@ def test_hom_m_lines_for_every_kind_of_component(tmp_path, capsys):
                               "count: 3 (complete)\n")
 
 
+def test_hom_m_lists_every_quivers_constant_cycles_first(tmp_path, capsys):
+    """Circle components: the source circles by weight, then the constant
+    cycles of every quiver, then each quiver's cycles by weight."""
+    quivers = [json.loads((FIXTURES / name).read_text())
+               for name in ("bouquet2.json", "triangle.json")]
+    source = tmp_path / "two_quivers.json"
+    source.write_text(json.dumps({"circles": 1, "quivers": quivers}))
+    code, out, _ = run("hom-m", str(source), str(FIXTURES / "circle_obj.json"),
+                       "--max-len", "3", "--max-weight", "2", capsys=capsys)
+    assert (code, out) == (0, "circle0 ← circle0 ^1\n"
+                              "circle0 ← circle0 ^2\n"
+                              "circle0 ← quiver0@0\n"
+                              "circle0 ← quiver1@0\n"
+                              "circle0 ← quiver1@1\n"
+                              "circle0 ← quiver1@2\n"
+                              "circle0 ← quiver0[e0]^1\n"
+                              "circle0 ← quiver0[e0]^2\n"
+                              "circle0 ← quiver0[e1]^1\n"
+                              "circle0 ← quiver0[e1]^2\n"
+                              "circle0 ← quiver0[e0·e1]^1\n"
+                              "circle0 ← quiver0[e0·e1]^2\n"
+                              "circle0 ← quiver0[e0·e0·e1]^1\n"
+                              "circle0 ← quiver0[e0·e0·e1]^2\n"
+                              "circle0 ← quiver0[e0·e1·e1]^1\n"
+                              "circle0 ← quiver0[e0·e1·e1]^2\n"
+                              "circle0 ← quiver1[e0·e1·e2]^1\n"
+                              "circle0 ← quiver1[e0·e1·e2]^2\n"
+                              "count: 18 (truncated)\n")
+
+
 def test_reps_and_fact_say_how_many_rows_they_left_out(capsys):
     code, out, _ = run("reps", "--cat", str(FIXTURES / "s3.json"),
                        "--graph", str(FIXTURES / "interval.json"),

@@ -12,7 +12,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from quivercalc.digraph import (Digraph, QuivercalcError, component_labels,
-                                disjoint_union, lyndon_rotation, lyndon_walks,
+                                disjoint_union, lyndon_rotation, lyndon_words,
                                 standard_digraph)
 from quivercalc.fincat import (BadComposite, NotAssociative,
                                chain_poset_category, cyclic_group_category,
@@ -25,7 +25,7 @@ from quivercalc.quiver import Path, QuiverMor, compose_quiver_mor, components
 from quivercalc import emm
 from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
                             ExcisionSite, MMor, MObject, QuivPart,
-                            VertexToCircle, circle_object,
+                            circle_object,
                             compose_m, cycle_length_bound,
                             enumerate_directed_cycles,
                             fact_homology, fact_map, hom_m, identity_m,
@@ -143,7 +143,8 @@ def test_cycles_match_the_exhaustive_oracle(g, max_len):
     for n in range(max_len + 1):
         want = cycle_oracle.enumerate_directed_cycles(g, n)
         assert enumerate_directed_cycles(g, n) == want, n
-        assert (sorted(lyndon_walks(g, n), key=len)
+        assert (sorted([tuple(g.edges[j].eid for j in w)
+                        for w in lyndon_words(g, n)], key=len)
                 == [z.edges for z in want if not z.is_constant]), n
 
 
@@ -233,7 +234,8 @@ def test_point_to_circle_is_single_and_exact():
     pt = mobject_of_digraph(standard_digraph("point"))
     mors, truncated = hom_m(pt, circle_object())
     assert len(mors) == 1 and not truncated
-    assert isinstance(mors[0].circle_parts[0], VertexToCircle)
+    assert mors[0].circle_parts[0] == CycleToCircle(
+        0, DirectedCycle.constant(pt.quivers[0], "0"), 1)
 
 
 def test_circle_to_quiver_is_empty_and_exact():
@@ -257,9 +259,8 @@ def test_cyclic_quiver_to_circle_is_exact():
     # three vertex maps, one cycle with weights 1..2 — but weights are
     # unbounded, so the computation must admit truncation
     assert truncated
-    kinds = [type(p.circle_parts[0]).__name__ for p in mors]
-    assert kinds.count("VertexToCircle") == 3
-    assert kinds.count("CycleToCircle") == 2
+    lengths = [p.circle_parts[0].cycle.length for p in mors]
+    assert lengths == [0, 0, 0, 3, 3]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -372,7 +373,16 @@ def test_compose_cycle_collapsing_to_vertex():
     z = DirectedCycle.walk(c1, ["e0"])
     to_circle = MMor(m_c1, circle_object(), (CycleToCircle(0, z, 3),), ())
     comp = compose_m(to_circle, part)
-    assert comp.circle_parts[0] == VertexToCircle(0, "1")
+    assert comp.circle_parts[0] == CycleToCircle(
+        0, DirectedCycle.constant(iv, "1"), 1)
+
+
+def test_a_power_of_a_constant_cycle_winds_once():
+    pt = mobject_of_digraph(standard_digraph("point"))
+    at = MMor(pt, circle_object(), (CycleToCircle(
+        0, DirectedCycle.constant(pt.quivers[0], "0"), 1),), ())
+    cube = MMor(circle_object(), circle_object(), (CircleEndo(0, 3),), ())
+    assert compose_m(cube, at) == at
 
 
 def test_compose_quiver_parts_by_substitution():
@@ -486,11 +496,28 @@ def test_fact_map_circle_endo_is_psi():
 def test_fact_map_vertex_to_circle_is_trace():
     c = walking_arrow_category()
     pt = mobject_of_digraph(standard_digraph("point"))
-    f = MMor(pt, circle_object(), (VertexToCircle(0, "0"),), ())
+    z = DirectedCycle.constant(pt.quivers[0], "0")
+    f = MMor(pt, circle_object(), (CycleToCircle(0, z, 1),), ())
     push = fact_map(c, f)
     for elem in fact_homology(c, pt):
         classes, reps = push(elem)
         assert classes[0] == trace_obj(c, elem[1][0].vertex_labels["0"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cat=concrete_categories(max_objects=2, max_size=2), weight=st.integers(1, 5))
+def test_the_block_circle_map_equals_psi_row_by_row(cat, weight):
+    """Each circle part maps a block as the per-row route through names and
+    psi does, for a source circle, a cycle and a constant cycle."""
+    c1, c2 = standard_digraph("cyclic", 1), standard_digraph("cyclic", 2)
+    source = MObject(1, [c1, c2])
+    block = emm.fact_tuples(cat, source, 1500)
+    for part in (CircleEndo(0, weight),
+                 CycleToCircle(0, DirectedCycle.walk(c1, ("e0",)), weight),
+                 CycleToCircle(1, DirectedCycle.walk(c2, ("e1", "e0")), weight),
+                 CycleToCircle(1, DirectedCycle.constant(c2, "1"), 1)):
+        assert emm._circle_map(cat, source, part)(block) == \
+            oracle.circle_map(cat, source, part)(block)
 
 
 def test_fact_map_cycle_to_circle_is_word_class():
@@ -611,6 +638,21 @@ def test_circle_face_maps_are_the_two_joint_inclusions():
     assert (a, b) == tuple(EpiMor(1, 2, [v], [2]).to_quiver_mor() for v in (0, 1))
     assert all(f.source is site.level_graph(0) and f.target is site.level_graph(1)
                for f in (a, b))
+
+
+def test_a_second_excision_check_reuses_the_stage_objects(monkeypatch):
+    """A site keeps each stage's object beside its graph.  A second check
+    of a one-cut site builds only the objects of the normal form step's
+    and the gluing map's two ends and of the glued graph."""
+    cat = cyclic_group_category(3)
+    site = make_excision_site(standard_digraph("cyclic", 3), ["e0"])
+    assert verify_excision(cat, site).ok
+    built, build = [], emm.mobject_of_digraph
+    monkeypatch.setattr(emm, "mobject_of_digraph",
+                        lambda d: built.append(d) or build(d))
+    assert verify_excision(cat, site).ok
+    assert len(built) == 5
+    assert site.level(1) is site.level(1)
 
 
 def test_a_graph_site_builds_each_stage_graph_once():
@@ -1094,6 +1136,7 @@ SRC = MObject(1, [Q2])                   # one circle, one 2-cycle
 TO_CIRCLE, TO_INTERVAL = MObject(1, []), MObject(0, [L1])
 CIRCLE = circle_object(1)
 INTO_L2 = QuiverMor(L1, L2, {"0": "0", "1": "1"}, {"e0": Path.of_edge(L2, "e0")})
+AT_0 = DirectedCycle.constant(Q2, "0")
 EMM_REJECTIONS = {
     "walk-and-vertex": (lambda: DirectedCycle(Q2, "0", ("e0", "e1")),
                         "a walk determines its own basepoint"),
@@ -1137,10 +1180,10 @@ EMM_REJECTIONS = {
     "mmor-weight-bool": (lambda: MMor(CIRCLE, CIRCLE, [CircleEndo(0, True)], []),
                          "circle weights are integers, not True"),
     "mmor-vertex-quiver-float": (
-        lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(0.0, "0")], []),
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(0.0, AT_0, 1)], []),
         "source quiver indices are integers, not 0.0"),
     "mmor-vertex-quiver-bool": (
-        lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(False, "0")], []),
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(False, AT_0, 1)], []),
         "source quiver indices are integers, not False"),
     "mmor-cycle-quiver-float": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
@@ -1153,12 +1196,13 @@ EMM_REJECTIONS = {
     "mmor-quiver-index-float": (
         lambda: MMor(SRC, TO_INTERVAL, [], [QuivPart(0.0, QuiverMor.identity(L1))]),
         "source quiver indices are integers, not 0.0"),
-    "mmor-vertex": (lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(0, "zz")], []),
-                    "unknown vertex 'zz'"),
-    "mmor-vertex-quiver": (lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(1, "0")], []),
-                           "no source quiver 1"),
+    "mmor-vertex": (lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
+        0, DirectedCycle.constant(Q2, "zz"), 1)], []), "unknown vertex 'zz'"),
+    "mmor-vertex-quiver": (
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(1, AT_0, 1)], []),
+        "no source quiver 1"),
     "mmor-vertex-quiver-negative": (
-        lambda: MMor(SRC, TO_CIRCLE, [VertexToCircle(-1, "0")], []),
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(-1, AT_0, 1)], []),
         "no source quiver -1"),
     "mmor-cycle-quiver-index": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
@@ -1178,9 +1222,8 @@ EMM_REJECTIONS = {
             0, DirectedCycle.walk(standard_digraph("cyclic", 1), ("e0",)), 1)], []),
         "the cycle lies in another quiver"),
     "mmor-cycle-constant": (
-        lambda: MMor(SRC, TO_CIRCLE,
-                     [CycleToCircle(0, DirectedCycle.constant(Q2, "0"), 1)], []),
-        "constant cycles are vertex components"),
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(0, AT_0, 2)], []),
+        "a constant cycle winds once"),
     "mmor-cycle-weight": (
         lambda: MMor(SRC, TO_CIRCLE,
                      [CycleToCircle(0, DirectedCycle.walk(Q2, ("e0", "e1")), 0)], []),

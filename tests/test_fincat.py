@@ -1003,25 +1003,53 @@ def without_composite(cat, g, f):
 
 
 def test_missing_composite_raises_and_is_never_indexed():
+    """A table that has not passed validate_fincat is validated when a
+    program is compiled: its first fault is raised before any row is read,
+    so a -1 of the table is never used as an index.  The string oracle
+    still meets the fault on the row."""
     broken = without_composite(walking_arrow_category(), "le:1:1", "le:0:1")
     b, g = standard_digraph("linear", 2), standard_digraph("interval")
     f = QuiverMor(g, b, {"0": "0", "1": "2"}, {"e0": Path(b, "0", ("e0", "e1"))})
     rep = Representation(broken, b, {"0": "0", "1": "1", "2": "1"},
                          {"e0": "le:0:1", "e1": "le:1:1"})
-    for pull in (pullback_rep, oracle.pullback_rep):
-        with pytest.raises(BadComposite, match="'le:1:1' after 'le:0:1'"):
-            pull(f, rep)
-    with pytest.raises(BadComposite):
-        compose_along_path(rep, Path(b, "0", ("e0", "e1")))
+    for compile_ in (lambda: compile_pullback(broken, f, 0),
+                     lambda: pullback_rep(f, rep),
+                     lambda: index_program(broken, (), []),
+                     lambda: compose_along_path(rep, Path(b, "0", ("e0", "e1")))):
+        with pytest.raises(BadComposite) as e:
+            compile_()
+        assert str(e.value) == "missing composite 'le:1:1'∘'le:0:1'"
+    assert broken.generators is None
+    with pytest.raises(BadComposite, match="'le:1:1' after 'le:0:1'"):
+        oracle.pullback_rep(f, rep)
+    # of two gaps, the one validate_fincat meets first is named
+    z3 = cyclic_group_category(3)
+    two_gaps = without_composite(without_composite(z3, "g2", "g2"), "g1", "g1")
+    with pytest.raises(BadComposite) as e:
+        compile_pullback(two_gaps, f, 0)
+    assert str(e.value) == "missing composite 'g1'∘'g1'"
     # an identity missing from the table: collapsing an edge needs it
     no_id = FinCat(["0", "1"], [("i0", "0", "0"), ("a", "0", "1")],
                    {"0": "i0"}, [("i0", "i0", "i0"), ("a", "i0", "a")])
     pt = standard_digraph("point")
     collapse = QuiverMor(g, pt, {"0": "0", "1": "0"}, {"e0": Path.empty(pt, "0")})
     rep = Representation(no_id, pt, {"0": "1"}, {})
-    for pull in (pullback_rep, oracle.pullback_rep):
-        with pytest.raises(MissingIdentity, match="object '1' has no identity"):
-            pull(collapse, rep)
+    for pull in (lambda: compile_pullback(no_id, collapse, 0),
+                 lambda: oracle.pullback_rep(collapse, rep)):
+        with pytest.raises(MissingIdentity) as e:
+            pull()
+        assert str(e.value) == "object '1' has no identity"
+
+
+def test_compiling_twice_validates_an_unvalidated_table_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fincat, "validate_fincat",
+                        lambda c: calls.append(c) or validate_fincat(c))
+    cat = FinCat.from_json(symmetric_group_category(3).to_json())
+    for mor in PULLBACK_POOL[:2]:
+        compile_pullback(cat, mor, 0)
+    index_program(cat, (), [])
+    assert calls == [cat] and cat.generators is not None
 
 
 # --- index programs map whole blocks of tuples ------------------------------
@@ -1067,53 +1095,6 @@ def test_an_empty_block_and_an_empty_program():
     assert index_program(s3, (), [])([(), (0, 1)]) == [(), ()]
     into_point = QuiverMor(Digraph([], []), standard_digraph("point"), {}, {})
     assert compile_pullback(s3, into_point, 0)([(0,), (0,)]) == [(), ()]
-
-
-def test_a_bad_row_in_the_middle_of_a_block_is_named():
-    broken = without_composite(walking_arrow_category(), "le:1:1", "le:0:1")
-    b, g = standard_digraph("linear", 2), standard_digraph("interval")
-    f = QuiverMor(g, b, {"0": "0", "1": "2"}, {"e0": Path(b, "0", ("e0", "e1"))})
-    bad = Representation(broken, b, {"0": "0", "1": "1", "2": "1"},
-                         {"e0": "le:0:1", "e1": "le:1:1"}).indices()
-    good = [x for x in rep_tuples(broken, b) if x != bad]
-    pull = compile_pullback(broken, f, 0)
-    assert pull(good) == [
-        oracle.pullback_rep(f, Representation.from_indices(broken, b, x)).indices()
-        for x in good]
-    with pytest.raises(BadComposite) as e:
-        pull(good * 700 + [bad] + good * 700)
-    assert str(e.value) == "composite of 'le:1:1' after 'le:0:1' missing from table"
-
-
-def test_the_first_bad_row_of_a_column_is_named():
-    z3 = cyclic_group_category(3)
-    broken = without_composite(without_composite(z3, "g1", "g1"), "g2", "g2")
-    b, g = standard_digraph("linear", 2), standard_digraph("interval")
-    f = QuiverMor(g, b, {"0": "0", "1": "2"}, {"e0": Path(b, "0", ("e0", "e1"))})
-    pull = compile_pullback(broken, f, 0)
-
-    def row(e0, e1):
-        return Representation(broken, b, dict.fromkeys(b.vertices, "*"),
-                              {"e0": e0, "e1": e1}).indices()
-    for first, second in (("g1", "g2"), ("g2", "g1")):
-        block = [row("g0", "g1"), row(first, first), row("g1", "g0"),
-                 row(second, second)]
-        with pytest.raises(BadComposite) as e:
-            pull(block)
-        assert str(e.value) == \
-            f"composite of {first!r} after {first!r} missing from table"
-
-
-def test_a_missing_identity_in_the_middle_of_a_block_is_named():
-    no_id = FinCat(["0", "1"], [("i0", "0", "0"), ("a", "0", "1")],
-                   {"0": "i0"}, [("i0", "i0", "i0"), ("a", "i0", "a")])
-    g, pt = standard_digraph("interval"), standard_digraph("point")
-    collapse = QuiverMor(g, pt, {"0": "0", "1": "0"}, {"e0": Path.empty(pt, "0")})
-    pull = compile_pullback(no_id, collapse, 0)
-    assert pull([(0,), (0,)]) == [(0, 0, 0), (0, 0, 0)]
-    with pytest.raises(MissingIdentity) as e:
-        pull([(0,)] * 3000 + [(1,)] + [(0,)] * 3000)
-    assert str(e.value) == "object '1' has no identity"
 
 
 # --- the composition table is read as triples, in order ---------------------

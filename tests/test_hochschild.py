@@ -8,7 +8,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import quivercalc.hochschild as hochschild
+import quivercalc.fincat as fincat
 from quivercalc.digraph import (QuivercalcError, lyndon_rotation,
                                 standard_digraph)
 from quivercalc.fincat import (BadComposite, FinCat, Functor, NotAssociative,
@@ -269,7 +269,7 @@ def test_the_fixture_categories_are_all_swept():
 
 def test_compute_hh_validates_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(hochschild, "validate_fincat",
+    monkeypatch.setattr(fincat, "validate_fincat",
                         lambda c: calls.append(c) or validate_fincat(c))
     fresh, checked = cyclic_group_category(4), cyclic_group_category(4)
     validate_fincat(checked)
