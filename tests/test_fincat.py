@@ -1022,23 +1022,6 @@ def test_missing_composite_raises_and_is_never_indexed():
     assert broken.generators is None
     with pytest.raises(BadComposite, match="'le:1:1' after 'le:0:1'"):
         oracle.pullback_rep(f, rep)
-    # of two gaps, the one validate_fincat meets first is named
-    z3 = cyclic_group_category(3)
-    two_gaps = without_composite(without_composite(z3, "g2", "g2"), "g1", "g1")
-    with pytest.raises(BadComposite) as e:
-        compile_pullback(two_gaps, f, 0)
-    assert str(e.value) == "missing composite 'g1'∘'g1'"
-    # an identity missing from the table: collapsing an edge needs it
-    no_id = FinCat(["0", "1"], [("i0", "0", "0"), ("a", "0", "1")],
-                   {"0": "i0"}, [("i0", "i0", "i0"), ("a", "i0", "a")])
-    pt = standard_digraph("point")
-    collapse = QuiverMor(g, pt, {"0": "0", "1": "0"}, {"e0": Path.empty(pt, "0")})
-    rep = Representation(no_id, pt, {"0": "1"}, {})
-    for pull in (lambda: compile_pullback(no_id, collapse, 0),
-                 lambda: oracle.pullback_rep(collapse, rep)):
-        with pytest.raises(MissingIdentity) as e:
-            pull()
-        assert str(e.value) == "object '1' has no identity"
 
 
 def test_compiling_twice_validates_an_unvalidated_table_once(monkeypatch):
@@ -1095,6 +1078,57 @@ def test_an_empty_block_and_an_empty_program():
     assert index_program(s3, (), [])([(), (0, 1)]) == [(), ()]
     into_point = QuiverMor(Digraph([], []), standard_digraph("point"), {}, {})
     assert compile_pullback(s3, into_point, 0)([(0,), (0,)]) == [(), ()]
+
+
+def test_a_bad_row_in_the_middle_of_a_block_is_named():
+    """A bad row of an unvalidated table is named when the program is
+    compiled, before the block around it is read; the string oracle meets
+    the same fault on that row alone."""
+    broken = without_composite(walking_arrow_category(), "le:1:1", "le:0:1")
+    b, g = standard_digraph("linear", 2), standard_digraph("interval")
+    f = QuiverMor(g, b, {"0": "0", "1": "2"}, {"e0": Path(b, "0", ("e0", "e1"))})
+    bad = Representation(broken, b, {"0": "0", "1": "1", "2": "1"},
+                         {"e0": "le:0:1", "e1": "le:1:1"})
+    with pytest.raises(BadComposite) as e:
+        compile_pullback(broken, f, 0)
+    assert str(e.value) == "missing composite 'le:1:1'∘'le:0:1'"
+    with pytest.raises(BadComposite, match="'le:1:1' after 'le:0:1'"):
+        oracle.pullback_rep(f, bad)
+    for x in rep_tuples(broken, b):
+        if x != bad.indices():
+            oracle.pullback_rep(f, Representation.from_indices(broken, b, x))
+
+
+def test_the_first_bad_row_of_a_column_is_named():
+    """Of two gaps in a table, the one validate_fincat meets first is named,
+    whichever was made first and whichever row of a block would meet it."""
+    z3 = cyclic_group_category(3)
+    b, g = standard_digraph("linear", 2), standard_digraph("interval")
+    f = QuiverMor(g, b, {"0": "0", "1": "2"}, {"e0": Path(b, "0", ("e0", "e1"))})
+    for first, second in (("g1", "g2"), ("g2", "g1")):
+        broken = without_composite(without_composite(z3, first, first),
+                                   second, second)
+        with pytest.raises(BadComposite) as e:
+            compile_pullback(broken, f, 0)
+        assert str(e.value) == "missing composite 'g1'∘'g1'"
+
+
+def test_a_missing_identity_in_the_middle_of_a_block_is_named():
+    """An identity missing from an unvalidated table is named when the
+    program is compiled; collapsing an edge needs it, and the string oracle
+    meets it on the row that does."""
+    no_id = FinCat(["0", "1"], [("i0", "0", "0"), ("a", "0", "1")],
+                   {"0": "i0"}, [("i0", "i0", "i0"), ("a", "i0", "a")])
+    g, pt = standard_digraph("interval"), standard_digraph("point")
+    collapse = QuiverMor(g, pt, {"0": "0", "1": "0"}, {"e0": Path.empty(pt, "0")})
+    rep = Representation(no_id, pt, {"0": "1"}, {})
+    for pull in (lambda: compile_pullback(no_id, collapse, 0),
+                 lambda: oracle.pullback_rep(collapse, rep)):
+        with pytest.raises(MissingIdentity) as e:
+            pull()
+        assert str(e.value) == "object '1' has no identity"
+    assert oracle.pullback_rep(
+        collapse, Representation(no_id, pt, {"0": "0"}, {})).indices() == (0, 0, 0)
 
 
 # --- the composition table is read as triples, in order ---------------------
