@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 from .digraph import (Digraph, QuivercalcError, check_names, classify_digraph,
                       make_closed_cover, standard_digraph)
-from .quiver import enumerate_paths, hom_is_finite
+from .quiver import enumerate_paths, hom_is_finite, path_words
 from .fincat import (FinCat, check_closed_sheaf, chain_poset_category,
                      cyclic_group_category, enumerate_reps, rep_count, rep_tuples,
                      rep_via_exit_limit, symmetric_group_category, validate_fincat,
@@ -124,12 +124,12 @@ def cmd_classify(args) -> int:
 def cmd_paths(args) -> int:
     g = _load_graph(args.graph)
     finite, total = hom_is_finite(g, args.src, args.tgt)
-    ps = enumerate_paths(g, args.src, args.tgt, args.max_len)
-    lines = ["·".join(p.edges) if p.edges else "(empty)" for p in ps]
-    if finite and len(ps) == total:
-        lines.append(f"count: {len(ps)} (complete; {total} in total)")
+    words = path_words(g, args.src, args.tgt, args.max_len)
+    lines = ["·".join(w) if w else "(empty)" for w in words]
+    if finite and len(words) == total:
+        lines.append(f"count: {len(words)} (complete; {total} in total)")
     else:
-        lines.append(f"count: {len(ps)} (truncated at length {args.max_len}; "
+        lines.append(f"count: {len(words)} (truncated at length {args.max_len}; "
                      f"{total if finite else 'infinitely many'} in total)")
     _write_lines(lines)
     return 0
@@ -222,10 +222,11 @@ def cmd_cycles(args) -> int:
 def cmd_hom_m(args) -> int:
     src = _load_mobject(args.source)
     tgt = _load_mobject(args.target)
-    mors, truncated = hom_m(src, tgt, max_len=args.max_len,
-                            max_weight=args.max_weight, path_cap=args.path_cap)
-    _write_listing(map(_describe_mmor, mors[:args.limit]), len(mors), args.limit,
-                   f"count: {len(mors)} ({'truncated' if truncated else 'complete'})")
+    mors, count, truncated = hom_m(src, tgt, max_len=args.max_len,
+                                   max_weight=args.max_weight,
+                                   path_cap=args.path_cap, limit=args.limit)
+    _write_listing(map(_describe_mmor, mors), count, args.limit,
+                   f"count: {count} ({'truncated' if truncated else 'complete'})")
     return 0
 
 
@@ -416,7 +417,7 @@ def _battery(seed: int):
             g = standard_digraph("bouquet", k)
             src = mobject_of_digraph(g)
             for n in (1, 2, 3, 4):
-                mors, _tr = hom_m(src, circle_object(), max_len=n, max_weight=1)
+                mors = hom_m(src, circle_object(), max_len=n, max_weight=1)[0]
                 got = sum(1 for f in mors
                           if f.circle_parts[0].__class__.__name__ == "CycleToCircle"
                           and f.circle_parts[0].cycle.length == n)

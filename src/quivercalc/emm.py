@@ -301,13 +301,19 @@ def identity_m(m: MObject) -> MMor:
 
 
 def hom_m(source: MObject, target: MObject, max_len: int = 6,
-          max_weight: int = 3, path_cap: int = 4) -> tuple[list[MMor], bool]:
-    """All maps source -> target under the given caps, plus a truncation
-    flag: False means the list is provably complete, True means some family
-    (weights, long cycles, long image paths) was cut off."""
-    truncated = False
+          max_weight: int = 3, path_cap: int = 4, limit: int | None = None
+          ) -> tuple[list[MMor], int, bool]:
+    """The maps source -> target under the given caps (only the first
+    `limit` with a limit), how many there are, and a truncation flag: False
+    means the count is provably complete, True means some family (weights,
+    long cycles, long image paths) was cut off.
 
-    circle_options: list = []
+    The maps are the product of one option list per target circle and per
+    target quiver, so the count is the product of the lists' lengths, and
+    the first `limit` maps read no list past its first `limit` options."""
+    truncated = False
+    factors: list = []          # (first options, how many) per target part
+
     if target.circles:
         opts = []
         for i in range(source.circles):
@@ -323,23 +329,22 @@ def hom_m(source: MObject, target: MObject, max_len: int = 6,
                 truncated = True  # a cycle winds round a circle any number of times
             opts.extend(CycleToCircle(a, z, w) for z in zs if not z.is_constant
                         for w in range(1, max_weight + 1))
-        circle_options = [opts] * target.circles
+        factors += [(opts[:limit], len(opts))] * target.circles
 
-    quiver_options = []
-    for beta, tq in enumerate(target.quivers):
-        opts = []
+    for tq in target.quivers:
+        opts, count = [], 0
         for a, sq in enumerate(source.quivers):
-            mors, trunc = enumerate_quiver_mors(tq, sq, path_cap)
+            room = None if limit is None else limit - len(opts)
+            mors, n, trunc = enumerate_quiver_mors(tq, sq, path_cap, room)
             truncated = truncated or trunc
             opts.extend(QuivPart(a, f) for f in mors)
-        quiver_options.append(opts)
+            count += n
+        factors.append((opts, count))
 
-    out = []
-    for combo in itertools.product(*circle_options, *quiver_options):
-        cparts = combo[:target.circles]
-        qparts = combo[target.circles:]
-        out.append(MMor(source, target, cparts, qparts))
-    return out, truncated
+    c = target.circles
+    combos = itertools.islice(itertools.product(*(o for o, _ in factors)), limit)
+    maps = [MMor(source, target, combo[:c], combo[c:]) for combo in combos]
+    return maps, math.prod(n for _, n in factors), truncated
 
 
 def compose_m(g: MMor, f: MMor) -> MMor:

@@ -9,8 +9,9 @@ strict graph maps and compose by path substitution.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownVertex,
                       reaching, standard_digraph, walks, weak_components)
@@ -98,12 +99,17 @@ class Path:
         return f"Path({'·'.join(self.edges)})"
 
 
-def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Path]:
-    """All paths src -> tgt of length <= max_len, sorted by length then by
-    edge indices lexicographically."""
+def path_words(graph: Digraph, src: str, tgt: str, max_len: int) -> list[tuple]:
+    """The edge ids of every path src -> tgt of length <= max_len, sorted by
+    length then by edge indices lexicographically."""
     # walks come in lexicographic order, so a stable sort by length suffices
-    return Path._trusted(graph, src, tgt,
-                         sorted(walks(graph, src, tgt, max_len), key=len))
+    return sorted(walks(graph, src, tgt, max_len), key=len)
+
+
+def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Path]:
+    """The paths of path_words, in its order; each walk chains by
+    construction, so no edge is looked up again."""
+    return Path._trusted(graph, src, tgt, path_words(graph, src, tgt, max_len))
 
 
 def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]:
@@ -401,45 +407,56 @@ def _path_options(tgt: Digraph, a: str, b: str, path_cap: int | None,
     return cache[key]
 
 
+def _mor_options(src: Digraph, tgt: Digraph, path_cap: int | None,
+                 cache: dict) -> Iterator[tuple[tuple, list[list[Path]]]]:
+    """The option table of src -> tgt, a row at a time: for each vertex
+    assignment, in product order, the target vertex of each source vertex
+    and the candidate image paths of each source edge.  Every pair of
+    target vertices consulted is left in cache."""
+    ends = list(zip(src._src, src._tgt))
+    for assignment in itertools.product(tgt.vertices, repeat=len(src.vertices)):
+        yield assignment, [_path_options(tgt, assignment[i], assignment[j],
+                                         path_cap, cache)[0] for i, j in ends]
+
+
 def enumerate_quiver_mors(src: Digraph, tgt: Digraph,
-                          path_cap: int | None = None
-                          ) -> tuple[list[QuiverMor], bool]:
-    """All quiver morphisms src -> tgt, with a truncation flag.
+                          path_cap: int | None = None, limit: int | None = None
+                          ) -> tuple[list[QuiverMor], int, bool]:
+    """The quiver morphisms src -> tgt (only the first `limit` with a limit),
+    how many there are, and a truncation flag.
 
     Exact (flag False) whenever every consulted hom-set of paths is finite;
     otherwise image paths are capped at path_cap and the flag is True.
     """
     cache: dict = {}
-    mors = []
-    truncated = False
-    vs = src.vertices
-    for assignment in itertools.product(tgt.vertices, repeat=len(vs)):
-        vmap = dict(zip(vs, assignment))
-        options = []
-        for e in src.edges:
-            paths, exact = _path_options(tgt, vmap[e.src], vmap[e.tgt],
-                                         path_cap, cache)
-            if not exact:
-                truncated = True
-            options.append(paths)
-        for choice in itertools.product(*options):
-            epaths = {e.eid: p for e, p in zip(src.edges, choice)}
-            mors.append(QuiverMor(src, tgt, vmap, epaths))
-    return mors, truncated
+    vs, es = src.vertices, [e.eid for e in src.edges]
+    mors, count = [], 0
+    for assignment, options in _mor_options(src, tgt, path_cap, cache):
+        n = math.prod(map(len, options))
+        room = n if limit is None else min(n, limit - len(mors))
+        if room:
+            vmap = dict(zip(vs, assignment))
+            mors.extend(QuiverMor(src, tgt, vmap, dict(zip(es, choice)))
+                        for choice in itertools.islice(itertools.product(*options),
+                                                       room))
+        count += n
+    truncated = not all(exact for _, exact in cache.values())
+    return mors, count, truncated
 
 
 def hom_quiver_count(src: Digraph, tgt: Digraph,
                      path_cap: int | None = None) -> tuple[int, bool]:
     """Count quiver morphisms componentwise: a product over source components
-    of a sum over target components."""
+    of a sum over target components, each read from the option table with
+    no morphism built."""
     total = 1
     truncated = False
     tgt_comps = components(tgt)
     for cs in components(src):
         ways = 0
         for ct in tgt_comps:
-            mors, trunc = enumerate_quiver_mors(cs, ct, path_cap)
-            ways += len(mors)
+            _, count, trunc = enumerate_quiver_mors(cs, ct, path_cap, limit=0)
+            ways += count
             truncated = truncated or trunc
         total *= ways
     return total, truncated

@@ -259,7 +259,7 @@ def test_circle_hom_counts_match_primitive_necklaces():
     for k in (1, 2, 3):
         src = mobject_of_digraph(standard_digraph("bouquet", k))
         for n in range(1, 7):
-            mors, _ = hom_m(src, circle_object(), max_len=n, max_weight=1)
+            mors, _, _ = hom_m(src, circle_object(), max_len=n, max_weight=1)
             got = sum(1 for f in mors
                       if isinstance(f.circle_parts[0], CycleToCircle)
                       and f.circle_parts[0].cycle.length == n)
@@ -267,11 +267,11 @@ def test_circle_hom_counts_match_primitive_necklaces():
 
     for g in [standard_digraph("point"), standard_digraph("interval"),
               standard_digraph("cyclic", 2), standard_digraph("bouquet", 2)]:
-        mors, truncated = hom_m(circle_object(), mobject_of_digraph(g))
+        mors, _, truncated = hom_m(circle_object(), mobject_of_digraph(g))
         assert mors == [] and not truncated
 
     pt = mobject_of_digraph(standard_digraph("point"))
-    mors, truncated = hom_m(pt, circle_object())
+    mors, _, truncated = hom_m(pt, circle_object())
     assert len(mors) == 1 and not truncated
 
 

@@ -13,10 +13,11 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivercalc import cli, digraph
+from quivercalc import cli, digraph, emm
 from quivercalc.cli import main
 from quivercalc.digraph import Digraph, standard_digraph
 from quivercalc.emm import MObject
+from quivercalc.quiver import Path
 from quivercalc.fincat import (FinCat, rep_via_exit_limit,
                                symmetric_group_category, validate_fincat)
 from tests.conftest import FIXTURES, ROOT
@@ -147,6 +148,29 @@ def test_one_paths_call_searches_backward_from_its_target_once(monkeypatch, caps
                        "0", "2", "--max-len", "4", capsys=capsys)
     assert code == 0 and out.endswith("in total)\n")
     assert starts.count(2) == 1, starts     # 2 is the index of vertex "2"
+
+
+def test_paths_prints_edge_words_and_builds_no_path(monkeypatch, capsys):
+    built = []
+    init, trusted = Path.__init__, Path._trusted.__func__
+
+    def spy_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def spy_trusted(cls, *args):
+        paths = trusted(cls, *args)
+        built.extend(paths)
+        return paths
+
+    monkeypatch.setattr(Path, "__init__", spy_init)
+    monkeypatch.setattr(Path, "_trusted", classmethod(spy_trusted))
+    code, out, _ = run("paths", "--graph", str(FIXTURES / "bouquet2.json"),
+                       "0", "0", "--max-len", "2", capsys=capsys)
+    assert (code, out) == (0, "(empty)\ne0\ne1\ne0·e0\ne0·e1\ne1·e0\ne1·e1\n"
+                              "count: 7 (truncated at length 2; "
+                              "infinitely many in total)\n")
+    assert built == []
 
 
 def test_paths_on_a_long_chain(tmp_path, capsys):
@@ -283,6 +307,32 @@ def test_hom_m_lines_for_every_kind_of_component(tmp_path, capsys):
                               "quiver0 ↪ quiver0(0→0,1→1)\n"
                               "... and 1 more\n"
                               "count: 3 (complete)\n")
+
+
+def test_hom_m_builds_the_maps_it_lists_and_counts_the_rest(tmp_path, monkeypatch,
+                                                           capsys):
+    """bouquet(2) into three circles: each circle has 70 options (the
+    constant cycle and 23 primitive cycles of length <= 6, three weights
+    each), 343 000 maps in all; `--limit 2` builds two of them."""
+    built = []
+    init = emm.MMor.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(emm.MMor, "__init__", spy)
+    bouquet = tmp_path / "bouquet_obj.json"
+    bouquet.write_text(json.dumps(
+        {"circles": 0, "quivers": [json.loads((FIXTURES / "bouquet2.json").read_text())]}))
+    circles = tmp_path / "three_circles.json"
+    circles.write_text(json.dumps({"circles": 3, "quivers": []}))
+    code, out, _ = run("hom-m", str(bouquet), str(circles), "--limit", "2",
+                       capsys=capsys)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 4
+    assert lines[-2:] == ["... and 342998 more", "count: 343000 (truncated)"]
+    assert len(built) <= 2
 
 
 def test_hom_m_lists_every_quivers_constant_cycles_first(tmp_path, capsys):

@@ -182,8 +182,8 @@ def test_cycle_length_bound_of_a_long_chain():
 def test_hom_m_to_a_circle_is_truncated_exactly_when_something_winds(
         g, circles, max_len):
     source = MObject(circles, components(g))
-    _, truncated = hom_m(source, circle_object(1), max_len=max_len,
-                         max_weight=1, path_cap=1)
+    _, _, truncated = hom_m(source, circle_object(1), max_len=max_len,
+                            max_weight=1, path_cap=1)
     assert truncated == (circles > 0 or has_directed_cycle(g))
 
 
@@ -232,8 +232,8 @@ def test_mobject_json_round_trip():
 
 def test_point_to_circle_is_single_and_exact():
     pt = mobject_of_digraph(standard_digraph("point"))
-    mors, truncated = hom_m(pt, circle_object())
-    assert len(mors) == 1 and not truncated
+    mors, count, truncated = hom_m(pt, circle_object())
+    assert len(mors) == count == 1 and not truncated
     assert mors[0].circle_parts[0] == CycleToCircle(
         0, DirectedCycle.constant(pt.quivers[0], "0"), 1)
 
@@ -241,12 +241,12 @@ def test_point_to_circle_is_single_and_exact():
 def test_circle_to_quiver_is_empty_and_exact():
     for g in [standard_digraph("point"), standard_digraph("cyclic", 2),
               standard_digraph("bouquet", 2)]:
-        mors, truncated = hom_m(circle_object(), mobject_of_digraph(g))
-        assert mors == [] and not truncated
+        mors, count, truncated = hom_m(circle_object(), mobject_of_digraph(g))
+        assert mors == [] and count == 0 and not truncated
 
 
 def test_circle_to_circle_weights():
-    mors, truncated = hom_m(circle_object(), circle_object(), max_weight=5)
+    mors, _, truncated = hom_m(circle_object(), circle_object(), max_weight=5)
     assert truncated  # there are infinitely many weights
     weights = sorted(p.circle_parts[0].weight for p in mors)
     assert weights == [1, 2, 3, 4, 5]
@@ -254,8 +254,8 @@ def test_circle_to_circle_weights():
 
 def test_cyclic_quiver_to_circle_is_exact():
     g = standard_digraph("cyclic", 3)
-    mors, truncated = hom_m(mobject_of_digraph(g), circle_object(),
-                            max_weight=2)
+    mors, _, truncated = hom_m(mobject_of_digraph(g), circle_object(),
+                               max_weight=2)
     # three vertex maps, one cycle with weights 1..2 — but weights are
     # unbounded, so the computation must admit truncation
     assert truncated
@@ -267,8 +267,8 @@ def test_cyclic_quiver_to_circle_is_exact():
 def test_bouquet_to_circle_counts_necklaces(k):
     g = standard_digraph("bouquet", k)
     for n in range(1, 7):
-        mors, _ = hom_m(mobject_of_digraph(g), circle_object(),
-                        max_len=n, max_weight=1)
+        mors, _, _ = hom_m(mobject_of_digraph(g), circle_object(),
+                           max_len=n, max_weight=1)
         got = sum(1 for f in mors
                   if isinstance(f.circle_parts[0], CycleToCircle)
                   and f.circle_parts[0].cycle.length == n)
@@ -280,26 +280,51 @@ def test_quiver_to_quiver_matches_quiver_homs():
     tgt = mobject_of_digraph(standard_digraph("linear", 2))
     # contravariant: maps src -> tgt in M are quiver maps tgt -> src
     from quivercalc.quiver import enumerate_quiver_mors
-    mors, truncated = hom_m(src, tgt)
+    mors, count, truncated = hom_m(src, tgt)
     assert not truncated
-    qmors, _ = enumerate_quiver_mors(standard_digraph("linear", 2),
-                                     standard_digraph("interval"))
-    assert len(mors) == len(qmors)
+    qmors, _, _ = enumerate_quiver_mors(standard_digraph("linear", 2),
+                                        standard_digraph("interval"))
+    assert len(mors) == len(qmors) == count
 
 
 def test_hom_to_empty_target_when_source_has_quivers():
     src = mobject_of_digraph(standard_digraph("point"))
     empty = MObject(0, ())
-    mors, truncated = hom_m(src, empty)
-    assert len(mors) == 1 and not truncated
+    mors, count, truncated = hom_m(src, empty)
+    assert len(mors) == count == 1 and not truncated
     assert mors[0].circle_parts == () and mors[0].quiver_parts == ()
 
 
 def test_hom_from_quiverless_source_to_quiver_target_is_empty():
     src = circle_object()
     tgt = mobject_of_digraph(standard_digraph("interval"))
-    mors, truncated = hom_m(src, tgt)
-    assert mors == [] and not truncated
+    mors, count, truncated = hom_m(src, tgt)
+    assert mors == [] and count == 0 and not truncated
+
+
+LIMIT_POOL = [
+    mobject_of_digraph(standard_digraph("point")),
+    mobject_of_digraph(standard_digraph("interval")),
+    mobject_of_digraph(standard_digraph("cyclic", 2)),
+    circle_object(),
+    MObject(1, (standard_digraph("interval"),)),
+    MObject(0, (standard_digraph("point"), standard_digraph("interval"))),
+    *(MObject.from_json(json.loads((FIXTURES / name).read_text()))
+      for name in ("interval_obj.json", "circle_obj.json")),
+]
+
+
+def test_a_limit_lists_the_first_maps_and_counts_them_all():
+    """Over the composition pool's objects, one with two quivers (so that a
+    target quiver's options run on into a second source quiver) and the
+    README's two object fixtures."""
+    caps = dict(max_len=3, max_weight=2, path_cap=2)
+    for a, b in itertools.product(LIMIT_POOL, repeat=2):
+        maps, count, truncated = hom_m(a, b, **caps)
+        assert count == len(maps)
+        for k in sorted({0, 1, 2, count, count + 1}):
+            assert hom_m(a, b, **caps, limit=k) == (maps[:k], count, truncated), \
+                (a, b, k)
 
 
 # --- composition ---------------------------------------------------------------
@@ -434,8 +459,8 @@ def test_quiv_op_mmor_contravariant():
     a = standard_digraph("interval")
     b = standard_digraph("linear", 2)
     c = standard_digraph("linear", 3)
-    fs, _ = enumerate_quiver_mors(a, b)
-    gs, _ = enumerate_quiver_mors(b, c)
+    fs, _, _ = enumerate_quiver_mors(a, b)
+    gs, _, _ = enumerate_quiver_mors(b, c)
     for _ in range(200):
         f = rng.choice(fs)
         g = rng.choice(gs)

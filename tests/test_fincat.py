@@ -1057,17 +1057,19 @@ def test_a_block_of_every_representation_matches_the_string_oracle(cat, mor,
        mor=st.sampled_from(PULLBACK_POOL), offset=st.integers(0, 2))
 def test_a_validated_table_starts_at_the_first_edge_with_the_same_rows(cat, mor,
                                                                       offset):
-    """A validated category's programs start each path at its first edge;
-    an unvalidated copy of the same table starts at the identity, and both
-    map every representation to the same row."""
+    """A validated category's programs start each path at its first edge.
+    A copy of the same table that has not passed validate_fincat is
+    validated when its program is compiled, so its program starts at the
+    first edge too, and both map every representation to the same row."""
     unvalidated = FinCat.from_json(cat.to_json())
     validate_fincat(cat)
     assert cat.generators is not None and unvalidated.generators is None
     xs = rep_tuples(cat, mor.target)
     assume(len(xs) <= 3000)
     block = [(len(cat.objects),) * offset + x for x in xs]
-    assert compile_pullback(cat, mor, offset)(block) == \
-        compile_pullback(unvalidated, mor, offset)(block)
+    program = compile_pullback(unvalidated, mor, offset)
+    assert unvalidated.generators is not None
+    assert compile_pullback(cat, mor, offset)(block) == program(block)
 
 
 def test_an_empty_block_and_an_empty_program():

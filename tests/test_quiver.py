@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,8 +446,8 @@ def test_a_side_cycle_costs_the_morphism_search_nothing():
     g = Digraph([str(i) for i in range(18)] + ["s"],
                 [(f"e{i}", str(i), str(i + 1)) for i in range(17)]
                 + [("es", "0", "s"), ("l0", "s", "s"), ("l1", "s", "s")])
-    mors, truncated = enumerate_quiver_mors(standard_digraph("interval"), g, 3)
-    assert (len(mors), truncated) == (88, True)
+    mors, count, truncated = enumerate_quiver_mors(standard_digraph("interval"), g, 3)
+    assert (len(mors), count, truncated) == (88, 88, True)
 
 
 def brute_quiver_mors(src, tgt, max_len):
@@ -468,8 +469,8 @@ def brute_quiver_mors(src, tgt, max_len):
 def test_enumeration_matches_brute_force_acyclic():
     src = standard_digraph("interval")
     tgt = standard_digraph("linear", 3)
-    mors, truncated = enumerate_quiver_mors(src, tgt)
-    assert not truncated
+    mors, count, truncated = enumerate_quiver_mors(src, tgt)
+    assert not truncated and count == len(mors)
     brute = brute_quiver_mors(src, tgt, len(tgt.edges))
     assert len(mors) == len(brute)
     assert set(map(hash, mors)) == set(map(hash, brute))
@@ -480,7 +481,7 @@ def test_enumeration_truncates_on_cycles():
     tgt = standard_digraph("cyclic", 2)
     with pytest.raises(QuivercalcError):
         enumerate_quiver_mors(src, tgt)  # needs a cap
-    mors, truncated = enumerate_quiver_mors(src, tgt, path_cap=3)
+    mors, _, truncated = enumerate_quiver_mors(src, tgt, path_cap=3)
     assert truncated
     assert len(mors) == len(brute_quiver_mors(src, tgt, 3))
 
@@ -497,10 +498,70 @@ def test_hom_count_formula_matches_enumeration():
          standard_digraph("linear", 2)),
     ]
     for src, tgt in cases:
-        mors, t1 = enumerate_quiver_mors(src, tgt)
+        mors, _, t1 = enumerate_quiver_mors(src, tgt)
         count, t2 = hom_quiver_count(src, tgt)
         assert not t1 and not t2
         assert count == len(mors)
+
+
+LIMIT_CASES = [
+    (standard_digraph("interval"), standard_digraph("linear", 3), None),
+    (standard_digraph("interval"), standard_digraph("cyclic", 2), 3),
+    (standard_digraph("linear", 2), standard_digraph("bouquet", 2), 2),
+    (standard_digraph("cyclic", 2), standard_digraph("linear", 2), None),
+    (disjoint_union([standard_digraph("point"), standard_digraph("point")]),
+     standard_digraph("interval"), None),
+    (Digraph([], []), standard_digraph("interval"), None),
+]
+
+
+@pytest.mark.parametrize("src, tgt, cap", LIMIT_CASES)
+def test_a_limit_lists_the_first_morphisms_and_counts_them_all(src, tgt, cap):
+    mors, count, truncated = enumerate_quiver_mors(src, tgt, cap)
+    assert count == len(mors)
+    for k in sorted({0, 1, 2, count, count + 1}):
+        assert enumerate_quiver_mors(src, tgt, cap, limit=k) == \
+            (mors[:k], count, truncated), k
+
+
+def test_a_limited_listing_keeps_no_option_table():
+    """linear(5) has 462 endomorphisms among 6^6 = 46 656 vertex
+    assignments; listing two peaks near 9 KB of traced allocations
+    (CPython 3.11), where keeping a row per assignment takes megabytes."""
+    g = standard_digraph("linear", 5)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mors, count, truncated = enumerate_quiver_mors(g, g, limit=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert (len(mors), count, truncated) == (2, 462, False)
+    assert peak < 100_000
+
+
+def test_counting_builds_no_quiver_morphism(monkeypatch):
+    cases = [(disjoint_union([standard_digraph("interval"),
+                              standard_digraph("point")], prefixes=["i.", "p."]),
+              standard_digraph("linear", 2), None),
+             (standard_digraph("linear", 2), standard_digraph("bouquet", 2), 2)]
+    want = [len(brute_quiver_mors(src, tgt, cap or len(tgt.edges)))
+            for src, tgt, cap in cases]
+    built = []
+    init = QuiverMor.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(QuiverMor, "__init__", spy)
+    assert [hom_quiver_count(src, tgt, cap) for src, tgt, cap in cases] == \
+        [(want[0], False), (want[1], True)]
+    assert built == []
 
 
 def test_hom_count_two_points_to_point():
@@ -512,8 +573,8 @@ def test_hom_count_two_points_to_point():
 def test_empty_source_has_exactly_one_morphism():
     empty = Digraph([], [])
     tgt = standard_digraph("interval")
-    mors, truncated = enumerate_quiver_mors(empty, tgt)
-    assert len(mors) == 1 and not truncated
+    mors, count, truncated = enumerate_quiver_mors(empty, tgt)
+    assert len(mors) == count == 1 and not truncated
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
