@@ -414,6 +414,41 @@ def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
                 walk.pop()
 
 
+def labellings(d: Digraph, hom: list[dict], pre: list[dict]
+               ) -> Iterator[tuple[tuple, list]]:
+    """Each labelling of d's vertices by indices into hom under which each
+    edge s -> t, labelled a -> b, has a non-empty entry hom[a][b] (keys
+    ascend; pre[b][a] is hom[a][b]), in lexicographic order, with the
+    entries of its edges.  Forward checking (Haralick & Elliott, 1980): each
+    vertex is offered only the labels its loops and labelled neighbours allow."""
+    n, ends, pred, succ = len(d.vertices), list(zip(d._src, d._tgt)), d._pred, d._succ
+    labels, lab, its, v = range(len(hom)), [0] * n, [None] * n, 0
+    if not n:
+        yield (), []
+    while 0 <= v < n:
+        if its[v] is None:
+            offer = labels
+            for u in pred[v]:
+                if u < v:
+                    r = hom[lab[u]]
+                    offer = r if offer is labels else filter(r.__contains__, offer)
+            for u in succ[v]:
+                if u < v:
+                    r = pre[lab[u]]
+                    offer = r if offer is labels else filter(r.__contains__, offer)
+            if v in pred[v]:
+                offer = filter(lambda b: b in hom[b], offer)
+            its[v] = iter(offer)
+        for lab[v] in its[v]:
+            if v + 1 < n:
+                v += 1
+                break
+            yield tuple(lab), [hom[lab[s]][lab[t]] for s, t in ends]
+        else:
+            its[v] = None
+            v -= 1
+
+
 def lyndon_rotation(seq) -> tuple[int, int]:
     """(start, period) of a nonempty sequence read cyclically: its least
     rotation is seq[start:] + seq[:start], and period is the length of its

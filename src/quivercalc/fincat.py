@@ -13,12 +13,13 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
 from .digraph import (ClosedCover, Digraph, Incomposable, QuivercalcError,
-                      check_names, json_arrows)
+                      check_names, json_arrows, labellings)
 
 
 class MissingIdentity(QuivercalcError):
@@ -133,6 +134,13 @@ class FinCat:
         return MappingProxyType({
             x: self.morphisms[i].mid
             for x, i in zip(self.objects, self.int_table.identity) if i >= 0})
+
+    @cached_property
+    def relation(self) -> tuple[list[dict], list[dict]]:
+        """labellings' relation: int_table.hom, keys ascending, and its transpose."""
+        hom = [dict(sorted(h.items())) for h in self.int_table.hom]
+        return hom, [{x: h[y] for x, h in enumerate(hom) if y in h}
+                     for y in range(len(hom))]
 
     @property
     def table(self) -> MappingProxyType:
@@ -603,17 +611,6 @@ class Representation:
         return f"Rep({vs} | {es})"
 
 
-def _labellings(category: FinCat, graph: Digraph):
-    """Each labelling of graph's vertices by object indices, in
-    lexicographic order, with the hom-set each edge may then take."""
-    hom = category.int_table.hom
-    ends = [(graph.vertex_index(e.src), graph.vertex_index(e.tgt))
-            for e in graph.edges]
-    for objs in itertools.product(range(len(category.objects)),
-                                  repeat=len(graph.vertices)):
-        yield objs, [hom[objs[s]].get(objs[t], ()) for s, t in ends]
-
-
 def rep_tuples(category: FinCat, graph: Digraph,
                limit: int | None = None) -> list[tuple]:
     """All representations as index tuples: an object index per vertex,
@@ -623,13 +620,13 @@ def rep_tuples(category: FinCat, graph: Digraph,
     first `limit`, taken from a lazy enumeration that stops there."""
     return list(itertools.islice(itertools.chain.from_iterable(
         map(objs.__add__, itertools.product(*options))
-        for objs, options in _labellings(category, graph)), limit))
+        for objs, options in labellings(graph, *category.relation)), limit))
 
 
 def rep_count(category: FinCat, graph: Digraph) -> int:
     """len(rep_tuples(category, graph)), without building the tuples."""
     return sum(math.prod(map(len, options))
-               for _, options in _labellings(category, graph))
+               for _, options in labellings(graph, *category.relation))
 
 
 def enumerate_reps(category: FinCat, graph: Digraph) -> list[Representation]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownVertex,
-                      reaching, standard_digraph, walks, weak_components)
+                      labellings, reaching, standard_digraph, walks,
+                      weak_components)
 
 
 class Path:
@@ -389,13 +390,10 @@ def components(d: Digraph) -> list[Digraph]:
     return [Digraph(verts, es) for verts, es in zip(comps, edges)]
 
 
-def _path_options(tgt: Digraph, a: str, b: str, path_cap: int | None,
-                  cache: dict) -> tuple[list[Path], bool]:
+def _path_options(tgt: Digraph, a: str, b: str,
+                  path_cap: int | None) -> tuple[list[Path], bool]:
     """All candidate image paths a -> b, those up to path_cap edges long;
     second value says the list is exact, i.e. holds every path a -> b."""
-    key = (a, b)
-    if key in cache:
-        return cache[key]
     finite, count = hom_is_finite(tgt, a, b)
     if path_cap is None:
         if not finite:
@@ -403,45 +401,55 @@ def _path_options(tgt: Digraph, a: str, b: str, path_cap: int | None,
                                   "a path cap is required")
         path_cap = len(tgt.edges)   # the routes are acyclic: no edge repeats
     paths = enumerate_paths(tgt, a, b, path_cap)
-    cache[key] = (paths, finite and len(paths) == count)
-    return cache[key]
+    return paths, finite and len(paths) == count
 
 
-def _mor_options(src: Digraph, tgt: Digraph, path_cap: int | None,
-                 cache: dict) -> Iterator[tuple[tuple, list[list[Path]]]]:
-    """The option table of src -> tgt, a row at a time: for each vertex
-    assignment, in product order, the target vertex of each source vertex
-    and the candidate image paths of each source edge.  Every pair of
-    target vertices consulted is left in cache."""
+def _first_infinite(src: Digraph, infinite: set) -> tuple[int, int]:
+    """The pair in infinite that the vertex assignments, in product order,
+    meet first: the least, over the edges (ahead, back or loop), of the
+    least assignment putting the edge on one, read edge by edge."""
     ends = list(zip(src._src, src._tgt))
-    for assignment in itertools.product(tgt.vertices, repeat=len(src.vertices)):
-        yield assignment, [_path_options(tgt, assignment[i], assignment[j],
-                                         path_cap, cache)[0] for i, j in ends]
+    ahead, back = min(infinite), min(infinite, key=lambda p: p[::-1])
+    loop = min((p for p in infinite if p[0] == p[1]), default=None)
+    least = [{s: p[0], t: p[1]} for s, t in ends
+             for p in [ahead if s < t else back if t < s else loop] if p]
+    # the order of the full assignments, read off their nonzero entries
+    at = min(least, key=lambda x: [(-v, x[v]) for v in sorted(x) if x[v]]).get
+    return next(p for p in ((at(s, 0), at(t, 0)) for s, t in ends)
+                if p in infinite)
 
 
 def enumerate_quiver_mors(src: Digraph, tgt: Digraph,
                           path_cap: int | None = None, limit: int | None = None
                           ) -> tuple[list[QuiverMor], int, bool]:
     """The quiver morphisms src -> tgt (only the first `limit` with a limit),
-    how many there are, and a truncation flag.
-
-    Exact (flag False) whenever every consulted hom-set of paths is finite;
-    otherwise image paths are capped at path_cap and the flag is True.
-    """
-    cache: dict = {}
-    vs, es = src.vertices, [e.eid for e in src.edges]
+    how many there are, and whether path_cap cut the paths of a pair of
+    target vertices that the vertex assignments meet (every pair; only each
+    (a, a) for a source of loops; none for one without edges).  With no
+    cap, the first infinite pair met raises."""
+    vs, es = tgt.vertices, [e.eid for e in src.edges]
+    n, loops = len(vs) if es else 0, src._src == src._tgt
+    pairs = [(a, b) for a in range(n) for b in range(n) if a == b or not loops]
+    infinite = {(a, b) for a, b in pairs if path_cap is None
+                and not hom_is_finite(tgt, vs[a], vs[b])[0]}
+    if infinite:    # raises, naming the first infinite pair met
+        _path_options(tgt, *(vs[i] for i in _first_infinite(src, infinite)), None)
+    hom, pre = [{} for _ in vs], [{} for _ in vs]
+    table = {(a, b): _path_options(tgt, vs[a], vs[b], path_cap) for a, b in pairs}
+    for (a, b), (paths, _) in table.items():
+        if paths:
+            hom[a][b] = pre[b][a] = paths
     mors, count = [], 0
-    for assignment, options in _mor_options(src, tgt, path_cap, cache):
-        n = math.prod(map(len, options))
-        room = n if limit is None else min(n, limit - len(mors))
+    for assignment, options in labellings(src, hom, pre):
+        k = math.prod(map(len, options))
+        room = k if limit is None else min(k, limit - len(mors))
         if room:
-            vmap = dict(zip(vs, assignment))
+            vmap = {v: vs[a] for v, a in zip(src.vertices, assignment)}
             mors.extend(QuiverMor(src, tgt, vmap, dict(zip(es, choice)))
                         for choice in itertools.islice(itertools.product(*options),
                                                        room))
-        count += n
-    truncated = not all(exact for _, exact in cache.values())
-    return mors, count, truncated
+        count += k
+    return mors, count, not all(exact for _, exact in table.values())
 
 
 def hom_quiver_count(src: Digraph, tgt: Digraph,

@@ -3,11 +3,15 @@ replaced, kept as oracles for the tests.
 
 Each visits everything the replaced code visited: walks takes every edge
 out of the end of the walk, cycle_length_bound scans all edges once per
-strong component, components builds each piece with Digraph.subgraph, and
+strong component, components builds each piece with Digraph.subgraph,
 path_options enumerates every path up to |E| edges before it applies the
-cap.  None of them calls the pruned search it checks, or reads the
-graph's adjacency other than through out_edges.
+cap, and labellings and quiver_mors walk the full product of vertex
+labellings.  None of them calls the pruned search it checks, or reads the
+graph's adjacency other than through out_edges and the edge list.
 """
+import itertools
+import math
+
 from quivercalc.digraph import QuivercalcError, strong_components, weak_components
 from quivercalc.quiver import hom_is_finite
 
@@ -94,3 +98,57 @@ def hom_size(d, start, end):
     if any(len(p) >= n for p in found):
         return None
     return len(found)
+
+
+def labellings(category, graph):
+    """Every labelling of graph's vertices by object indices, in product
+    order, with the morphism indices each edge may then take, in
+    declaration order; an edge with no hom-set gets an empty list."""
+    objects = category.objects
+    hom = {}
+    for i, m in enumerate(category.morphisms):
+        hom.setdefault((objects.index(m.src), objects.index(m.tgt)), []).append(i)
+    vindex = {v: i for i, v in enumerate(graph.vertices)}
+    ends = [(vindex[e.src], vindex[e.tgt]) for e in graph.edges]
+    for objs in itertools.product(range(len(objects)), repeat=len(graph.vertices)):
+        yield objs, [hom.get((objs[s], objs[t]), []) for s, t in ends]
+
+
+def rep_tuples(category, graph):
+    """The index tuples of fincat.rep_tuples, from the full product."""
+    return [objs + choice for objs, options in labellings(category, graph)
+            for choice in itertools.product(*options)]
+
+
+def mor_options(src, tgt, path_cap, cache):
+    """The option table of src -> tgt, a row per vertex assignment in
+    product order, each with the candidate image paths of each source edge
+    as edge tuples, empty where an edge has none.  Every pair of target
+    vertices it consults is left in cache, with its exactness; with no cap
+    the first infinite pair it consults raises."""
+    vindex = {v: i for i, v in enumerate(src.vertices)}
+    ends = [(vindex[e.src], vindex[e.tgt]) for e in src.edges]
+    for assignment in itertools.product(tgt.vertices, repeat=len(src.vertices)):
+        options = []
+        for s, t in ends:
+            key = (assignment[s], assignment[t])
+            if key not in cache:
+                cache[key] = path_options(tgt, *key, path_cap)
+            options.append(cache[key][0])
+        yield assignment, options
+
+
+def quiver_mors(src, tgt, path_cap=None, limit=None):
+    """What enumerate_quiver_mors returns, each morphism as its vertex
+    images and its edges' image edge tuples, or the error it raises."""
+    cache, mors, count = {}, [], 0
+    try:
+        for assignment, options in mor_options(src, tgt, path_cap, cache):
+            n = math.prod(map(len, options))
+            room = n if limit is None else min(n, limit - len(mors))
+            mors.extend((assignment, choice) for choice in
+                        itertools.islice(itertools.product(*options), room))
+            count += n
+    except QuivercalcError as e:
+        return str(e)
+    return mors, count, not all(exact for _, exact in cache.values())

@@ -6,11 +6,12 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from quivercalc.digraph import (ClosedCover, Digraph, QuivercalcError,
-                                disjoint_union, make_closed_cover,
+                                disjoint_union, labellings, make_closed_cover,
                                 standard_digraph)
 from quivercalc import fincat
 from quivercalc.emm import make_excision_site
@@ -26,6 +27,7 @@ from quivercalc.fincat import (BadComposite, FinCat, Functor, Incomposable,
                                walking_arrow_category, _generators)
 from quivercalc.quiver import Path, QuiverMor, enumerate_quiver_mors
 
+import search_oracle
 import string_oracle as oracle
 from generator_oracle import two_sided_generators
 from random_categories import concrete_categories, concrete_category
@@ -946,6 +948,93 @@ def test_rep_count_is_the_number_of_h_colourings():
         h, n = hom_size_matrix(cat), len(cat.objects)
         for g in SMALL_GRAPHS + TUPLE_GRAPHS + FIXTURE_GRAPHS + stages:
             assert rep_count(cat, g) == h_colourings(g, n, lambda e: h)
+
+
+# --- the labelling search against the full product ---------------------------
+
+SEARCH_GRAPHS = SMALL_GRAPHS + TUPLE_GRAPHS + FIXTURE_GRAPHS + [
+    # edges that point back to an earlier vertex, and a loop at the last
+    Digraph(["a", "b", "c"], [("f", "c", "a"), ("g", "b", "a"), ("h", "c", "b"),
+                              ("l", "c", "c")]),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(base=concrete_categories(), seed=st.integers(0, 2**16),
+       g=st.sampled_from(SEARCH_GRAPHS))
+def test_the_labelling_search_is_the_full_product_filtered(base, seed, g):
+    """The labellings with a hom-set on every edge, in product order, with
+    the same option lists; so the same tuples, counts and limited prefixes."""
+    cat = shuffled(base, seed)
+    found = list(labellings(g, *cat.relation))
+    assert all(all(options) for _, options in found)
+    assert found == [(objs, options) for objs, options
+                     in search_oracle.labellings(cat, g) if all(options)]
+    want = search_oracle.rep_tuples(cat, g)
+    assert rep_tuples(cat, g) == want
+    assert rep_count(cat, g) == len(want)
+    for k in sorted({0, 1, 2, len(want), len(want) + 1}):
+        assert rep_tuples(cat, g, k) == want[:k], k
+
+
+EMPTY_CAT = FinCat([], [], {}, [])
+
+
+def test_the_empty_graph_has_one_representation_over_any_category():
+    empty = Digraph([], [])
+    for cat in [EMPTY_CAT] + FIXTURE_CATS:
+        assert rep_tuples(cat, empty) == [()]
+        assert rep_count(cat, empty) == 1
+
+
+@pytest.mark.parametrize("g", [g for g in SEARCH_GRAPHS if g.vertices],
+                         ids=lambda g: ",".join(g.vertices))
+def test_a_graph_with_a_vertex_has_no_representation_over_the_empty_category(g):
+    assert rep_tuples(EMPTY_CAT, g) == []
+    assert rep_count(EMPTY_CAT, g) == 0
+
+
+def test_a_loop_needs_an_endomorphism_in_an_unchecked_table():
+    """rep_tuples does not validate: over a table without identities, a
+    vertex with a loop takes only an object with an endomorphism."""
+    cat = FinCat(["x", "y", "z"], [("f", "x", "y"), ("g", "y", "y"), ("h", "z", "x")],
+                 {}, [])
+    for g in SEARCH_GRAPHS:
+        assert rep_tuples(cat, g) == search_oracle.rep_tuples(cat, g)
+    assert rep_tuples(cat, LOOP) == [(1, 1)]
+
+
+def test_the_relation_is_built_once_with_keys_ascending():
+    """The search reads each hom-set row and its transpose in increasing
+    object index, whatever the declaration order, from tables built on
+    first use and kept with the category."""
+    cat = FinCat(["x", "y", "z"], [("f", "x", "z"), ("g", "x", "y"), ("h", "z", "y")],
+                 {}, [])
+    hom, pre = cat.relation
+    assert cat.relation is cat.relation
+    assert hom == [{1: [1], 2: [0]}, {}, {1: [2]}] and list(hom[0]) == [1, 2]
+    assert pre == [{}, {0: [1], 2: [2]}, {0: [0]}]
+
+
+def test_chain20_counts_without_visiting_the_product(monkeypatch):
+    """Rep(linear(4)) over the poset 0 < 1 < ... < 19 is the multichains
+    x0 <= ... <= x4, C(24, 5) = 42 504 of the 20^5 = 3 200 000 labellings:
+    1^T H^4 1 for the matrix H of hom-set sizes.  Every hom-set is a single
+    morphism, so the search yields exactly the representations."""
+    cat, g = chain_poset_category(20), standard_digraph("linear", 4)
+    h = hom_size_matrix(cat)
+    ones = np.ones(len(cat.objects), dtype=object)
+    assert ones @ np.linalg.matrix_power(h, 4) @ ones == 42_504
+    yielded = []
+
+    def spy(*args):
+        for row in labellings(*args):
+            yielded.append(row)
+            yield row
+
+    monkeypatch.setattr(fincat, "labellings", spy)
+    assert rep_count(cat, g) == 42_504
+    assert len(yielded) == 42_504
 
 
 def _pullback_pool():

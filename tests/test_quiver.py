@@ -4,9 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quivercalc import digraph
+from quivercalc import digraph, quiver
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
                                 standard_digraph)
 from quivercalc.cyccat import compose_para, delta_to_para
@@ -435,7 +435,7 @@ def outcome(options, *args):
 @given(digraphs(), st.sampled_from([None, 0, 1, 2, 3]))
 def test_path_options_match_the_filtering_oracle(g, cap):
     for a, b in itertools.product(g.vertices, repeat=2):
-        assert (outcome(_path_options, g, a, b, cap, {})
+        assert (outcome(_path_options, g, a, b, cap)
                 == outcome(search_oracle.path_options, g, a, b, cap)), (a, b)
 
 
@@ -572,9 +572,99 @@ def test_hom_count_two_points_to_point():
 
 def test_empty_source_has_exactly_one_morphism():
     empty = Digraph([], [])
-    tgt = standard_digraph("interval")
-    mors, count, truncated = enumerate_quiver_mors(empty, tgt)
-    assert len(mors) == count == 1 and not truncated
+    for tgt in (standard_digraph("interval"), standard_digraph("cyclic", 2), empty):
+        mors, count, truncated = enumerate_quiver_mors(empty, tgt)
+        assert len(mors) == count == 1 and not truncated
+
+
+# --- the morphism search against the full product ----------------------------
+
+
+def listing(src, tgt, cap, limit=None):
+    """What enumerate_quiver_mors returns, as search_oracle.quiver_mors
+    reports it."""
+    try:
+        mors, count, truncated = enumerate_quiver_mors(src, tgt, cap, limit)
+    except QuivercalcError as e:
+        return str(e)
+    return ([(tuple(f.vertex_map[v] for v in src.vertices),
+              tuple(f.edge_paths[e.eid].edges for e in src.edges)) for f in mors],
+            count, truncated)
+
+
+# a source whose edges point back to earlier vertices, with a loop
+BACKWARD = Digraph(["a", "b", "c"], [("f", "c", "a"), ("g", "b", "a"),
+                                     ("l", "b", "b")])
+QUIVER_POOL = SMALL_GRAPHS + [BACKWARD, SIDE_CYCLE, Digraph([], [])]
+
+
+@pytest.mark.parametrize("cap", [None, 0, 2])
+@pytest.mark.parametrize("src", QUIVER_POOL, ids=lambda g: ",".join(g.vertices))
+def test_the_morphism_search_is_the_full_product_filtered(src, cap, monkeypatch):
+    """Also: each assignment the search yields gives every edge a path."""
+    search = quiver.labellings
+
+    def nonempty(*args):
+        for row in search(*args):
+            assert all(row[1]), row
+            yield row
+
+    monkeypatch.setattr(quiver, "labellings", nonempty)
+    for tgt in QUIVER_POOL:
+        want = search_oracle.quiver_mors(src, tgt, cap)
+        assert listing(src, tgt, cap) == want, tgt.vertices
+        if isinstance(want, str):
+            continue
+        for k in sorted({0, 1, 2, want[1], want[1] + 1}):
+            assert listing(src, tgt, cap, k) == \
+                (want[0][:k], want[1], want[2]), (tgt.vertices, k)
+
+
+@settings(max_examples=60, deadline=None)
+@example(BACKWARD, SIDE_CYCLE, None)
+@given(digraphs(), digraphs(), st.sampled_from([None, 0, 1, 2]))
+def test_the_morphism_search_matches_the_product_on_random_quivers(src, tgt, cap):
+    """Also the path-cap error: it names the first infinite pair that the
+    product of vertex assignments meets, reading each one's edges in order."""
+    assert listing(src, tgt, cap, 3) == search_oracle.quiver_mors(src, tgt, cap, 3)
+
+
+def test_a_source_of_loops_meets_only_the_diagonal(monkeypatch):
+    """linear(3) capped at one edge has an inexact pair (0, 2) but exact
+    diagonal pairs: a source of loops meets only those, so its listing is
+    exact, while an interval meets (0, 2) too."""
+    met = []
+    options = quiver._path_options
+
+    def spy(tgt, a, b, cap):
+        met.append((a, b))
+        return options(tgt, a, b, cap)
+
+    monkeypatch.setattr(quiver, "_path_options", spy)
+    tgt = standard_digraph("linear", 3)
+    assert enumerate_quiver_mors(standard_digraph("bouquet", 2), tgt, 1)[1:] \
+        == (4, False)
+    assert sorted(set(met)) == [(v, v) for v in tgt.vertices]
+    assert enumerate_quiver_mors(standard_digraph("interval"), tgt, 1)[1:] \
+        == (7, True)
+    for loops in (standard_digraph("bouquet", 1), standard_digraph("bouquet", 2)):
+        for cap in (None, 0, 1):
+            assert listing(loops, tgt, cap) == search_oracle.quiver_mors(loops, tgt, cap)
+
+
+def test_linear6_endomorphisms_capped_at_four_count_as_a_matrix_power():
+    """A map linear(6) -> linear(6) picks 7 vertices x0..x6 and a path
+    x_i -> x_(i+1) of at most 4 edges for each edge: 1^T W^6 1, where
+    W[a][b] counts those paths.  The product walked 7^7 = 823 543
+    assignments for it."""
+    g = standard_digraph("linear", 6)
+    counts = adjacency_counts(g, 4)
+    w = np.array([[counts[a, b] for b in g.vertices] for a in g.vertices],
+                 dtype=object)
+    ones = np.ones(len(g.vertices), dtype=object)
+    assert ones @ np.linalg.matrix_power(w, 6) @ ones == 1668
+    assert hom_quiver_count(g, g, path_cap=4) == (1668, True)
+    assert enumerate_quiver_mors(g, g, path_cap=4, limit=0) == ([], 1668, True)
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
