@@ -19,6 +19,7 @@ reach their end, and components label each vertex once, then read each edge.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 
@@ -384,34 +385,42 @@ def reaching(d: Digraph, end: int) -> set[int]:
     return slot[1]
 
 
-def walks(d: Digraph, start: str, end: str, max_len: int) -> Iterator[tuple]:
+def walks(d: Digraph, start: str, end: str, max_len: int) -> list[tuple]:
     """Every walk start -> end with at most max_len edges, as a tuple of edge
-    ids, depth first with edges in declaration order, entering only vertices
-    that can still reach end (Johnson's pruning, as in lyndon_words)."""
+    ids, ordered by length, then by edge indices: depth first with edges in
+    declaration order, filed by length, entering only vertices that can
+    still reach end (Johnson's pruning, as in lyndon_words)."""
     s, t = d.vertex_index(start), d.vertex_index(end)
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
     back = reaching(d, t)
-    out, tgt, edges = d._out, d._tgt, d.edges
-    if s == t:
-        yield ()
+    out, succ, tgt = d._out, d._succ, d._tgt
+    eids = tuple(d._eindex)                 # edge ids, in declaration order
+    # steps[v]: the edges out of v into back; the graph's own lists when all
+    # vertices are in back, else each listed when a step first enters v
+    steps = out if len(back) == len(out) else [None] * len(out)
+    found: dict[int, list[tuple]] = defaultdict(list, {0: [()]} if s == t else {})
     walk: list[str] = []
-    stack = [iter(out[s])] if max_len and s in back else []
+    stack = [(j for j in out[s] if tgt[j] in back)] if max_len and s in back else []
     while stack:
         for j in stack[-1]:
-            w = tgt[j]
-            if w in back:
-                walk.append(edges[j].eid)
-                if w == t:
-                    yield tuple(walk)
-                if len(walk) < max_len:
-                    stack.append(iter(out[w]))
-                    break
-                walk.pop()
+            walk.append(eids[j])
+            n, w = len(walk), tgt[j]
+            if w == t:
+                found[n].append(tuple(walk))
+            if n < max_len:
+                step = steps[w]
+                if step is None:
+                    step = steps[w] = out[w] if back.issuperset(succ[w]) else [
+                        j for j in out[w] if tgt[j] in back]
+                stack.append(iter(step))
+                break
+            walk.pop()
         else:
             stack.pop()
             if walk:
                 walk.pop()
+    return list(itertools.chain.from_iterable(found[n] for n in sorted(found)))
 
 
 def labellings(d: Digraph, hom: list[dict], pre: list[dict]
@@ -478,12 +487,12 @@ def lyndon_rotation(seq) -> tuple[int, int]:
     return start, period
 
 
-def lyndon_words(d: Digraph, max_len: int) -> Iterator[tuple[int, ...]]:
+def lyndon_words(d: Digraph, max_len: int) -> list[tuple[int, ...]]:
     """Every closed walk with 1..max_len edges whose sequence of edge
     indices is a Lyndon word, i.e. strictly less than each of its proper
-    rotations, as that word; in lexicographic order, a word before its
-    extensions.  These are the primitive closed walks up to rotation, each
-    once, in its least rotation.
+    rotations, as that word; ordered by length, then lexicographically.
+    These are the primitive closed walks up to rotation, each once, in its
+    least rotation.
 
     A Lyndon word starts with its least letter, so after a first edge i the
     search takes only edges of index >= i, and only into vertices that can
@@ -500,11 +509,12 @@ def lyndon_words(d: Digraph, max_len: int) -> Iterator[tuple[int, ...]]:
     if max_len < 0:
         raise QuivercalcError(f"a length cap must be >= 0, not {max_len}")
     if not max_len:
-        return
+        return []
     src, tgt, out = d._src, d._tgt, d._out
     into: list[list[int]] = [[] for _ in d.vertices]    # in-edges, in order
     for j, t in enumerate(tgt):
         into[t].append(j)
+    found: dict[int, list[tuple]] = defaultdict(list)    # by length, as in walks
     for i, end in enumerate(src):
         back = reachable(end, lambda v: [src[j] for j in into[v] if j >= i])
         if tgt[i] not in back:
@@ -514,7 +524,7 @@ def lyndon_words(d: Digraph, max_len: int) -> Iterator[tuple[int, ...]]:
         usable = {v: [(j, tgt[j]) for j in out[v] if j >= i and tgt[j] in back]
                   for v in back}
         if tgt[i] == end:
-            yield (i,)
+            found[1].append((i,))
         word = [i]
         # a frame extends the word of length n, whose Lyndon prefix has
         # length p, from the end of its walk, by letters >= word[n - p]
@@ -534,9 +544,10 @@ def lyndon_words(d: Digraph, max_len: int) -> Iterator[tuple[int, ...]]:
             if j > least:
                 p = n + 1
                 if w == end:
-                    yield tuple(word)
+                    found[p].append(tuple(word))
             if n + 1 < max_len:
                 stack.append((iter(usable[w]), n + 1, p))
+    return list(itertools.chain.from_iterable(found[n] for n in sorted(found)))
 
 
 def classify_digraph(d: Digraph) -> DigraphShape:

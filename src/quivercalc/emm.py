@@ -54,7 +54,22 @@ class DirectedCycle:
         if self.edges:
             if vertex is not None:
                 raise QuivercalcError("a walk determines its own basepoint")
-            self._set_word([graph.edge_index(e) for e in self.edges])
+            word = [graph.edge_index(e) for e in self.edges]
+            src, tgt = graph._src, graph._tgt
+            at = first = src[word[0]]
+            for j in word:
+                if src[j] != at:
+                    raise QuivercalcError(
+                        f"edge {graph.edges[j].eid!r} starts at "
+                        f"{graph.vertices[src[j]]!r}, not {graph.vertices[at]!r}")
+                at = tgt[j]
+            if at != first:
+                raise QuivercalcError("cycle walks must close up")
+            start, period = lyndon_rotation(word)
+            if period != len(word):
+                raise QuivercalcError("cycle walks must be primitive")
+            self.edges = self.edges[start:] + self.edges[:start]
+            self.vertex = graph.vertices[src[word[start]]]
         else:
             if vertex is None:
                 raise QuivercalcError("a constant cycle needs a vertex")
@@ -62,33 +77,18 @@ class DirectedCycle:
             self.vertex = vertex
 
     @classmethod
-    def _of_word(cls, graph: Digraph, word) -> "DirectedCycle":
-        """The cycle of a nonempty walk given by its edge indices, with the
-        same checks as walk()."""
-        z = cls.__new__(cls)
-        z.graph = graph
-        z._set_word(word)
-        return z
-
-    def _set_word(self, word) -> None:
-        """Check a walk's word of edge indices and store its least rotation."""
-        g = self.graph
-        src, tgt = g._src, g._tgt
-        at = first = src[word[0]]
-        for j in word:
-            if src[j] != at:
-                raise QuivercalcError(
-                    f"edge {g.edges[j].eid!r} starts at "
-                    f"{g.vertices[src[j]]!r}, not {g.vertices[at]!r}")
-            at = tgt[j]
-        if at != first:
-            raise QuivercalcError("cycle walks must close up")
-        start, period = lyndon_rotation(word)
-        if period != len(word):
-            raise QuivercalcError("cycle walks must be primitive")
-        edges = g.edges
-        self.edges = tuple([edges[j].eid for j in word[start:] + word[:start]])
-        self.vertex = g.vertices[src[word[start]]]
+    def _trusted(cls, graph: Digraph, words) -> list["DirectedCycle"]:
+        """One cycle per Lyndon word of edge indices, such as lyndon_words
+        returns, based at its first edge's source; nothing is checked."""
+        eids, src, names = [e.eid for e in graph.edges], graph._src, graph.vertices
+        cycles = []
+        for w in words:
+            z = cls.__new__(cls)
+            z.graph = graph
+            z.edges = tuple([eids[j] for j in w])
+            z.vertex = names[src[w[0]]]
+            cycles.append(z)
+        return cycles
 
     @classmethod
     def constant(cls, graph: Digraph, vertex: str) -> "DirectedCycle":
@@ -126,10 +126,8 @@ def enumerate_directed_cycles(graph: Digraph, max_len: int) -> list[DirectedCycl
     rotation of length <= max_len, ordered by (length, edge indices)."""
     out = [DirectedCycle.constant(graph, v) for v in graph.vertices]
     # a primitive closed walk is kept once, from its least rotation: the
-    # walks whose edge indices form a Lyndon word, which come in
-    # lexicographic order, so a stable sort by length finishes the order
-    found = sorted(lyndon_words(graph, max_len), key=len)
-    return out + [DirectedCycle._of_word(graph, w) for w in found]
+    # walks whose edge indices form a Lyndon word, which come in this order
+    return out + DirectedCycle._trusted(graph, lyndon_words(graph, max_len))
 
 
 def cycle_length_bound(graph: Digraph) -> int | None:

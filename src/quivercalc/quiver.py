@@ -45,8 +45,7 @@ class Path:
     def _trusted(cls, graph: Digraph, start: str, end: str,
                  walks: Iterable[tuple]) -> list["Path"]:
         """One path per walk, each known to chain from start to end, such as
-        the walks that digraph.walks built from the graph's own edges;
-        nothing is checked."""
+        the list of walks that digraph.walks returns; nothing is checked."""
         new = cls.__new__
         paths = []
         for w in walks:
@@ -102,9 +101,8 @@ class Path:
 
 def path_words(graph: Digraph, src: str, tgt: str, max_len: int) -> list[tuple]:
     """The edge ids of every path src -> tgt of length <= max_len, sorted by
-    length then by edge indices lexicographically."""
-    # walks come in lexicographic order, so a stable sort by length suffices
-    return sorted(walks(graph, src, tgt, max_len), key=len)
+    length then by edge indices lexicographically, as the search files them."""
+    return walks(graph, src, tgt, max_len)
 
 
 def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Path]:
@@ -390,11 +388,11 @@ def components(d: Digraph) -> list[Digraph]:
     return [Digraph(verts, es) for verts, es in zip(comps, edges)]
 
 
-def _path_options(tgt: Digraph, a: str, b: str,
-                  path_cap: int | None) -> tuple[list[Path], bool]:
-    """All candidate image paths a -> b, those up to path_cap edges long;
-    second value says the list is exact, i.e. holds every path a -> b."""
-    finite, count = hom_is_finite(tgt, a, b)
+def _path_options(tgt: Digraph, a: str, b: str, path_cap: int | None,
+                  size: tuple[bool, int | None]) -> tuple[list[Path], bool]:
+    """All candidate image paths a -> b, those up to path_cap edges long, given
+    size = hom_is_finite(tgt, a, b); second value says the list holds them all."""
+    finite, count = size
     if path_cap is None:
         if not finite:
             raise QuivercalcError(f"infinitely many paths {a!r} -> {b!r}; "
@@ -429,13 +427,16 @@ def enumerate_quiver_mors(src: Digraph, tgt: Digraph,
     cap, the first infinite pair met raises."""
     vs, es = tgt.vertices, [e.eid for e in src.edges]
     n, loops = len(vs) if es else 0, src._src == src._tgt
-    pairs = [(a, b) for a in range(n) for b in range(n) if a == b or not loops]
-    infinite = {(a, b) for a, b in pairs if path_cap is None
-                and not hom_is_finite(tgt, vs[a], vs[b])[0]}
+    # by target, so that each backward search (digraph.reaching) serves a run
+    pairs = [(a, b) for b in range(n) for a in range(n) if a == b or not loops]
+    sizes = {(a, b): hom_is_finite(tgt, vs[a], vs[b]) for a, b in pairs}
+    infinite = {p for p in pairs if path_cap is None and not sizes[p][0]}
     if infinite:    # raises, naming the first infinite pair met
-        _path_options(tgt, *(vs[i] for i in _first_infinite(src, infinite)), None)
+        a, b = _first_infinite(src, infinite)
+        _path_options(tgt, vs[a], vs[b], None, sizes[a, b])
     hom, pre = [{} for _ in vs], [{} for _ in vs]
-    table = {(a, b): _path_options(tgt, vs[a], vs[b], path_cap) for a, b in pairs}
+    table = {(a, b): _path_options(tgt, vs[a], vs[b], path_cap, sizes[a, b])
+             for a, b in pairs}
     for (a, b), (paths, _) in table.items():
         if paths:
             hom[a][b] = pre[b][a] = paths

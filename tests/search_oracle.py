@@ -42,8 +42,9 @@ def walks(d, start, end, max_len):
             walk.pop()
 
 
-def paths(d, start, end, max_len):
-    """The edge tuples of enumerate_paths, in its order."""
+def path_words(d, start, end, max_len):
+    """The edge tuples of path_words, in its order: the walks, sorted by
+    length (a stable sort of the depth-first order)."""
     return sorted(walks(d, start, end, max_len), key=len)
 
 
@@ -78,14 +79,14 @@ def path_options(tgt, a, b, path_cap):
     finite, _ = hom_is_finite(tgt, a, b)
     if finite:
         # in the acyclic relevant region no path repeats an edge
-        full = paths(tgt, a, b, len(tgt.edges))
+        full = path_words(tgt, a, b, len(tgt.edges))
         if path_cap is not None and any(len(p) > path_cap for p in full):
             return [p for p in full if len(p) <= path_cap], False
         return full, True
     if path_cap is None:
         raise QuivercalcError(f"infinitely many paths {a!r} -> {b!r}; "
                               "a path cap is required")
-    return paths(tgt, a, b, path_cap), False
+    return path_words(tgt, a, b, path_cap), False
 
 
 def hom_size(d, start, end):
@@ -94,7 +95,7 @@ def hom_size(d, start, end):
     a cycle on a route, and such a cycle can be pumped into a path whose
     length lies in [|V|, 2|V| - 1]."""
     n = len(d.vertices)
-    found = paths(d, start, end, 2 * n - 1)
+    found = path_words(d, start, end, 2 * n - 1)
     if any(len(p) >= n for p in found):
         return None
     return len(found)

@@ -80,7 +80,7 @@ GRAPH_FIXTURES = ("bouquet2", "interval", "linear2", "triangle")
 
 def paths_listing(g, u, v, max_len):
     """What `paths` prints, rendered from the unpruned search oracle."""
-    found = search_oracle.paths(g, u, v, max_len)
+    found = search_oracle.path_words(g, u, v, max_len)
     total = search_oracle.hom_size(g, u, v)
     lines = ["·".join(p) if p else "(empty)" for p in found]
     if total is not None and len(found) == total:

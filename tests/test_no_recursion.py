@@ -15,7 +15,7 @@ import pytest
 import quivercalc
 from quivercalc.digraph import standard_digraph
 from quivercalc.fincat import cyclic_group_category, rep_count, rep_tuples
-from quivercalc.quiver import enumerate_quiver_mors
+from quivercalc.quiver import enumerate_quiver_mors, path_words
 
 SOURCES = sorted(pathlib.Path(quivercalc.__file__).parent.glob("*.py"))
 
@@ -65,3 +65,13 @@ def test_the_labelling_search_keeps_its_own_stack():
     mors, count, truncated = enumerate_quiver_mors(g, standard_digraph("point"))
     assert (count, truncated) == (1, False)
     assert all(not p.edges for p in mors[0].edge_paths.values())
+
+
+def test_the_walk_search_keeps_its_own_stack():
+    """path_words goes one vertex deeper per edge of a walk, so the one path
+    along a chain longer than the recursion limit would overflow a
+    recursive search."""
+    n = max(3000, sys.getrecursionlimit() + 100)
+    g = standard_digraph("linear", n)
+    assert path_words(g, "0", str(n), n) == [tuple(f"e{i}" for i in range(n))]
+    assert path_words(g, "0", str(n), n - 1) == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -15,7 +16,8 @@ from quivercalc.quiver import (DeltaMor, Path, QuiverMor, classify_quiver_mor,
                                delta_mor_to_quiver, enumerate_paths,
                                enumerate_quiver_mors, factor_active_closed,
                                hom_is_finite, hom_quiver_count,
-                               is_active_delta, is_closed_delta, _path_options)
+                               is_active_delta, is_closed_delta, path_words,
+                               _path_options)
 
 import search_oracle
 from test_digraph import PIECES, SIDE_CYCLE, digraphs
@@ -91,6 +93,26 @@ def test_paths_come_sorted_by_length_then_edge_indices():
         for u, v in itertools.product(g.vertices, repeat=2):
             ps = enumerate_paths(g, u, v, 5)
             assert ps == sorted(ps, key=Path.key), (g.edges, u, v)
+
+
+def test_a_huge_cap_costs_what_the_longest_path_does():
+    """The walk search keeps a list per length it reaches, never one sized
+    by the cap: on linear(3) a cap of 10^12 finds the one path promptly,
+    with a few kilobytes of traced allocations (CPython 3.11)."""
+    g = standard_digraph("linear", 3)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        words = path_words(g, "0", "3", 10**12)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert words == [("e0", "e1", "e2")]
+    assert peak < 20_000
 
 
 def test_enumerated_paths_are_what_the_checking_constructor_builds():
@@ -193,6 +215,10 @@ def test_a_side_cycle_costs_the_path_search_nothing():
     # walking round the two loops at c, an unpruned search would try 2^59
     # words to length 60 before it found that none of them reaches b
     assert [p.edges for p in enumerate_paths(SIDE_CYCLE, "a", "b", 60)] == [("ab",)]
+    # entered again round its own loop, a lists its steps without ac
+    g = Digraph(SIDE_CYCLE.vertices, [("aa", "a", "a"), *SIDE_CYCLE.edges])
+    assert ([p.edges for p in enumerate_paths(g, "a", "b", 60)]
+            == [("aa",) * k + ("ab",) for k in range(60)])
 
 
 def test_negative_length_cap_is_rejected():
@@ -435,7 +461,7 @@ def outcome(options, *args):
 @given(digraphs(), st.sampled_from([None, 0, 1, 2, 3]))
 def test_path_options_match_the_filtering_oracle(g, cap):
     for a, b in itertools.product(g.vertices, repeat=2):
-        assert (outcome(_path_options, g, a, b, cap)
+        assert (outcome(_path_options, g, a, b, cap, hom_is_finite(g, a, b))
                 == outcome(search_oracle.path_options, g, a, b, cap)), (a, b)
 
 
@@ -636,9 +662,9 @@ def test_a_source_of_loops_meets_only_the_diagonal(monkeypatch):
     met = []
     options = quiver._path_options
 
-    def spy(tgt, a, b, cap):
+    def spy(tgt, a, b, cap, size):
         met.append((a, b))
-        return options(tgt, a, b, cap)
+        return options(tgt, a, b, cap, size)
 
     monkeypatch.setattr(quiver, "_path_options", spy)
     tgt = standard_digraph("linear", 3)
@@ -650,6 +676,24 @@ def test_a_source_of_loops_meets_only_the_diagonal(monkeypatch):
     for loops in (standard_digraph("bouquet", 1), standard_digraph("bouquet", 2)):
         for cap in (None, 0, 1):
             assert listing(loops, tgt, cap) == search_oracle.quiver_mors(loops, tgt, cap)
+
+
+def test_the_morphism_search_asks_each_target_pair_once(monkeypatch):
+    """With no path cap, whether a pair's hom-set is finite both rules out
+    infinite pairs and sizes its options; it is asked once per pair."""
+    asked = []
+    real = quiver.hom_is_finite
+
+    def spy(tgt, a, b):
+        asked.append((a, b))
+        return real(tgt, a, b)
+
+    monkeypatch.setattr(quiver, "hom_is_finite", spy)
+    g = standard_digraph("linear", 6)
+    # a map picks x0 <= ... <= x6 and the one path between neighbours
+    assert enumerate_quiver_mors(g, g, limit=0) == ([], math.comb(13, 7), False)
+    assert len(asked) == 49
+    assert sorted(asked) == sorted(itertools.product(g.vertices, repeat=2))
 
 
 def test_linear6_endomorphisms_capped_at_four_count_as_a_matrix_power():
