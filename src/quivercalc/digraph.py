@@ -88,7 +88,9 @@ class Valence(NamedTuple):
 
 
 class Digraph:
-    """A finite directed graph.  Immutable once built."""
+    """A finite directed graph.  Immutable once built, so it keeps what its
+    searches find: its last backward search (see reaching) and its weak
+    components (see weak_components)."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable):
         self.vertices = tuple(vertices)
@@ -125,6 +127,8 @@ class Digraph:
         self._src, self._tgt = tuple(src), tuple(tgt)
         # (target, the vertices that can reach it): the last backward search
         self._reach: tuple[int, set[int]] | None = None
+        # the weak components, found by the first weak_components call
+        self._weak: tuple[tuple[str, ...], ...] | None = None
 
     def edge(self, eid: str) -> Edge:
         try:
@@ -314,12 +318,17 @@ def component_labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
 def weak_components(d: Digraph) -> list[list[str]]:
     """Connected components of the underlying undirected graph,
-    each listed in vertex declaration order."""
-    label = component_labels(len(d.vertices), zip(d._src, d._tgt))
-    comps: list[list[str]] = [[] for _ in range(max(label, default=-1) + 1)]
-    for v, c in zip(d.vertices, label):
-        comps[c].append(v)
-    return comps
+    each listed in vertex declaration order.
+
+    The graph keeps them, so only the first call for a graph searches;
+    every call returns new lists."""
+    if d._weak is None:
+        label = component_labels(len(d.vertices), zip(d._src, d._tgt))
+        comps: list[list[str]] = [[] for _ in range(max(label, default=-1) + 1)]
+        for v, c in zip(d.vertices, label):
+            comps[c].append(v)
+        d._weak = tuple(map(tuple, comps))
+    return [list(c) for c in d._weak]
 
 
 def strong_components(d: Digraph) -> list[list[str]]:

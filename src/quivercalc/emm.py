@@ -383,7 +383,8 @@ def compose_m(g: MMor, f: MMor) -> MMor:
 
 def quiv_op_mmor(q: QuiverMor) -> MMor:
     """A quiver morphism Γ -> Ξ, viewed as a map of objects in the OTHER
-    direction: components of Ξ map to components of Γ contravariantly."""
+    direction: components of Ξ map to components of Γ contravariantly.
+    When Γ and Ξ are each one component, q itself is the one part."""
     source = mobject_of_digraph(q.target)
     target = mobject_of_digraph(q.source)
     src_comps = list(target.quivers)     # components of q.source
@@ -399,6 +400,9 @@ def quiv_op_mmor(q: QuiverMor) -> MMor:
         # q sends edges to paths, so a connected piece lands in one component
         a = where[q.vertex_map[comp.vertices[0]]]
         tq = tgt_comps[a]
+        if comp is q.source and tq is q.target:
+            parts.append(QuivPart(a, q))
+            continue
         vmap = {v: q.vertex_map[v] for v in comp.vertices}
         paths = {e.eid: Path(tq, q.edge_paths[e.eid].start,
                              q.edge_paths[e.eid].edges)

@@ -377,7 +377,7 @@ def delta_mor_to_quiver(f: DeltaMor) -> QuiverMor:
 
 def components(d: Digraph) -> list[Digraph]:
     """The weakly connected components, as subgraphs; d itself when it is
-    one component."""
+    one component.  Each subgraph is born knowing it is one component."""
     comps = weak_components(d)
     if len(comps) == 1:
         return [d]
@@ -385,7 +385,10 @@ def components(d: Digraph) -> list[Digraph]:
     edges = [[] for _ in comps]
     for e in d.edges:
         edges[label[e.src]].append(e)
-    return [Digraph(verts, es) for verts, es in zip(comps, edges)]
+    parts = [Digraph(verts, es) for verts, es in zip(comps, edges)]
+    for part in parts:
+        part._weak = (part.vertices,)
+    return parts
 
 
 def _path_options(tgt: Digraph, a: str, b: str, path_cap: int | None,

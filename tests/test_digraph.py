@@ -1,9 +1,11 @@
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from quivercalc import digraph
 from quivercalc.digraph import (ClosedCover, Digraph, Incomposable, NotACover,
                                 QuivercalcError, UnknownEdge, UnknownVertex,
                                 classify_digraph, component_labels,
@@ -92,6 +94,12 @@ def test_weak_components_order():
                         standard_digraph("point")], prefixes=["i.", "p."])
     comps = weak_components(g)
     assert comps == [["i.0", "i.1"], ["p.0"]]
+    # the graph keeps its components and hands out new lists on each call
+    comps[0].append("x")
+    comps.append(["y"])
+    with mock.patch.object(digraph, "component_labels") as search:
+        assert weak_components(g) == [["i.0", "i.1"], ["p.0"]]
+    search.assert_not_called()
 
 
 def test_disjoint_union_prefixes_on_clash():

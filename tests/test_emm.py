@@ -21,8 +21,9 @@ from quivercalc.fincat import (BadComposite, NotAssociative,
                                walking_arrow_category)
 from quivercalc.hochschild import compute_hh, psi, trace_obj
 from quivercalc.cyccat import EpiMor
-from quivercalc.quiver import Path, QuiverMor, compose_quiver_mor, components
-from quivercalc import emm
+from quivercalc.quiver import (Path, QuiverMor, compose_quiver_mor, components,
+                               enumerate_quiver_mors)
+from quivercalc import cli, digraph, emm
 from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
                             ExcisionSite, MMor, MObject, QuivPart,
                             circle_object,
@@ -40,6 +41,7 @@ from random_categories import concrete_categories
 from tests.conftest import FIXTURES
 from test_digraph import PIECES, SIDE_CYCLE, digraphs, has_directed_cycle
 from test_acceptance import h_colourings, hom_size_matrix
+from test_quiver import QUIVER_POOL
 from test_fincat import without_composite
 
 
@@ -243,6 +245,23 @@ def test_mobject_splits_components():
     assert m.quivers[0].vertices == ("i.0", "i.1")
 
 
+def test_split_parts_are_born_connected():
+    """Splitting a graph of three components searches it once: each part
+    it builds is known to be one component, so the object's connectivity
+    check searches no part again (four searches per graph before)."""
+    g = disjoint_union([standard_digraph("interval"), standard_digraph("point"),
+                        standard_digraph("cyclic", 2)])
+    with mock.patch.object(digraph, "component_labels",
+                           wraps=component_labels) as search:
+        m = mobject_of_digraph(g)
+        assert search.call_count == 1
+        assert MObject.from_json({"circles": 1, "quivers": [g.to_json()]}) \
+            == MObject(1, m.quivers)
+        assert search.call_count == 2
+    assert [q.vertices for q in m.quivers] == [("0.0", "0.1"), ("1.0",),
+                                               ("2.0", "2.1")]
+
+
 def test_mobject_json_round_trip():
     g = disjoint_union([standard_digraph("interval"),
                         standard_digraph("point")], prefixes=["i.", "p."])
@@ -302,7 +321,6 @@ def test_quiver_to_quiver_matches_quiver_homs():
     src = mobject_of_digraph(standard_digraph("interval"))
     tgt = mobject_of_digraph(standard_digraph("linear", 2))
     # contravariant: maps src -> tgt in M are quiver maps tgt -> src
-    from quivercalc.quiver import enumerate_quiver_mors
     mors, count, truncated = hom_m(src, tgt)
     assert not truncated
     qmors, _, _ = enumerate_quiver_mors(standard_digraph("linear", 2),
@@ -478,7 +496,6 @@ def test_compose_associative_seeded():
 
 def test_quiv_op_mmor_contravariant():
     rng = random.Random(4)
-    from quivercalc.quiver import enumerate_quiver_mors
     a = standard_digraph("interval")
     b = standard_digraph("linear", 2)
     c = standard_digraph("linear", 3)
@@ -502,6 +519,52 @@ def test_quiv_op_mmor_restricts_to_components():
     assert m.source == mobject_of_digraph(tgt)
     assert m.target == mobject_of_digraph(src)
     assert len(m.quiver_parts) == 2  # one per source component
+    assert m == quiv_op_mmor_by_components(f)
+    # a connected source into a split target is rebuilt on its component
+    tgt2 = disjoint_union([standard_digraph("point"), tgt], prefixes=["p.", "i."])
+    g = QuiverMor(tgt, tgt2, {"0": "i.0", "1": "i.1"},
+                  {"e0": Path.of_edge(tgt2, "i.e0")})
+    m = quiv_op_mmor(g)
+    assert m == quiv_op_mmor_by_components(g)
+    assert m.quiver_parts[0].mor.target.vertices == ("i.0", "i.1")
+
+
+def quiv_op_mmor_by_components(q):
+    """quiv_op_mmor with one quiver morphism rebuilt per component of q's
+    source, a connected q included: the oracle for its pass-through."""
+    source, target = mobject_of_digraph(q.target), mobject_of_digraph(q.source)
+    where = {v: a for a, comp in enumerate(source.quivers) for v in comp.vertices}
+    parts = []
+    for comp in target.quivers:
+        a = where[q.vertex_map[comp.vertices[0]]]
+        tq = source.quivers[a]
+        vmap = {v: q.vertex_map[v] for v in comp.vertices}
+        paths = {e.eid: Path(tq, q.edge_paths[e.eid].start,
+                             q.edge_paths[e.eid].edges) for e in comp.edges}
+        parts.append(QuivPart(a, QuiverMor(comp, tq, vmap, paths)))
+    return MMor(source, target, (), parts)
+
+
+def check_quiv_op_mmor(q):
+    """quiv_op_mmor(q) equals the oracle's, and is q itself when q's source
+    and target are each one component."""
+    m = quiv_op_mmor(q)
+    assert m == quiv_op_mmor_by_components(q)
+    if len(components(q.source)) == len(components(q.target)) == 1:
+        assert m.quiver_parts[0].mor is q
+
+
+def test_quiv_op_mmor_matches_the_per_component_oracle_on_morphism_pools():
+    """Up to twelve morphisms, edges to paths of at most one edge, between
+    each two quivers of the pool."""
+    passed = 0
+    for src in QUIVER_POOL:
+        for tgt in QUIVER_POOL:
+            mors, _, _ = enumerate_quiver_mors(src, tgt, 1, limit=12)
+            for f in mors:
+                check_quiv_op_mmor(f)
+            passed += len(mors)
+    assert passed > 500
 
 
 # --- the invariant and its functoriality ---------------------------------------
@@ -701,6 +764,30 @@ def test_a_second_excision_check_reuses_the_stage_objects(monkeypatch):
     assert verify_excision(cat, site).ok
     assert len(built) == 5
     assert site.level(1) is site.level(1)
+
+
+@pytest.mark.parametrize("site, searches", [
+    ("circle", 2), ("cyclic3-e0", 3), ("bouquet2-e0-e1", 3)])
+def test_an_excision_check_searches_each_stage_graph_once(site, searches,
+                                                           tmp_path, capsys):
+    """`excise` through the command line searches the weak components of
+    each graph once: on the circle, stages 0 and 1; on a graph site, the
+    uncut graph and stages 0 and 1.  Each kept graph keeps its components,
+    and quiv_op_mmor passes a morphism of connected graphs through whole.
+    The searches were 12, 14 and 18 when each object and each map built
+    its components again."""
+    path = {"circle": FIXTURES / "site_circle.json",
+            "bouquet2-e0-e1": FIXTURES / "site_bouquet2.json",
+            "cyclic3-e0": tmp_path / "site.json"}[site]
+    (tmp_path / "site.json").write_text(json.dumps(
+        {"graph": standard_digraph("cyclic", 3).to_json(), "cut_edges": ["e0"]}))
+    with mock.patch.object(digraph, "component_labels",
+                           wraps=component_labels) as search:
+        code = cli.main(["excise", "--cat", str(FIXTURES / "s3.json"),
+                         "--site", str(path)])
+    assert (code, search.call_count) == (0, searches)
+    assert capsys.readouterr().out.endswith(
+        "verdict: coequalizer matches the glued invariant\n")
 
 
 def test_a_graph_site_builds_each_stage_graph_once():
@@ -978,6 +1065,19 @@ def test_stage_maps_by_lifts_equal_the_hand_written_ones(name):
         assert site.refinement(p) == stage_oracle.refinement(site, p)
     assert site.face_maps() == stage_oracle.face_maps(site)
     assert site.degeneracies() == stage_oracle.degeneracies(site)
+
+
+@pytest.mark.parametrize("site", [*LABEL_SITES.values(), *BLOCK_SITES], ids=[
+    *LABEL_SITES, *(f"block-{i}" for i in range(len(BLOCK_SITES)))])
+def test_quiv_op_mmor_matches_the_per_component_oracle_on_stage_maps(site):
+    """Faces, degeneracies, normal form steps and refinements, on every
+    site: those of a connected graph pass through whole."""
+    maps = list(site.face_maps())
+    if site.kind == "graph":
+        maps += [*site.degeneracies(), *emm._normal_form_steps(site),
+                 *(site.refinement(p) for p in range(3))]
+    for q in maps:
+        check_quiv_op_mmor(q)
 
 
 def test_the_faces_then_a_degeneracy_fix_all_but_its_cut():
