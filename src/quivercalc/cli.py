@@ -15,8 +15,8 @@ import sys
 from types import SimpleNamespace
 
 from .digraph import (Digraph, QuivercalcError, check_names, classify_digraph,
-                      make_closed_cover, standard_digraph)
-from .quiver import enumerate_paths, hom_is_finite, path_words
+                      make_closed_cover, standard_digraph, walks)
+from .quiver import enumerate_paths, hom_is_finite
 from .fincat import (FinCat, check_closed_sheaf, chain_poset_category,
                      cyclic_group_category, enumerate_reps, rep_count, rep_tuples,
                      rep_via_exit_limit, symmetric_group_category, validate_fincat,
@@ -124,7 +124,7 @@ def cmd_classify(args) -> int:
 def cmd_paths(args) -> int:
     g = _load_graph(args.graph)
     finite, total = hom_is_finite(g, args.src, args.tgt)
-    words = path_words(g, args.src, args.tgt, args.max_len)
+    words = walks(g, args.src, args.tgt, args.max_len)
     lines = ["·".join(w) if w else "(empty)" for w in words]
     if finite and len(words) == total:
         lines.append(f"count: {len(words)} (complete; {total} in total)")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 
-from .quiver import DeltaMor, Path, QuiverMor
+from .quiver import DeltaMor, QuiverMor, lift_mor
 from .digraph import Incomposable, QuivercalcError, standard_digraph
 
 
@@ -198,15 +198,10 @@ class EpiMor:
 
     def to_quiver_mor(self) -> QuiverMor:
         """The same functor as a quiver morphism of directed cycles."""
-        src = standard_digraph("cyclic", self.m)
-        tgt = standard_digraph("cyclic", self.n)
-        vmap = {str(v): str(self.vertex_map[v]) for v in range(self.m)}
-        paths = {}
-        for v in range(self.m):
-            start = self.vertex_map[v]
-            eids = [f"e{(start + j) % self.n}" for j in range(self.lengths[v])]
-            paths[f"e{v}"] = Path(tgt, str(start), eids)
-        return QuiverMor(src, tgt, vmap, paths)
+        src, tgt = (standard_digraph("cyclic", k) for k in (self.m, self.n))
+        cycle, image = ((g.vertices, tuple(e.eid for e in g.edges)) for g in (src, tgt))
+        lift = (*self.values, self.value(self.m))
+        return lift_mor(src, tgt, {}, {}, [(cycle, image, lift)])
 
     def __eq__(self, other):
         if not isinstance(other, EpiMor):

@@ -27,8 +27,8 @@ from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
                       classify_digraph, component_labels, lyndon_rotation,
                       lyndon_words, standard_digraph, strong_components,
                       weak_components)
-from .quiver import (Path, QuiverMor, compose_quiver_mor, components,
-                     enumerate_quiver_mors)
+from .quiver import (DeltaMor, Path, QuiverMor, compose_quiver_mor, components,
+                     enumerate_quiver_mors, is_active_delta, lift_mor)
 from .fincat import (FinCat, Representation, compile_pullback, enumerate_reps,
                      index_program, path_steps, pullback_rep, rep_count,
                      rep_tuples, validated)
@@ -121,13 +121,17 @@ class DirectedCycle:
         return f"DirectedCycle({'·'.join(self.edges)})"
 
 
-def enumerate_directed_cycles(graph: Digraph, max_len: int) -> list[DirectedCycle]:
+def enumerate_directed_cycles(graph: Digraph, max_len: int,
+                              bound: int | None = -1) -> list[DirectedCycle]:
     """Constant cycles at every vertex, then primitive closed walks up to
-    rotation of length <= max_len, ordered by (length, edge indices)."""
+    rotation of length <= max_len and <= bound, if any (cycle_length_bound
+    unless given), ordered by (length, edge indices)."""
     out = [DirectedCycle.constant(graph, v) for v in graph.vertices]
+    bound = cycle_length_bound(graph) if bound == -1 else bound
     # a primitive closed walk is kept once, from its least rotation: the
     # walks whose edge indices form a Lyndon word, which come in this order
-    return out + DirectedCycle._trusted(graph, lyndon_words(graph, max_len))
+    return out + DirectedCycle._trusted(graph, lyndon_words(
+        graph, max_len if bound is None else min(max_len, bound)))
 
 
 def cycle_length_bound(graph: Digraph) -> int | None:
@@ -319,12 +323,14 @@ def hom_m(source: MObject, target: MObject, max_len: int = 6,
         if source.circles:
             truncated = True  # weights are unbounded
         # every quiver's constant cycles come before any other cycle
-        cycles = [enumerate_directed_cycles(q, max_len) for q in source.quivers]
+        bounds = [cycle_length_bound(q) for q in source.quivers]
+        cycles = [enumerate_directed_cycles(q, max_len, b)
+                  for q, b in zip(source.quivers, bounds)]
         for a, zs in enumerate(cycles):
             opts.extend(CycleToCircle(a, z, 1) for z in zs if z.is_constant)
-        for a, (q, zs) in enumerate(zip(source.quivers, cycles)):
-            if cycle_length_bound(q) != 0:
-                truncated = True  # a cycle winds round a circle any number of times
+        # a cycle winds round a circle any number of times
+        truncated = truncated or any(b != 0 for b in bounds)
+        for a, zs in enumerate(cycles):
             opts.extend(CycleToCircle(a, z, w) for z in zs if not z.is_constant
                         for w in range(1, max_weight + 1))
         factors += [(opts[:limit], len(opts))] * target.circles
@@ -390,10 +396,7 @@ def quiv_op_mmor(q: QuiverMor) -> MMor:
     src_comps = list(target.quivers)     # components of q.source
     tgt_comps = list(source.quivers)     # components of q.target
 
-    where: dict[str, int] = {}
-    for a, comp in enumerate(tgt_comps):
-        for v in comp.vertices:
-            where[v] = a
+    where = {v: a for a, comp in enumerate(tgt_comps) for v in comp.vertices}
 
     parts = []
     for comp in src_comps:
@@ -534,27 +537,27 @@ def fact_map(category: FinCat, f: MMor):
 
 
 # --- excision ----------------------------------------------------------------
+#
+# The lifts of a graph site's stage maps on each cut's chain, active maps of
+# Delta that quiver.lift_mor applies: the faces are the inner cofaces [2] ->
+# [3]; sigma_k is the codegeneracy [3] -> [2] that repeats point 0 on k's
+# chain and point 1 elsewhere; refinement(p) is (0, p+2), [1] -> [p+2].
+INNER_COFACES = (DeltaMor(2, 3, (0, 1, 3)), DeltaMor(2, 3, (0, 2, 3)))
+CODEGENERACIES = (DeltaMor(3, 2, (0, 0, 1, 2)), DeltaMor(3, 2, (0, 1, 1, 2)))
 
 
 class ExcisionSite:
     """A graph with a chosen set of cut edges, or a bare circle.
 
     Cutting severs each chosen edge; gluing stage p re-joins the stumps
-    through a directed chain with p interior vertices.  For the circle,
+    through a directed chain with p+1 interior vertices.  For the circle,
     stage p is the directed (p+1)-cycle.
 
     On a graph site, cut edge k = s -> t is at stage p the chain of points
     s, k:w0, ..., k:wp, t and edges k:c0, ..., k:c(p+1); at stage -1, the
-    uncut graph, it is s, t and k.  Every map between stages fixes the rest
-    of the graph and is, on each cut's chain, a monotone map of its points
-    that fixes both ends, as in cyccat's lifts: point i goes to point
-    lift[i], and edge i to the run of edges between the images of its ends
-    (an empty run collapses it).  The lifts on a cut's chain:
-
-        first face      stage 0 -> 1    (0, 1, 3)
-        second face     stage 0 -> 1    (0, 2, 3)
-        sigma_k         stage 1 -> 0    (0, 0, 1, 2) on k, (0, 1, 1, 2) elsewhere
-        refinement(p)   stage -1 -> p   (0, p+2)
+    uncut graph, it is s, t and k.  A map between stages fixes the rest of
+    the graph and lifts each cut's chain by an active map of Delta: one of
+    INNER_COFACES or CODEGENERACIES, or (0, p+2) into stage p.
     """
 
     def __init__(self, kind: str, graph: Digraph | None, cut_edges):
@@ -591,13 +594,13 @@ class ExcisionSite:
         return self._level(p)[1]
 
     def _level(self, p: int) -> tuple[Digraph, MObject, dict, dict]:
-        """Stage p's graph and object, its chains and the paths of its
-        uncut edges."""
+        """Stage p's graph and object, its chains and its uncut edges' paths."""
         if p not in self._levels:
             if p < 0:
                 raise QuivercalcError(f"stages are numbered from 0, not {p}")
-            if self.kind == "circle":
-                g, chains, fixed = standard_digraph("cyclic", p + 1), {}, {}
+            if self.kind == "circle":       # one chain, the cycle itself
+                g, fixed = standard_digraph("cyclic", p + 1), {}
+                chains = {"": (g.vertices, tuple(e.eid for e in g.edges))}
             else:
                 chains, vs, es = self._chains(p), list(self.graph.vertices), []
                 for points, edges in chains.values():
@@ -619,49 +622,47 @@ class ExcisionSite:
                       if k in self._cut and p >= 0 else ((e.src, e.tgt), (k,)))
         return out
 
-    def _stage_mor(self, p: int, q: int, lift) -> QuiverMor:
-        """The map from stage p (-1: the uncut graph) to stage q that sends
-        the points of cut k's chain by lift(k) (see the class docstring)."""
+    def _stage_mor(self, p: int, q: int, lifts) -> QuiverMor:
+        """The map from stage p (-1: the uncut graph) to stage q by one lift
+        per cut in cut order, each active [p+2] -> [q+2] or QuivercalcError."""
         source, _, chains, _ = ((self.graph, None, self._chains(p), None)
                                 if p < 0 else self._level(p))
         target, _, images, fixed = self._level(q)
-        vmap, paths = {v: v for v in self.graph.vertices}, dict(fixed)
-        for k in self.cut_edges:
-            (points, edges), (to, runs), at = chains[k], images[k], lift(k)
-            for i in range(1, len(points) - 1):
-                vmap[points[i]] = to[at[i]]
-            for i, c in enumerate(edges):
-                paths[c] = Path(target, to[at[i]], runs[at[i]:at[i + 1]])
-        return QuiverMor(source, target, vmap, paths)
+        cuts = self.cut_edges
+        runs = [(chains[k], images[k], f.values) for k, f in zip(cuts, lifts)
+                if is_active_delta(f) and (f.p, f.q) == (p + 2, q + 2)]
+        if len(runs) != len(cuts) or len(lifts) != len(cuts):
+            raise QuivercalcError(f"a stage map {p} -> {q} takes one active "
+                                  f"map [{p + 2}] -> [{q + 2}] per cut")
+        return lift_mor(source, target, {v: v for v in self.graph.vertices},
+                        dict(fixed), runs)
 
     def face_maps(self) -> tuple[QuiverMor, QuiverMor]:
-        """The two ways the one-joint stage includes into the two-joint
-        stage: each weld vertex goes to the first or the second joint, and
-        the middle chain edge is absorbed on the respective side."""
-        if self.kind == "circle":
-            g0, g1 = self.level_graph(0), self.level_graph(1)
-            # the degree-one functors from the 1-cycle onto the 2-cycle,
-            # EpiMor(1, 2, [v], [2]) on the kept stage graphs
-            return tuple(QuiverMor(g0, g1, {"0": str(v)},
-                                   {"e0": Path(g1, str(v), (f"e{v}", f"e{1 - v}"))})
+        """The two inclusions of the one-joint stage into the two-joint
+        stage: each weld vertex goes to the first or the second joint."""
+        if self.kind == "circle":   # EpiMor(1, 2, [v], [2]) on the kept graphs
+            (g0, _, c0, _), (g1, _, c1, _) = self._level(0), self._level(1)
+            return tuple(lift_mor(g0, g1, {}, {}, [(c0[""], c1[""], (v, v + 2))])
                          for v in (0, 1))
-        return (self._stage_mor(0, 1, lambda k: (0, 1, 3)),
-                self._stage_mor(0, 1, lambda k: (0, 2, 3)))
+        (a, b), n = INNER_COFACES, len(self.cut_edges)
+        return self._stage_mor(0, 1, (a,) * n), self._stage_mor(0, 1, (b,) * n)
 
     def degeneracies(self) -> tuple[QuiverMor, ...]:
         """The degeneracies of the two-joint stage onto the one-joint stage,
         one sigma_k per cut edge k, in cut order.  Only for graph sites."""
         if self.kind != "graph":
             raise QuivercalcError("only graph sites have degeneracies")
-        return tuple(self._stage_mor(1, 0, lambda s, k=k: (0, 0 if s == k else 1, 1, 2))
-                     for k in self.cut_edges)
+        cuts = self.cut_edges
+        return tuple(self._stage_mor(1, 0, [CODEGENERACIES[s != k] for s in cuts])
+                     for k in cuts)
 
     def refinement(self, p: int) -> QuiverMor:
         """The original graph refined into stage p: each cut edge becomes
         its chain.  Only for graph sites."""
         if self.kind != "graph":
             raise QuivercalcError("only graph sites have a refinement map")
-        return self._stage_mor(-1, p, lambda k: (0, p + 2))
+        return self._stage_mor(-1, p, [DeltaMor(1, p + 2, (0, p + 2))]
+                               * len(self.cut_edges))
 
     def total(self) -> MObject:
         return (circle_object(1) if self.kind == "circle"
@@ -767,12 +768,11 @@ def verify_excision(category: FinCat, site: ExcisionSite) -> ExcisionVerdict:
     compiled as sigma_k (site.degeneracies()) after the first face, and
     sigma_k after the second face is the identity.  As the N_k are
     idempotent and commute, x, N_1(x), N_2 N_1(x), ..., N(x) is a chain of
-    such pairs, so each fibre of N lies in one class.  These premises are
-    checked on the quiver morphisms before any row is mapped
-    (QuivercalcError if one fails).  Each block of stage 0 runs through
-    N_1, ..., N_n in turn, and a row's label is the order in which its
-    normal form first appears; rows are read in increasing index, so the
-    classes are numbered by least member.  A category that has not passed
+    such pairs, so each fibre of N lies in one class (_normal_form_steps
+    checks these premises first).  Each block of stage 0 runs through N_1,
+    ..., N_n in turn, and a row's label is the order in which its normal
+    form first appears; rows are read in increasing index, so the classes
+    are numbered by least member.  A category that has not passed
     validate_fincat is validated first, and its error raised, on every
     site.  A circle site maps its whole stage 1 through both faces (at most
     M^2 composable round trips) and labels the components of those pairs.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -99,16 +100,10 @@ class Path:
         return f"Path({'·'.join(self.edges)})"
 
 
-def path_words(graph: Digraph, src: str, tgt: str, max_len: int) -> list[tuple]:
-    """The edge ids of every path src -> tgt of length <= max_len, sorted by
-    length then by edge indices lexicographically, as the search files them."""
-    return walks(graph, src, tgt, max_len)
-
-
 def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Path]:
-    """The paths of path_words, in its order; each walk chains by
+    """The paths of digraph.walks, in its order; each walk chains by
     construction, so no edge is looked up again."""
-    return Path._trusted(graph, src, tgt, path_words(graph, src, tgt, max_len))
+    return Path._trusted(graph, src, tgt, walks(graph, src, tgt, max_len))
 
 
 def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]:
@@ -232,20 +227,27 @@ class QuiverMor:
         self.vertex_map = dict(vertex_map)
         self.edge_paths = dict(edge_paths)
 
+        vmap, known = self.vertex_map, target._vindex
         for v in source.vertices:
-            if v not in self.vertex_map:
+            if v not in vmap:
                 raise UnknownVertex(f"vertex {v!r} has no image")
-            target.vertex_index(self.vertex_map[v])
+            if vmap[v] not in known:
+                raise UnknownVertex(f"unknown vertex {vmap[v]!r}")
         for e in source.edges:
             p = self.edge_paths.get(e.eid)
             if p is None:
                 raise QuivercalcError(f"edge {e.eid!r} has no image path")
-            if p.graph != target:
+            if p.graph is not target and p.graph != target:
                 raise QuivercalcError(
                     f"image path of {e.eid!r} lives in the wrong graph")
-            if p.start != self.vertex_map[e.src] or p.end != self.vertex_map[e.tgt]:
+            if p.start != vmap[e.src] or p.end != vmap[e.tgt]:
                 raise QuivercalcError(
                     f"image path of {e.eid!r} has the wrong endpoints")
+        # every source vertex and edge is a key by now: a longer map has extras
+        if len(vmap) + len(self.edge_paths) > len(source.vertices) + len(source.edges):
+            extra = [("vertex", v) for v in vmap if not source.has_vertex(v)] + [
+                ("edge", e) for e in self.edge_paths if not source.has_edge(e)]
+            raise QuivercalcError("{} {!r} is not in the source".format(*extra[0]))
 
     @classmethod
     def identity(cls, d: Digraph) -> "QuiverMor":
@@ -319,10 +321,7 @@ def classify_quiver_mor(f: QuiverMor) -> QuiverMorClass:
     hit_edges = set(unit_edges)
     creation = idle and v_surjective and hit_edges == set(e.eid for e in f.target.edges)
 
-    used = set()
-    for p in paths:
-        used.update(p.edges)
-    active = used >= set(e.eid for e in f.target.edges)
+    active = {e for p in paths for e in p.edges} >= {e.eid for e in f.target.edges}
 
     refinement = _is_refinement(f, v_injective)
     return QuiverMorClass(idle, closed, creation, active, refinement)
@@ -337,39 +336,41 @@ def _is_refinement(f: QuiverMor, v_injective: bool) -> bool:
         return False
     if any(p.length == 0 for p in f.edge_paths.values()):
         return False
-    edge_uses: dict[str, int] = {}
-    interior_uses: dict[str, int] = {}
-    for e in f.source.edges:
-        p = f.edge_paths[e.eid]
-        for eid in p.edges:
-            edge_uses[eid] = edge_uses.get(eid, 0) + 1
-        for w in p.vertices()[1:-1]:
-            interior_uses[w] = interior_uses.get(w, 0) + 1
+    paths = f.edge_paths.values()
+    edge_uses = Counter(eid for p in paths for eid in p.edges)
+    interior_uses = Counter(w for p in paths for w in p.vertices()[1:-1])
     if any(n != 1 for n in edge_uses.values()):
         return False
     if set(edge_uses) != set(e.eid for e in f.target.edges):
         return False
     image = set(f.vertex_map.values())
-    for w in f.target.vertices:
-        inside = interior_uses.get(w, 0)
-        if w in image:
-            if inside != 0:
-                return False
-        elif inside != 1:
-            return False
-    return True
+    # an image vertex is inside no path (0), any other inside one (1)
+    return all(interior_uses[w] == (w not in image) for w in f.target.vertices)
+
+
+def lift_mor(source: Digraph, target: Digraph, vmap: dict, paths: dict,
+             lifts) -> QuiverMor:
+    """The morphism of vmap and paths, filled in on each (chain, image,
+    lift) of lifts: point i of the chain goes to point lift[i] of the image,
+    and the edge i -> i+1 to the run of edges lift[i] .. lift[i+1]-1 (an
+    empty run collapses it).  A chain is its points and edges in order; a
+    cycle has as many points as edges, and a lift round it reads it again."""
+    for (points, edges), (to, runs), lift in lifts:
+        if lift[-1] >= len(to):     # round a cycle: unroll it far enough
+            k = lift[-1] // len(to) + 1
+            to, runs = to * k, runs * k
+        for v, x in zip(points, lift):
+            vmap[v] = to[x]
+        for c, a, b in zip(edges, lift, lift[1:]):
+            paths[c] = Path(target, to[a], runs[a:b])
+    return QuiverMor(source, target, vmap, paths)
 
 
 def delta_mor_to_quiver(f: DeltaMor) -> QuiverMor:
     """A monotone map [p] -> [q] as a quiver morphism of directed chains."""
-    src = standard_digraph("linear", f.p)
-    tgt = standard_digraph("linear", f.q)
-    vmap = {str(i): str(f(i)) for i in range(f.p + 1)}
-    paths = {}
-    for i in range(f.p):
-        a, b = f(i), f(i + 1)
-        paths[f"e{i}"] = Path(tgt, str(a), [f"e{j}" for j in range(a, b)])
-    return QuiverMor(src, tgt, vmap, paths)
+    src, tgt = (standard_digraph("linear", k) for k in (f.p, f.q))
+    chain, image = ((g.vertices, tuple(e.eid for e in g.edges)) for g in (src, tgt))
+    return lift_mor(src, tgt, {}, {}, [(chain, image, f.values)])
 
 
 # --- components and hom counting --------------------------------------------

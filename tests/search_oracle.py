@@ -43,7 +43,7 @@ def walks(d, start, end, max_len):
 
 
 def path_words(d, start, end, max_len):
-    """The edge tuples of path_words, in its order: the walks, sorted by
+    """The edge tuples of digraph.walks, in its order: the walks, sorted by
     length (a stable sort of the depth-first order)."""
     return sorted(walks(d, start, end, max_len), key=len)
 

@@ -13,8 +13,8 @@ from quivercalc.cyccat import (EpiMor, Incomposable, ParaMor, cartesian_factor,
                                lift_epi_degree1, para_alpha, para_phi,
                                para_small_rotation, parse_epi, parse_para,
                                project_para_to_epi)
-from quivercalc.digraph import QuivercalcError
-from quivercalc.quiver import compose_quiver_mor
+from quivercalc.digraph import QuivercalcError, standard_digraph
+from quivercalc.quiver import Path, QuiverMor, compose_quiver_mor
 
 
 # --- paracyclic morphisms --------------------------------------------------
@@ -369,6 +369,29 @@ def test_epi_composition_matches_functor_composition():
         one = compose_epi(g, f).to_quiver_mor()
         two = compose_quiver_mor(g.to_quiver_mor(), f.to_quiver_mor())
         assert one == two
+
+
+def winding_quiver_mor(f):
+    """EpiMor.to_quiver_mor as written before the one lift rule: the edge
+    out of v winds lengths[v] edges forward from its vertex image, mod n."""
+    src, tgt = standard_digraph("cyclic", f.m), standard_digraph("cyclic", f.n)
+    vmap = {str(v): str(f.vertex_map[v]) for v in range(f.m)}
+    paths = {}
+    for v in range(f.m):
+        start = f.vertex_map[v]
+        eids = [f"e{(start + j) % f.n}" for j in range(f.lengths[v])]
+        paths[f"e{v}"] = Path(tgt, str(start), eids)
+    return QuiverMor(src, tgt, vmap, paths)
+
+
+def test_to_quiver_mor_matches_the_winding_oracle():
+    """The lift rule reads the target cycle round as often as the lift
+    winds: every degree, and lifts that start past vertex 0."""
+    rng = random.Random(29)
+    pool = [random_epi(rng) for _ in range(300)]
+    assert max(f.degree for f in pool) >= 4
+    for f in pool:
+        assert f.to_quiver_mor() == winding_quiver_mor(f), f
 
 
 def test_to_quiver_mor_shape():

@@ -21,8 +21,9 @@ from quivercalc.fincat import (BadComposite, NotAssociative,
                                walking_arrow_category)
 from quivercalc.hochschild import compute_hh, psi, trace_obj
 from quivercalc.cyccat import EpiMor
-from quivercalc.quiver import (Path, QuiverMor, compose_quiver_mor, components,
-                               enumerate_quiver_mors)
+from quivercalc.quiver import (DeltaMor, Path, QuiverMor, compose_delta,
+                               compose_quiver_mor, components,
+                               enumerate_quiver_mors, is_active_delta)
 from quivercalc import cli, digraph, emm
 from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
                             ExcisionSite, MMor, MObject, QuivPart,
@@ -222,6 +223,35 @@ def test_cycle_length_bound():
     fig8 = Digraph(["a", "b"],
                    [("e", "a", "b"), ("f", "b", "a"), ("l", "a", "a")])
     assert cycle_length_bound(fig8) is None
+
+
+def test_the_cycle_search_stops_at_the_length_bound():
+    """No primitive cycle is longer than cycle_length_bound, so the search
+    is capped there: on cyclic(2) a cap of 10^5 searches to length 2 (it
+    took 0.10-0.16 s when the search ran to the cap).  A graph with no
+    bound keeps the cap it is given, and hom_m, which reads the bound for
+    its truncation flag, runs one strong component search per quiver."""
+    caps = []
+
+    def spy(d, max_len):
+        caps.append(max_len)
+        return lyndon_words(d, max_len)
+
+    with mock.patch.object(emm, "lyndon_words", spy):
+        zs = enumerate_directed_cycles(standard_digraph("cyclic", 2), 100000)
+        assert [z.edges for z in zs] == [(), (), ("e0", "e1")]
+        enumerate_directed_cycles(standard_digraph("cyclic", 3), 2)
+        enumerate_directed_cycles(standard_digraph("linear", 3), 5)
+        enumerate_directed_cycles(standard_digraph("bouquet", 2), 7)
+    assert caps == [2, 2, 0, 7]
+    source = MObject(0, [standard_digraph("cyclic", 2),
+                         standard_digraph("linear", 2)])
+    with mock.patch.object(emm, "strong_components",
+                           wraps=emm.strong_components) as search:
+        _, count, truncated = hom_m(source, circle_object(1), max_len=100000,
+                                    max_weight=1, limit=0)
+    assert search.call_count == 2
+    assert truncated and count == 2 + 3 + 1     # five vertices, one 2-cycle
 
 
 # --- objects -----------------------------------------------------------------
@@ -1065,6 +1095,102 @@ def test_stage_maps_by_lifts_equal_the_hand_written_ones(name):
         assert site.refinement(p) == stage_oracle.refinement(site, p)
     assert site.face_maps() == stage_oracle.face_maps(site)
     assert site.degeneracies() == stage_oracle.degeneracies(site)
+
+
+def active_lifts(m, n):
+    """Every active map [m] -> [n]: monotone, 0 to 0 and m to n."""
+    return [DeltaMor(m, n, (0, *mid, n))
+            for mid in itertools.combinations_with_replacement(range(n + 1), m - 1)]
+
+
+def coface(n, i):
+    """delta^i: [n-1] -> [n], which skips point i."""
+    return DeltaMor(n - 1, n, [k + (k >= i) for k in range(n)])
+
+
+def codegeneracy(n, j):
+    """sigma^j: [n+1] -> [n], which hits point j twice."""
+    return DeltaMor(n + 1, n, [k - (k > j) for k in range(n + 2)])
+
+
+def stage(site, p, q, f):
+    """The stage map p -> q that lifts every cut's chain by f."""
+    return site._stage_mor(p, q, [f] * len(site.cut_edges))
+
+
+def test_the_named_lifts_are_the_inner_cofaces_and_codegeneracies():
+    assert emm.INNER_COFACES == (coface(3, 2), coface(3, 1))
+    assert emm.CODEGENERACIES == (codegeneracy(2, 0), codegeneracy(2, 1))
+    assert all(map(is_active_delta, emm.INNER_COFACES + emm.CODEGENERACIES))
+
+
+@pytest.mark.parametrize("name", STAGE_SITES)
+def test_stage_maps_are_functorial_in_the_lifts(name):
+    """A stage map after a stage map is the stage map of the composite
+    lifts, cut by cut, from the uncut graph (stage -1) up to stage 3.
+    Each cut draws its own lift; the draws are seeded per site."""
+    site, rng = STAGE_SITES[name], random.Random(name)
+    n = len(site.cut_edges)
+    for p, q, r in itertools.product(range(-1, 4), range(4), range(4)):
+        fs, gs = active_lifts(p + 2, q + 2), active_lifts(q + 2, r + 2)
+        for _ in range(2):
+            f = [rng.choice(fs) for _ in range(n)]
+            g = [rng.choice(gs) for _ in range(n)]
+            assert compose_quiver_mor(site._stage_mor(q, r, g),
+                                      site._stage_mor(p, q, f)) == \
+                site._stage_mor(p, r, list(map(compose_delta, g, f))), (p, q, r)
+
+
+@pytest.mark.parametrize("name", STAGE_SITES)
+def test_stage_maps_satisfy_the_cosimplicial_identities(name):
+    """On the stage maps of inner cofaces and codegeneracies, up to stage
+    3: d^j d^i = d^i d^(j-1) for i < j, s^j d^i = d^i s^(j-1) for i < j,
+    s^j d^j = s^j d^(j+1) = id, s^j d^i = d^(i-1) s^j for i > j+1, and
+    s^j s^i = s^i s^(j+1) for i <= j.  A stage p chain is [p+2]."""
+    site = STAGE_SITES[name]
+
+    def d(p, i):        # stage p -> p+1
+        return stage(site, p, p + 1, coface(p + 3, i))
+
+    def s(p, j):        # stage p+1 -> p
+        return stage(site, p + 1, p, codegeneracy(p + 2, j))
+
+    def eq(g1, f1, g2, f2):
+        return compose_quiver_mor(g1, f1) == compose_quiver_mor(g2, f2)
+
+    for p in range(2):
+        n = p + 2                       # stage p is [n]; inner points 1..n-1
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 2):
+                assert eq(d(p + 1, j), d(p, i), d(p + 1, i), d(p, j - 1))
+        for j in range(n + 1):          # sigma^j: [n+1] -> [n], stage p+1 -> p
+            ident = QuiverMor.identity(site.level_graph(p + 1))
+            for i in range(1, n + 2):   # delta^i: [n] -> [n+1], stage p -> p+1
+                if i < j:
+                    assert eq(s(p + 1, j), d(p + 1, i), d(p, i), s(p, j - 1))
+                elif i in (j, j + 1):
+                    assert compose_quiver_mor(s(p + 1, j), d(p + 1, i)) == ident
+                else:
+                    assert eq(s(p + 1, j), d(p + 1, i), d(p, i - 1), s(p, j))
+            for i in range(j + 1):
+                assert eq(s(p, j), s(p + 1, i), s(p, i), s(p + 1, j + 1))
+
+
+@pytest.mark.parametrize("name", STAGE_SITES)
+def test_a_stage_map_takes_one_active_lift_per_cut(name):
+    """A lift that misses an end or has the wrong size is refused, as is
+    a list of lifts that is not one per cut; a site with no cut takes []."""
+    site = STAGE_SITES[name]
+    n, face = len(site.cut_edges), emm.INNER_COFACES[0]
+    bad = [[face] * (n + 1)]                    # one lift too many
+    if n:
+        bad += [[DeltaMor(2, 3, (0, 1, 2))] + [face] * (n - 1),   # misses the end
+                [face] * (n - 1) + [DeltaMor(2, 3, (1, 2, 3))],   # misses the start
+                [DeltaMor(2, 4, (0, 1, 4))] * n,                  # into stage 2
+                [face] * (n - 1)]                                 # one too few
+    for lifts in bad:
+        with pytest.raises(QuivercalcError, match="takes one active map"):
+            site._stage_mor(0, 1, lifts)
 
 
 @pytest.mark.parametrize("site", [*LABEL_SITES.values(), *BLOCK_SITES], ids=[

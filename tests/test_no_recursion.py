@@ -13,9 +13,9 @@ import sys
 import pytest
 
 import quivercalc
-from quivercalc.digraph import standard_digraph
+from quivercalc.digraph import standard_digraph, walks
 from quivercalc.fincat import cyclic_group_category, rep_count, rep_tuples
-from quivercalc.quiver import enumerate_quiver_mors, path_words
+from quivercalc.quiver import enumerate_quiver_mors
 
 SOURCES = sorted(pathlib.Path(quivercalc.__file__).parent.glob("*.py"))
 
@@ -68,10 +68,10 @@ def test_the_labelling_search_keeps_its_own_stack():
 
 
 def test_the_walk_search_keeps_its_own_stack():
-    """path_words goes one vertex deeper per edge of a walk, so the one path
+    """walks goes one vertex deeper per edge of a walk, so the one path
     along a chain longer than the recursion limit would overflow a
     recursive search."""
     n = max(3000, sys.getrecursionlimit() + 100)
     g = standard_digraph("linear", n)
-    assert path_words(g, "0", str(n), n) == [tuple(f"e{i}" for i in range(n))]
-    assert path_words(g, "0", str(n), n - 1) == []
+    assert walks(g, "0", str(n), n) == [tuple(f"e{i}" for i in range(n))]
+    assert walks(g, "0", str(n), n - 1) == []

@@ -9,14 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from quivercalc import digraph, quiver
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
-                                standard_digraph)
+                                standard_digraph, walks)
 from quivercalc.cyccat import compose_para, delta_to_para
 from quivercalc.quiver import (DeltaMor, Path, QuiverMor, classify_quiver_mor,
                                compose_delta, compose_quiver_mor, components,
                                delta_mor_to_quiver, enumerate_paths,
                                enumerate_quiver_mors, factor_active_closed,
                                hom_is_finite, hom_quiver_count,
-                               is_active_delta, is_closed_delta, path_words,
+                               is_active_delta, is_closed_delta,
                                _path_options)
 
 import search_oracle
@@ -106,7 +106,7 @@ def test_a_huge_cap_costs_what_the_longest_path_does():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        words = path_words(g, "0", "3", 10**12)
+        words = walks(g, "0", "3", 10**12)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -742,6 +742,14 @@ QUIVER_REJECTIONS = {
         "image path of 'e0' has the wrong endpoints"),
     "map-path": (lambda: QuiverMor.identity(I1).map_path(Path.of_edge(L2, "e0")),
                  "path lives in the wrong graph"),
+    "extra-vertex": (
+        lambda: QuiverMor(I1, I1, {"0": "0", "1": "1", "ghost": "nowhere"},
+                          {"e0": Path.of_edge(I1, "e0")}),
+        "vertex 'ghost' is not in the source"),
+    "extra-edge": (
+        lambda: QuiverMor(I1, I1, {"0": "0", "1": "1"},
+                          {"e0": Path.of_edge(I1, "e0"), "e9": None}),
+        "edge 'e9' is not in the source"),
     "delta-ordinals": (lambda: DeltaMor(-1, 0, ()), "ordinals [p], [q] need p, q >= 0"),
     "delta-values": (lambda: DeltaMor(1, 1, (0,)), "need one value per point of [p]"),
     "delta-range": (lambda: DeltaMor(0, 1, (2,)), "value 2 outside [0..1]"),
