@@ -8,9 +8,9 @@ from .digraph import (ClosedCover, Digraph, Edge, NotACover, QuivercalcError,
                       standard_digraph, weak_components)
 from .quiver import (DeltaMor, Path, QuiverMor, QuiverMorClass,
                      classify_quiver_mor, components, compose_delta,
-                     compose_quiver_mor, delta_mor_to_quiver, enumerate_paths,
-                     enumerate_quiver_mors, factor_active_closed,
-                     hom_is_finite, hom_quiver_count)
+                     compose_quiver_mor, cycle_root, delta_mor_to_quiver,
+                     directed_cycle, enumerate_paths, enumerate_quiver_mors,
+                     factor_active_closed, hom_is_finite, hom_quiver_count)
 from .fincat import (FinCat, Functor, Representation, SheafVerdict,
                      check_closed_sheaf, chain_poset_category,
                      cyclic_group_category, enumerate_reps, exit_path,
@@ -26,10 +26,9 @@ from .cyccat import (EpiMor, ParaMor, cartesian_factor, compose_epi,
                      project_para_to_epi)
 from .hochschild import (CyclicWord, HHClass, HHTable, class_of_word,
                          compute_hh, hh_map, psi, trace_end, trace_obj)
-from .emm import (CircleEndo, CycleToCircle, DirectedCycle, ExcisionSite,
-                  ExcisionVerdict, MMor, MObject, QuivPart,
-                  circle_object, compose_m, cycle_length_bound,
-                  enumerate_directed_cycles, fact_homology,
+from .emm import (CircleEndo, CycleToCircle, ExcisionSite, ExcisionVerdict,
+                  MMor, MObject, QuivPart, circle_object, compose_m,
+                  cycle_length_bound, enumerate_directed_cycles, fact_homology,
                   fact_map, hom_m, identity_m, make_excision_site,
                   mobject_of_digraph, quiv_op_mmor, verify_excision)
 

@@ -98,9 +98,24 @@ def _write_lines(lines: list[str]) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _digits(n: int) -> str:
+    """n in decimal, however many digits: str() refuses more than the
+    interpreter's limit (Python 3.11 on), so a longer count lifts the limit
+    for its one conversion and puts it back."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _write_listing(rows, total: int, limit: int, last: str) -> None:
     """Write the rows shown, how many more there are, and the last line."""
-    more = [f"... and {total - limit} more"] if total > limit else []
+    more = [f"... and {_digits(total - limit)} more"] if total > limit else []
     _write_lines([*rows, *more, last])
 
 
@@ -127,10 +142,10 @@ def cmd_paths(args) -> int:
     words = walks(g, args.src, args.tgt, args.max_len)
     lines = ["·".join(w) if w else "(empty)" for w in words]
     if finite and len(words) == total:
-        lines.append(f"count: {len(words)} (complete; {total} in total)")
+        lines.append(f"count: {len(words)} (complete; {_digits(total)} in total)")
     else:
         lines.append(f"count: {len(words)} (truncated at length {args.max_len}; "
-                     f"{total if finite else 'infinitely many'} in total)")
+                     f"{_digits(total) if finite else 'infinitely many'} in total)")
     _write_lines(lines)
     return 0
 
@@ -142,7 +157,7 @@ def cmd_reps(args) -> int:
     mors = [f.mid for f in cat.morphisms]
     rows = [f"{_pairs(g.vertices, cat.objects, x)} | {_pairs(eids, mors, x[nv:])}"
             .strip(" |") for x in rep_tuples(cat, g, args.limit)]
-    _write_listing(rows, count, args.limit, f"count: {count}")
+    _write_listing(rows, count, args.limit, f"count: {_digits(count)}")
     return 0
 
 
@@ -214,7 +229,7 @@ def cmd_epi(args) -> int:
 
 def cmd_cycles(args) -> int:
     g = _load_graph(args.graph)
-    _write_lines(["·".join(z.edges) if z.edges else f"constant at {z.vertex}"
+    _write_lines(["·".join(z.edges) if z.edges else f"constant at {z.start}"
                   for z in enumerate_directed_cycles(g, args.max_len)])
     return 0
 
@@ -226,7 +241,8 @@ def cmd_hom_m(args) -> int:
                                    max_weight=args.max_weight,
                                    path_cap=args.path_cap, limit=args.limit)
     _write_listing(map(_describe_mmor, mors), count, args.limit,
-                   f"count: {count} ({'truncated' if truncated else 'complete'})")
+                   f"count: {_digits(count)} "
+                   f"({'truncated' if truncated else 'complete'})")
     return 0
 
 
@@ -235,8 +251,8 @@ def _describe_mmor(f) -> str:
     for j, part in enumerate(f.circle_parts):
         if isinstance(part, CircleEndo):
             bits.append(f"circle{j} ← circle{part.circle} ^{part.weight}")
-        elif part.cycle.is_constant:
-            bits.append(f"circle{j} ← quiver{part.quiver}@{part.cycle.vertex}")
+        elif not part.cycle.edges:
+            bits.append(f"circle{j} ← quiver{part.quiver}@{part.cycle.start}")
         else:
             bits.append(f"circle{j} ← quiver{part.quiver}"
                         f"[{'·'.join(part.cycle.edges)}]^{part.weight}")
@@ -256,7 +272,7 @@ def cmd_fact(args) -> int:
     rows = [" ".join([*(classes[i] for i in x[:m.circles]),
                       *(f"({_pairs(eids, mors, x[a:b])})" for eids, a, b in quivers)])
             .strip() or "(unit)" for x in fact_tuples(cat, m, args.limit)]
-    _write_listing(rows, size, args.limit, f"size: {size}")
+    _write_listing(rows, size, args.limit, f"size: {_digits(size)}")
     return 0
 
 

@@ -19,18 +19,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 
-from .quiver import DeltaMor, QuiverMor, lift_mor
+from .quiver import DeltaMor, QuiverMor, check_integers, lift_mor
 from .digraph import Incomposable, QuivercalcError, standard_digraph
 
 
-def _integers(what: str, *xs) -> None:
-    for x in xs:
-        if type(x) is not int:              # bool is no size or value
-            raise QuivercalcError(f"{what} are integers, not {x!r}")
-
-
 def _para_sizes(m: int, n: int, *values) -> None:
-    _integers("paracyclic sizes and values", m, n, *values)
+    check_integers("paracyclic sizes and values", m, n, *values)
     if m < 1 or n < 1:
         raise QuivercalcError(f"(1/{m})Z -> (1/{n})Z needs m, n >= 1")
 
@@ -167,8 +161,8 @@ class EpiMor:
         self.n = n
         self.vertex_map = tuple(vertex_map)
         self.lengths = tuple(lengths)
-        _integers("epicyclic sizes, vertex images and lengths",
-                  m, n, *self.vertex_map, *self.lengths)
+        check_integers("epicyclic sizes, vertex images and lengths",
+                       m, n, *self.vertex_map, *self.lengths)
         if m < 1 or n < 1:
             raise QuivercalcError(f"cycles of sizes {m}, {n} need m, n >= 1")
         if len(self.vertex_map) != m or len(self.lengths) != m:
@@ -217,7 +211,7 @@ class EpiMor:
 
 
 def identity_epi(n: int) -> EpiMor:
-    _integers("epicyclic sizes, vertex images and lengths", n)
+    check_integers("epicyclic sizes, vertex images and lengths", n)
     return EpiMor(n, n, range(n), [1] * n)
 
 

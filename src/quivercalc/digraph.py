@@ -89,8 +89,9 @@ class Valence(NamedTuple):
 
 class Digraph:
     """A finite directed graph.  Immutable once built, so it keeps what its
-    searches find: its last backward search (see reaching) and its weak
-    components (see weak_components)."""
+    searches find: its last backward search (see reaching), its weak
+    components (see weak_components) and its cycle length bound (see
+    emm.cycle_length_bound)."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable):
         self.vertices = tuple(vertices)
@@ -129,6 +130,8 @@ class Digraph:
         self._reach: tuple[int, set[int]] | None = None
         # the weak components, found by the first weak_components call
         self._weak: tuple[tuple[str, ...], ...] | None = None
+        # emm.cycle_length_bound's answer, -1 until it is first asked
+        self._bound: int | None = -1
 
     def edge(self, eid: str) -> Edge:
         try:

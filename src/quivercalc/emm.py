@@ -3,8 +3,9 @@
 An object here is a finite list of circles together with a finite list of
 connected digraphs.  Maps are described per TARGET component: a target
 circle either winds around a source circle (with a positive weight) or wraps
-a directed cycle of a source quiver a positive number of times, where a
-constant cycle, wrapped once, sits at a vertex; a target quiver receives a
+a directed cycle of a source quiver a positive number of times; a directed
+cycle is a quiver.Path, a primitive closed walk in its least rotation or,
+wrapped once, the empty path at a vertex.  A target quiver receives a
 quiver morphism FROM it INTO a source quiver (quivers embed
 contravariantly).  There are no maps from a circle to a quiver, so hom-sets
 whose target has a quiver but whose source has none are empty.
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 # classify_digraph, enumerate_reps, pullback_rep and psi are no longer
 # called here; perfbench's traced run still wraps them under these names
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
-                      classify_digraph, component_labels, lyndon_rotation,
-                      lyndon_words, standard_digraph, strong_components,
-                      weak_components)
-from .quiver import (DeltaMor, Path, QuiverMor, compose_quiver_mor, components,
+                      classify_digraph, component_labels, lyndon_words,
+                      standard_digraph, strong_components, weak_components)
+from .quiver import (DeltaMor, Path, QuiverMor, check_integers,
+                     compose_quiver_mor, components, cycle_root,
                      enumerate_quiver_mors, is_active_delta, lift_mor)
 from .fincat import (FinCat, Representation, compile_pullback, enumerate_reps,
                      index_program, path_steps, pullback_rep, rep_count,
@@ -38,100 +39,18 @@ from .hochschild import _powers, compute_hh, psi
 # --- directed cycles --------------------------------------------------------
 
 
-class DirectedCycle:
-    """A constant cycle at a vertex, or a primitive closed walk up to
-    rotation, stored in the rotation whose edge indices are least.
-
-    A walk is checked on its word of edge indices: consecutive edges chain
-    and the last returns to the start of the first.  The word is then read
-    once by lyndon_rotation, which both rejects a proper power and finds
-    the rotation to store; vertex is the basepoint of that rotation.
-    """
-
-    def __init__(self, graph: Digraph, vertex: str | None, edges=()):
-        self.graph = graph
-        self.edges = tuple(edges)
-        if self.edges:
-            if vertex is not None:
-                raise QuivercalcError("a walk determines its own basepoint")
-            word = [graph.edge_index(e) for e in self.edges]
-            src, tgt = graph._src, graph._tgt
-            at = first = src[word[0]]
-            for j in word:
-                if src[j] != at:
-                    raise QuivercalcError(
-                        f"edge {graph.edges[j].eid!r} starts at "
-                        f"{graph.vertices[src[j]]!r}, not {graph.vertices[at]!r}")
-                at = tgt[j]
-            if at != first:
-                raise QuivercalcError("cycle walks must close up")
-            start, period = lyndon_rotation(word)
-            if period != len(word):
-                raise QuivercalcError("cycle walks must be primitive")
-            self.edges = self.edges[start:] + self.edges[:start]
-            self.vertex = graph.vertices[src[word[start]]]
-        else:
-            if vertex is None:
-                raise QuivercalcError("a constant cycle needs a vertex")
-            graph.vertex_index(vertex)
-            self.vertex = vertex
-
-    @classmethod
-    def _trusted(cls, graph: Digraph, words) -> list["DirectedCycle"]:
-        """One cycle per Lyndon word of edge indices, such as lyndon_words
-        returns, based at its first edge's source; nothing is checked."""
-        eids, src, names = [e.eid for e in graph.edges], graph._src, graph.vertices
-        cycles = []
-        for w in words:
-            z = cls.__new__(cls)
-            z.graph = graph
-            z.edges = tuple([eids[j] for j in w])
-            z.vertex = names[src[w[0]]]
-            cycles.append(z)
-        return cycles
-
-    @classmethod
-    def constant(cls, graph: Digraph, vertex: str) -> "DirectedCycle":
-        return cls(graph, vertex)
-
-    @classmethod
-    def walk(cls, graph: Digraph, edges) -> "DirectedCycle":
-        return cls(graph, None, edges)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.edges
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    def __eq__(self, other):
-        if not isinstance(other, DirectedCycle):
-            return NotImplemented
-        return (self.graph == other.graph and self.vertex == other.vertex
-                and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.vertex, self.edges))
-
-    def __repr__(self):
-        if self.is_constant:
-            return f"DirectedCycle(at {self.vertex})"
-        return f"DirectedCycle({'·'.join(self.edges)})"
-
-
-def enumerate_directed_cycles(graph: Digraph, max_len: int,
-                              bound: int | None = -1) -> list[DirectedCycle]:
+def enumerate_directed_cycles(graph: Digraph, max_len: int) -> list[Path]:
     """Constant cycles at every vertex, then primitive closed walks up to
-    rotation of length <= max_len and <= bound, if any (cycle_length_bound
-    unless given), ordered by (length, edge indices)."""
-    out = [DirectedCycle.constant(graph, v) for v in graph.vertices]
-    bound = cycle_length_bound(graph) if bound == -1 else bound
+    rotation of length <= max_len and <= cycle_length_bound, if any,
+    ordered by (length, edge indices)."""
+    bound = cycle_length_bound(graph)
     # a primitive closed walk is kept once, from its least rotation: the
     # walks whose edge indices form a Lyndon word, which come in this order
-    return out + DirectedCycle._trusted(graph, lyndon_words(
-        graph, max_len if bound is None else min(max_len, bound)))
+    words = lyndon_words(graph, max_len if bound is None else min(max_len, bound))
+    eids, src, names = [e.eid for e in graph.edges], graph._src, graph.vertices
+    bases = [names[src[w[0]]] for w in words]
+    return [Path.empty(graph, v) for v in names] + Path._trusted(
+        graph, bases, [tuple([eids[j] for j in w]) for w in words], bases)
 
 
 def cycle_length_bound(graph: Digraph) -> int | None:
@@ -141,17 +60,20 @@ def cycle_length_bound(graph: Digraph) -> int | None:
     piece is a bare simple cycle; two distinct loops through a common vertex
     already generate primitive walks of unbounded length.  Each vertex of a
     piece with an inner edge has an inner edge out, so the piece is a bare
-    cycle exactly when none has two.
+    cycle exactly when none has two.  The graph keeps the answer, so only
+    the first call for a graph searches.
     """
+    if graph._bound != -1:
+        return graph._bound
     comps = strong_components(graph)
     label = {v: c for c, comp in enumerate(comps) for v in comp}
     inside = dict.fromkeys(graph.vertices, 0)
     for e in graph.edges:
         if label[e.src] == label[e.tgt]:
             inside[e.src] += 1
-    if any(k > 1 for k in inside.values()):
-        return None
-    return max((len(comp) for comp in comps if inside[comp[0]]), default=0)
+    graph._bound = None if any(k > 1 for k in inside.values()) else max(
+        (len(comp) for comp in comps if inside[comp[0]]), default=0)
+    return graph._bound
 
 
 # --- objects ----------------------------------------------------------------
@@ -218,7 +140,7 @@ class CircleEndo:
 @dataclass(frozen=True)
 class CycleToCircle:
     quiver: int
-    cycle: DirectedCycle  # a constant cycle sits at its vertex
+    cycle: Path           # a directed cycle; an empty one sits at its vertex
     weight: int           # >= 1, and 1 on a constant cycle
 
 
@@ -243,15 +165,12 @@ class MMor:
             raise QuivercalcError("need one component per target quiver")
 
         def check_index(i, what: str, count: int) -> None:
-            if type(i) is not int:          # bool is no index
-                raise QuivercalcError(f"source {what} indices are integers, "
-                                      f"not {i!r}")
+            check_integers(f"source {what} indices", i)
             if not 0 <= i < count:
                 raise QuivercalcError(f"no source {what} {i}")
 
         def check_weight(w) -> None:
-            if type(w) is not int:
-                raise QuivercalcError(f"circle weights are integers, not {w!r}")
+            check_integers("circle weights", w)
             if w < 1:
                 raise QuivercalcError("circle weights are >= 1")
 
@@ -266,8 +185,10 @@ class MMor:
             elif isinstance(part, CycleToCircle):
                 if part.cycle.graph != source_quiver(part.quiver):
                     raise QuivercalcError("the cycle lies in another quiver")
+                if part.cycle.start != part.cycle.end:
+                    raise QuivercalcError("cycle walks must close up")
                 check_weight(part.weight)
-                if part.cycle.is_constant and part.weight != 1:
+                if not part.cycle.edges and part.weight != 1:
                     raise QuivercalcError("a constant cycle winds once")
             else:
                 raise QuivercalcError(f"not a circle component: {part!r}")
@@ -323,15 +244,14 @@ def hom_m(source: MObject, target: MObject, max_len: int = 6,
         if source.circles:
             truncated = True  # weights are unbounded
         # every quiver's constant cycles come before any other cycle
-        bounds = [cycle_length_bound(q) for q in source.quivers]
-        cycles = [enumerate_directed_cycles(q, max_len, b)
-                  for q, b in zip(source.quivers, bounds)]
+        cycles = [enumerate_directed_cycles(q, max_len) for q in source.quivers]
         for a, zs in enumerate(cycles):
-            opts.extend(CycleToCircle(a, z, 1) for z in zs if z.is_constant)
+            opts.extend(CycleToCircle(a, z, 1) for z in zs if not z.edges)
         # a cycle winds round a circle any number of times
-        truncated = truncated or any(b != 0 for b in bounds)
+        truncated = truncated or any(cycle_length_bound(q) != 0
+                                     for q in source.quivers)
         for a, zs in enumerate(cycles):
-            opts.extend(CycleToCircle(a, z, w) for z in zs if not z.is_constant
+            opts.extend(CycleToCircle(a, z, w) for z in zs if z.edges
                         for w in range(1, max_weight + 1))
         factors += [(opts[:limit], len(opts))] * target.circles
 
@@ -362,23 +282,17 @@ def compose_m(g: MMor, f: MMor) -> MMor:
             inner = f.circle_parts[part.circle]
             if isinstance(inner, CircleEndo):
                 cparts.append(CircleEndo(inner.circle, inner.weight * part.weight))
-            elif inner.cycle.is_constant:       # a vertex winds once
+            elif not inner.cycle.edges:         # a vertex winds once
                 cparts.append(inner)
             else:
                 cparts.append(CycleToCircle(inner.quiver, inner.cycle,
                                             inner.weight * part.weight))
         else:
+            # the image winds k times round its root, or collapses to a vertex
             qp = f.quiver_parts[part.quiver]
-            z, q = part.cycle, qp.mor.target
-            edges = qp.mor.map_path(Path(z.graph, z.vertex, z.edges)).edges
-            if not edges:       # the whole cycle collapses to a vertex
-                cparts.append(CycleToCircle(qp.quiver, DirectedCycle.constant(
-                    q, qp.mor.vertex_map[z.vertex]), 1))
-            else:               # it winds len/p times around a p-cycle
-                _, p = lyndon_rotation([q.edge_index(e) for e in edges])
-                cparts.append(CycleToCircle(qp.quiver,
-                                            DirectedCycle.walk(q, edges[:p]),
-                                            part.weight * len(edges) // p))
+            root, k = cycle_root(qp.mor.map_path(part.cycle))
+            cparts.append(CycleToCircle(qp.quiver, root,
+                                        part.weight * k if root.edges else 1))
 
     qparts = []
     for part in g.quiver_parts:
@@ -487,9 +401,9 @@ def _circle_map(category: FinCat, source: MObject, part):
         def loops(block):
             return [reps[x[part.circle]] for x in block]
     else:
-        q, z = source.quivers[part.quiver], part.cycle
         holonomy = index_program(category, (), [path_steps(
-            q, Path(q, z.vertex, z.edges), _blocks(source)[part.quiver][0])])
+            source.quivers[part.quiver], part.cycle,
+            _blocks(source)[part.quiver][0])])
 
         def loops(block):
             return [m for m, in holonomy(block)]
@@ -673,7 +587,7 @@ class ExcisionSite:
         if self.kind == "graph":
             return quiv_op_mmor(self.refinement(0))
         m0 = self.level(0)
-        z = DirectedCycle.walk(m0.quivers[0], ("e0",))
+        z = Path.of_edge(m0.quivers[0], "e0")     # the loop of cyclic(1)
         return MMor(m0, circle_object(1), (CycleToCircle(0, z, 1),), ())
 
 

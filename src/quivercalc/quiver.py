@@ -15,8 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownVertex,
-                      labellings, reaching, standard_digraph, walks,
-                      weak_components)
+                      labellings, lyndon_rotation, reaching, standard_digraph,
+                      walks, weak_components)
+
+
+def check_integers(what: str, *xs) -> None:
+    """Sizes, values and indices are ints; a bool or a float is refused."""
+    for x in xs:
+        if type(x) is not int:
+            raise QuivercalcError(f"{what} are integers, not {x!r}")
 
 
 class Path:
@@ -24,6 +31,10 @@ class Path:
 
     The edges are listed in traversal order: the path (e1, e2) means e1
     followed by e2, so its composite in the free category is e2∘e1.
+
+    A directed cycle is a Path too: a closed, primitive walk stored in its
+    least rotation (see cycle_root and directed_cycle), or the empty path
+    at a vertex, a constant cycle.
     """
 
     __slots__ = ("graph", "start", "edges", "end")
@@ -43,13 +54,14 @@ class Path:
         self.end = at
 
     @classmethod
-    def _trusted(cls, graph: Digraph, start: str, end: str,
-                 walks: Iterable[tuple]) -> list["Path"]:
-        """One path per walk, each known to chain from start to end, such as
-        the list of walks that digraph.walks returns; nothing is checked."""
+    def _trusted(cls, graph: Digraph, starts: Iterable[str],
+                 walks: Iterable[tuple], ends: Iterable[str]) -> list["Path"]:
+        """One path per start, walk and end, each walk a tuple of edge ids
+        known to chain from its start to its end, such as the walks that
+        digraph.walks returns; nothing is checked."""
         new = cls.__new__
         paths = []
-        for w in walks:
+        for start, w, end in zip(starts, walks, ends):
             p = new(cls)
             p.graph = graph
             p.start = start
@@ -103,7 +115,37 @@ class Path:
 def enumerate_paths(graph: Digraph, src: str, tgt: str, max_len: int) -> list[Path]:
     """The paths of digraph.walks, in its order; each walk chains by
     construction, so no edge is looked up again."""
-    return Path._trusted(graph, src, tgt, walks(graph, src, tgt, max_len))
+    return Path._trusted(graph, itertools.repeat(src),
+                         walks(graph, src, tgt, max_len), itertools.repeat(tgt))
+
+
+def cycle_root(p: Path) -> tuple[Path, int]:
+    """(root, k) of a closed path: root is the primitive walk that p goes
+    round k times, in its least rotation by edge indices (lyndon_rotation)
+    and based at its first edge's source.  An empty path is its own root,
+    wound once."""
+    if p.start != p.end:
+        raise QuivercalcError("cycle walks must close up")
+    if not p.edges:
+        return p, 1
+    g = p.graph
+    start, period = lyndon_rotation([g.edge_index(e) for e in p.edges])
+    edges = (p.edges * 2)[start:start + period]
+    base = g.edge(edges[0]).src
+    return Path._trusted(g, (base,), (edges,), (base,))[0], len(p.edges) // period
+
+
+def directed_cycle(graph: Digraph, edges: Iterable[str]) -> Path:
+    """The directed cycle that a primitive closed walk traces: the walk in
+    its least rotation.  A constant cycle is Path.empty(graph, v)."""
+    edges = tuple(edges)
+    if not edges:
+        raise QuivercalcError("a cycle walk needs an edge; "
+                              "a constant cycle is an empty path at a vertex")
+    root, k = cycle_root(Path(graph, graph.edge(edges[0]).src, edges))
+    if k != 1:
+        raise QuivercalcError("cycle walks must be primitive")
+    return root
 
 
 def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]:
@@ -160,6 +202,7 @@ class DeltaMor:
         self.p = p
         self.q = q
         self.values = tuple(values)
+        check_integers("ordinal sizes and values", p, q, *self.values)
         if p < 0 or q < 0:
             raise QuivercalcError("ordinals [p], [q] need p, q >= 0")
         if len(self.values) != p + 1:

@@ -12,7 +12,6 @@ from quivercalc.digraph import QuivercalcError
 from quivercalc.emm import CircleEndo, ExcisionVerdict, _blocks, quiv_op_mmor
 from quivercalc.fincat import Representation, SheafVerdict, enumerate_reps
 from quivercalc.hochschild import CyclicWord, compute_hh, psi
-from quivercalc.quiver import Path
 from union_find import UnionFind
 
 
@@ -55,8 +54,8 @@ def fact_map(category, f):
             if isinstance(part, CircleEndo):
                 new_classes.append(psi(category, part.weight,
                                        classes[part.circle]))
-            elif part.cycle.is_constant:
-                label = reps[part.quiver].vertex_labels[part.cycle.vertex]
+            elif not part.cycle.edges:
+                label = reps[part.quiver].vertex_labels[part.cycle.start]
                 new_classes.append(table.class_of(category.identity(label)))
             else:
                 rep = reps[part.quiver]
@@ -80,10 +79,10 @@ def circle_map(category, source, part):
     def loop(x):
         if isinstance(part, CircleEndo):
             return hh.classes[x[part.circle]]
-        q, z = source.quivers[part.quiver], part.cycle
         a, b = _blocks(source)[part.quiver]
-        rep = Representation.from_indices(category, q, x[a:b])
-        return compose_along_path(rep, Path(q, z.vertex, z.edges))
+        rep = Representation.from_indices(category, source.quivers[part.quiver],
+                                          x[a:b])
+        return compose_along_path(rep, part.cycle)
 
     return lambda block: [(index[psi(category, part.weight, loop(x)).rep],)
                           for x in block]

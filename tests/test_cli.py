@@ -93,7 +93,7 @@ def paths_listing(g, u, v, max_len):
 
 def cycles_listing(g, max_len):
     """What `cycles` prints, rendered from the exhaustive cycle oracle."""
-    return "".join(("·".join(z.edges) if z.edges else f"constant at {z.vertex}")
+    return "".join(("·".join(z.edges) if z.edges else f"constant at {z.start}")
                    + "\n" for z in cycle_oracle.enumerate_directed_cycles(g, max_len))
 
 
@@ -379,7 +379,49 @@ def test_reps_and_fact_say_how_many_rows_they_left_out(capsys):
     assert (code, out) == (0, "p012\n... and 2 more\nsize: 3\n")
 
 
-CAT_FIXTURES = {"arrow": "arrow", "chain3": "chain3", "cyclic3": "z3", "s3": "s3"}
+def decimal(n):
+    """n in decimal, a thousand digits at a time: str() alone refuses more
+    than the interpreter's digit limit (4300 by default from Python 3.11)."""
+    chunks = []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_counts_longer_than_the_digit_limit_print_exactly(tmp_path, capsys):
+    """S3 on bouquet(6000) has 6^6000 representations (4 669 digits), S3's
+    invariant of 20 000 circles 3^20000 elements, and a chain of 15 000
+    double edges 2^15000 paths end to end; each count, and each "... and N
+    more" line, ended in a traceback past 4 300 digits.  The interpreter's
+    limit is the same after each run as before it."""
+    graph, m = tmp_path / "b6000.json", tmp_path / "circles.json"
+    graph.write_text(json.dumps(standard_digraph("bouquet", 6000).to_json()))
+    m.write_text(json.dumps({"circles": 20000, "quivers": []}))
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps(Digraph(
+        [str(i) for i in range(15001)],
+        [(f"{x}{i}", str(i), str(i + 1)) for i in range(15000) for x in "ab"]
+    ).to_json()))
+    s3 = str(FIXTURES / "s3.json")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run("reps", "--cat", s3, "--graph", str(graph),
+                         "--limit", "0", capsys=capsys)
+    count = decimal(6 ** 6000)
+    assert (code, out, err) == (0, f"... and {count} more\ncount: {count}\n", "")
+    code, out, _ = run("fact", "--cat", s3, "--m", str(m), "--limit", "1",
+                       capsys=capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == [f"... and {decimal(3 ** 20000 - 1)} more",
+                                    f"size: {decimal(3 ** 20000)}"]
+    code, out, _ = run("paths", "--graph", str(doubled), "0", "15000",
+                       "--max-len", "1", capsys=capsys)
+    assert (code, out) == (0, f"count: 0 (truncated at length 1; "
+                              f"{decimal(2 ** 15000)} in total)\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+CAT_FIXTURES ={"arrow": "arrow", "chain3": "chain3", "cyclic3": "z3", "s3": "s3"}
 
 
 def listing(rows, limit, last):

@@ -22,12 +22,12 @@ from quivercalc.fincat import (BadComposite, NotAssociative,
 from quivercalc.hochschild import compute_hh, psi, trace_obj
 from quivercalc.cyccat import EpiMor
 from quivercalc.quiver import (DeltaMor, Path, QuiverMor, compose_delta,
-                               compose_quiver_mor, components,
-                               enumerate_quiver_mors, is_active_delta)
+                               compose_quiver_mor, components, cycle_root,
+                               directed_cycle, enumerate_quiver_mors,
+                               is_active_delta)
 from quivercalc import cli, digraph, emm
-from quivercalc.emm import (CircleEndo, CycleToCircle, DirectedCycle,
-                            ExcisionSite, MMor, MObject, QuivPart,
-                            circle_object,
+from quivercalc.emm import (CircleEndo, CycleToCircle, ExcisionSite, MMor,
+                            MObject, QuivPart, circle_object,
                             compose_m, cycle_length_bound,
                             enumerate_directed_cycles,
                             fact_homology, fact_map, hom_m, identity_m,
@@ -58,22 +58,54 @@ def necklace_count(k, n):
 
 def test_cycle_construction_and_rotation():
     g = standard_digraph("cyclic", 3)
-    z1 = DirectedCycle.walk(g, ["e0", "e1", "e2"])
-    z2 = DirectedCycle.walk(g, ["e1", "e2", "e0"])
+    z1 = directed_cycle(g, ["e0", "e1", "e2"])
+    z2 = directed_cycle(g, ["e1", "e2", "e0"])
     assert z1 == z2  # rotations are identified
     assert z1.length == 3
-    c = DirectedCycle.constant(g, "1")
-    assert c.is_constant and c.length == 0
+    c = Path.empty(g, "1")
+    assert not c.edges and c.length == 0
     assert c != z1
 
 
 def test_cycle_rejects_bad_walks():
     g = standard_digraph("cyclic", 3)
     with pytest.raises(QuivercalcError):
-        DirectedCycle.walk(g, ["e0", "e1"])  # not closed
+        directed_cycle(g, ["e0", "e1"])  # not closed
     b = standard_digraph("bouquet", 1)
     with pytest.raises(QuivercalcError):
-        DirectedCycle.walk(b, ["e0", "e0"])  # not primitive
+        directed_cycle(b, ["e0", "e0"])  # not primitive
+
+
+@st.composite
+def closed_walks(draw):
+    """A random graph beside a loop, and a closed walk in it: a closed walk
+    of at most four edges, repeated one to three times and rotated."""
+    g = disjoint_union([draw(digraphs()), standard_digraph("cyclic", 1)])
+    loops = [w for v in g.vertices for w in search_oracle.walks(g, v, v, 4) if w]
+    w = draw(st.sampled_from(loops)) * draw(st.integers(1, 3))
+    r = draw(st.integers(0, len(w) - 1))
+    w = w[r:] + w[:r]
+    return Path(g, g.edge(w[0]).src, w)
+
+
+@given(closed_walks())
+def test_cycle_root_is_a_primitive_least_rotation_wound_k_times(p):
+    g = p.graph
+    root, k = cycle_root(p)
+    assert root.edges and root.start == root.end == g.edge(root.edges[0]).src
+    assert root == Path(g, root.start, root.edges)      # the edges chain
+    assert cycle_oracle.is_primitive(root.edges)
+    assert root.edges == cycle_oracle.least_rotation(g, root.edges)
+    n = len(p.edges)
+    assert k * len(root.edges) == n
+    assert any(p.edges[d:] + p.edges[:d] == root.edges * k for d in range(n))
+
+
+def test_cycle_root_of_an_empty_or_open_path():
+    g = standard_digraph("linear", 2)
+    assert cycle_root(Path.empty(g, "1")) == (Path.empty(g, "1"), 1)
+    with pytest.raises(QuivercalcError, match="^cycle walks must close up$"):
+        cycle_root(Path.of_edge(g, "e0"))
 
 
 def test_primitive_period():
@@ -85,8 +117,8 @@ def test_primitive_period():
 def test_enumerate_cycles_on_cyclic_graph():
     g = standard_digraph("cyclic", 4)
     zs = enumerate_directed_cycles(g, 6)
-    consts = [z for z in zs if z.is_constant]
-    walks = [z for z in zs if not z.is_constant]
+    consts = [z for z in zs if not z.edges]
+    walks = [z for z in zs if z.edges]
     assert len(consts) == 4
     assert len(walks) == 1 and walks[0].length == 4
 
@@ -147,7 +179,7 @@ def test_cycles_match_the_exhaustive_oracle(g, max_len):
         want = cycle_oracle.enumerate_directed_cycles(g, n)
         assert enumerate_directed_cycles(g, n) == want, n
         assert ([tuple(g.edges[j].eid for j in w) for w in lyndon_words(g, n)]
-                == [z.edges for z in want if not z.is_constant]), n
+                == [z.edges for z in want if z.edges]), n
 
 
 def check_lyndon_words(g, max_len):
@@ -179,15 +211,15 @@ def test_lyndon_words_of_random_graphs_close_up_in_their_least_rotation(g):
 @given(digraphs())
 def test_cycles_from_index_words_equal_the_checked_walks(g):
     for z in enumerate_directed_cycles(g, 5):
-        if not z.is_constant:
-            w = DirectedCycle.walk(g, z.edges)
-            assert (w, w.vertex, w.edges) == (z, z.vertex, z.edges)
+        if z.edges:
+            w = directed_cycle(g, z.edges)
+            assert (w, w.start, w.edges, w.end) == (z, z.start, z.edges, z.end)
 
 
 def test_cycles_longer_than_the_recursion_limit():
     n = max(3000, sys.getrecursionlimit() + 100)
     zs = enumerate_directed_cycles(standard_digraph("cyclic", n), n)
-    assert [z.length for z in zs if not z.is_constant] == [n]
+    assert [z.length for z in zs if z.edges] == [n]
     with pytest.raises(QuivercalcError):
         enumerate_directed_cycles(standard_digraph("cyclic", 2), -1)
 
@@ -229,8 +261,9 @@ def test_the_cycle_search_stops_at_the_length_bound():
     """No primitive cycle is longer than cycle_length_bound, so the search
     is capped there: on cyclic(2) a cap of 10^5 searches to length 2 (it
     took 0.10-0.16 s when the search ran to the cap).  A graph with no
-    bound keeps the cap it is given, and hom_m, which reads the bound for
-    its truncation flag, runs one strong component search per quiver."""
+    bound keeps the cap it is given.  Each graph keeps its bound, so hom_m,
+    which reads it again for its truncation flag, runs one strong component
+    search per quiver, and none for a quiver asked before."""
     caps = []
 
     def spy(d, max_len):
@@ -250,7 +283,11 @@ def test_the_cycle_search_stops_at_the_length_bound():
                            wraps=emm.strong_components) as search:
         _, count, truncated = hom_m(source, circle_object(1), max_len=100000,
                                     max_weight=1, limit=0)
-    assert search.call_count == 2
+        assert search.call_count == 2
+        # the graphs keep their bounds: asking again searches nothing
+        assert hom_m(source, circle_object(1), max_len=100000, max_weight=1,
+                     limit=0)[1:] == (count, truncated)
+        assert search.call_count == 2
     assert truncated and count == 2 + 3 + 1     # five vertices, one 2-cycle
 
 
@@ -307,7 +344,7 @@ def test_point_to_circle_is_single_and_exact():
     mors, count, truncated = hom_m(pt, circle_object())
     assert len(mors) == count == 1 and not truncated
     assert mors[0].circle_parts[0] == CycleToCircle(
-        0, DirectedCycle.constant(pt.quivers[0], "0"), 1)
+        0, Path.empty(pt.quivers[0], "0"), 1)
 
 
 def test_circle_to_quiver_is_empty_and_exact():
@@ -420,7 +457,7 @@ def test_compose_endo_after_cycle_scales_weight():
     g = standard_digraph("cyclic", 2)
     src = mobject_of_digraph(g)
     c = circle_object()
-    z = DirectedCycle.walk(g, ["e0", "e1"])
+    z = directed_cycle(g, ["e0", "e1"])
     f = MMor(src, c, (CycleToCircle(0, z, 2),), ())
     e = MMor(c, c, (CircleEndo(0, 3),), ())
     assert compose_m(e, f).circle_parts[0] == CycleToCircle(0, z, 6)
@@ -436,12 +473,12 @@ def test_compose_cycle_through_quiver_part_wraps():
                       "e1": Path.of_edge(c1, "e0")})
     m2, m1 = mobject_of_digraph(c2), mobject_of_digraph(c1)
     part = MMor(m1, m2, (), (QuivPart(0, down),))
-    z2 = DirectedCycle.walk(c2, ["e0", "e1"])
+    z2 = directed_cycle(c2, ["e0", "e1"])
     to_circle = MMor(m2, circle_object(), (CycleToCircle(0, z2, 1),), ())
     comp = compose_m(to_circle, part)
     got = comp.circle_parts[0]
     assert isinstance(got, CycleToCircle)
-    assert got.cycle == DirectedCycle.walk(c1, ["e0"])
+    assert got.cycle == directed_cycle(c1, ["e0"])
     assert got.weight == 2
 
 
@@ -453,10 +490,10 @@ def test_compose_cycle_onto_a_power_of_a_later_rotation():
                      {f"e{i}": Path.of_edge(b2, f"e{(i + 1) % 2}") for i in range(4)})
     m4, mb = mobject_of_digraph(c4), mobject_of_digraph(b2)
     part = MMor(mb, m4, (), (QuivPart(0, fold),))
-    z4 = DirectedCycle.walk(c4, ["e0", "e1", "e2", "e3"])
+    z4 = directed_cycle(c4, ["e0", "e1", "e2", "e3"])
     to_circle = MMor(m4, circle_object(), (CycleToCircle(0, z4, 3),), ())
     got = compose_m(to_circle, part).circle_parts[0]
-    assert got == CycleToCircle(0, DirectedCycle.walk(b2, ["e1", "e0"]), 6)
+    assert got == CycleToCircle(0, directed_cycle(b2, ["e1", "e0"]), 6)
     assert got.cycle.edges == ("e0", "e1")
 
 
@@ -466,17 +503,17 @@ def test_compose_cycle_collapsing_to_vertex():
     collapse = QuiverMor(c1, iv, {"0": "1"}, {"e0": Path.empty(iv, "1")})
     m_iv, m_c1 = mobject_of_digraph(iv), mobject_of_digraph(c1)
     part = MMor(m_iv, m_c1, (), (QuivPart(0, collapse),))
-    z = DirectedCycle.walk(c1, ["e0"])
+    z = directed_cycle(c1, ["e0"])
     to_circle = MMor(m_c1, circle_object(), (CycleToCircle(0, z, 3),), ())
     comp = compose_m(to_circle, part)
     assert comp.circle_parts[0] == CycleToCircle(
-        0, DirectedCycle.constant(iv, "1"), 1)
+        0, Path.empty(iv, "1"), 1)
 
 
 def test_a_power_of_a_constant_cycle_winds_once():
     pt = mobject_of_digraph(standard_digraph("point"))
     at = MMor(pt, circle_object(), (CycleToCircle(
-        0, DirectedCycle.constant(pt.quivers[0], "0"), 1),), ())
+        0, Path.empty(pt.quivers[0], "0"), 1),), ())
     cube = MMor(circle_object(), circle_object(), (CircleEndo(0, 3),), ())
     assert compose_m(cube, at) == at
 
@@ -503,13 +540,16 @@ def random_mmor_pool(rng, objs, caps):
     return homs
 
 
+COMPOSE_POOL = [mobject_of_digraph(standard_digraph("point")),
+                mobject_of_digraph(standard_digraph("interval")),
+                mobject_of_digraph(standard_digraph("cyclic", 2)),
+                circle_object(),
+                MObject(1, (standard_digraph("interval"),))]
+
+
 def test_compose_associative_seeded():
     rng = random.Random(20260816)
-    objs = [mobject_of_digraph(standard_digraph("point")),
-            mobject_of_digraph(standard_digraph("interval")),
-            mobject_of_digraph(standard_digraph("cyclic", 2)),
-            circle_object(),
-            MObject(1, (standard_digraph("interval"),))]
+    objs = COMPOSE_POOL
     homs = random_mmor_pool(rng, objs, dict(max_len=3, max_weight=2,
                                             path_cap=2))
     done = 0
@@ -522,6 +562,31 @@ def test_compose_associative_seeded():
         h = rng.choice(homs[c, d])
         assert compose_m(h, compose_m(g, f)) == compose_m(compose_m(h, g), f)
         done += 1
+
+
+def test_compose_m_winds_each_cycle_as_the_period_rule_did():
+    """compose_m's cycle branch (cycle_root) against the rule it replaced
+    (cycle_oracle.compose_cycle), on every composable pair of maps of the
+    composition pools in which the second map wraps a cycle."""
+    caps = dict(max_len=3, max_weight=2, path_cap=2)
+    objs = COMPOSE_POOL + [mobject_of_digraph(standard_digraph("cyclic", 1)),
+                           mobject_of_digraph(standard_digraph("bouquet", 2))]
+    homs = random_mmor_pool(None, objs, caps)
+    checked, powers = 0, 0
+    for (a, b), fs in homs.items():
+        for c in range(len(objs)):
+            gs = [g for g in homs[b, c] if any(
+                isinstance(part, CycleToCircle) for part in g.circle_parts)]
+            for f, g in itertools.product(fs, gs):
+                got = compose_m(g, f).circle_parts
+                for j, part in enumerate(g.circle_parts):
+                    if isinstance(part, CycleToCircle):
+                        want = cycle_oracle.compose_cycle(
+                            part, f.quiver_parts[part.quiver])
+                        assert got[j] == want, (f, g, j)
+                        checked += 1
+                        powers += want.weight > part.weight
+    assert checked > 1000 and powers > 50, (checked, powers)
 
 
 def test_quiv_op_mmor_contravariant():
@@ -637,7 +702,7 @@ def test_fact_map_circle_endo_is_psi():
 def test_fact_map_vertex_to_circle_is_trace():
     c = walking_arrow_category()
     pt = mobject_of_digraph(standard_digraph("point"))
-    z = DirectedCycle.constant(pt.quivers[0], "0")
+    z = Path.empty(pt.quivers[0], "0")
     f = MMor(pt, circle_object(), (CycleToCircle(0, z, 1),), ())
     push = fact_map(c, f)
     for elem in fact_homology(c, pt):
@@ -654,9 +719,9 @@ def test_the_block_circle_map_equals_psi_row_by_row(cat, weight):
     source = MObject(1, [c1, c2])
     block = emm.fact_tuples(cat, source, 1500)
     for part in (CircleEndo(0, weight),
-                 CycleToCircle(0, DirectedCycle.walk(c1, ("e0",)), weight),
-                 CycleToCircle(1, DirectedCycle.walk(c2, ("e1", "e0")), weight),
-                 CycleToCircle(1, DirectedCycle.constant(c2, "1"), 1)):
+                 CycleToCircle(0, directed_cycle(c1, ("e0",)), weight),
+                 CycleToCircle(1, directed_cycle(c2, ("e1", "e0")), weight),
+                 CycleToCircle(1, Path.empty(c2, "1"), 1)):
         assert emm._circle_map(cat, source, part)(block) == \
             oracle.circle_map(cat, source, part)(block)
 
@@ -665,7 +730,7 @@ def test_fact_map_cycle_to_circle_is_word_class():
     z4 = cyclic_group_category(4)
     g = standard_digraph("cyclic", 2)
     m = mobject_of_digraph(g)
-    z = DirectedCycle.walk(g, ["e0", "e1"])
+    z = directed_cycle(g, ["e0", "e1"])
     f = MMor(m, circle_object(), (CycleToCircle(0, z, 1),), ())
     push = fact_map(z4, f)
     table = compute_hh(z4)
@@ -1410,17 +1475,17 @@ SRC = MObject(1, [Q2])                   # one circle, one 2-cycle
 TO_CIRCLE, TO_INTERVAL = MObject(1, []), MObject(0, [L1])
 CIRCLE = circle_object(1)
 INTO_L2 = QuiverMor(L1, L2, {"0": "0", "1": "1"}, {"e0": Path.of_edge(L2, "e0")})
-AT_0 = DirectedCycle.constant(Q2, "0")
+AT_0 = Path.empty(Q2, "0")
 EMM_REJECTIONS = {
-    "walk-and-vertex": (lambda: DirectedCycle(Q2, "0", ("e0", "e1")),
-                        "a walk determines its own basepoint"),
-    "walk-open": (lambda: DirectedCycle.walk(L2, ("e0", "e1")),
+    "walk-empty": (lambda: directed_cycle(Q2, ()),
+                   "a cycle walk needs an edge; "
+                   "a constant cycle is an empty path at a vertex"),
+    "walk-open": (lambda: directed_cycle(L2, ("e0", "e1")),
                   "cycle walks must close up"),
-    "walk-power": (lambda: DirectedCycle.walk(Q2, ("e0", "e1", "e0", "e1")),
+    "walk-power": (lambda: directed_cycle(Q2, ("e0", "e1", "e0", "e1")),
                    "cycle walks must be primitive"),
-    "walk-chain": (lambda: DirectedCycle.walk(Q2, ("e0", "e0")),
+    "walk-chain": (lambda: directed_cycle(Q2, ("e0", "e0")),
                    "edge 'e0' starts at '0', not '1'"),
-    "constant-vertex": (lambda: DirectedCycle(Q2, None), "a constant cycle needs a vertex"),
     "circle-count": (lambda: MObject(-1, []),
                      "the circle count must be an integer >= 0, not -1"),
     "circle-count-bool": (lambda: MObject(True, []),
@@ -1453,17 +1518,17 @@ EMM_REJECTIONS = {
         "source quiver indices are integers, not False"),
     "mmor-cycle-quiver-float": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
-            0.0, DirectedCycle.walk(Q2, ("e0", "e1")), 1)], []),
+            0.0, directed_cycle(Q2, ("e0", "e1")), 1)], []),
         "source quiver indices are integers, not 0.0"),
     "mmor-cycle-weight-float": (
         lambda: MMor(SRC, TO_CIRCLE,
-                     [CycleToCircle(0, DirectedCycle.walk(Q2, ("e0", "e1")), 2.0)], []),
+                     [CycleToCircle(0, directed_cycle(Q2, ("e0", "e1")), 2.0)], []),
         "circle weights are integers, not 2.0"),
     "mmor-quiver-index-float": (
         lambda: MMor(SRC, TO_INTERVAL, [], [QuivPart(0.0, QuiverMor.identity(L1))]),
         "source quiver indices are integers, not 0.0"),
     "mmor-vertex": (lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
-        0, DirectedCycle.constant(Q2, "zz"), 1)], []), "unknown vertex 'zz'"),
+        0, Path.empty(Q2, "zz"), 1)], []), "unknown vertex 'zz'"),
     "mmor-vertex-quiver": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(1, AT_0, 1)], []),
         "no source quiver 1"),
@@ -1472,11 +1537,11 @@ EMM_REJECTIONS = {
         "no source quiver -1"),
     "mmor-cycle-quiver-index": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
-            1, DirectedCycle.walk(Q2, ("e0", "e1")), 1)], []),
+            1, directed_cycle(Q2, ("e0", "e1")), 1)], []),
         "no source quiver 1"),
     "mmor-cycle-quiver-negative": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
-            -1, DirectedCycle.walk(Q2, ("e0", "e1")), 1)], []),
+            -1, directed_cycle(Q2, ("e0", "e1")), 1)], []),
         "no source quiver -1"),
     "mmor-quiver-index": (lambda: MMor(SRC, TO_INTERVAL, [], [QuivPart(1, INTO_L2)]),
                           "no source quiver 1"),
@@ -1485,14 +1550,17 @@ EMM_REJECTIONS = {
         "no source quiver -1"),
     "mmor-cycle-quiver": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
-            0, DirectedCycle.walk(standard_digraph("cyclic", 1), ("e0",)), 1)], []),
+            0, directed_cycle(standard_digraph("cyclic", 1), ("e0",)), 1)], []),
         "the cycle lies in another quiver"),
+    "mmor-cycle-open": (
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(0, Path.of_edge(Q2, "e0"), 1)], []),
+        "cycle walks must close up"),
     "mmor-cycle-constant": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(0, AT_0, 2)], []),
         "a constant cycle winds once"),
     "mmor-cycle-weight": (
         lambda: MMor(SRC, TO_CIRCLE,
-                     [CycleToCircle(0, DirectedCycle.walk(Q2, ("e0", "e1")), 0)], []),
+                     [CycleToCircle(0, directed_cycle(Q2, ("e0", "e1")), 0)], []),
         "circle weights are >= 1"),
     "mmor-circle-part": (lambda: MMor(SRC, TO_CIRCLE, ["x"], []),
                          "not a circle component: 'x'"),

@@ -754,6 +754,14 @@ QUIVER_REJECTIONS = {
     "delta-values": (lambda: DeltaMor(1, 1, (0,)), "need one value per point of [p]"),
     "delta-range": (lambda: DeltaMor(0, 1, (2,)), "value 2 outside [0..1]"),
     "delta-monotone": (lambda: DeltaMor(1, 1, (1, 0)), "values must be monotone"),
+    "delta-float-value": (lambda: delta_mor_to_quiver(DeltaMor(1, 2, (0, 1.5))),
+                          "ordinal sizes and values are integers, not 1.5"),
+    "delta-bool-size": (lambda: DeltaMor(True, 1, (0, 1)),
+                        "ordinal sizes and values are integers, not True"),
+    "delta-bool-value": (lambda: DeltaMor(1, 1, (False, 1)),
+                         "ordinal sizes and values are integers, not False"),
+    "delta-float-size": (lambda: DeltaMor(1, 2.0, (0, 1)),
+                         "ordinal sizes and values are integers, not 2.0"),
     "delta-compose": (lambda: compose_delta(DeltaMor.identity(1), DeltaMor.identity(0)),
                       "ordinal maps not composable"),
 }
