@@ -723,6 +723,9 @@ def test_delta_factor_sizes(p, q):
 # --- every rejection names what is wrong -------------------------------------
 
 I1, L2 = standard_digraph("interval"), standard_digraph("linear", 2)
+# the Δ rows call these names, so they stay as they are when Δ moves
+DELTA, DELTA_ID, COMPOSE_DELTA = DeltaMor, DeltaMor.identity, compose_delta
+DELTA_TO_QUIVER = delta_mor_to_quiver
 QUIVER_REJECTIONS = {
     "path-start": (lambda: Path(L2, "zz", ()), "unknown vertex 'zz'"),
     "path-chain": (lambda: Path(L2, "0", ("e1",)), "edge 'e1' starts at '1', not '0'"),
@@ -750,19 +753,19 @@ QUIVER_REJECTIONS = {
         lambda: QuiverMor(I1, I1, {"0": "0", "1": "1"},
                           {"e0": Path.of_edge(I1, "e0"), "e9": None}),
         "edge 'e9' is not in the source"),
-    "delta-ordinals": (lambda: DeltaMor(-1, 0, ()), "ordinals [p], [q] need p, q >= 0"),
-    "delta-values": (lambda: DeltaMor(1, 1, (0,)), "need one value per point of [p]"),
-    "delta-range": (lambda: DeltaMor(0, 1, (2,)), "value 2 outside [0..1]"),
-    "delta-monotone": (lambda: DeltaMor(1, 1, (1, 0)), "values must be monotone"),
-    "delta-float-value": (lambda: delta_mor_to_quiver(DeltaMor(1, 2, (0, 1.5))),
+    "delta-ordinals": (lambda: DELTA(-1, 0, ()), "ordinals [p], [q] need p, q >= 0"),
+    "delta-values": (lambda: DELTA(1, 1, (0,)), "need one value per point of [p]"),
+    "delta-range": (lambda: DELTA(0, 1, (2,)), "value 2 outside [0..1]"),
+    "delta-monotone": (lambda: DELTA(1, 1, (1, 0)), "values must be monotone"),
+    "delta-float-value": (lambda: DELTA_TO_QUIVER(DELTA(1, 2, (0, 1.5))),
                           "ordinal sizes and values are integers, not 1.5"),
-    "delta-bool-size": (lambda: DeltaMor(True, 1, (0, 1)),
+    "delta-bool-size": (lambda: DELTA(True, 1, (0, 1)),
                         "ordinal sizes and values are integers, not True"),
-    "delta-bool-value": (lambda: DeltaMor(1, 1, (False, 1)),
+    "delta-bool-value": (lambda: DELTA(1, 1, (False, 1)),
                          "ordinal sizes and values are integers, not False"),
-    "delta-float-size": (lambda: DeltaMor(1, 2.0, (0, 1)),
+    "delta-float-size": (lambda: DELTA(1, 2.0, (0, 1)),
                          "ordinal sizes and values are integers, not 2.0"),
-    "delta-compose": (lambda: compose_delta(DeltaMor.identity(1), DeltaMor.identity(0)),
+    "delta-compose": (lambda: COMPOSE_DELTA(DELTA_ID(1), DELTA_ID(0)),
                       "ordinal maps not composable"),
 }
 
