@@ -1,87 +1,225 @@
-"""Morphism arithmetic for the paracyclic and epicyclic categories.
+"""Morphism arithmetic for Δ and the paracyclic, cyclic and epicyclic
+categories, on one lift class.
 
-A paracyclic morphism (1/m)Z -> (1/n)Z is a monotone map g: Z -> Z with
-g(i+m) = g(i) + n, stored by its m values g(0..m-1).  Distinct value lists
-are distinct morphisms -- hom-sets here are infinite, with the integer
-translates g + n of a map all different from g.
-
-An epicyclic morphism is a functor between free categories on directed
-cycles: a vertex map Z/m -> Z/n plus a winding length per edge.  Projecting
-a paracyclic morphism to its epicyclic shadow forgets the translate.
-
-Both kinds lift to monotone maps g: Z -> Z with g(i+m) = g(i) + d*n, d the
-degree (1 for paracyclic morphisms; Dwyer, Hopkins & Kan 1985).  Everything
-below is arithmetic on those values, so its cost grows with m, n and the
-output, never with the size of the values.
+A morphism of each kind is a monotone map g: Z -> Z with g(i + m) =
+g(i) + d*n (Connes 1983; Dwyer, Hopkins & Kan 1985), a LiftMor stored by
+its values g(0..m-1), its degree d and its kind:
+- "delta", a monotone map [m-1] -> [n-1] of finite ordinals: values in
+  [0, n), degree 1 like its paracyclic extension;
+- "para", a paracyclic morphism (1/m)Z -> (1/n)Z of degree 1; hom-sets are
+  infinite, the integer translates g + n of a map all different from g;
+- "epi", a functor of free categories on directed m- and n-cycles, of
+  winding degree d >= 1.  Translates are one functor, so g(0) is kept in
+  [0, n); the vertex map and winding lengths are derived, for printing.
+  On degree 1 these are the morphisms of the cyclic category.
+compose, as_kind, factor and to_quiver_mor are one rule each on the lift,
+so their cost grows with m, n and the output, never with the values.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
 
-from .quiver import DeltaMor, QuiverMor, check_integers, lift_mor
+from .quiver import QuiverMor, check_integers, lift_mor
 from .digraph import Incomposable, QuivercalcError, standard_digraph
 
+# per kind: what its sizes and values are called, and the messages for bad
+# sizes, for a value list of the wrong length and for maps that do not compose
+_WORDS = {
+    "delta": ("ordinal sizes and values", "ordinals [p], [q] need p, q >= 0",
+              "need one value per point of [p]", "ordinal maps not composable"),
+    "para": ("paracyclic sizes and values", "(1/{m})Z -> (1/{n})Z needs m, n >= 1",
+             "need exactly m values",
+             "(1/{f.m})Z -> (1/{f.n})Z then (1/{g.m})Z -> (1/{g.n})Z"),
+    "epi": ("epicyclic sizes, vertex images and lengths",
+            "cycles of sizes {m}, {n} need m, n >= 1",
+            "need exactly m vertex images and m lengths", "cycles of size {f.n} vs {g.m}"),
+}
 
-def _para_sizes(m: int, n: int, *values) -> None:
-    check_integers("paracyclic sizes and values", m, n, *values)
+
+def _sizes(kind: str, m: int, n: int, *values) -> None:
+    words = _WORDS.get(kind)
+    if words is None:
+        raise QuivercalcError(f"no morphism kind {kind!r}")
+    check_integers(words[0], m, n, *values)
     if m < 1 or n < 1:
-        raise QuivercalcError(f"(1/{m})Z -> (1/{n})Z needs m, n >= 1")
+        raise QuivercalcError(words[1].format(m=m, n=n))
 
 
-class ParaMor:
-    def __init__(self, m: int, n: int, values):
-        self.m = m
-        self.n = n
-        self.values = tuple(values)
-        _para_sizes(m, n, *self.values)
-        if len(self.values) != m:
-            raise QuivercalcError("need exactly m values")
-        for a, b in zip(self.values, self.values[1:]):
+class LiftMor:
+    """A morphism of one kind from size m to size n, by its lift g(0..m-1)
+    and its degree: g(i + m) = g(i) + degree * n."""
+
+    __slots__ = ("kind", "m", "n", "values", "degree")
+
+    def __init__(self, kind: str, m: int, n: int, values, degree: int = 1):
+        values = tuple(values)
+        _sizes(kind, m, n, degree, *values)
+        if len(values) != m:
+            raise QuivercalcError(_WORDS[kind][2])
+        if kind == "delta":
+            for v in values:
+                if not 0 <= v < n:
+                    raise QuivercalcError(f"value {v} outside [0..{n - 1}]")
+        elif kind == "epi" and not 0 <= values[0] < n:
+            raise QuivercalcError(f"vertex image {values[0]} outside Z/{n}")
+        if degree != 1 and (kind != "epi" or degree < 1):
+            raise QuivercalcError(
+                "total winding must be a positive multiple of n" if kind == "epi"
+                else "only degree-1 functors lift to the paracyclic category")
+        for a, b in zip(values, values[1:]):
             if a > b:
                 raise QuivercalcError("values must be monotone")
-        if self.values[-1] > self.values[0] + n:
+        if values[-1] > values[0] + degree * n:
             raise QuivercalcError("values must fit in one period")
+        self.kind, self.m, self.n, self.values, self.degree = kind, m, n, values, degree
 
     def value(self, i: int) -> int:
-        """The equivariant extension g(i + m) = g(i) + n at any integer."""
-        return self.values[i % self.m] + (i // self.m) * self.n
+        """The lift at any integer: g(i + m) = g(i) + degree * n."""
+        return self.values[i % self.m] + (i // self.m) * self.degree * self.n
+
+    @property
+    def vertex_map(self) -> tuple:
+        """Each vertex's image in Z/n."""
+        return tuple([v % self.n for v in self.values])
+
+    @property
+    def lengths(self) -> tuple:
+        """How far the edge out of each vertex winds: g(v + 1) - g(v)."""
+        vs = self.values
+        return tuple([b - a for a, b in zip(vs, vs[1:] + (vs[0] + self.degree * self.n,))])
+
+    def to_quiver_mor(self) -> QuiverMor:
+        """The same map as a quiver morphism, by quiver.lift_mor: a Δ-map of
+        directed chains, or a functor of directed cycles (a paracyclic
+        morphism through its projection)."""
+        f = as_kind(self, "epi") if self.kind == "para" else self
+        chain = f.kind == "delta"
+        src, tgt = (standard_digraph("linear", k - 1) if chain
+                    else standard_digraph("cyclic", k) for k in (f.m, f.n))
+        walk, image = ((g.vertices, tuple(e.eid for e in g.edges)) for g in (src, tgt))
+        lift = f.values if chain else (*f.values, f.value(f.m))
+        return lift_mor(src, tgt, {}, {}, [(walk, image, lift)])
+
+    def _key(self) -> tuple:
+        return (self.kind, self.m, self.n, self.values, self.degree)
 
     def __eq__(self, other):
-        if not isinstance(other, ParaMor):
+        if not isinstance(other, LiftMor):
             return NotImplemented
-        return (self.m, self.n, self.values) == (other.m, other.n, other.values)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.m, self.n, self.values))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"ParaMor({format_para(self)!r})"
+        return f"LiftMor{self._key()!r}"
 
 
-def identity_para(m: int) -> ParaMor:
-    _para_sizes(m, m)
-    return ParaMor(m, m, range(m))
+def _lift(kind: str, m: int, n: int, values, degree: int = 1) -> LiftMor:
+    """A LiftMor whose values are valid by construction; nothing is checked."""
+    f = LiftMor.__new__(LiftMor)
+    f.kind, f.m, f.n, f.values, f.degree = kind, m, n, tuple(values), degree
+    return f
 
 
-def para_alpha(m: int) -> ParaMor:
-    """The canonical rotation x -> x + 1 of (1/m)Z: phi_m of x -> x + m on Z."""
-    return para_phi(m, ParaMor(1, 1, (m,)))
+def _reduced(values, n: int):
+    """The translate of a lift by a multiple of n that starts in [0, n)."""
+    q = values[0] // n
+    return [v - q * n for v in values] if q else values
 
 
-def para_small_rotation(m: int) -> ParaMor:
-    """The step x -> x + 1/m; its m-th power is para_alpha(m)."""
-    _para_sizes(m, m)
-    return ParaMor(m, m, range(1, m + 1))
+def identity(kind: str, m: int) -> LiftMor:
+    _sizes(kind, m, m)
+    return _lift(kind, m, m, range(m))
 
 
-def compose_para(g: ParaMor, f: ParaMor) -> ParaMor:
+def delta_mor(p: int, q: int, values) -> LiftMor:
+    """The monotone map [p] -> [q] of finite ordinals with these p + 1 values."""
+    check_integers(_WORDS["delta"][0], p, q)
+    return LiftMor("delta", p + 1, q + 1, values)
+
+
+def epi_mor(m: int, n: int, vertex_map, lengths) -> LiftMor:
+    """The functor of directed m- and n-cycles that sends vertex v to
+    vertex_map[v] and winds the edge out of v lengths[v] edges forward.  The
+    total winding must be a positive multiple of n (constant functors are
+    excluded), and that multiple is the degree."""
+    vertex_map, lengths = tuple(vertex_map), tuple(lengths)
+    _sizes("epi", m, n, *vertex_map, *lengths)
+    if len(vertex_map) != m or len(lengths) != m:
+        raise QuivercalcError(_WORDS["epi"][2])
+    for v in vertex_map:
+        if not 0 <= v < n:
+            raise QuivercalcError(f"vertex image {v} outside Z/{n}")
+    for v, l in enumerate(lengths):
+        if l < 0:
+            raise QuivercalcError(f"length at {v} is negative")
+        if l % n != (vertex_map[(v + 1) % m] - vertex_map[v]) % n:
+            raise QuivercalcError(f"length at {v} incompatible with the vertex map")
+    total = sum(lengths)
+    if total % n != 0 or total <= 0:
+        raise QuivercalcError("total winding must be a positive multiple of n")
+    return _lift("epi", m, n, itertools.accumulate(lengths[:-1], initial=vertex_map[0]),
+                 total // n)
+
+
+def compose(g: LiftMor, f: LiftMor) -> LiftMor:
+    """g∘f: g read along f's lift, of degree f.degree * g.degree.  For epi
+    the edge out of v winds as far as g carries the span f(v)..f(v+1) of the
+    middle cycle, and the composite is reduced to start in [0, n)."""
+    if f.kind != g.kind:
+        raise Incomposable(f"{f.kind} and {g.kind} maps do not compose")
     if f.n != g.m:
-        raise Incomposable(f"(1/{f.m})Z -> (1/{f.n})Z then (1/{g.m})Z -> (1/{g.n})Z")
-    return ParaMor(f.m, g.n, [g.value(v) for v in f.values])
+        raise Incomposable(_WORDS[f.kind][3].format(f=f, g=g))
+    values = [g.value(v) for v in f.values]
+    return _lift(f.kind, f.m, g.n, _reduced(values, g.n) if f.kind == "epi" else values,
+                 f.degree * g.degree)
 
 
-def dualize_para(f: ParaMor) -> ParaMor:
+def as_kind(f: LiftMor, kind: str) -> LiftMor:
+    """f's lift read as a morphism of another kind.  A Δ-map is paracyclic
+    with the same values; a paracyclic morphism projects to an epi functor
+    of degree 1, its translates to the same one; a degree-1 functor is
+    paracyclic again by its lift, which starts in [0, n).  A reading as Δ
+    or para is checked; a higher degree does not lift."""
+    if kind == f.kind:
+        return f
+    if kind == "epi":           # every lift reduces to a functor's
+        return _lift("epi", f.m, f.n, _reduced(f.values, f.n), f.degree)
+    return LiftMor(kind, f.m, f.n, f.values, f.degree)
+
+
+def factor(f: LiftMor) -> tuple[LiftMor, LiftMor]:
+    """f as outer ∘ inner, inner being f re-read on its image.
+
+    For Δ, outer is the convex inclusion of f's image and inner the active
+    map onto it.  For a cycle map of degree r, outer is the standard cover
+    that rolls a directed rn-cycle r times round the n-cycle (its lift is
+    0..rn), and inner is f's lift read mod rn, of degree 1; so a degree-1 f
+    factors as the identity after f.
+    """
+    lo, size = ((f.values[0], f.values[-1] - f.values[0] + 1) if f.kind == "delta"
+                else (0, f.degree * f.n))
+    return (_lift(f.kind, size, f.n, range(lo, lo + size), f.degree),
+            _lift(f.kind, f.m, size, [v - lo for v in f.values]))
+
+
+# --- the paracyclic category -------------------------------------------------
+
+
+def para_alpha(m: int) -> LiftMor:
+    """The canonical rotation x -> x + 1 of (1/m)Z: phi_m of x -> x + m on Z."""
+    return para_phi(m, LiftMor("para", 1, 1, (m,)))
+
+
+def para_small_rotation(m: int) -> LiftMor:
+    """The step x -> x + 1/m; its m-th power is para_alpha(m)."""
+    _sizes("para", m, m)
+    return _lift("para", m, m, range(1, m + 1))
+
+
+def dualize_para(f: LiftMor) -> LiftMor:
     """The dual of f: j -> max{ i : f(i) <= j }.
 
     Contravariant: dual(g∘f) = dual(f)∘dual(g).  The dual of the canonical
@@ -96,10 +234,10 @@ def dualize_para(f: ParaMor) -> ParaMor:
         # i = q*m + r with f(q*m) <= j < f((q+1)*m); then count the r
         q = (j - f.values[0]) // f.n
         vals.append(q * f.m + bisect_right(f.values, j - q * f.n) - 1)
-    return ParaMor(f.n, f.m, vals)
+    return _lift("para", f.n, f.m, vals)
 
 
-def para_phi(r: int, f: ParaMor) -> ParaMor:
+def para_phi(r: int, f: LiftMor) -> LiftMor:
     """The r-fold inflation: (1/m)Z -> (1/rm)Z on objects; on morphisms the
     same equivariant map read over the r-times-longer fundamental domain.
 
@@ -110,166 +248,49 @@ def para_phi(r: int, f: ParaMor) -> ParaMor:
         raise QuivercalcError(f"inflation needs an integer r, not {r!r}")
     if r < 1:
         raise QuivercalcError(f"inflation needs r >= 1, not {r}")
-    return ParaMor(r * f.m, r * f.n, [f.value(j) for j in range(r * f.m)])
+    return _lift(f.kind, r * f.m, r * f.n, [f.value(j) for j in range(r * f.m)],
+                 f.degree)
 
 
-def delta_to_para(f: DeltaMor) -> ParaMor:
-    """A monotone map [p] -> [q] as a paracyclic morphism
-    (1/(p+1))Z -> (1/(q+1))Z with the same values."""
-    return ParaMor(f.p + 1, f.q + 1, f.values)
-
-
-def enumerate_para_transversal(m: int, n: int) -> list[ParaMor]:
+def enumerate_para_transversal(m: int, n: int) -> list[LiftMor]:
     """One representative per translate orbit: all value lists with
     0 <= g(0) < n.  Every paracyclic morphism is a unique integer translate
     g + k*n of exactly one of these."""
-    _para_sizes(m, n)
-    return [ParaMor(m, n, (g0,) + rest) for g0 in range(n)
+    _sizes("para", m, n)
+    return [_lift("para", m, n, (g0,) + rest) for g0 in range(n)
             for rest in itertools.combinations_with_replacement(
                 range(g0, g0 + n + 1), m - 1)]
 
 
-def format_para(f: ParaMor) -> str:
+def format_para(f: LiftMor) -> str:
     return f"{f.m} {f.n} : " + " ".join(str(v) for v in f.values)
 
 
-def parse_para(text: str) -> ParaMor:
+def parse_para(text: str) -> LiftMor:
     head, _, tail = text.partition(":")
     try:
         m, n = (int(x) for x in head.split())
         values = [int(x) for x in tail.split()]
     except ValueError:
         raise QuivercalcError(f"cannot parse paracyclic morphism from {text!r}")
-    return ParaMor(m, n, values)
+    return LiftMor("para", m, n, values)
 
 
 # --- the epicyclic category -------------------------------------------------
 
 
-class EpiMor:
-    """A functor between the free categories on directed m- and n-cycles.
-
-    vertex_map[v] is the image vertex in Z/n; lengths[v] is how far the edge
-    out of v winds forward.  The total winding must be a positive multiple
-    of n (constant functors are excluded), and that multiple is the degree.
-    values is the lift g(0..m-1): g(0) = vertex_map[0], then one length a
-    step, so g(v + 1) - g(v) = lengths[v].
-    """
-
-    def __init__(self, m: int, n: int, vertex_map, lengths):
-        self.m = m
-        self.n = n
-        self.vertex_map = tuple(vertex_map)
-        self.lengths = tuple(lengths)
-        check_integers("epicyclic sizes, vertex images and lengths",
-                       m, n, *self.vertex_map, *self.lengths)
-        if m < 1 or n < 1:
-            raise QuivercalcError(f"cycles of sizes {m}, {n} need m, n >= 1")
-        if len(self.vertex_map) != m or len(self.lengths) != m:
-            raise QuivercalcError("need exactly m vertex images and m lengths")
-        for v in self.vertex_map:
-            if not 0 <= v < n:
-                raise QuivercalcError(f"vertex image {v} outside Z/{n}")
-        vm = self.vertex_map
-        for v, l in enumerate(self.lengths):
-            if l < 0:
-                raise QuivercalcError(f"length at {v} is negative")
-            want = (vm[(v + 1) % m] - vm[v]) % n
-            if l % n != want:
-                raise QuivercalcError(
-                    f"length at {v} incompatible with the vertex map")
-        total = sum(self.lengths)
-        if total % n != 0 or total <= 0:
-            raise QuivercalcError(
-                "total winding must be a positive multiple of n")
-        self.degree = total // n
-        self.values = tuple(itertools.accumulate(self.lengths[:-1],
-                                                 initial=self.vertex_map[0]))
-
-    def value(self, i: int) -> int:
-        """The lift at any integer: g(i + m) = g(i) + degree * n."""
-        return self.values[i % self.m] + (i // self.m) * self.degree * self.n
-
-    def to_quiver_mor(self) -> QuiverMor:
-        """The same functor as a quiver morphism of directed cycles."""
-        src, tgt = (standard_digraph("cyclic", k) for k in (self.m, self.n))
-        cycle, image = ((g.vertices, tuple(e.eid for e in g.edges)) for g in (src, tgt))
-        lift = (*self.values, self.value(self.m))
-        return lift_mor(src, tgt, {}, {}, [(cycle, image, lift)])
-
-    def __eq__(self, other):
-        if not isinstance(other, EpiMor):
-            return NotImplemented
-        return ((self.m, self.n, self.vertex_map, self.lengths)
-                == (other.m, other.n, other.vertex_map, other.lengths))
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.vertex_map, self.lengths))
-
-    def __repr__(self):
-        return f"EpiMor({format_epi(self)!r})"
-
-
-def identity_epi(n: int) -> EpiMor:
-    check_integers("epicyclic sizes, vertex images and lengths", n)
-    return EpiMor(n, n, range(n), [1] * n)
-
-
-def _epi_from_lift(m: int, n: int, lift) -> EpiMor:
-    """The functor whose lift takes the values lift[0..m] at 0..m."""
-    return EpiMor(m, n, [v % n for v in lift[:m]],
-                  [b - a for a, b in zip(lift, lift[1:])])
-
-
-def compose_epi(g: EpiMor, f: EpiMor) -> EpiMor:
-    """Compose the lifts: the edge out of v winds as far as g carries the
-    span f(v)..f(v+1) of the middle cycle."""
-    if f.n != g.m:
-        raise Incomposable(f"cycles of size {f.n} vs {g.m}")
-    return _epi_from_lift(f.m, g.n,
-                          [g.value(x) for x in (*f.values, f.value(f.m))])
-
-
-def project_para_to_epi(f: ParaMor) -> EpiMor:
-    """Reduce the vertex values mod n and record each step as a winding
-    length.  Always degree 1; translates of f project to the same functor."""
-    return _epi_from_lift(f.m, f.n, [*f.values, f.value(f.m)])
-
-
-def lift_epi_degree1(e: EpiMor) -> ParaMor:
-    """The unique transversal preimage of a degree-1 functor under the
-    projection: its lift, which starts at the image of vertex 0."""
-    if e.degree != 1:
-        raise QuivercalcError("only degree-1 functors lift to the paracyclic category")
-    return ParaMor(e.m, e.n, e.values)
-
-
-def cartesian_factor(f: EpiMor) -> tuple[EpiMor, EpiMor]:
-    """Factor f as (standard degree-r cover) ∘ (degree-1 part).
-
-    The cover rolls a directed rn-cycle r times around the n-cycle: its
-    lift is 0..rn.  The degree-1 part has f's lift, read mod rn, so a
-    degree-1 f factors as (identity cover) ∘ f.
-    """
-    rn = f.degree * f.n
-    return (_epi_from_lift(rn, f.n, range(rn + 1)),
-            _epi_from_lift(f.m, rn, [*f.values, f.value(f.m)]))
-
-
-def enumerate_epi_degree1(m: int, n: int) -> list[EpiMor]:
+def enumerate_epi_degree1(m: int, n: int) -> list[LiftMor]:
     """All degree-1 functors: the projections of the paracyclic
     transversal, one per translate orbit."""
-    return [project_para_to_epi(f) for f in enumerate_para_transversal(m, n)]
+    return [as_kind(f, "epi") for f in enumerate_para_transversal(m, n)]
 
 
-def format_epi(f: EpiMor) -> str:
-    return (f"{f.m} {f.n} : "
-            + " ".join(str(v) for v in f.vertex_map)
-            + " | "
-            + " ".join(str(l) for l in f.lengths))
+def format_epi(f: LiftMor) -> str:
+    return (f"{f.m} {f.n} : " + " ".join(map(str, f.vertex_map))
+            + " | " + " ".join(map(str, f.lengths)))
 
 
-def parse_epi(text: str) -> EpiMor:
+def parse_epi(text: str) -> LiftMor:
     head, _, tail = text.partition(":")
     vs, _, ls = tail.partition("|")
     try:
@@ -278,4 +299,4 @@ def parse_epi(text: str) -> EpiMor:
         lengths = [int(x) for x in ls.split()]
     except ValueError:
         raise QuivercalcError(f"cannot parse epicyclic morphism from {text!r}")
-    return EpiMor(m, n, vertex_map, lengths)
+    return epi_mor(m, n, vertex_map, lengths)

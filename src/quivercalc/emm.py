@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownEdge,
                       classify_digraph, component_labels, lyndon_words,
                       standard_digraph, strong_components, weak_components)
-from .quiver import (DeltaMor, Path, QuiverMor, check_integers,
-                     compose_quiver_mor, components, cycle_root,
-                     enumerate_quiver_mors, is_active_delta, lift_mor)
+from .quiver import (Path, QuiverMor, check_integers, compose_quiver_mor,
+                     components, cycle_root, enumerate_quiver_mors, lift_mor)
+from .cyccat import delta_mor
 from .fincat import (FinCat, Representation, compile_pullback, enumerate_reps,
                      index_program, path_steps, pullback_rep, rep_count,
                      rep_tuples, validated)
@@ -185,8 +185,10 @@ class MMor:
             elif isinstance(part, CycleToCircle):
                 if part.cycle.graph != source_quiver(part.quiver):
                     raise QuivercalcError("the cycle lies in another quiver")
-                if part.cycle.start != part.cycle.end:
-                    raise QuivercalcError("cycle walks must close up")
+                root, k = cycle_root(part.cycle)
+                if (root, k) != (part.cycle, 1):
+                    raise QuivercalcError("cycle walks must be primitive and start their "
+                                          f"least rotation, as {root!r} does")
                 check_weight(part.weight)
                 if not part.cycle.edges and part.weight != 1:
                     raise QuivercalcError("a constant cycle winds once")
@@ -201,6 +203,15 @@ class MMor:
             if part.mor.target != source_quiver(part.quiver):
                 raise QuivercalcError(f"quiver component {beta} ends "
                                       "at the wrong quiver")
+
+    @classmethod
+    def _trusted(cls, source: MObject, target: MObject,
+                 circle_parts, quiver_parts) -> "MMor":
+        """A map whose parts are valid by construction, as hom_m's are."""
+        f = cls.__new__(cls)
+        f.source, f.target = source, target
+        f.circle_parts, f.quiver_parts = tuple(circle_parts), tuple(quiver_parts)
+        return f
 
     def __eq__(self, other):
         if not isinstance(other, MMor):
@@ -267,7 +278,7 @@ def hom_m(source: MObject, target: MObject, max_len: int = 6,
 
     c = target.circles
     combos = itertools.islice(itertools.product(*(o for o, _ in factors)), limit)
-    maps = [MMor(source, target, combo[:c], combo[c:]) for combo in combos]
+    maps = [MMor._trusted(source, target, combo[:c], combo[c:]) for combo in combos]
     return maps, math.prod(n for _, n in factors), truncated
 
 
@@ -452,12 +463,13 @@ def fact_map(category: FinCat, f: MMor):
 
 # --- excision ----------------------------------------------------------------
 #
-# The lifts of a graph site's stage maps on each cut's chain, active maps of
-# Delta that quiver.lift_mor applies: the faces are the inner cofaces [2] ->
-# [3]; sigma_k is the codegeneracy [3] -> [2] that repeats point 0 on k's
-# chain and point 1 elsewhere; refinement(p) is (0, p+2), [1] -> [p+2].
-INNER_COFACES = (DeltaMor(2, 3, (0, 1, 3)), DeltaMor(2, 3, (0, 2, 3)))
-CODEGENERACIES = (DeltaMor(3, 2, (0, 0, 1, 2)), DeltaMor(3, 2, (0, 1, 1, 2)))
+# The lifts of a graph site's stage maps on each cut's chain, active Δ-maps
+# (cyccat.LiftMor of kind "delta") that quiver.lift_mor applies: the faces
+# are the inner cofaces [2] -> [3]; sigma_k is the codegeneracy [3] -> [2]
+# that repeats point 0 on k's chain and point 1 elsewhere; refinement(p) is
+# (0, p+2), [1] -> [p+2].
+INNER_COFACES = (delta_mor(2, 3, (0, 1, 3)), delta_mor(2, 3, (0, 2, 3)))
+CODEGENERACIES = (delta_mor(3, 2, (0, 0, 1, 2)), delta_mor(3, 2, (0, 1, 1, 2)))
 
 
 class ExcisionSite:
@@ -544,7 +556,8 @@ class ExcisionSite:
         target, _, images, fixed = self._level(q)
         cuts = self.cut_edges
         runs = [(chains[k], images[k], f.values) for k, f in zip(cuts, lifts)
-                if is_active_delta(f) and (f.p, f.q) == (p + 2, q + 2)]
+                if f.kind == "delta" and (f.m, f.n) == (p + 3, q + 3)
+                and (f.values[0], f.values[-1]) == (0, q + 2)]
         if len(runs) != len(cuts) or len(lifts) != len(cuts):
             raise QuivercalcError(f"a stage map {p} -> {q} takes one active "
                                   f"map [{p + 2}] -> [{q + 2}] per cut")
@@ -554,7 +567,7 @@ class ExcisionSite:
     def face_maps(self) -> tuple[QuiverMor, QuiverMor]:
         """The two inclusions of the one-joint stage into the two-joint
         stage: each weld vertex goes to the first or the second joint."""
-        if self.kind == "circle":   # EpiMor(1, 2, [v], [2]) on the kept graphs
+        if self.kind == "circle":   # LiftMor("epi", 1, 2, [v]) on the kept graphs
             (g0, _, c0, _), (g1, _, c1, _) = self._level(0), self._level(1)
             return tuple(lift_mor(g0, g1, {}, {}, [(c0[""], c1[""], (v, v + 2))])
                          for v in (0, 1))
@@ -575,7 +588,7 @@ class ExcisionSite:
         its chain.  Only for graph sites."""
         if self.kind != "graph":
             raise QuivercalcError("only graph sites have a refinement map")
-        return self._stage_mor(-1, p, [DeltaMor(1, p + 2, (0, p + 2))]
+        return self._stage_mor(-1, p, [delta_mor(1, p + 2, (0, p + 2))]
                                * len(self.cut_edges))
 
     def total(self) -> MObject:
@@ -588,7 +601,7 @@ class ExcisionSite:
             return quiv_op_mmor(self.refinement(0))
         m0 = self.level(0)
         z = Path.of_edge(m0.quivers[0], "e0")     # the loop of cyclic(1)
-        return MMor(m0, circle_object(1), (CycleToCircle(0, z, 1),), ())
+        return MMor._trusted(m0, circle_object(1), (CycleToCircle(0, z, 1),), ())
 
 
 def make_excision_site(graph, cut_edges=()) -> ExcisionSite:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import (Digraph, Incomposable, QuivercalcError, UnknownVertex,
-                      labellings, lyndon_rotation, reaching, standard_digraph,
-                      walks, weak_components)
+                      labellings, lyndon_rotation, reaching, walks,
+                      weak_components)
 
 
 def check_integers(what: str, *xs) -> None:
@@ -191,72 +191,6 @@ def hom_is_finite(graph: Digraph, src: str, tgt: str) -> tuple[bool, int | None]
     return (True, count[t])
 
 
-# --- monotone maps of finite ordinals --------------------------------------
-
-
-class DeltaMor:
-    """A monotone map [p] -> [q] between finite ordinals, given by its
-    value list (length p+1)."""
-
-    def __init__(self, p: int, q: int, values: Iterable[int]):
-        self.p = p
-        self.q = q
-        self.values = tuple(values)
-        check_integers("ordinal sizes and values", p, q, *self.values)
-        if p < 0 or q < 0:
-            raise QuivercalcError("ordinals [p], [q] need p, q >= 0")
-        if len(self.values) != p + 1:
-            raise QuivercalcError("need one value per point of [p]")
-        for v in self.values:
-            if not 0 <= v <= q:
-                raise QuivercalcError(f"value {v} outside [0..{q}]")
-        for a, b in zip(self.values, self.values[1:]):
-            if a > b:
-                raise QuivercalcError("values must be monotone")
-
-    @classmethod
-    def identity(cls, p: int) -> "DeltaMor":
-        return cls(p, p, range(p + 1))
-
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, DeltaMor):
-            return NotImplemented
-        return (self.p, self.q, self.values) == (other.p, other.q, other.values)
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.values))
-
-    def __repr__(self):
-        return f"DeltaMor([{self.p}]→[{self.q}]: {list(self.values)})"
-
-
-def compose_delta(g: DeltaMor, f: DeltaMor) -> DeltaMor:
-    if f.q != g.p:
-        raise Incomposable("ordinal maps not composable")
-    return DeltaMor(f.p, g.q, [g(v) for v in f.values])
-
-
-def factor_active_closed(f: DeltaMor) -> tuple[DeltaMor, DeltaMor]:
-    """The unique factorization of a monotone map as an endpoint-preserving
-    (active) map followed by a convex inclusion (closed map)."""
-    lo, hi = f.values[0], f.values[-1]
-    mid = hi - lo
-    active = DeltaMor(f.p, mid, [v - lo for v in f.values])
-    closed = DeltaMor(mid, f.q, [lo + j for j in range(mid + 1)])
-    return active, closed
-
-
-def is_active_delta(f: DeltaMor) -> bool:
-    return f.values[0] == 0 and f.values[-1] == f.q
-
-
-def is_closed_delta(f: DeltaMor) -> bool:
-    return all(b == a + 1 for a, b in zip(f.values, f.values[1:]))
-
-
 # --- quiver morphisms -------------------------------------------------------
 
 
@@ -407,13 +341,6 @@ def lift_mor(source: Digraph, target: Digraph, vmap: dict, paths: dict,
         for c, a, b in zip(edges, lift, lift[1:]):
             paths[c] = Path(target, to[a], runs[a:b])
     return QuiverMor(source, target, vmap, paths)
-
-
-def delta_mor_to_quiver(f: DeltaMor) -> QuiverMor:
-    """A monotone map [p] -> [q] as a quiver morphism of directed chains."""
-    src, tgt = (standard_digraph("linear", k) for k in (f.p, f.q))
-    chain, image = ((g.vertices, tuple(e.eid for e in g.edges)) for g in (src, tgt))
-    return lift_mor(src, tgt, {}, {}, [(chain, image, f.values)])
 
 
 # --- components and hom counting --------------------------------------------

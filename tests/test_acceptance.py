@@ -20,10 +20,8 @@ from quivercalc.fincat import (chain_poset_category, check_closed_sheaf,
                                rep_via_exit_limit, symmetric_group_category,
                                walking_arrow_category)
 from quivercalc.quiver import enumerate_paths
-from quivercalc.cyccat import (EpiMor, compose_epi, compose_para,
-                               enumerate_epi_degree1,
-                               enumerate_para_transversal, lift_epi_degree1,
-                               project_para_to_epi)
+from quivercalc.cyccat import (as_kind, compose, enumerate_epi_degree1,
+                               enumerate_para_transversal, epi_mor)
 from quivercalc.hochschild import compute_hh, psi, trace_obj
 from quivercalc.emm import (CycleToCircle, circle_object, compose_m,
                             fact_homology, fact_map, hom_m,
@@ -165,7 +163,7 @@ def random_epi(rng, max_m=6, max_n=6, max_len=8, m=None):
     for v in range(m):
         vmap.append((v0 + acc) % n)
         acc += lengths[v]
-    return EpiMor(m, n, vmap, lengths)
+    return epi_mor(m, n, vmap, lengths)
 
 
 def test_winding_degree_is_multiplicative_and_degree_one_composes():
@@ -173,11 +171,11 @@ def test_winding_degree_is_multiplicative_and_degree_one_composes():
     for _ in range(1000):
         f = random_epi(rng)
         g = random_epi(rng, m=f.n)
-        assert compose_epi(g, f).degree == f.degree * g.degree
+        assert compose(g, f).degree == f.degree * g.degree
     for m, k, n in [(1, 1, 1), (2, 2, 2), (3, 2, 3), (2, 3, 1)]:
         for f in enumerate_epi_degree1(m, k):
             for g in enumerate_epi_degree1(k, n):
-                assert compose_epi(g, f).degree == 1
+                assert compose(g, f).degree == 1
 
 
 # 5 ---------------------------------------------------------------------------
@@ -192,13 +190,12 @@ def test_projection_is_functorial_and_surjective_on_degree_one():
                 gs = enumerate_para_transversal(b, c)
                 for f in fs:
                     for g in gs:
-                        assert project_para_to_epi(compose_para(g, f)) == \
-                            compose_epi(project_para_to_epi(g),
-                                        project_para_to_epi(f))
+                        assert as_kind(compose(g, f), "epi") == \
+                            compose(as_kind(g, "epi"), as_kind(f, "epi"))
     for m in sizes:
         for n in sizes:
             for e in enumerate_epi_degree1(m, n):
-                assert project_para_to_epi(lift_epi_degree1(e)) == e
+                assert as_kind(as_kind(e, "para"), "epi") == e
 
 
 # 6 ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -262,6 +263,28 @@ def test_para_and_epi_with_huge_values(capsys):
     assert code == 0
     assert out.splitlines() == ["composite: 1 1 : 0 | 1000000000000",
                                 "degree: 1000000000000"]
+
+
+# the cyccat functions cmd_para and cmd_epi call under the names that
+# perfbench's traced run wraps
+CYCCAT_SPAN_NAMES = ("parse_para", "compose_para", "dualize_para", "para_phi",
+                     "project_para_to_epi", "parse_epi", "compose_epi",
+                     "cartesian_factor")
+
+
+def test_every_traced_span_name_resolves(monkeypatch):
+    """perfbench/spans.py wraps each name of its BOUNDARIES in that module,
+    and its cyccat.arith metrics count a span only when the wrapped
+    function's module is cyccat.  Every name resolves, and the eight cyccat
+    names bound in cli come from cyccat."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    for modname, names in spans.BOUNDARIES.items():
+        module = importlib.import_module(modname)
+        assert [n for n in names if not hasattr(module, n)] == [], modname
+    assert set(CYCCAT_SPAN_NAMES) <= set(spans.BOUNDARIES["quivercalc.cli"])
+    for name in CYCCAT_SPAN_NAMES:
+        assert getattr(cli, name).__module__ == "quivercalc.cyccat", name
 
 
 def test_cycles(capsys):

@@ -20,11 +20,10 @@ from quivercalc.fincat import (BadComposite, NotAssociative,
                                symmetric_group_category, validate_fincat,
                                walking_arrow_category)
 from quivercalc.hochschild import compute_hh, psi, trace_obj
-from quivercalc.cyccat import EpiMor
-from quivercalc.quiver import (DeltaMor, Path, QuiverMor, compose_delta,
-                               compose_quiver_mor, components, cycle_root,
-                               directed_cycle, enumerate_quiver_mors,
-                               is_active_delta)
+from quivercalc.cyccat import compose, delta_mor, epi_mor
+from quivercalc.quiver import (Path, QuiverMor, compose_quiver_mor, components,
+                               cycle_root, directed_cycle,
+                               enumerate_quiver_mors)
 from quivercalc import cli, digraph, emm
 from quivercalc.emm import (CircleEndo, CycleToCircle, ExcisionSite, MMor,
                             MObject, QuivPart, circle_object,
@@ -243,6 +242,20 @@ def test_hom_m_to_a_circle_is_truncated_exactly_when_something_winds(
     _, _, truncated = hom_m(source, circle_object(1), max_len=max_len,
                             max_weight=1, path_cap=1)
     assert truncated == (circles > 0 or has_directed_cycle(g))
+
+
+@example(SIDE_CYCLE, 1)
+@given(digraphs(), st.integers(0, 2))
+def test_the_unchecked_maps_pass_the_checking_constructor(g, circles):
+    """hom_m and a circle site's glue_mmor build their maps unchecked; each
+    is one the checking constructor accepts, with equal parts."""
+    source = MObject(circles, components(g))
+    for target in (circle_object(1), circle_object(2), mobject_of_digraph(g)):
+        for f in hom_m(source, target, max_len=3, max_weight=2, path_cap=1,
+                       limit=40)[0]:
+            assert MMor(f.source, f.target, f.circle_parts, f.quiver_parts) == f
+    glue = make_excision_site("circle").glue_mmor()
+    assert MMor(glue.source, glue.target, glue.circle_parts, ()) == glue
 
 
 def test_cycle_length_bound():
@@ -841,7 +854,7 @@ def test_circle_face_maps_are_the_two_joint_inclusions():
                           {"e0": Path(g1, "1", ("e1", "e0"))})
     # the degree-one functors of the 1-cycle onto the 2-cycle, drawn on the
     # site's own stage graphs
-    assert (a, b) == tuple(EpiMor(1, 2, [v], [2]).to_quiver_mor() for v in (0, 1))
+    assert (a, b) == tuple(epi_mor(1, 2, [v], [2]).to_quiver_mor() for v in (0, 1))
     assert all(f.source is site.level_graph(0) and f.target is site.level_graph(1)
                for f in (a, b))
 
@@ -1164,18 +1177,18 @@ def test_stage_maps_by_lifts_equal_the_hand_written_ones(name):
 
 def active_lifts(m, n):
     """Every active map [m] -> [n]: monotone, 0 to 0 and m to n."""
-    return [DeltaMor(m, n, (0, *mid, n))
+    return [delta_mor(m, n, (0, *mid, n))
             for mid in itertools.combinations_with_replacement(range(n + 1), m - 1)]
 
 
 def coface(n, i):
     """delta^i: [n-1] -> [n], which skips point i."""
-    return DeltaMor(n - 1, n, [k + (k >= i) for k in range(n)])
+    return delta_mor(n - 1, n, [k + (k >= i) for k in range(n)])
 
 
 def codegeneracy(n, j):
     """sigma^j: [n+1] -> [n], which hits point j twice."""
-    return DeltaMor(n + 1, n, [k - (k > j) for k in range(n + 2)])
+    return delta_mor(n + 1, n, [k - (k > j) for k in range(n + 2)])
 
 
 def stage(site, p, q, f):
@@ -1186,7 +1199,8 @@ def stage(site, p, q, f):
 def test_the_named_lifts_are_the_inner_cofaces_and_codegeneracies():
     assert emm.INNER_COFACES == (coface(3, 2), coface(3, 1))
     assert emm.CODEGENERACIES == (codegeneracy(2, 0), codegeneracy(2, 1))
-    assert all(map(is_active_delta, emm.INNER_COFACES + emm.CODEGENERACIES))
+    assert all((f.values[0], f.values[-1]) == (0, f.n - 1)
+               for f in emm.INNER_COFACES + emm.CODEGENERACIES)
 
 
 @pytest.mark.parametrize("name", STAGE_SITES)
@@ -1203,7 +1217,7 @@ def test_stage_maps_are_functorial_in_the_lifts(name):
             g = [rng.choice(gs) for _ in range(n)]
             assert compose_quiver_mor(site._stage_mor(q, r, g),
                                       site._stage_mor(p, q, f)) == \
-                site._stage_mor(p, r, list(map(compose_delta, g, f))), (p, q, r)
+                site._stage_mor(p, r, list(map(compose, g, f))), (p, q, r)
 
 
 @pytest.mark.parametrize("name", STAGE_SITES)
@@ -1249,9 +1263,9 @@ def test_a_stage_map_takes_one_active_lift_per_cut(name):
     n, face = len(site.cut_edges), emm.INNER_COFACES[0]
     bad = [[face] * (n + 1)]                    # one lift too many
     if n:
-        bad += [[DeltaMor(2, 3, (0, 1, 2))] + [face] * (n - 1),   # misses the end
-                [face] * (n - 1) + [DeltaMor(2, 3, (1, 2, 3))],   # misses the start
-                [DeltaMor(2, 4, (0, 1, 4))] * n,                  # into stage 2
+        bad += [[delta_mor(2, 3, (0, 1, 2))] + [face] * (n - 1),   # misses the end
+                [face] * (n - 1) + [delta_mor(2, 3, (1, 2, 3))],   # misses the start
+                [delta_mor(2, 4, (0, 1, 4))] * n,                  # into stage 2
                 [face] * (n - 1)]                                 # one too few
     for lifts in bad:
         with pytest.raises(QuivercalcError, match="takes one active map"):
@@ -1558,6 +1572,15 @@ EMM_REJECTIONS = {
     "mmor-cycle-constant": (
         lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(0, AT_0, 2)], []),
         "a constant cycle winds once"),
+    "mmor-cycle-rotated": (
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(0, Path(Q2, "1", ("e1", "e0")), 1)], []),
+        "cycle walks must be primitive and start their least rotation, "
+        "as Path(e0·e1) does"),
+    "mmor-cycle-wound": (
+        lambda: MMor(SRC, TO_CIRCLE, [CycleToCircle(
+            0, Path(Q2, "0", ("e0", "e1", "e0", "e1")), 1)], []),
+        "cycle walks must be primitive and start their least rotation, "
+        "as Path(e0·e1) does"),
     "mmor-cycle-weight": (
         lambda: MMor(SRC, TO_CIRCLE,
                      [CycleToCircle(0, directed_cycle(Q2, ("e0", "e1")), 0)], []),

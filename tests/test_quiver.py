@@ -10,16 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from quivercalc import digraph, quiver
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
                                 standard_digraph, walks)
-from quivercalc.cyccat import compose_para, delta_to_para
-from quivercalc.quiver import (DeltaMor, Path, QuiverMor, classify_quiver_mor,
-                               compose_delta, compose_quiver_mor, components,
-                               delta_mor_to_quiver, enumerate_paths,
-                               enumerate_quiver_mors, factor_active_closed,
-                               hom_is_finite, hom_quiver_count,
-                               is_active_delta, is_closed_delta,
-                               _path_options)
+from quivercalc.cyccat import LiftMor, compose, delta_mor, factor, identity
+from quivercalc.quiver import (Path, QuiverMor, classify_quiver_mor,
+                               compose_quiver_mor, components, enumerate_paths,
+                               enumerate_quiver_mors, hom_is_finite,
+                               hom_quiver_count, _path_options)
 
 import search_oracle
+from test_cyccat import all_delta
 from test_digraph import PIECES, SIDE_CYCLE, digraphs
 
 
@@ -236,78 +234,55 @@ def test_hom_finite_count_agrees_with_enumeration():
     assert count == len(enumerate_paths(g, "a", "c", len(g.edges)))
 
 
-# --- monotone maps -------------------------------------------------------
+# --- monotone maps (cyccat.LiftMor of kind "delta") ------------------------
 
 
-def all_delta(p, q):
-    for vals in itertools.combinations_with_replacement(range(q + 1), p + 1):
-        yield DeltaMor(p, q, vals)
+def is_active(f):
+    """The map hits both ends of its target."""
+    return (f.values[0], f.values[-1]) == (0, f.n - 1)
+
+
+def is_closed(f):
+    """The map is a convex inclusion."""
+    return all(b == a + 1 for a, b in zip(f.values, f.values[1:]))
 
 
 def test_delta_identity_and_composition():
-    i2 = DeltaMor.identity(2)
-    assert [i2(k) for k in range(3)] == [0, 1, 2]
-    f = DeltaMor(1, 2, (0, 2))
-    g = DeltaMor(2, 1, (0, 0, 1))
-    gf = compose_delta(g, f)
+    i2 = identity("delta", 3)           # [2] has three points
+    assert [i2.value(k) for k in range(3)] == [0, 1, 2]
+    f = delta_mor(1, 2, (0, 2))
+    g = delta_mor(2, 1, (0, 0, 1))
+    gf = compose(g, f)
     assert gf.values == (0, 1)
-
-
-def test_delta_composition_associative():
-    fs = list(all_delta(1, 2))
-    gs = list(all_delta(2, 2))
-    hs = list(all_delta(2, 1))
-    for f in fs:
-        for g in gs:
-            for h in hs:
-                assert compose_delta(h, compose_delta(g, f)) == \
-                    compose_delta(compose_delta(h, g), f)
 
 
 def test_active_closed_factorization():
     for p in range(3):
         for q in range(3):
             for f in all_delta(p, q):
-                act, clo = factor_active_closed(f)
-                assert is_active_delta(act)
-                assert is_closed_delta(clo)
-                assert compose_delta(clo, act) == f
+                clo, act = factor(f)
+                assert is_active(act)
+                assert is_closed(clo)
+                assert compose(clo, act) == f
                 # uniqueness: no other (active, closed) pair through any
                 # intermediate object composes to f
                 found = 0
                 for mid in range(q + 1):
                     for a in all_delta(p, mid):
-                        if not is_active_delta(a):
+                        if not is_active(a):
                             continue
                         for c in all_delta(mid, q):
-                            if is_closed_delta(c) and \
-                                    compose_delta(c, a) == f:
+                            if is_closed(c) and compose(c, a) == f:
                                 found += 1
                 assert found == 1
 
 
 def test_delta_mor_to_quiver_subdivides():
-    f = DeltaMor(1, 2, (0, 2))
-    qm = delta_mor_to_quiver(f)
+    f = delta_mor(1, 2, (0, 2))
+    qm = f.to_quiver_mor()
     assert qm.edge_paths["e0"].edges == ("e0", "e1")
     cls = classify_quiver_mor(qm)
     assert cls.refinement and cls.active
-
-
-def test_delta_mor_to_quiver_functorial():
-    for f in all_delta(1, 2):
-        for g in all_delta(2, 3):
-            lhs = delta_mor_to_quiver(compose_delta(g, f))
-            rhs = compose_quiver_mor(delta_mor_to_quiver(g),
-                                     delta_mor_to_quiver(f))
-            assert lhs == rhs
-
-
-def test_delta_to_para_functorial():
-    for f in all_delta(1, 2):
-        for g in all_delta(2, 3):
-            assert delta_to_para(compose_delta(g, f)) == \
-                compose_para(delta_to_para(g), delta_to_para(f))
 
 
 # --- morphisms of quivers -------------------------------------------------
@@ -714,18 +689,18 @@ def test_linear6_endomorphisms_capped_at_four_count_as_a_matrix_power():
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_delta_factor_sizes(p, q):
     for f in all_delta(p, q):
-        act, clo = factor_active_closed(f)
+        clo, act = factor(f)
         # the intermediate object is the image span of f
-        assert act.q == f.values[-1] - f.values[0]
-        assert clo.p == act.q
+        assert act.n == f.values[-1] - f.values[0] + 1
+        assert clo.m == act.n
 
 
 # --- every rejection names what is wrong -------------------------------------
 
 I1, L2 = standard_digraph("interval"), standard_digraph("linear", 2)
-# the Δ rows call these names, so they stay as they are when Δ moves
-DELTA, DELTA_ID, COMPOSE_DELTA = DeltaMor, DeltaMor.identity, compose_delta
-DELTA_TO_QUIVER = delta_mor_to_quiver
+# the Δ rows call Δ's constructor and operations through these names
+DELTA, DELTA_ID, COMPOSE_DELTA = delta_mor, lambda p: identity("delta", p + 1), compose
+DELTA_TO_QUIVER = LiftMor.to_quiver_mor
 QUIVER_REJECTIONS = {
     "path-start": (lambda: Path(L2, "zz", ()), "unknown vertex 'zz'"),
     "path-chain": (lambda: Path(L2, "0", ("e1",)), "edge 'e1' starts at '1', not '0'"),
