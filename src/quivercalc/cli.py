@@ -21,8 +21,8 @@ from .fincat import (FinCat, check_closed_sheaf, chain_poset_category,
                      cyclic_group_category, enumerate_reps, rep_count, rep_tuples,
                      rep_via_exit_limit, symmetric_group_category, validate_fincat,
                      walking_arrow_category)
-# cmd_para and cmd_epi call compose, as_kind and factor by the old names that
-# perfbench's traced run wraps: project_para_to_epi, compose_*, cartesian_factor
+# cmd_para and cmd_epi call compose, as_kind and factor by the names that
+# perfbench's traced run wraps: compose_*, project_para_to_epi, cartesian_factor
 from .cyccat import (as_kind, as_kind as project_para_to_epi, compose,
                      compose as compose_epi, compose as compose_para, dualize_para,
                      enumerate_epi_degree1, enumerate_para_transversal, epi_mor,

@@ -181,8 +181,8 @@ def literal_dual(f):
     """j -> max{ i : f(i) <= j }, searched over a window that holds it."""
     reach = f.m * (abs(f.values[0]) // f.n + 3)
     return LiftMor("para", f.n, f.m, [max(i for i in range(-reach, reach)
-                                  if f.value(i) <= j)
-                              for j in range(f.n)])
+                                          if f.value(i) <= j)
+                                      for j in range(f.n)])
 
 
 @given(paramors(spread=30))
