@@ -79,6 +79,13 @@ def test_translate_action(f):
     assert compose(a_tgt, f) == compose(f, a_src)  # alpha is central
 
 
+@given(paramors(), st.data())
+def test_para_associativity(f, data):
+    g = data.draw(paramors(m=f.n))
+    h = data.draw(paramors(m=g.n))
+    assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+
+
 def brute_transversal(m, n):
     """Every nondecreasing value list with g(0) in [0, n) that fits in one
     period, in lexicographic order."""
@@ -433,6 +440,19 @@ def test_projection_translate_invariant():
         assert as_kind(shifted, "epi") == as_kind(f, "epi")
 
 
+def test_projection_functorial_exhaustive():
+    sizes = [1, 2, 3, 4]
+    for a in sizes:
+        for b in sizes:
+            fs = enumerate_para_transversal(a, b)
+            for c in sizes:
+                gs = enumerate_para_transversal(b, c)
+                for f in fs:
+                    for g in gs:
+                        assert as_kind(compose(g, f), "epi") == \
+                            compose(as_kind(g, "epi"), as_kind(f, "epi"))
+
+
 def test_projection_surjective_on_degree_one():
     for m in (1, 2, 3, 4):
         for n in (1, 2, 3, 4):
@@ -540,10 +560,11 @@ def assert_lift_laws(f, g, h):
 
 
 def small_lift_triples(kind):
-    """The inputs of the per-kind law tests folded in here: every Δ triple
-    [1] -> [2] -> [2] -> [1] and every pair [1] -> [2] -> [3]; every
-    transversal pair of sizes 1..4 (para) or 1..3 (their epi projections);
-    300 seeded epi pairs.  A pair goes in with the identity after it."""
+    """The inputs of the per-kind law tests, run here through every law at
+    once: every Δ triple [1] -> [2] -> [2] -> [1] and every pair
+    [1] -> [2] -> [3]; every transversal pair of sizes 1..4 (para) or 1..3
+    (their epi projections); 300 seeded epi pairs.  A pair goes in with the
+    identity after it."""
     if kind == "delta":
         return ([(f, g, h) for f in all_delta(1, 2) for g in all_delta(2, 2)
                  for h in all_delta(2, 1)]

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from quivercalc import digraph, quiver
 from quivercalc.digraph import (Digraph, QuivercalcError, disjoint_union,
                                 standard_digraph, walks)
-from quivercalc.cyccat import LiftMor, compose, delta_mor, factor, identity
+from quivercalc.cyccat import (LiftMor, as_kind, compose, delta_mor, factor,
+                               identity)
 from quivercalc.quiver import (Path, QuiverMor, classify_quiver_mor,
                                compose_quiver_mor, components, enumerate_paths,
                                enumerate_quiver_mors, hom_is_finite,
@@ -256,6 +257,16 @@ def test_delta_identity_and_composition():
     assert gf.values == (0, 1)
 
 
+def test_delta_composition_associative():
+    fs = list(all_delta(1, 2))
+    gs = list(all_delta(2, 2))
+    hs = list(all_delta(2, 1))
+    for f in fs:
+        for g in gs:
+            for h in hs:
+                assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+
+
 def test_active_closed_factorization():
     for p in range(3):
         for q in range(3):
@@ -283,6 +294,21 @@ def test_delta_mor_to_quiver_subdivides():
     assert qm.edge_paths["e0"].edges == ("e0", "e1")
     cls = classify_quiver_mor(qm)
     assert cls.refinement and cls.active
+
+
+def test_delta_mor_to_quiver_functorial():
+    for f in all_delta(1, 2):
+        for g in all_delta(2, 3):
+            lhs = compose(g, f).to_quiver_mor()
+            rhs = compose_quiver_mor(g.to_quiver_mor(), f.to_quiver_mor())
+            assert lhs == rhs
+
+
+def test_delta_to_para_functorial():
+    for f in all_delta(1, 2):
+        for g in all_delta(2, 3):
+            assert as_kind(compose(g, f), "para") == \
+                compose(as_kind(g, "para"), as_kind(f, "para"))
 
 
 # --- morphisms of quivers -------------------------------------------------
